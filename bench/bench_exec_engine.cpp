@@ -1,12 +1,12 @@
-// Ext-E: row vs vectorized vs fused execution engine.
+// Ext-E: row vs vectorized execution engine.
 //
 // Runs each operator (scan, select, project, hash join, aggregate) and an
-// end-to-end star join + aggregate workload under all three engines,
-// reporting rows/sec per operator and the end-to-end speedup at one and
-// four threads, plus a fusable-chain section (stacked select/project
-// segments and a select→join-probe pipeline) comparing the interpreted
-// vectorized engine against the fused kernel layer with a geomean
-// speedup. Everything is written to BENCH_exec.json.
+// end-to-end star join + aggregate workload under both engines, reporting
+// rows/sec per operator and the end-to-end speedup at one and four
+// threads, plus a select-chain section (stacked select/project segments
+// and a select->join-probe pipeline) timing the vectorized engine at one
+// and four threads with a geomean throughput. Everything is written to
+// BENCH_exec.json.
 //
 // Also measures Ext-K, the observability tax: the per-site cost of the
 // disabled instrumentation guards (MVD_TRACE=off) extrapolated over the
@@ -63,8 +63,6 @@ int main(int argc, char** argv) {
   const Executor row(db, ExecMode::kRow);
   const Executor vec1(db, ExecMode::kVectorized, 1);
   const Executor vec4(db, ExecMode::kVectorized, 4);
-  const Executor fused1(db, ExecMode::kFused, 1);
-  const Executor fused4(db, ExecMode::kFused, 4);
 
   Json report = Json::object();
   report.set("bench", Json::string("exec_engine"));
@@ -108,46 +106,37 @@ int main(int argc, char** argv) {
        schema.fact_rows},
   };
 
-  TextTable ops_table({"operator", "row rows/s", "vec rows/s", "fused rows/s",
-                       "vec/row", "fused/vec"},
+  TextTable ops_table({"operator", "row rows/s", "vec rows/s", "vec/row"},
                       {Align::kLeft, Align::kRight, Align::kRight,
-                       Align::kRight, Align::kRight, Align::kRight});
+                       Align::kRight});
   Json operators = Json::array();
   for (const OpCase& c : cases) {
     const double row_secs = best_run_secs(row, c.plan, reps);
     const double vec_secs = best_run_secs(vec1, c.plan, reps);
-    const double fused_secs = best_run_secs(fused1, c.plan, reps);
     const double rows = static_cast<double>(c.input_rows);
     Json j = Json::object();
     j.set("operator", Json::string(c.name));
     j.set("input_rows", Json::number(rows));
     j.set("row_secs", Json::number(row_secs));
     j.set("vectorized_secs", Json::number(vec_secs));
-    j.set("fused_secs", Json::number(fused_secs));
     j.set("row_rows_per_sec", Json::number(rows / row_secs));
     j.set("vectorized_rows_per_sec", Json::number(rows / vec_secs));
-    j.set("fused_rows_per_sec", Json::number(rows / fused_secs));
     j.set("speedup", Json::number(row_secs / vec_secs));
-    j.set("fused_speedup_vs_vec", Json::number(vec_secs / fused_secs));
     operators.push_back(std::move(j));
     ops_table.add_row({c.name, format_fixed(rows / row_secs, 0),
                        format_fixed(rows / vec_secs, 0),
-                       format_fixed(rows / fused_secs, 0),
-                       format_fixed(row_secs / vec_secs, 2) + "x",
-                       format_fixed(vec_secs / fused_secs, 2) + "x"});
+                       format_fixed(row_secs / vec_secs, 2) + "x"});
   }
   report.set("operators", std::move(operators));
   std::cout << ops_table.render() << '\n';
 
-  // ---- Fusable chains: interpreted vec vs fused kernels --------------
-  // The shapes the chain detector fuses: stacked selects (conjuncts over
-  // int/double/string columns), select→project segments, and a
-  // select→join-probe pipeline that also exercises the packed-key join
-  // kernel. Predicates are selective (~1-5% survivors) so the timings
-  // measure scan/filter/probe throughput — the work the kernels fuse —
-  // rather than the result-materialization cost both engines share. The
-  // acceptance target is a >= 2x geomean over the interpreted vectorized
-  // engine at one thread.
+  // ---- Select chains --------------------------------------------------
+  // Stacked selects (conjuncts over int/double/string columns),
+  // select->project segments, and a select->join-probe pipeline.
+  // Predicates are selective (~1-5% survivors) so the timings measure
+  // scan/filter/probe throughput rather than the result-materialization
+  // cost. Reported as vectorized rows/sec at one and four threads plus
+  // their geomean over the four plans.
   const std::int64_t d_sel =
       static_cast<std::int64_t>(schema.dimension_rows / 20);
   const std::vector<OpCase> chains = {
@@ -175,56 +164,46 @@ int main(int argc, char** argv) {
        schema.fact_rows + schema.dimension_rows},
   };
 
-  TextTable chain_table({"chain", "vec rows/s", "fused rows/s", "1t speedup",
-                         "4t speedup"},
+  TextTable chain_table({"chain", "vec 1t rows/s", "vec 4t rows/s",
+                         "4t/1t"},
                         {Align::kLeft, Align::kRight, Align::kRight,
-                         Align::kRight, Align::kRight});
+                         Align::kRight});
   Json chain_json = Json::array();
-  double log_speedup_1t = 0, log_speedup_4t = 0;
+  double log_rate_1t = 0, log_rate_4t = 0;
   // The chain runs are short (selective predicates, small outputs), so
   // take the best of more repetitions to damp scheduler noise.
   const int chain_reps = smoke ? 3 : 9;
   for (const OpCase& c : chains) {
     const double vec1_secs = best_run_secs(vec1, c.plan, chain_reps);
-    const double fused1_secs = best_run_secs(fused1, c.plan, chain_reps);
     const double vec4_secs = best_run_secs(vec4, c.plan, chain_reps);
-    const double fused4_secs = best_run_secs(fused4, c.plan, chain_reps);
     const double rows = static_cast<double>(c.input_rows);
-    const double s1 = vec1_secs / fused1_secs;
-    const double s4 = vec4_secs / fused4_secs;
-    log_speedup_1t += std::log(s1);
-    log_speedup_4t += std::log(s4);
+    log_rate_1t += std::log(rows / vec1_secs);
+    log_rate_4t += std::log(rows / vec4_secs);
     Json j = Json::object();
     j.set("chain", Json::string(c.name));
     j.set("input_rows", Json::number(rows));
     j.set("vectorized_1t_secs", Json::number(vec1_secs));
-    j.set("fused_1t_secs", Json::number(fused1_secs));
     j.set("vectorized_4t_secs", Json::number(vec4_secs));
-    j.set("fused_4t_secs", Json::number(fused4_secs));
-    j.set("vectorized_rows_per_sec", Json::number(rows / vec1_secs));
-    j.set("fused_rows_per_sec", Json::number(rows / fused1_secs));
-    j.set("fused_speedup_1t", Json::number(s1));
-    j.set("fused_speedup_4t", Json::number(s4));
+    j.set("vectorized_1t_rows_per_sec", Json::number(rows / vec1_secs));
+    j.set("vectorized_4t_rows_per_sec", Json::number(rows / vec4_secs));
+    j.set("thread_scaling_4t", Json::number(vec1_secs / vec4_secs));
     chain_json.push_back(std::move(j));
     chain_table.add_row({c.name, format_fixed(rows / vec1_secs, 0),
-                         format_fixed(rows / fused1_secs, 0),
-                         format_fixed(s1, 2) + "x",
-                         format_fixed(s4, 2) + "x"});
+                         format_fixed(rows / vec4_secs, 0),
+                         format_fixed(vec1_secs / vec4_secs, 2) + "x"});
   }
-  const double geomean_1t =
-      std::exp(log_speedup_1t / static_cast<double>(chains.size()));
-  const double geomean_4t =
-      std::exp(log_speedup_4t / static_cast<double>(chains.size()));
+  const double nchains = static_cast<double>(chains.size());
+  const double geomean_1t = std::exp(log_rate_1t / nchains);
+  const double geomean_4t = std::exp(log_rate_4t / nchains);
   Json chains_section = Json::object();
   chains_section.set("cases", std::move(chain_json));
-  chains_section.set("geomean_fused_speedup_1t", Json::number(geomean_1t));
-  chains_section.set("geomean_fused_speedup_4t", Json::number(geomean_4t));
-  report.set("fusable_chains", std::move(chains_section));
-  std::cout << "fusable chains (interpreted vec vs fused kernels):\n"
-            << chain_table.render()
-            << "  geomean fused speedup: "
-            << format_fixed(geomean_1t, 2) << "x (1t), "
-            << format_fixed(geomean_4t, 2) << "x (4t)\n\n";
+  chains_section.set("geomean_rows_per_sec_1t", Json::number(geomean_1t));
+  chains_section.set("geomean_rows_per_sec_4t", Json::number(geomean_4t));
+  report.set("select_chains", std::move(chains_section));
+  std::cout << "select chains (vectorized):\n"
+            << chain_table.render() << "  geomean: "
+            << format_fixed(geomean_1t, 0) << " rows/s (1t), "
+            << format_fixed(geomean_4t, 0) << " rows/s (4t)\n\n";
 
   // ---- End-to-end join + aggregate workload --------------------------
   // The generator's large rollup shape: fact joined through two
@@ -241,24 +220,20 @@ int main(int argc, char** argv) {
       {AggSpec{AggFn::kSum, "Fact.measure", ""},
        AggSpec{AggFn::kCount, "", ""}});
 
-  std::size_t rows_row = 0, rows_v1 = 0, rows_v4 = 0;
+  std::size_t rows_row = 0;
   const double row_secs = best_run_secs(row, e2e, reps, &rows_row);
-  const double vec1_secs = best_run_secs(vec1, e2e, reps, &rows_v1);
-  const double vec4_secs = best_run_secs(vec4, e2e, reps, &rows_v4);
-  const double fused1_secs = best_run_secs(fused1, e2e, reps);
-  const double fused4_secs = best_run_secs(fused4, e2e, reps);
-  const Table e2e_vec = vec1.run(e2e);
-  const Table e2e_fused1 = fused1.run(e2e);
-  const Table e2e_fused4 = fused4.run(e2e);
-  // The batch engines must match bit for bit, row order included.
-  bool batch_identical = e2e_vec.row_count() == e2e_fused1.row_count() &&
-                         e2e_fused1.row_count() == e2e_fused4.row_count();
-  for (std::size_t i = 0; batch_identical && i < e2e_vec.row_count(); ++i) {
-    batch_identical = e2e_vec.row(i) == e2e_fused1.row(i) &&
-                      e2e_fused1.row(i) == e2e_fused4.row(i);
+  const double vec1_secs = best_run_secs(vec1, e2e, reps);
+  const double vec4_secs = best_run_secs(vec4, e2e, reps);
+  const Table e2e_vec1 = vec1.run(e2e);
+  const Table e2e_vec4 = vec4.run(e2e);
+  // The vectorized engine must match itself bit for bit across thread
+  // counts, row order included, and the row engine as a bag.
+  bool threads_identical = e2e_vec1.row_count() == e2e_vec4.row_count();
+  for (std::size_t i = 0; threads_identical && i < e2e_vec1.row_count();
+       ++i) {
+    threads_identical = e2e_vec1.row(i) == e2e_vec4.row(i);
   }
-  const bool agree = same_bag(row.run(e2e), e2e_vec) &&
-                     same_bag(e2e_vec, vec4.run(e2e)) && batch_identical;
+  const bool agree = same_bag(row.run(e2e), e2e_vec1) && threads_identical;
 
   Json e2e_json = Json::object();
   e2e_json.set("description",
@@ -267,14 +242,8 @@ int main(int argc, char** argv) {
   e2e_json.set("row_secs", Json::number(row_secs));
   e2e_json.set("vectorized_1t_secs", Json::number(vec1_secs));
   e2e_json.set("vectorized_4t_secs", Json::number(vec4_secs));
-  e2e_json.set("fused_1t_secs", Json::number(fused1_secs));
-  e2e_json.set("fused_4t_secs", Json::number(fused4_secs));
   e2e_json.set("speedup_1t", Json::number(row_secs / vec1_secs));
   e2e_json.set("speedup_4t", Json::number(row_secs / vec4_secs));
-  e2e_json.set("fused_speedup_1t", Json::number(row_secs / fused1_secs));
-  e2e_json.set("fused_speedup_4t", Json::number(row_secs / fused4_secs));
-  e2e_json.set("fused_vs_vec_1t", Json::number(vec1_secs / fused1_secs));
-  e2e_json.set("fused_vs_vec_4t", Json::number(vec4_secs / fused4_secs));
   e2e_json.set("thread_scaling_4t", Json::number(vec1_secs / vec4_secs));
   e2e_json.set("same_bag", Json::boolean(agree));
   e2e_json.set("output_rows", Json::number(rows_row));
@@ -288,10 +257,6 @@ int main(int argc, char** argv) {
             << "  vectorized (4t):   " << format_fixed(vec4_secs * 1e3, 1)
             << " ms  (" << format_fixed(row_secs / vec4_secs, 2) << "x, "
             << format_fixed(vec1_secs / vec4_secs, 2) << "x over 1t)\n"
-            << "  fused (1t):        " << format_fixed(fused1_secs * 1e3, 1)
-            << " ms  (" << format_fixed(row_secs / fused1_secs, 2) << "x)\n"
-            << "  fused (4t):        " << format_fixed(fused4_secs * 1e3, 1)
-            << " ms  (" << format_fixed(row_secs / fused4_secs, 2) << "x)\n"
             << "  results agree:     " << (agree ? "yes" : "NO") << "\n\n";
 
   // ---- Ext-K: observability overhead when tracing is off -------------
@@ -321,10 +286,6 @@ int main(int argc, char** argv) {
   const std::size_t vec_ev0 = Tracer::global().event_count();
   (void)vec4.run(e2e);
   const std::size_t vec_events = Tracer::global().event_count() - vec_ev0;
-  const std::size_t fused_ev0 = Tracer::global().event_count();
-  (void)fused4.run(e2e);
-  const std::size_t fused_events =
-      Tracer::global().event_count() - fused_ev0;
   Tracer::global().clear();
   set_trace_level(std::nullopt);
 
@@ -338,11 +299,7 @@ int main(int argc, char** argv) {
   const double vec_overhead =
       static_cast<double>(vec_events) * kSiteFudge * guard_ns * 1e-9 /
       vec4_secs;
-  const double fused_overhead =
-      static_cast<double>(fused_events) * kSiteFudge * guard_ns * 1e-9 /
-      fused4_secs;
-  const double worst_overhead =
-      std::max({row_overhead, vec_overhead, fused_overhead});
+  const double worst_overhead = std::max(row_overhead, vec_overhead);
   const double kOverheadLimit = 0.01;
   const bool overhead_ok = worst_overhead <= kOverheadLimit;
 
@@ -350,11 +307,9 @@ int main(int argc, char** argv) {
   obs.set("guard_ns_per_site", Json::number(guard_ns));
   obs.set("row_trace_events", Json::number(row_events));
   obs.set("vectorized_trace_events", Json::number(vec_events));
-  obs.set("fused_trace_events", Json::number(fused_events));
   obs.set("site_fudge_factor", Json::number(kSiteFudge));
   obs.set("row_overhead_fraction", Json::number(row_overhead));
   obs.set("vectorized_overhead_fraction", Json::number(vec_overhead));
-  obs.set("fused_overhead_fraction", Json::number(fused_overhead));
   obs.set("limit_fraction", Json::number(kOverheadLimit));
   obs.set("within_limit", Json::boolean(overhead_ok));
   report.set("tracing_overhead", std::move(obs));
@@ -363,7 +318,7 @@ int main(int argc, char** argv) {
             << "  guard cost:        " << format_fixed(guard_ns, 2)
             << " ns/site\n"
             << "  sites per e2e run: " << row_events << " (row), "
-            << vec_events << " (vec), " << fused_events << " (fused)\n"
+            << vec_events << " (vec)\n"
             << "  worst-case tax:    "
             << format_fixed(worst_overhead * 100, 4) << "% of runtime "
             << "(limit " << format_fixed(kOverheadLimit * 100, 1) << "%) "

@@ -29,19 +29,29 @@ class CompiledExpr {
   /// expression does not produce a bool.
   bool matches(const Tuple& tuple) const { return evaluate(tuple).as_bool(); }
 
-  /// Column-batch entry point: filter `sel` (physical row ids into `data`)
-  /// in place, keeping the rows that satisfy the predicate and preserving
-  /// their order. `col_map` translates bound-schema column indices to
-  /// physical columns of `data`. Top-level conjunctions run conjunct by
-  /// conjunct over the shrinking selection; column-vs-literal and
-  /// column-vs-column comparisons run as typed loops, everything else
-  /// falls back to per-row evaluation.
-  void filter_batch(const ColumnTable& data,
-                    const std::vector<std::size_t>& col_map,
-                    std::vector<std::uint32_t>& sel) const;
+  /// Column-batch entry points: write to `out`, in input order, the
+  /// physical rows of `data` that satisfy the predicate and return their
+  /// count. `filter_batch` reads the row ids `sel[0, n)` (`out` may alias
+  /// `sel`); `filter_range` reads the dense row range [lo, hi), whose ids
+  /// are implicit, so no selection vector is built for rows that fail the
+  /// first conjunct (`out` must hold hi - lo ids). `col_map` translates
+  /// bound-schema column indices to physical columns of `data`.
+  /// Top-level conjunctions run conjunct by conjunct over the shrinking
+  /// survivors; column-vs-literal and column-vs-column comparisons run as
+  /// typed loops (an int64 column against a numeric literal as a pure
+  /// int64 loop when that is exact), everything else falls back to
+  /// per-row evaluation.
+  std::size_t filter_batch(const ColumnTable& data,
+                           const std::vector<std::size_t>& col_map,
+                           const std::uint32_t* sel, std::size_t n,
+                           std::uint32_t* out) const;
+  std::size_t filter_range(const ColumnTable& data,
+                           const std::vector<std::size_t>& col_map,
+                           std::uint32_t lo, std::uint32_t hi,
+                           std::uint32_t* out) const;
 
   /// Evaluate over one physical row of a ColumnTable (the generic
-  /// fallback used by batch operators without a typed kernel).
+  /// fallback used by batch operators without a typed loop).
   Value evaluate_at(const ColumnTable& data,
                     const std::vector<std::size_t>& col_map,
                     std::size_t row) const;
@@ -56,9 +66,12 @@ class CompiledExpr {
   static Value eval_node_at(const Node& node, const ColumnTable& data,
                             const std::vector<std::size_t>& col_map,
                             std::size_t row);
-  static void filter_node(const Node& node, const ColumnTable& data,
-                          const std::vector<std::size_t>& col_map,
-                          std::vector<std::uint32_t>& sel);
+  /// Filter the first `n` row ids of `rows` through `node` into `out`.
+  template <typename Rows>
+  static std::size_t filter_node(const Node& node, const ColumnTable& data,
+                                 const std::vector<std::size_t>& col_map,
+                                 const Rows& rows, std::size_t n,
+                                 std::uint32_t* out);
 };
 
 }  // namespace mvd

@@ -449,19 +449,6 @@ std::string CheckReport::render_text() const {
   for (const NodeCheck& n : nodes) {
     os << "  " << n.label << "  " << card_str(n.rows) << "\n";
   }
-  if (!segments.empty()) {
-    os << "fused segments:\n";
-    for (const ChainSegment& s : segments) {
-      os << "  " << (s.head != nullptr ? s.head->label() : "?") << ": ";
-      if (s.prediction.fusable) {
-        os << "fused (" << s.prediction.stage_count << " stage(s), "
-           << s.prediction.select_count << " select(s))";
-      } else {
-        os << "interpreted — " << s.prediction.refusal;
-      }
-      os << "\n";
-    }
-  }
   if (maintainability.has_value()) {
     os << "maintainability: " << to_string(maintainability->verdict);
     if (!maintainability->reason.empty()) {
@@ -491,20 +478,6 @@ Json CheckReport::to_json() const {
     node_arr.push_back(std::move(nj));
   }
   j.set("nodes", std::move(node_arr));
-  Json seg_arr = Json::array();
-  for (const ChainSegment& s : segments) {
-    Json sj = Json::object();
-    sj.set("head",
-           Json::string(s.head != nullptr ? s.head->label() : std::string()));
-    sj.set("fusable", Json::boolean(s.prediction.fusable));
-    sj.set("stages",
-           Json::number(static_cast<double>(s.prediction.stage_count)));
-    sj.set("selects",
-           Json::number(static_cast<double>(s.prediction.select_count)));
-    sj.set("refusal", Json::string(s.prediction.refusal));
-    seg_arr.push_back(std::move(sj));
-  }
-  j.set("segments", std::move(seg_arr));
   if (maintainability.has_value()) {
     Json mj = Json::object();
     mj.set("verdict", Json::string(to_string(maintainability->verdict)));
@@ -529,16 +502,6 @@ CheckReport check_plan(const PlanPtr& plan, const CheckOptions& options) {
   report.root = plan;
   Analyzer analyzer{options, report, {}};
   analyzer.analyze(plan);
-  if (options.fusability) {
-    // The fusability mirror calls Schema::find like the runtime detector;
-    // corrupted plans (ambiguous bare names) make both throw. The
-    // resolution findings above already cover those, so degrade quietly.
-    try {
-      report.segments = predict_engine_segments(plan);
-    } catch (const Error&) {
-      report.segments.clear();
-    }
-  }
   if (options.maintainability) {
     try {
       report.maintainability = certify_refresh_plan(plan);
@@ -594,7 +557,6 @@ void check_stage_hook(const char* stage, const PlanPtr& plan,
   if (level == CheckHookLevel::kOff) return;
   CheckOptions opts;
   opts.database = database;
-  opts.fusability = false;
   opts.maintainability = false;
   const CheckReport report = check_plan(plan, opts);
   if (report.findings.clean()) return;

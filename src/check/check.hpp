@@ -12,8 +12,8 @@
 //   * cardinality intervals [lo, hi] per node, grounded in Database table
 //     sizes when available — the differential tests assert the runtime
 //     ExecStats rows_out always lands inside them;
-//   * optional fusability segmentation (src/check/fusability) and
-//     self-maintainability certification (src/check/maintainability).
+//   * optional self-maintainability certification
+//     (src/check/maintainability).
 //
 // check_stage_hook wires the pass into Executor::run and
 // incremental_refresh behind MVD_CHECK=off|warn|error, mirroring the
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/algebra/logical_plan.hpp"
-#include "src/check/fusability.hpp"
 #include "src/check/maintainability.hpp"
 #include "src/common/json.hpp"
 #include "src/lint/diagnostic.hpp"
@@ -56,22 +55,18 @@ struct CheckOptions {
   const DeltaSet* deltas = nullptr;
   /// Stored view name for the global-MIN/MAX placeholder check.
   std::string view_name;
-  /// Run the fused-engine segmentation mirror.
-  bool fusability = true;
   /// Certify self-maintainability of the plan as a refresh plan.
   bool maintainability = true;
 };
 
 struct CheckReport {
   /// The analyzed plan. The report owns it so the raw node pointers in
-  /// `nodes` and `segments` stay valid for the report's lifetime.
+  /// `nodes` stay valid for the report's lifetime.
   PlanPtr root;
   /// Diagnostics in mvlint's format (rule ids under "check/...").
   LintReport findings;
   /// Postorder node table with cardinality intervals.
   std::vector<NodeCheck> nodes;
-  /// Fused-engine segmentation (empty when options.fusability is false).
-  std::vector<ChainSegment> segments;
   std::optional<MaintCertificate> maintainability;
   std::optional<RefreshPrediction> refresh;
 

@@ -20,6 +20,7 @@ DistributedMvppEvaluator::DistributedMvppEvaluator(const MvppGraph& graph,
         break;
       case MvppNodeKind::kSelect:
       case MvppNodeKind::kProject:
+      case MvppNodeKind::kAggregate:
         node_site_[static_cast<std::size_t>(n.id)] =
             node_site_[static_cast<std::size_t>(n.children[0])];
         break;

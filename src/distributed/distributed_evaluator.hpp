@@ -1,9 +1,9 @@
 // Communication-aware MVPP cost evaluation.
 //
 // Every MVPP node is assigned a compute site: base relations sit where the
-// topology places them; selections/projections run where their input
-// lives; a join runs on the side shipping fewer blocks; query roots read
-// at their issue site. produce/answer/maintenance costs then add
+// topology places them; selections, projections and aggregates run where
+// their input lives; a join runs on the side shipping fewer blocks; query
+// roots read at their issue site. produce/answer/maintenance costs then add
 // blocks-shipped × per-block link cost on every cross-site edge, on top of
 // the block-access costs of the base evaluator.
 //

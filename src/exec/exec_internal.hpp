@@ -139,36 +139,20 @@ inline void append_packed_key(std::string& key, const Value& v) {
 
 // ---- Aggregate accumulation -------------------------------------------
 
-/// Running state of one aggregate within one group.
-struct Accumulator {
+/// COUNT/SUM running state of one aggregate within one group — all that
+/// COUNT, SUM, SUM_INT and AVG need.
+struct SumCount {
   double count = 0;
   double sum = 0;
-  std::optional<Value> min;
-  std::optional<Value> max;
 
-  void feed(const Value& v) {
-    count += 1;
-    if (is_numeric(v.type())) sum += v.as_double();
-    if (!min.has_value() || v.compare(*min) < 0) min = v;
-    if (!max.has_value() || v.compare(*max) > 0) max = v;
-  }
-
-  /// Fold another partial in. Order-sensitive only through `sum` for
-  /// double inputs; callers merge partials in deterministic morsel order.
-  void merge(const Accumulator& other) {
+  /// Fold another partial in. Order-sensitive through `sum` for double
+  /// inputs; callers merge partials in deterministic morsel order.
+  void merge(const SumCount& other) {
     count += other.count;
     sum += other.sum;
-    if (other.min.has_value() &&
-        (!min.has_value() || other.min->compare(*min) < 0)) {
-      min = other.min;
-    }
-    if (other.max.has_value() &&
-        (!max.has_value() || other.max->compare(*max) > 0)) {
-      max = other.max;
-    }
   }
 
-  Value result(AggFn fn, ValueType output_type) const {
+  Value result(AggFn fn, ValueType /*output_type*/) const {
     switch (fn) {
       case AggFn::kCount:
         return Value::int64(static_cast<std::int64_t>(count));
@@ -181,17 +165,48 @@ struct Accumulator {
       case AggFn::kAvg:
         return Value::real(count > 0 ? sum / count : 0.0);
       case AggFn::kMin:
-      case AggFn::kMax: {
-        const std::optional<Value>& v = fn == AggFn::kMin ? min : max;
-        if (v.has_value()) return *v;
-        // Empty global group: a typed zero placeholder (SQL would say
-        // NULL; the engine has no nulls, documented limitation).
-        return output_type == ValueType::kString ? Value::string("")
-                                                 : Value::int64(0);
-      }
+      case AggFn::kMax:
+        break;  // tracked by Accumulator only
     }
     MVD_ASSERT(false);
     return Value::int64(0);
+  }
+};
+
+/// Running state of one aggregate within one group, MIN/MAX included.
+struct Accumulator : SumCount {
+  std::optional<Value> min;
+  std::optional<Value> max;
+
+  void feed(const Value& v) {
+    count += 1;
+    if (is_numeric(v.type())) sum += v.as_double();
+    if (!min.has_value() || v.compare(*min) < 0) min = v;
+    if (!max.has_value() || v.compare(*max) > 0) max = v;
+  }
+
+  void merge(const Accumulator& other) {
+    SumCount::merge(other);
+    if (other.min.has_value() &&
+        (!min.has_value() || other.min->compare(*min) < 0)) {
+      min = other.min;
+    }
+    if (other.max.has_value() &&
+        (!max.has_value() || other.max->compare(*max) > 0)) {
+      max = other.max;
+    }
+  }
+
+  Value result(AggFn fn, ValueType output_type) const {
+    if (fn != AggFn::kMin && fn != AggFn::kMax) {
+      return SumCount::result(fn, output_type);
+    }
+    const std::optional<Value>& v = fn == AggFn::kMin ? min : max;
+    if (v.has_value()) return *v;
+    // Empty global group: a typed zero placeholder (SQL would say NULL;
+    // the engine has no nulls, documented limitation).
+    return output_type == ValueType::kString ? Value::string("")
+                                             : Value::int64(0);
   }
 };
 

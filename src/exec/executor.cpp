@@ -43,37 +43,15 @@ void publish_op_tallies(const char* engine, const double* blocks,
 }
 
 const char* exec_mode_name(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kFused:
-      return "fused";
-    case ExecMode::kVectorized:
-      return "vec";
-    case ExecMode::kRow:
-      break;
-  }
-  return "row";
+  return mode == ExecMode::kVectorized ? "vec" : "row";
 }
 
 ExecMode default_exec_mode() {
-  ExecMode mode = ExecMode::kRow;
   if (const char* env = std::getenv("MVD_EXEC_MODE")) {
     const std::string m(env);
-    if (m == "vectorized" || m == "vec") mode = ExecMode::kVectorized;
-    if (m == "fused") mode = ExecMode::kFused;
+    if (m == "vectorized" || m == "vec") return ExecMode::kVectorized;
   }
-  // MVD_EXEC_FUSED toggles the kernel layer on top of whatever engine
-  // MVD_EXEC_MODE picked: on upgrades vectorized (or row) to fused, off
-  // forces fused back to the interpreted vectorized path.
-  if (const char* env = std::getenv("MVD_EXEC_FUSED")) {
-    const std::string f(env);
-    if (f == "1" || f == "true" || f == "on") {
-      mode = ExecMode::kFused;
-    } else if ((f == "0" || f == "false" || f == "off") &&
-               mode == ExecMode::kFused) {
-      mode = ExecMode::kVectorized;
-    }
-  }
-  return mode;
+  return ExecMode::kRow;
 }
 
 std::size_t default_exec_threads() {
@@ -127,13 +105,11 @@ Table Executor::run(const PlanPtr& plan, ExecStats* stats) const {
   const double batches0 = s != nullptr ? s->batches : 0;
 
   const char* engine = exec_mode_name(mode_);
-  TraceSpan span("exec", mode_ == ExecMode::kFused        ? "fused-run"
-                         : mode_ == ExecMode::kVectorized ? "vec-run"
-                                                          : "row-run");
+  TraceSpan span("exec",
+                 mode_ == ExecMode::kVectorized ? "vec-run" : "row-run");
   Table out = [&] {
-    if (mode_ != ExecMode::kRow) {
-      return run_vectorized(*db_, plan, s, threads_, *column_cache_,
-                            mode_ == ExecMode::kFused);
+    if (mode_ == ExecMode::kVectorized) {
+      return run_vectorized(*db_, plan, s, threads_, *column_cache_);
     }
     RunContext ctx;
     Table t = *run_node(plan, s, ctx);

@@ -4,13 +4,13 @@
 // operator's result bottom-up as tuple vectors (shared plan fragments are
 // computed once per run); the vectorized engine (ExecMode::kVectorized,
 // src/exec/vectorized.hpp) runs the same plans over columnar batches with
-// selection vectors and morsel parallelism — ExecMode::kFused adds its
-// typed kernel layer (src/exec/fused.hpp). Both split equi-join
-// conjuncts into a build/probe hash join and fall back to a nested loop
-// otherwise, and both exist to (a) ground-truth the optimizer and MVPP
-// rewrites — every rewritten plan must return the same bag of tuples as
-// the canonical plan — and (b) measure the real effect of materializing
-// the chosen views (bench Ext-D).
+// selection vectors, typed loops and morsel parallelism. Both split
+// equi-join conjuncts into a build/probe hash join and fall back to a
+// nested loop otherwise, and both exist to (a) ground-truth the optimizer
+// and MVPP rewrites — every rewritten plan must return the same bag of
+// tuples as the canonical plan — and (b) measure the real effect of
+// materializing the chosen views (bench Ext-D). The row engine is the
+// oracle the vectorized engine is differentially tested against.
 #pragma once
 
 #include <map>
@@ -53,22 +53,14 @@ struct ExecStats {
   std::vector<ExecStats> per_shard;
 };
 
-/// Which engine Executor::run uses. kFused is the vectorized engine with
-/// the typed kernel layer (src/exec/fused) enabled: fusable
-/// select/project chains, numeric equi-joins and COUNT/SUM/AVG
-/// aggregates run through specialized loops, everything else falls back
-/// to the interpreted operators per node.
-enum class ExecMode { kRow, kVectorized, kFused };
+/// Which engine Executor::run uses.
+enum class ExecMode { kRow, kVectorized };
 
-/// Engine selected by the MVD_EXEC_MODE environment variable ("row",
-/// "vectorized"/"vec", or "fused"); kRow when unset or unrecognized.
-/// MVD_EXEC_FUSED then overrides the kernel layer independently: truthy
-/// ("1"/"true"/"on") upgrades any vectorized selection to kFused, falsy
-/// ("0"/"false"/"off") demotes kFused back to plain kVectorized.
+/// Engine selected by the MVD_EXEC_MODE environment variable ("row" or
+/// "vectorized"/"vec"); kRow when unset or unrecognized.
 ExecMode default_exec_mode();
 
-/// Short engine label for metrics and journal events: "row", "vec" or
-/// "fused".
+/// Short engine label for metrics and journal events: "row" or "vec".
 const char* exec_mode_name(ExecMode mode);
 
 /// Vectorized-engine worker count from MVD_EXEC_THREADS (0 = hardware
@@ -130,7 +122,7 @@ class Executor {
   ExecMode mode_;
   std::size_t threads_;
   /// Columnar conversions, shared across runs of this Executor (filled
-  /// lazily, vectorized/fused modes only).
+  /// lazily, vectorized mode only).
   std::shared_ptr<ColumnTableCache> column_cache_;
 };
 

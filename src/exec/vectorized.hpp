@@ -6,7 +6,12 @@
 // selects, hash-join builds/probes and aggregation run morsel-parallel
 // (fixed kMorselRows morsels, per-morsel partials merged on the calling
 // thread in morsel order) so the output is bit-identical at any thread
-// count. See DESIGN.md §10.
+// count. Each operator picks its loop from the input's column types: a
+// select's first conjunct filters an unfiltered input's dense row range,
+// int64-vs-literal comparisons run as exact int64 loops, one or two
+// numeric join keys key the hash table exactly, and numeric-keyed
+// COUNT/SUM/AVG aggregates accumulate count/sum pairs under a packed
+// two-word key. See DESIGN.md §10.
 #pragma once
 
 #include <map>
@@ -38,14 +43,8 @@ class ColumnTableCache {
 /// same bag of tuples, same ExecStats block accounting, same rows_out
 /// entries; only row order may differ between the two engines (and is
 /// itself deterministic per engine). `threads` is the morsel worker
-/// count (1 = serial, 0 = hardware auto). With `fused` set, fusable
-/// select/project chains, numeric equi-joins and COUNT/SUM/AVG
-/// aggregates run through the typed kernels of src/exec/fused instead of
-/// the interpreted operators — same output bit for bit, same stats; the
-/// interpreted path remains the fallback per operator (see DESIGN.md
-/// §13).
+/// count (1 = serial, 0 = hardware auto).
 Table run_vectorized(const Database& db, const PlanPtr& plan, ExecStats* stats,
-                     std::size_t threads, ColumnTableCache& cache,
-                     bool fused = false);
+                     std::size_t threads, ColumnTableCache& cache);
 
 }  // namespace mvd

@@ -19,9 +19,8 @@ void check_plans_clean(const LintContext& ctx, RuleEmitter& out) {
     if (n.expr == nullptr) continue;
     CheckOptions opts;
     opts.database = ctx.database;
-    // Schema/type/predicate analysis only: fusability segmentation and
-    // maintainability certification are advisory, not lintable defects.
-    opts.fusability = false;
+    // Schema/type/predicate analysis only: maintainability certification
+    // is advisory, not a lintable defect.
     opts.maintainability = false;
     const CheckReport report = check_plan(n.expr, opts);
     for (const Diagnostic& d : report.findings.diagnostics()) {

@@ -59,6 +59,16 @@ DeltaInfo delta_walk(const MvppGraph& g, NodeId id, NodeId base,
       }
       break;
     }
+    case MvppNodeKind::kAggregate: {
+      const DeltaInfo child = delta_walk(g, n.children[0], base, fraction, memo);
+      if (child.blocks > 0) {
+        const double cb = g.node(n.children[0]).blocks;
+        info.blocks = child.blocks * (cb > 0 ? n.blocks / cb : 0);
+        // Grouped apply: read the child delta and the stored groups.
+        info.cost = child.cost + child.blocks + n.blocks;
+      }
+      break;
+    }
     case MvppNodeKind::kQuery:
       info = delta_walk(g, n.children[0], base, fraction, memo);
       break;

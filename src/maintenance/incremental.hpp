@@ -5,7 +5,8 @@
 // Model: an update batch changes `update_fraction` of a base relation's
 // blocks. The delta flows up the view's subtree: selections/projections
 // scan only the delta; a join probes the delta against the full other
-// side. The per-view cost is the sum over affected operators plus the
+// side; an aggregate applies its grouped delta (read the child delta and
+// the stored groups). The per-view cost is the sum over affected operators plus the
 // write of the view's own delta. Comparing this against recompute
 // maintenance is the Ext-C ablation bench.
 #pragma once

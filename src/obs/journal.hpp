@@ -80,7 +80,7 @@ struct JournalEvent {
   std::string fingerprint;  // canonical identity (query_fingerprint)
   bool rewritten = false;
   std::string view;    // the hit view when rewritten
-  std::string engine;  // "row" | "vec" | "fused"
+  std::string engine;  // "row" | "vec"
   double latency_ms = 0;
   std::vector<ServeRefusal> refusals;  // per-VALID-view reasons on a miss
   /// Deployed-but-unavailable coverage on a fallback: non-VALID

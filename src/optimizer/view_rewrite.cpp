@@ -322,11 +322,17 @@ std::string refusal_code(const std::string& reason) {
 
 std::optional<ViewMatch> best_view_match(const QuerySpec& query,
                                          const std::vector<ViewDef>& views,
-                                         const Catalog& catalog) {
+                                         const Catalog& catalog,
+                                         std::vector<ViewRefusal>* refusals) {
   std::optional<ViewMatch> best;
   for (const ViewDef& v : views) {
-    auto m = match_query_to_view(query, v, catalog);
-    if (!m.has_value()) continue;
+    std::string why;
+    auto m = match_query_to_view(query, v, catalog,
+                                 refusals != nullptr ? &why : nullptr);
+    if (!m.has_value()) {
+      if (refusals != nullptr) refusals->push_back({v.name, std::move(why)});
+      continue;
+    }
     if (!best.has_value() || m->stored_blocks < best->stored_blocks ||
         (m->stored_blocks == best->stored_blocks && m->view < best->view)) {
       best = std::move(m);

@@ -15,7 +15,8 @@
 // The compensation plan is a scan of the stored view, a residual
 // selection (the query conjuncts not already entailed by the view's
 // predicate), and a residual projection/aggregation. It is an ordinary
-// logical plan: all three engines run it, bit-identically.
+// logical plan: both engines run it (same bag; the vectorized engine
+// bit-identically at any thread count).
 //
 // Aggregation compatibility, where G() is the grouping column set:
 //   query SPJ  over SPJ view  — residual sigma + projection.
@@ -111,11 +112,19 @@ std::optional<ViewMatch> match_query_to_view(const QuerySpec& query,
 /// column/aggregate names, so aggregation has to go through these codes.
 std::string refusal_code(const std::string& reason);
 
+/// One view's refusal to answer a query, with match_query_to_view's
+/// reason.
+struct ViewRefusal {
+  std::string view;
+  std::string reason;
+};
+
 /// Match against every view and keep the cheapest (fewest stored blocks,
 /// name as the tie-break). Views are pre-filtered by the caller (mvserve
-/// passes only VALID ones).
-std::optional<ViewMatch> best_view_match(const QuerySpec& query,
-                                         const std::vector<ViewDef>& views,
-                                         const Catalog& catalog);
+/// passes only VALID ones). When `refusals` is given, every view that
+/// refused is appended to it in `views` order.
+std::optional<ViewMatch> best_view_match(
+    const QuerySpec& query, const std::vector<ViewDef>& views,
+    const Catalog& catalog, std::vector<ViewRefusal>* refusals = nullptr);
 
 }  // namespace mvd

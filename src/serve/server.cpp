@@ -101,21 +101,13 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
   std::optional<ViewMatch> best;
   std::string refusals;
   if (try_rewrite) {
-    for (const ViewDef& v : snap->registry.matchable()) {
-      std::string why;
-      std::optional<ViewMatch> match =
-          match_query_to_view(query, v, catalog_, &why);
-      if (match.has_value()) {
-        const bool better =
-            !best.has_value() || match->stored_blocks < best->stored_blocks ||
-            (match->stored_blocks == best->stored_blocks &&
-             match->view < best->view);
-        if (better) best = std::move(match);
-      } else {
-        if (!refusals.empty()) refusals += "; ";
-        refusals += v.name + ": " + why;
-        out.refusals.push_back({v.name, why});
-      }
+    std::vector<ViewRefusal> refused;
+    best = best_view_match(query, snap->registry.matchable(), catalog_,
+                           &refused);
+    for (ViewRefusal& r : refused) {
+      if (!refusals.empty()) refusals += "; ";
+      refusals += r.view + ": " + r.reason;
+      out.refusals.push_back({std::move(r.view), std::move(r.reason)});
     }
   } else if (path == ServePath::kBaseOnly) {
     refusals = "base-only path forced";

@@ -83,7 +83,7 @@ struct ServeResult {
   std::string refusal;
   /// Structured per-view refusal reasons on the fallback path.
   std::vector<ServeRefusal> refusals;
-  /// Engine that executed the answer plan ("row" | "vec" | "fused").
+  /// Engine that executed the answer plan ("row" | "vec").
   std::string engine;
   std::uint64_t epoch = 0;
   ExecStats stats;

@@ -167,13 +167,31 @@ class Parser {
   }
 
   ExprPtr parse_term() {
-    if (accept_keyword("NOT")) return neg(parse_term());
+    if (accept_keyword("NOT")) {
+      return neg(nested([&] { return parse_term(); }));
+    }
     if (accept_symbol("(")) {
-      ExprPtr e = parse_disjunction();
+      ExprPtr e = nested([&] { return parse_disjunction(); });
       expect_symbol(")");
       return e;
     }
     return parse_comparison();
+  }
+
+  /// Run `parse` one NOT / '(' level deeper. Past kMaxPredicateNesting
+  /// levels the parse stops with a ParseError, so a hostile request cannot
+  /// recurse the stack away (a throw abandons the parser, depth_ with it).
+  template <typename F>
+  ExprPtr nested(F&& parse) {
+    if (depth_ == kMaxPredicateNesting) {
+      throw ParseError(str_cat("predicate nested deeper than ",
+                               kMaxPredicateNesting, " levels at offset ",
+                               cur().offset));
+    }
+    ++depth_;
+    ExprPtr e = parse();
+    --depth_;
+    return e;
   }
 
   ExprPtr parse_comparison() {
@@ -251,6 +269,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open NOT / '(' levels
 };
 
 }  // namespace

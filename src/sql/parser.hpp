@@ -29,6 +29,10 @@ struct ParsedQuery {
   ExprPtr where;  // nullptr when absent
 };
 
+/// Deepest NOT / parenthesis nesting a predicate may use; deeper input
+/// raises ParseError rather than recursing without bound.
+inline constexpr std::size_t kMaxPredicateNesting = 256;
+
 /// Parse SQL text. Throws ParseError with offset context on bad input.
 ParsedQuery parse_query(const std::string& sql);
 

@@ -1,48 +1,48 @@
-// Differential agreement between mvcheck's static predictions and the
-// runtime they mirror, on plan shapes built to sit exactly on the
-// acceptance boundaries: OR/NOT predicates, bool comparisons, shared
-// interior DAG nodes, degenerate literal predicates, pure-projection
-// chains, selects over aggregates. The engine-equivalence fuzzer covers
-// the common shapes; this file covers the refusal edges, plus a fuzzer
-// of its own so every boundary is crossed many times per run.
+// Differential agreement between the engines and mvcheck, on plan shapes
+// built to sit exactly on the select path's boundaries: OR/NOT
+// predicates (per-row fallback), bool and mixed-type comparisons,
+// shared interior DAG nodes, degenerate literal predicates,
+// pure-projection chains, selects over aggregates, and int64 columns
+// compared against literals at the edges of the exact int64 rewrite. The
+// vectorized engine must return the row engine's bag and identical rows
+// and ExecStats at one and four threads; mvcheck's cardinality intervals
+// must contain what every engine produced. The engine-equivalence fuzzer
+// covers the common shapes; this file covers the edges, plus a fuzzer of
+// its own so every boundary is crossed many times per run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <set>
 
 #include "src/check/check.hpp"
 #include "src/exec/executor.hpp"
-#include "src/exec/fused.hpp"
 #include "src/exec/sharded.hpp"
 #include "src/storage/sharded_table.hpp"
 
 namespace mvd {
 namespace {
 
-/// Node-by-node verdict equality between predict_fused_chain and
-/// detect_fused_chain, plus shape equality for accepted chains.
-void expect_verdicts_agree(const PlanPtr& plan) {
-  const auto uses = plan_use_counts(plan);
-  std::set<const LogicalOp*> seen;
-  std::function<void(const PlanPtr&)> walk = [&](const PlanPtr& node) {
-    if (!seen.insert(node.get()).second) return;
-    for (const PlanPtr& child : node->children()) walk(child);
-    const FusePrediction pred = predict_fused_chain(node, uses);
-    const std::optional<FusedChain> chain = detect_fused_chain(node, uses);
-    ASSERT_EQ(pred.fusable, chain.has_value())
-        << node->label() << ": static said '"
-        << (pred.fusable ? "fusable" : pred.refusal) << "', runtime "
-        << (chain.has_value() ? "compiled a chain" : "refused");
-    if (chain.has_value()) {
-      EXPECT_EQ(pred.source.get(), chain->source.get());
-      EXPECT_EQ(pred.stage_count, chain->stages.size());
-      EXPECT_EQ(pred.select_count, chain->select_count);
-      EXPECT_TRUE(pred.out_schema == chain->out_schema);
-    }
-  };
-  walk(plan);
+/// Row vs vectorized at one and four threads: the same bag as the row
+/// engine, and identical rows and ExecStats between the thread counts.
+void expect_engines_agree(const Database& db, const PlanPtr& plan) {
+  SCOPED_TRACE(plan_tree_string(plan));
+  const Table r = Executor(db, ExecMode::kRow).run(plan);
+  ExecStats s1, s4;
+  const Table v1 = Executor(db, ExecMode::kVectorized, 1).run(plan, &s1);
+  const Table v4 = Executor(db, ExecMode::kVectorized, 4).run(plan, &s4);
+  EXPECT_TRUE(same_bag(r, v1));
+  ASSERT_EQ(v1.row_count(), v4.row_count());
+  for (std::size_t i = 0; i < v1.row_count(); ++i) {
+    ASSERT_TRUE(v1.row(i) == v4.row(i)) << "row " << i;
+  }
+  EXPECT_DOUBLE_EQ(s1.blocks_read, s4.blocks_read);
+  EXPECT_DOUBLE_EQ(s1.rows_scanned, s4.rows_scanned);
+  EXPECT_DOUBLE_EQ(s1.batches, s4.batches);
+  EXPECT_EQ(s1.rows_out, s4.rows_out);
 }
 
 class CheckAgreementTest : public ::testing::Test {
@@ -55,7 +55,7 @@ class CheckAgreementTest : public ::testing::Test {
             10.0);
     std::mt19937 rng(7);
     const char* words[] = {"x", "y", "z"};
-    for (int i = 0; i < 500; ++i) {
+    for (int i = 0; i < 5'000; ++i) {  // three morsels
       t.append({Value::int64(static_cast<std::int64_t>(rng() % 40)),
                 Value::real(static_cast<double>(rng() % 100) / 10.0 - 5.0),
                 Value::string(words[rng() % 3]),
@@ -82,18 +82,18 @@ class CheckAgreementTest : public ::testing::Test {
 };
 
 TEST_F(CheckAgreementTest, RefusalEdges) {
-  // Each plan sits on one acceptance boundary of the fused-chain
-  // detector; agreement must hold on both sides of every edge.
+  // Each plan sits on one boundary of the select path: typed loops on
+  // one side, the per-row fallback on the other.
   const std::vector<PlanPtr> plans = {
-      // Fusable: typed comparisons over a scan.
+      // Typed comparisons over a scan: dense-range first conjunct.
       make_select(scan_t(), conj({gt(col("T.a"), lit_i64(10)),
                                   lt(col("T.b"), lit_real(2.0))})),
-      // OR predicate: refused.
+      // OR predicate: per-row fallback.
       make_select(scan_t(), disj({gt(col("T.a"), lit_i64(10)),
                                   lt(col("T.b"), lit_real(0.0))})),
-      // NOT predicate: refused.
+      // NOT predicate: per-row fallback.
       make_select(scan_t(), neg(gt(col("T.a"), lit_i64(10)))),
-      // Bool column comparison: interpreted fallback.
+      // Bool column comparison: per-row fallback.
       make_select(scan_t(), eq(col("T.flag"), lit(Value::boolean(true)))),
       // Mixed int/double column-column comparison.
       make_select(scan_t(), lt(col("T.b"), col("T.a"))),
@@ -101,54 +101,72 @@ TEST_F(CheckAgreementTest, RefusalEdges) {
       make_select(scan_t(), conj({eq(col("T.s"), lit_str("x")),
                                   cmp(CompareOp::kNe, col("T.s"),
                                       col("T.s"))})),
-      // Literal-only predicate: degenerate, refused.
+      // Literal-only predicate.
       make_select(scan_t(), lit(Value::boolean(true))),
-      // Pure-projection chain: no select, nothing to fuse.
+      // Fallback first conjunct, typed second one over its survivors.
+      make_select(scan_t(), conj({eq(col("T.flag"), lit(Value::boolean(true))),
+                                  gt(col("T.a"), lit_real(20.5))})),
+      // Pure-projection chain: no select.
       make_project(make_project(scan_t(), {"T.a", "T.b", "T.s"}),
                    {"T.a", "T.b"}),
-      // Project over select over project: fusable as one chain.
+      // Project over select over project: the select's input is still
+      // an unfiltered range.
       make_project(
           make_select(make_project(scan_t(), {"T.a", "T.b"}),
                       gt(col("T.a"), lit_i64(5))),
           {"T.b"}),
-      // Select directly over an aggregate: chain source is the aggregate.
+      // Select over select: the second filters a selection vector.
+      make_select(make_select(scan_t(), gt(col("T.a"), lit_i64(5))),
+                  cmp(CompareOp::kLe, col("T.a"), lit_real(30.5))),
+      // Select directly over an aggregate.
       make_select(
           make_aggregate(scan_t(), {"T.a"}, {AggSpec{AggFn::kCount, "", "n"}}),
           gt(col("n"), lit_i64(3))),
   };
-  for (const PlanPtr& plan : plans) {
-    SCOPED_TRACE(plan_tree_string(plan));
-    expect_verdicts_agree(plan);
-  }
+  for (const PlanPtr& plan : plans) expect_engines_agree(db_, plan);
 }
 
 TEST_F(CheckAgreementTest, SharedInteriorNodesBreakChains) {
-  // A select shared by two parents executes once (the engines memoize);
-  // fusing through it would re-run it per chain, so both the detector
-  // and the prediction must handle it identically. The two branches
-  // project/aggregate to disjoint schemas so the joining root is legal.
+  // A select shared by two parents executes once per run (the engines
+  // memoize). The two branches project/aggregate to disjoint schemas so
+  // the joining root is legal.
   const PlanPtr shared = make_select(scan_t(), gt(col("T.a"), lit_i64(5)));
   const PlanPtr rows = make_project(shared, {"T.a", "T.b"});
   const PlanPtr counts = make_aggregate(shared, {"T.s"},
                                         {AggSpec{AggFn::kCount, "", "n"}});
   const PlanPtr top = make_join(rows, counts, lit(Value::boolean(true)));
-  expect_verdicts_agree(top);
+  expect_engines_agree(db_, top);
 
-  // Rooted alone the same select fuses; its verdict under the shared DAG
-  // is whatever the runtime detector says — asserted equal above.
-  EXPECT_TRUE(predict_fused_chain(shared, plan_use_counts(shared)).fusable);
+  // Scanned rows add up with the shared scan + select charged once: the
+  // two branches alone, minus one copy of the shared select, plus the
+  // nested-loop join reading both branch outputs.
+  for (const ExecMode mode : {ExecMode::kRow, ExecMode::kVectorized}) {
+    const Executor exec(db_, mode, 4);
+    const auto scanned = [&](const PlanPtr& p) {
+      ExecStats s;
+      exec.run(p, &s);
+      return s;
+    };
+    const ExecStats all = scanned(top);
+    const double expected = scanned(rows).rows_scanned +
+                            scanned(counts).rows_scanned -
+                            scanned(shared).rows_scanned +
+                            all.rows_out.at(rows->label()) +
+                            all.rows_out.at(counts->label());
+    EXPECT_DOUBLE_EQ(all.rows_scanned, expected) << exec_mode_name(mode);
+  }
 }
 
 TEST_F(CheckAgreementTest, FuzzedBoundaryChains) {
-  // 60 random plans biased toward the refusal edges: every conjunct
-  // shape above appears with equal probability, chains are 1-5 deep,
-  // half the plans share a subtree through a self-join.
+  // 60 random plans biased toward the select path's edges: every
+  // conjunct shape above appears with equal probability, chains are 1-5
+  // deep, half the plans join a second relation and filter above it.
   std::mt19937 rng(20260807);
   const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
   auto any_op = [&] { return ops[rng() % 6]; };
   auto conjunct = [&]() -> ExprPtr {
-    switch (rng() % 8) {
+    switch (rng() % 9) {
       case 0:
         return cmp(any_op(), col("T.a"), lit_i64(rng() % 40));
       case 1:
@@ -164,6 +182,9 @@ TEST_F(CheckAgreementTest, FuzzedBoundaryChains) {
                      lt(col("T.a"), lit_i64(rng() % 10))});
       case 6:
         return neg(eq(col("T.s"), lit_str("x")));
+      case 7:  // int64 column vs fractional literal, literal first
+        return cmp(any_op(), lit_real(static_cast<double>(rng() % 80) / 2.0),
+                   col("T.a"));
       default:
         return lit(Value::boolean(rng() % 2 == 0));
     }
@@ -200,7 +221,71 @@ TEST_F(CheckAgreementTest, FuzzedBoundaryChains) {
                        eq(col("T.a"), col("D.key")));
       plan = make_select(plan, cmp(any_op(), col("D.w"), lit_real(3.0)));
     }
-    expect_verdicts_agree(plan);
+    expect_engines_agree(db_, plan);
+  }
+}
+
+TEST(SelectBoundaryTest, Int64LiteralComparisonsMatchRowEngine) {
+  // The vectorized select compares an int64 column against a numeric
+  // literal as a pure int64 loop when that is exact (|literal| < 2^52)
+  // and through double otherwise, like the row engine always does. Pin
+  // both sides of that boundary: six ops x literals on either side, over
+  // column values at and around every literal, on a first conjunct (dense
+  // range) and a second one (selection vector).
+  constexpr std::int64_t k = 7;
+  constexpr std::int64_t p52 = std::int64_t{1} << 52;
+  constexpr std::int64_t p53 = std::int64_t{1} << 53;
+  const std::vector<Value> literals = {
+      Value::int64(k),           Value::int64(-k),
+      Value::real(k + 0.5),      Value::real(-k - 0.5),
+      Value::real(-0.0),         Value::int64(p52 - 1),
+      Value::int64(-(p52 - 1)),  Value::real(p52 - 0.5),
+      Value::real(-(p52 - 0.5)), Value::int64(p52),
+      Value::int64(-p52),        Value::real(static_cast<double>(p52)),
+      Value::int64(p53 + 1),     Value::int64(-(p53 + 1)),
+      Value::real(static_cast<double>(p53 + 2)),
+  };
+  std::vector<std::int64_t> values = {
+      0, std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::max()};
+  for (const Value& l : literals) {
+    const auto at = static_cast<std::int64_t>(std::floor(l.as_double()));
+    for (std::int64_t d = -2; d <= 3; ++d) values.push_back(at + d);
+  }
+  Table t(Schema({{"id", ValueType::kInt64, ""}, {"v", ValueType::kInt64, ""}}),
+          10.0);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    t.append({Value::int64(static_cast<std::int64_t>(i)),
+              Value::int64(values[i])});
+  }
+  Database db;
+  db.add_table("T", std::move(t));
+  Catalog catalog(10.0);
+  catalog.add_relation("T", db.table("T").schema(),
+                       db.table("T").compute_stats());
+
+  const Executor row(db, ExecMode::kRow);
+  const Executor vec(db, ExecMode::kVectorized, 1);
+  const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                           CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  for (const Value& l : literals) {
+    for (const CompareOp op : ops) {
+      for (const bool literal_first : {false, true}) {
+        const ExprPtr c = literal_first ? cmp(op, lit(l), col("T.v"))
+                                        : cmp(op, col("T.v"), lit(l));
+        for (const ExprPtr& pred :
+             {c, conj({cmp(CompareOp::kGe, col("T.id"), lit_i64(0)), c})}) {
+          const PlanPtr plan = make_select(make_scan(catalog, "T"), pred);
+          SCOPED_TRACE(pred->to_string());
+          const Table want = row.run(plan);
+          const Table got = vec.run(plan);
+          ASSERT_EQ(want.row_count(), got.row_count());
+          for (std::size_t i = 0; i < want.row_count(); ++i) {
+            ASSERT_TRUE(want.row(i) == got.row(i)) << "row " << i;
+          }
+        }
+      }
+    }
   }
 }
 
@@ -219,8 +304,7 @@ TEST_F(CheckAgreementTest, CardinalityBoundsHoldAcrossEngines) {
     SCOPED_TRACE(plan_tree_string(plan));
     const CheckReport report = check_plan(plan, opts);
     EXPECT_TRUE(report.ok()) << report.render_text();
-    for (const ExecMode mode :
-         {ExecMode::kRow, ExecMode::kVectorized, ExecMode::kFused}) {
+    for (const ExecMode mode : {ExecMode::kRow, ExecMode::kVectorized}) {
       ExecStats stats;
       Executor(db_, mode).run(plan, &stats);
       for (const auto& [label, rows] : stats.rows_out) {

@@ -105,15 +105,23 @@ TEST(ColumnTableTest, FilterBatchMatchesRowWisePredicate) {
   for (const ExprPtr& p : predicates) {
     SCOPED_TRACE(p->to_string());
     const CompiledExpr pred(p, t.schema());
-    std::vector<std::uint32_t> sel(t.row_count());
-    std::iota(sel.begin(), sel.end(), 0);
-    pred.filter_batch(ct, col_map, sel);
-
     std::vector<std::uint32_t> expected;
     for (std::uint32_t i = 0; i < t.row_count(); ++i) {
       if (pred.matches(t.row(i))) expected.push_back(i);
     }
+
+    // Selection-vector input, filtered in place.
+    std::vector<std::uint32_t> sel(t.row_count());
+    std::iota(sel.begin(), sel.end(), 0);
+    sel.resize(pred.filter_batch(ct, col_map, sel.data(), sel.size(),
+                                 sel.data()));
     EXPECT_EQ(sel, expected);
+
+    // Dense-range input: the same survivors, ids read off the range.
+    const auto n = static_cast<std::uint32_t>(t.row_count());
+    std::vector<std::uint32_t> range(n);
+    range.resize(pred.filter_range(ct, col_map, 0, n, range.data()));
+    EXPECT_EQ(range, expected);
   }
 }
 

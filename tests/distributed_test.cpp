@@ -4,7 +4,9 @@
 
 #include "src/common/error.hpp"
 #include "src/distributed/distributed_evaluator.hpp"
+#include "src/mvpp/builder.hpp"
 #include "src/mvpp/selection.hpp"
+#include "src/sql/parser.hpp"
 #include "src/workload/paper_example.hpp"
 
 namespace mvd {
@@ -164,6 +166,31 @@ TEST_F(DistributedEvaluatorTest, MaintenanceWithoutReusePaysFullDistributedCost)
   const MaterializedSet m{id("tmp4"), id("result4")};
   EXPECT_LT(reuse.maintenance_cost(id("result4"), m),
             no_reuse.maintenance_cost(id("result4"), m));
+}
+
+TEST_F(DistributedEvaluatorTest, AggregateRunsAtItsInputSite) {
+  // A rollup over a remote relation, issued at that same site: the
+  // aggregate runs where its input lives, so nothing crosses a link.
+  const Optimizer optimizer(model_);
+  const QuerySpec q = parse_and_bind(
+      catalog_, "rollup", 1.0,
+      "SELECT city, COUNT(*) AS n FROM Customer GROUP BY city");
+  const MvppGraph g = MvppBuilder(optimizer).build({q}, {0}).graph;
+  NodeId agg = -1;
+  for (const MvppNode& n : g.nodes()) {
+    if (n.kind == MvppNodeKind::kAggregate) agg = n.id;
+  }
+  ASSERT_GE(agg, 0);
+  SiteTopology topo = split_topology(3.0);
+  topo.place_query("rollup", "remote");
+  const DistributedMvppEvaluator dist(g, topo);
+  EXPECT_EQ(dist.site_of(agg), dist.site_of(g.node(agg).children[0]));
+  EXPECT_EQ(dist.site_of(agg), "remote");
+  const NodeId root = g.find_by_name("rollup");
+  EXPECT_DOUBLE_EQ(dist.produce_transfer_blocks(agg, {}), 0.0);
+  EXPECT_DOUBLE_EQ(dist.answer_transfer_blocks(root, {}), 0.0);
+  EXPECT_DOUBLE_EQ(dist.answer_cost(root, {}),
+                   MvppEvaluator(g).answer_cost(root, {}));
 }
 
 }  // namespace

@@ -1,20 +1,16 @@
-// Differential tests between the row engine, the interpreted vectorized
-// engine, and the fused kernel engine: every generated workload must
-// produce the same bag of rows under all three, the batch engines must be
-// bit-identical (including row order) to each other and across thread
-// counts, and all engines must agree on the stats the cost-model
-// validation relies on (blocks_read, rows_out).
+// Differential tests between the row engine and the vectorized engine:
+// every generated workload must produce the same bag of rows under both,
+// the vectorized engine must be bit-identical (including row order)
+// across thread counts, and both engines must agree on the stats the
+// cost-model validation relies on (blocks_read, rows_out).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <random>
-#include <set>
 
 #include "src/algebra/query_spec.hpp"
 #include "src/check/check.hpp"
 #include "src/exec/executor.hpp"
-#include "src/exec/fused.hpp"
 #include "src/exec/sharded.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/optimizer/optimizer.hpp"
@@ -23,47 +19,12 @@
 namespace mvd {
 namespace {
 
-/// mvcheck's static fusability verdicts must agree with the runtime
-/// detector on *every* node of the plan DAG, and when a chain compiles
-/// the prediction must mirror its shape exactly.
-void expect_fusability_agreement(const PlanPtr& plan) {
-  const auto uses = plan_use_counts(plan);
-  std::set<const LogicalOp*> seen;
-  std::function<void(const PlanPtr&)> walk = [&](const PlanPtr& node) {
-    if (!seen.insert(node.get()).second) return;
-    for (const PlanPtr& child : node->children()) walk(child);
-    const FusePrediction pred = predict_fused_chain(node, uses);
-    const std::optional<FusedChain> chain = detect_fused_chain(node, uses);
-    ASSERT_EQ(pred.fusable, chain.has_value())
-        << node->label() << ": " << pred.refusal;
-    if (chain.has_value()) {
-      EXPECT_TRUE(pred.refusal.empty());
-      EXPECT_EQ(pred.source.get(), chain->source.get()) << node->label();
-      EXPECT_EQ(pred.stage_count, chain->stages.size()) << node->label();
-      EXPECT_EQ(pred.select_count, chain->select_count) << node->label();
-      EXPECT_TRUE(pred.out_schema == chain->out_schema) << node->label();
-    } else {
-      EXPECT_FALSE(pred.refusal.empty()) << node->label();
-    }
-  };
-  walk(plan);
-
-  // The per-segment walk must name exactly the select/project heads the
-  // fused engine would visit, each agreeing with the direct detector.
-  for (const ChainSegment& seg : predict_engine_segments(plan)) {
-    ASSERT_NE(seg.head, nullptr);
-    EXPECT_TRUE(seg.head->kind() == OpKind::kSelect ||
-                seg.head->kind() == OpKind::kProject);
-  }
-}
-
 /// The static cardinality intervals must contain the rows every engine
 /// actually produced, node by node.
 void expect_cardinality_bounds(const Database& db, const PlanPtr& plan,
                                const ExecStats& stats) {
   CheckOptions opts;
   opts.database = &db;
-  opts.fusability = false;
   opts.maintainability = false;
   const CheckReport report = check_plan(plan, opts);
   EXPECT_TRUE(report.ok()) << report.render_text();
@@ -93,33 +54,25 @@ void expect_stats_identical(const ExecStats& a, const ExecStats& b,
   EXPECT_DOUBLE_EQ(a.blocks_exchanged, b.blocks_exchanged) << what;
 }
 
-/// Runs `plan` under the row engine and both batch engines (interpreted
-/// and fused) at one and four threads, asserting bag equivalence,
-/// cross-engine and cross-thread bit-identical output, and stats parity.
+/// Runs `plan` under the row engine and the vectorized engine at one and
+/// four threads, asserting bag equivalence, cross-thread bit-identical
+/// output, and stats parity.
 void expect_engines_agree(const Database& db, const PlanPtr& plan) {
   SCOPED_TRACE(plan_tree_string(plan));
   const Executor row(db, ExecMode::kRow);
   const Executor vec1(db, ExecMode::kVectorized, 1);
   const Executor vec4(db, ExecMode::kVectorized, 4);
-  const Executor fused1(db, ExecMode::kFused, 1);
-  const Executor fused4(db, ExecMode::kFused, 4);
 
-  ExecStats row_stats, vec1_stats, vec4_stats, fused1_stats, fused4_stats;
+  ExecStats row_stats, vec1_stats, vec4_stats;
   const Table r = row.run(plan, &row_stats);
   const Table v1 = vec1.run(plan, &vec1_stats);
   const Table v4 = vec4.run(plan, &vec4_stats);
-  const Table f1 = fused1.run(plan, &fused1_stats);
-  const Table f4 = fused4.run(plan, &fused4_stats);
 
   EXPECT_TRUE(same_bag(r, v1));
-  EXPECT_TRUE(same_bag(r, f1));
 
   // Determinism: morsel boundaries are fixed and all merges happen in
-  // morsel order, so neither thread count nor the kernel layer may change
-  // even the row order of the batch engines.
+  // morsel order, so the thread count may not change even the row order.
   expect_rows_identical(v1, v4, "vec 1 vs 4 threads");
-  expect_rows_identical(v1, f1, "vec vs fused");
-  expect_rows_identical(f1, f4, "fused 1 vs 4 threads");
 
   // Both engines charge the same block formulas per operator, so the
   // validation bench sees identical I/O accounting either way.
@@ -127,23 +80,18 @@ void expect_engines_agree(const Database& db, const PlanPtr& plan) {
   EXPECT_EQ(row_stats.rows_out, vec1_stats.rows_out);
   EXPECT_DOUBLE_EQ(row_stats.rows_scanned, vec1_stats.rows_scanned);
 
-  // Neither thread count nor the kernel layer may change a recorded stat.
+  // The thread count may not change a recorded stat.
   expect_stats_identical(vec1_stats, vec4_stats, "vec 1 vs 4 threads");
-  expect_stats_identical(vec1_stats, fused1_stats, "vec vs fused");
-  expect_stats_identical(fused1_stats, fused4_stats, "fused 1 vs 4 threads");
 
-  // Static analysis rides along on every differential plan: fusability
-  // verdicts match the runtime detector, and the recorded per-node rows
-  // land inside mvcheck's cardinality intervals.
-  expect_fusability_agreement(plan);
+  // Static analysis rides along on every differential plan: the recorded
+  // per-node rows land inside mvcheck's cardinality intervals.
   expect_cardinality_bounds(db, plan, row_stats);
 }
 
 /// Runs `plan` through the sharded layer at shards {1, 4} x threads
-/// {1, 4} x all three engines, asserting: same bag as unsharded row
+/// {1, 4} x both engines, asserting: same bag as unsharded row
 /// execution, bit-identical output across every sharded configuration
-/// (the bucket-order merge contract), vec == fused bit-identical, and
-/// stats parity — row vs vec accounting agrees per configuration, and
+/// (the bucket-order merge contract), and stats parity — row vs vec accounting agrees per configuration, and
 /// for non-routed plans every (shards x threads) cell records identical
 /// totals (routed point queries legitimately skip shards, changing the
 /// block counts).
@@ -163,15 +111,12 @@ void expect_sharded_agree(const Database& db, const PlanPtr& plan,
                    " threads=" + std::to_string(threads));
       const ShardedExecutor srow(sdb, ExecMode::kRow, threads);
       const ShardedExecutor svec(sdb, ExecMode::kVectorized, threads);
-      const ShardedExecutor sfused(sdb, ExecMode::kFused, threads);
-      ExecStats row_stats, vec_stats, fused_stats;
+      ExecStats row_stats, vec_stats;
       const Table r = srow.run(plan, &row_stats);
       const Table v = svec.run(plan, &vec_stats);
-      const Table f = sfused.run(plan, &fused_stats);
 
       EXPECT_TRUE(same_bag(reference, r));
       EXPECT_TRUE(same_bag(reference, v));
-      expect_rows_identical(v, f, "sharded vec vs fused");
       EXPECT_DOUBLE_EQ(row_stats.blocks_read, vec_stats.blocks_read);
       EXPECT_EQ(row_stats.rows_out, vec_stats.rows_out);
       EXPECT_DOUBLE_EQ(row_stats.rows_scanned, vec_stats.rows_scanned);
@@ -379,10 +324,10 @@ TEST(ExecEquivalenceTest, RegistryPerOperatorStatsParity) {
   set_trace_level(std::nullopt);
 }
 
-// Randomized differential fuzzing across all three engines: random
-// select/project chains (fusable and unfusable predicates alike),
-// equi-joins and aggregates over mixed column types, run row vs
-// interpreted-vec vs fused at 1 and 4 threads via expect_engines_agree.
+// Randomized differential fuzzing across both engines: random
+// select/project chains (typed-loop and per-row-fallback predicates
+// alike), equi-joins and aggregates over mixed column types, run row vs
+// vec at 1 and 4 threads via expect_engines_agree.
 // NaN is deliberately excluded from the data (Value::compare ordering on
 // NaN is unspecified between engines); -0.0 is included.
 TEST(ExecEquivalenceTest, RandomizedChainFuzz) {
@@ -439,9 +384,9 @@ TEST(ExecEquivalenceTest, RandomizedChainFuzz) {
     auto has = [&](const char* c) {
       return std::find(live.begin(), live.end(), c) != live.end();
     };
-    // One random conjunct over the live columns: mostly typed kernel
-    // shapes, sometimes a bool comparison (interpreted fallback inside
-    // the vec engine, refused by the chain detector).
+    // One random conjunct over the live columns: mostly typed-loop
+    // shapes, sometimes a bool comparison (the vec engine's per-row
+    // fallback).
     auto random_conjunct = [&]() -> ExprPtr {
       while (true) {
         switch (rng() % 8) {
@@ -517,7 +462,7 @@ TEST(ExecEquivalenceTest, RandomizedChainFuzz) {
 }
 
 // The sharded layer joins the differential matrix: the same star
-// workload, run at shards {1, 4} x threads {1, 4} x all three engines
+// workload, run at shards {1, 4} x threads {1, 4} x both engines
 // through ShardedExecutor over a Fact-partitioned layout.
 TEST(ShardedExecEquivalenceTest, StarWorkloadShardsTimesThreads) {
   StarSchemaOptions schema;
@@ -600,11 +545,12 @@ TEST(ExecEngineTsanTest, ParallelPipelineIsRaceFreeAndDeterministic) {
   }
 }
 
-// Same shape for the fused kernel path, also in the CI TSan filter: the
-// select runs through the fused chain kernels, the join through the
-// packed-key probe, the aggregate through the packed-key accumulators —
-// all morsel-parallel at four threads.
-TEST(ExecKernelTsanTest, FusedPipelineIsRaceFreeAndDeterministic) {
+// Same shape with an int64 group key, also in the CI TSan filter: the
+// aggregate takes the packed-key COUNT/SUM path (the test above covers
+// the string-key Accumulator path), the select the int64 literal loop
+// and the join the exact numeric key — all morsel-parallel at four
+// threads.
+TEST(ExecKernelTsanTest, IntKeyPipelineIsRaceFreeAndDeterministic) {
   StarSchemaOptions schema;
   schema.dimensions = 2;
   schema.fact_rows = 6'000;  // three morsels of fact rows
@@ -617,14 +563,15 @@ TEST(ExecKernelTsanTest, FusedPipelineIsRaceFreeAndDeterministic) {
                             make_scan(catalog, "Dim0"),
                             eq(col("Fact.d0"), col("Dim0.id"))),
                   gt(col("Fact.measure"), lit_i64(200))),
-      {"Fact.d0"},  // int key: stays on the packed-key aggregate kernel
+      {"Fact.d0"},
       {AggSpec{AggFn::kSum, "Fact.measure", ""},
        AggSpec{AggFn::kCount, "", ""}});
 
-  const Executor fused1(db, ExecMode::kFused, 1);
-  const Executor fused4(db, ExecMode::kFused, 4);
-  const Table a = fused1.run(plan);
-  const Table b = fused4.run(plan);
+  const Executor vec1(db, ExecMode::kVectorized, 1);
+  const Executor vec4(db, ExecMode::kVectorized, 4);
+  const Table a = vec1.run(plan);
+  const Table b = vec4.run(plan);
+  ASSERT_GT(a.row_count(), 1u);
   ASSERT_EQ(a.row_count(), b.row_count());
   for (std::size_t i = 0; i < a.row_count(); ++i) {
     EXPECT_TRUE(a.row(i) == b.row(i));

@@ -5,11 +5,11 @@
 // executed driver (hash probes, frontier reuse, grouped applies) and is
 // held to a ~2.5x band around measured blocks. incremental_delta_cost —
 // the classic planning-era model — has a documented two-sided bias: it
-// omits producing join full sides from the frontier (underestimating
-// small batches) while its block-nested-loop probe term (delta.blocks ×
-// other.blocks per join) grows with the delta, so it overtakes measured
-// work as batches grow; the tests pin the direction of both effects
-// rather than band them. Base catalogs are computed from the populated
+// omits producing join full sides from the frontier (pulling estimates
+// under measured work) while its block-nested-loop probe term
+// (delta.blocks × other.blocks per join) grows with the delta, so it
+// overtakes measured work as batches grow; the tests pin which effect
+// dominates and how the bias grows rather than band it. Base catalogs are computed from the populated
 // tables and interior (rows, blocks) annotations are overlaid with
 // executed truth, so residual error isolates the models' structural
 // assumptions (all-delta paths, deletes-everywhere stored rewrites,
@@ -175,20 +175,19 @@ TEST(IncrementalCostValidationTest, StarMirrorEstimateLargerBatch) {
 }
 
 TEST(IncrementalCostValidationTest, ClassicModelBiasIsBatchSizeDependent) {
-  // Documented two-sided bias of the classic planning model. It never
-  // charges producing a join's full side from the frontier (the executed
-  // driver must build it), so at small batches it UNDERestimates measured
-  // work. Its block-nested-loop probe (delta.blocks × other.blocks) grows
-  // with the delta where the executed hash probe reads each side once, so
-  // its total grows strictly faster with batch size than measured work.
-  // Which effect dominates a small batch depends on the workload's
-  // full-side sizes: the star schema's cheap dimension sides leave the
-  // omitted production cost dominant (classic under), while the paper
-  // schema's large Order/Customer sides make the BNL probe dominant
-  // (classic over). Both are deterministic under the fixed seeds.
+  // Documented bias of the classic planning model. It never charges
+  // producing a join's full side from the frontier (the executed driver
+  // must build it), which pulls it under measured work, but its
+  // block-nested-loop probe (delta.blocks × other.blocks) grows with the
+  // delta where the executed hash probe reads each side once. With
+  // aggregate views priced by the grouped-apply rule, which charges the
+  // BNL probes of the joins beneath them, the probe dominates a small
+  // batch on both workloads — the classic model overestimates — and its
+  // total grows strictly faster with batch size than measured work.
+  // Both are deterministic under the fixed seeds.
   const Validation small = run_round(make_star_workload(), 0.01, 47);
   const Validation large = run_round(make_star_workload(), 0.20, 47);
-  EXPECT_LT(small.classic, small.executed);
+  EXPECT_GT(small.classic, small.executed);
   EXPECT_GT(large.classic / small.classic, large.executed / small.executed);
   const Validation psmall = run_round(make_paper_workload(), 0.01, 41);
   const Validation plarge = run_round(make_paper_workload(), 0.20, 41);

@@ -5,7 +5,9 @@
 #include "src/exec/executor.hpp"
 #include "src/maintenance/incremental.hpp"
 #include "src/maintenance/update_stream.hpp"
+#include "src/mvpp/builder.hpp"
 #include "src/mvpp/evaluation.hpp"
+#include "src/sql/parser.hpp"
 #include "src/workload/paper_example.hpp"
 
 namespace mvd {
@@ -75,6 +77,46 @@ TEST_F(IncrementalTest, SumsOverBases) {
               incremental_delta_cost(graph_, id("tmp4"), b, options);
   }
   EXPECT_DOUBLE_EQ(total, manual);
+}
+
+TEST_F(IncrementalTest, AggregateViewPaysGroupedApply) {
+  // An aggregate view follows the grouped-apply rule: scan the child
+  // delta, read the stored groups, and write the view's own delta — a
+  // nonzero estimate, for the view and the query root above it.
+  const Optimizer optimizer(model_);
+  const QuerySpec q = parse_and_bind(
+      catalog_, "A", 1.0,
+      "SELECT city, COUNT(*) AS n FROM Customer GROUP BY city");
+  const MvppGraph g = MvppBuilder(optimizer).build({q}, {0}).graph;
+  NodeId agg = -1;
+  for (const MvppNode& n : g.nodes()) {
+    if (n.kind == MvppNodeKind::kAggregate) agg = n.id;
+  }
+  ASSERT_GE(agg, 0);
+  // Customer -> project(city) -> aggregate.
+  const NodeId proj = g.node(agg).children[0];
+  ASSERT_EQ(g.node(proj).kind, MvppNodeKind::kProject);
+  const NodeId customer = g.node(proj).children[0];
+  ASSERT_EQ(g.node(customer).kind, MvppNodeKind::kBase);
+
+  const double f = 0.05;
+  const double base_blocks = g.node(customer).blocks;
+  const double proj_blocks = g.node(proj).blocks;
+  const double agg_blocks = g.node(agg).blocks;
+  // Project: scan the base delta; its delta shrinks with the projection.
+  const double base_delta = f * base_blocks;
+  const double proj_delta = base_delta * proj_blocks / base_blocks;
+  const double proj_cost = base_delta;
+  // Aggregate: read the child delta and the stored groups.
+  const double agg_delta = proj_delta * agg_blocks / proj_blocks;
+  const double agg_cost = proj_cost + proj_delta + agg_blocks;
+  const double estimate = incremental_delta_cost(g, agg, customer, {f});
+  EXPECT_GT(estimate, 0.0);
+  EXPECT_DOUBLE_EQ(estimate, agg_cost + agg_delta);
+  // The query root above the view inherits the same delta.
+  EXPECT_DOUBLE_EQ(incremental_delta_cost(g, g.find_by_name("A"), customer,
+                                          {f}),
+                   estimate);
 }
 
 class UpdateStreamTest : public ::testing::Test {

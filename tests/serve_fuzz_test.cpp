@@ -3,13 +3,13 @@
 // For each of three schema families (star, chain, paper) the harness
 // designs a warehouse whose materialized set covers every workload
 // query, then fires >= 200 randomly perturbed ad-hoc queries per round
-// at one MvServer per engine (row / vectorized / fused). Every query is
-// answered twice on the same snapshot — rewriter enabled (kAuto) and
-// forced base-table (kBaseOnly) — and the two answers must be
-// bag-equal on every engine. Across engines the matcher's decision must
-// agree, and the two batch engines must return bit-identical tables
-// (the engine-equivalence contract: vec == fused including row order;
-// the row engine is only bag-equal to them).
+// at one MvServer per engine configuration (row, vectorized at one and
+// at two threads). Every query is answered twice on the same snapshot —
+// rewriter enabled (kAuto) and forced base-table (kBaseOnly) — and the
+// two answers must be bag-equal on every engine. Across engines the
+// matcher's decision must agree, and the vectorized engine must return
+// bit-identical tables at both thread counts (its determinism contract,
+// row order included; the row engine is only bag-equal to it).
 //
 // Perturbations keep the differential interesting: tightened predicates
 // with constants sampled from the actual table data (residual
@@ -107,15 +107,16 @@ DesignResult covered_design(const Catalog& catalog,
   return design;
 }
 
-ServeOptions engine_options(ExecMode mode) {
+ServeOptions engine_options(ExecMode mode, std::size_t threads = 2) {
   ServeOptions options;
   options.mode = mode;
-  options.threads = 2;
+  options.threads = threads;
   options.rewrite = true;  // fuzz independently of MVD_SERVE_REWRITE
   return options;
 }
 
-/// Cell-by-cell equality including row order — the vec/fused contract.
+/// Cell-by-cell equality including row order — the vectorized engine's
+/// thread-count contract.
 bool exactly_equal(const Table& a, const Table& b) {
   if (a.row_count() != b.row_count()) return false;
   if (a.schema().size() != b.schema().size()) return false;
@@ -287,14 +288,15 @@ class AdhocGenerator {
 // ---- Differential rounds --------------------------------------------------
 
 /// >= kQueriesPerRound random queries, each answered on all three
-/// engines via both paths of one snapshot; any disagreement fails with
-/// the offending query's text.
+/// engine configurations via both paths of one snapshot; any
+/// disagreement fails with the offending query's text.
 void run_differential_round(const Fixture& fx, std::uint64_t seed) {
   const DesignResult design = covered_design(fx.catalog, fx.workload);
   MvServer row(fx.catalog, design, fx.db, engine_options(ExecMode::kRow));
   MvServer vec(fx.catalog, design, fx.db,
                engine_options(ExecMode::kVectorized));
-  MvServer fused(fx.catalog, design, fx.db, engine_options(ExecMode::kFused));
+  MvServer vec1(fx.catalog, design, fx.db,
+                engine_options(ExecMode::kVectorized, 1));
 
   AdhocGenerator gen(fx.catalog, fx.db, fx.workload, seed);
   int hits = 0;
@@ -307,25 +309,26 @@ void run_differential_round(const Fixture& fx, std::uint64_t seed) {
     const ServeResult rb = row.serve(q, ServePath::kBaseOnly);
     const ServeResult vh = vec.serve(q);
     const ServeResult vb = vec.serve(q, ServePath::kBaseOnly);
-    const ServeResult fh = fused.serve(q);
-    const ServeResult fb = fused.serve(q, ServePath::kBaseOnly);
+    const ServeResult v1h = vec1.serve(q);
+    const ServeResult v1b = vec1.serve(q, ServePath::kBaseOnly);
 
     // The rewrite must be invisible: hit == base on every engine.
     ASSERT_TRUE(same_bag(rh.table, rb.table)) << "row hit != row base";
     ASSERT_TRUE(same_bag(vh.table, vb.table)) << "vec hit != vec base";
-    ASSERT_TRUE(same_bag(fh.table, fb.table)) << "fused hit != fused base";
+    ASSERT_TRUE(same_bag(v1h.table, v1b.table)) << "vec1 hit != vec1 base";
 
     // The matcher is engine-independent: one decision for all three.
     ASSERT_EQ(rh.rewritten, vh.rewritten);
-    ASSERT_EQ(rh.rewritten, fh.rewritten);
+    ASSERT_EQ(rh.rewritten, v1h.rewritten);
     ASSERT_EQ(rh.view, vh.view);
-    ASSERT_EQ(rh.view, fh.view);
+    ASSERT_EQ(rh.view, v1h.view);
 
-    // Cross-engine agreement: row is bag-equal to the batch engines;
-    // vec and fused are bit-identical (same plan, same batch layout).
+    // Cross-engine agreement: row is bag-equal to the vectorized engine;
+    // vec at one and two threads is bit-identical (same plan, fixed
+    // morsels merged in morsel order).
     ASSERT_TRUE(same_bag(rh.table, vh.table)) << "row != vectorized";
-    ASSERT_TRUE(exactly_equal(vh.table, fh.table)) << "vec != fused (hit)";
-    ASSERT_TRUE(exactly_equal(vb.table, fb.table)) << "vec != fused (base)";
+    ASSERT_TRUE(exactly_equal(vh.table, v1h.table)) << "vec 2t != 1t (hit)";
+    ASSERT_TRUE(exactly_equal(vb.table, v1b.table)) << "vec 2t != 1t (base)";
 
     // ExecStats sanity: the base path always scans real blocks; every
     // snapshot is still epoch 0 (no writers in this round).

@@ -312,6 +312,32 @@ TEST_F(ViewMatchTest, BestMatchPrefersFewestStoredBlocks) {
   EXPECT_EQ(m->view, "v_small");
 }
 
+TEST_F(ViewMatchTest, BestMatchReportsEveryRefusal) {
+  ViewDef wide = view_from_sql(
+      catalog_, "v_wide",
+      "SELECT Customer.city, date, quantity FROM Order, Customer "
+      "WHERE quantity > 100 AND Order.Cid = Customer.Cid");
+  ViewDef narrow = view_from_sql(
+      catalog_, "v_narrow",
+      "SELECT Customer.city, date, quantity FROM Order, Customer "
+      "WHERE quantity > 500 AND Order.Cid = Customer.Cid");
+  ViewDef other = view_from_sql(catalog_, "v_other",
+                                "SELECT city FROM Customer");
+  const QuerySpec q =
+      query("SELECT Customer.city, date FROM Order, Customer "
+            "WHERE quantity > 200 AND Order.Cid = Customer.Cid");
+  std::vector<ViewRefusal> refusals;
+  const auto m =
+      best_view_match(q, {narrow, wide, other}, catalog_, &refusals);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->view, "v_wide");
+  ASSERT_EQ(refusals.size(), 2u);
+  EXPECT_EQ(refusals[0].view, "v_narrow");
+  EXPECT_EQ(refusal_code(refusals[0].reason), "containment");
+  EXPECT_EQ(refusals[1].view, "v_other");
+  EXPECT_EQ(refusal_code(refusals[1].reason), "relations");
+}
+
 // ---- MvServer: serving, lifecycle, refresh ---------------------------------
 
 class ServeTest : public ::testing::Test {

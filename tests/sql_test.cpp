@@ -86,6 +86,34 @@ TEST(ParserTest, ParenthesesOverridePrecedence) {
   EXPECT_EQ(p->kind(), ExprKind::kAnd);
 }
 
+TEST(ParserTest, NestingDepthIsBounded) {
+  // 200k-deep nesting (a ~1 MB request) raises ParseError with the offset
+  // instead of overflowing the stack.
+  std::string nots;
+  for (int i = 0; i < 200'000; ++i) nots += "NOT ";
+  nots += "city = 'LA'";
+  try {
+    parse_predicate(nots);
+    FAIL() << "200k NOTs parsed";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("at offset"), std::string::npos);
+  }
+  const std::string parens =
+      std::string(200'000, '(') + "city = 'LA'" + std::string(200'000, ')');
+  EXPECT_THROW(parse_predicate(parens), ParseError);
+  EXPECT_THROW(parse_query("SELECT city FROM Customer WHERE " + nots),
+               ParseError);
+
+  // Nesting up to the limit still parses.
+  std::string modest;
+  for (std::size_t i = 0; i < kMaxPredicateNesting / 2; ++i) {
+    modest += "NOT (";
+  }
+  modest += "city = 'LA'" + std::string(kMaxPredicateNesting / 2, ')');
+  EXPECT_NO_THROW(parse_predicate(modest));
+  EXPECT_THROW(parse_predicate("NOT " + modest), ParseError);
+}
+
 TEST(ParserTest, NotOperator) {
   const ExprPtr p = parse_predicate("NOT a = 1");
   EXPECT_EQ(p->kind(), ExprKind::kNot);

@@ -492,7 +492,6 @@ TEST(RefusalCodeTest, BucketsMatcherReasonsStably) {
 TEST(ExecModeNameTest, NamesEveryEngine) {
   EXPECT_STREQ(exec_mode_name(ExecMode::kRow), "row");
   EXPECT_STREQ(exec_mode_name(ExecMode::kVectorized), "vec");
-  EXPECT_STREQ(exec_mode_name(ExecMode::kFused), "fused");
 }
 
 // ---- MvServer integration ---------------------------------------------

@@ -1,6 +1,6 @@
 // mvcheck — static plan analysis: schema/type checking, predicate
-// implication, fusability prediction and self-maintainability
-// certification, all before any engine touches data.
+// implication and self-maintainability certification, all before any
+// engine touches data.
 //
 //   mvcheck                     check the paper workload's optimized plans
 //   mvcheck --paper             same (explicit)

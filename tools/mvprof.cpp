@@ -14,6 +14,8 @@
 //   mvprof --out DIR            where trace.json / metrics.json go
 //                               (default ".")
 //   mvprof --json               machine-readable phase summary on stdout
+//   mvprof --exec row|vec       execution engine for every plan (default:
+//                               MVD_EXEC_MODE, else row)
 //
 // Runs with full tracing on (MVD_TRACE=spans equivalent), prints a
 // phase-by-phase table of wall time and registry deltas, then writes
@@ -58,7 +60,7 @@ int usage(const std::string& problem) {
   std::cerr << "mvprof: " << problem << "\n"
             << "usage: mvprof [--paper | --input FILE] [--scale X]\n"
             << "              [--shards N] [--out DIR] [--json]\n"
-            << "              [--exec row|vec|fused]\n";
+            << "              [--exec row|vec]\n";
   return 2;
 }
 
@@ -410,12 +412,11 @@ int main(int argc, char** argv) {
       as_json = true;
     } else if (arg == "--exec") {
       // Pick the execution engine for every plan the profile runs —
-      // exec/kernel/* counters and exec.kernel spans only appear under
-      // "fused". Same values MVD_EXEC_MODE takes; the flag wins.
-      if (i + 1 >= args.size()) return usage("--exec needs row|vec|fused");
+      // exec.vec spans and exec/vec/* counters only appear under "vec".
+      // Same values MVD_EXEC_MODE takes; the flag wins.
+      if (i + 1 >= args.size()) return usage("--exec needs row|vec");
       const std::string& engine = args[++i];
-      if (engine != "row" && engine != "vec" && engine != "vectorized" &&
-          engine != "fused") {
+      if (engine != "row" && engine != "vec" && engine != "vectorized") {
         return usage("bad --exec value '" + engine + "'");
       }
       ::setenv("MVD_EXEC_MODE", engine.c_str(), 1);
