@@ -3,25 +3,30 @@
 //
 // For each workload the bench drives the greedy and local-search probing
 // loops twice — once with the legacy std::set evaluator (copy the set,
-// re-evaluate the whole workload per probe: the seed's only path) and
-// once with the incremental bitset engine (cached terms, ancestor-cone
-// recomputation) — and reports evaluations/sec for both, checking that
-// the probed decisions land on the same materialized set. It also times
-// the exhaustive 2^n search serial vs parallel and asserts the results
-// are bit-identical. Everything is written to BENCH_selection.json in
-// the current directory.
+// re-evaluate the whole workload per probe through MvppEvaluator's
+// reference walk: the seed's only path) and once with the incremental
+// bitset engine (cached terms, ancestor-cone recomputation) — and reports
+// evaluations/sec for both, checking that the probed decisions land on
+// the same materialized set. Each workload runs on the centralized cost
+// model and again on a DistributedMvppEvaluator over three sites, whose
+// transfer charges both engines price from the same placement data. It
+// also times the exhaustive 2^n search serial vs parallel and asserts the
+// results are bit-identical. Everything is written to BENCH_selection.json
+// in the current directory.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <thread>
 
 #include "src/common/assert.hpp"
 #include "src/common/json.hpp"
 #include "src/common/strings.hpp"
 #include "src/common/text_table.hpp"
 #include "src/common/units.hpp"
+#include "src/distributed/distributed_evaluator.hpp"
 #include "src/mvpp/builder.hpp"
 #include "src/mvpp/fast_eval.hpp"
 #include "src/mvpp/selection.hpp"
@@ -243,6 +248,47 @@ WorkloadCase chain_case(std::size_t length, std::size_t queries,
   return w;
 }
 
+/// Three sites, link cost 4 per block: base relations and query issue
+/// sites assigned round-robin in id order.
+SiteTopology three_sites(const MvppGraph& g) {
+  const std::vector<std::string> sites{"s0", "s1", "s2"};
+  SiteTopology topo(sites, 4.0);
+  std::size_t i = 0;
+  for (NodeId b : g.base_ids()) {
+    topo.place_relation(g.node(b).relation, sites[i++ % sites.size()]);
+  }
+  i = 0;
+  for (NodeId q : g.query_ids()) {
+    topo.place_query(g.node(q).name, sites[i++ % sites.size()]);
+  }
+  return topo;
+}
+
+struct ProbeRows {
+  Measured greedy_legacy, greedy_fast, local_legacy, local_fast;
+};
+
+/// Greedy, then local search from greedy's result, each on both engines;
+/// asserts that both engines land on the same set.
+ProbeRows measure_probes(const MvppEvaluator& eval, double min_secs) {
+  ProbeRows rows;
+  const auto greedy_run = [&](auto& engine) {
+    return run_greedy(eval, engine);
+  };
+  rows.greedy_legacy = measure<LegacyEngine>(eval, greedy_run, min_secs);
+  rows.greedy_fast = measure<FastEngine>(eval, greedy_run, min_secs);
+  MVD_ASSERT(rows.greedy_legacy.result == rows.greedy_fast.result);
+
+  const MaterializedSet start = rows.greedy_fast.result;
+  const auto local_run = [&](auto& engine) {
+    return run_local_search(eval, engine, start);
+  };
+  rows.local_legacy = measure<LegacyEngine>(eval, local_run, min_secs);
+  rows.local_fast = measure<FastEngine>(eval, local_run, min_secs);
+  MVD_ASSERT(rows.local_legacy.result == rows.local_fast.result);
+  return rows;
+}
+
 Json algo_json(const Measured& legacy, const Measured& fast) {
   Json j = Json::object();
   Json l = Json::object();
@@ -263,6 +309,20 @@ Json algo_json(const Measured& legacy, const Measured& fast) {
   return j;
 }
 
+void add_row(TextTable& table, const std::string& name, std::size_t ops,
+             const ProbeRows& r) {
+  table.add_row(
+      {name, std::to_string(ops),
+       format_blocks(r.greedy_legacy.evals_per_sec()),
+       format_blocks(r.greedy_fast.evals_per_sec()),
+       fmt1(r.greedy_fast.evals_per_sec() / r.greedy_legacy.evals_per_sec()) +
+           "x",
+       format_blocks(r.local_legacy.evals_per_sec()),
+       format_blocks(r.local_fast.evals_per_sec()),
+       fmt1(r.local_fast.evals_per_sec() / r.local_legacy.evals_per_sec()) +
+           "x"});
+}
+
 }  // namespace
 
 int main() {
@@ -279,6 +339,9 @@ int main() {
 
   Json report = Json::object();
   report.set("bench", Json::string("selection_scaling"));
+  report.set("hardware_threads",
+             Json::number(static_cast<std::size_t>(
+                 std::thread::hardware_concurrency())));
   Json workloads = Json::array();
 
   TextTable table({"workload", "ops", "greedy legacy e/s", "greedy fast e/s",
@@ -291,32 +354,26 @@ int main() {
   std::cout << "Ext-I — cost-evaluation fast path, probing throughput\n\n";
   for (const WorkloadCase& w : cases) {
     const MvppEvaluator eval(w.graph);
+    const DistributedMvppEvaluator dist(w.graph, three_sites(w.graph));
     const std::size_t ops = w.graph.operation_ids().size();
-
-    const auto greedy_run = [&](auto& engine) {
-      return run_greedy(eval, engine);
-    };
-    const Measured greedy_legacy =
-        measure<LegacyEngine>(eval, greedy_run, kMinSecs);
-    const Measured greedy_fast =
-        measure<FastEngine>(eval, greedy_run, kMinSecs);
-    MVD_ASSERT(greedy_legacy.result == greedy_fast.result);
-
-    const MaterializedSet start = greedy_fast.result;
-    const auto local_run = [&](auto& engine) {
-      return run_local_search(eval, engine, start);
-    };
-    const Measured local_legacy =
-        measure<LegacyEngine>(eval, local_run, kMinSecs);
-    const Measured local_fast = measure<FastEngine>(eval, local_run, kMinSecs);
-    MVD_ASSERT(local_legacy.result == local_fast.result);
+    const ProbeRows central = measure_probes(eval, kMinSecs);
+    const ProbeRows distributed = measure_probes(dist, kMinSecs);
 
     Json entry = Json::object();
     entry.set("workload", Json::string(w.name));
     entry.set("operation_nodes", Json::number(ops));
     entry.set("graph_nodes", Json::number(w.graph.size()));
-    entry.set("greedy", algo_json(greedy_legacy, greedy_fast));
-    entry.set("local_search", algo_json(local_legacy, local_fast));
+    entry.set("greedy",
+              algo_json(central.greedy_legacy, central.greedy_fast));
+    entry.set("local_search",
+              algo_json(central.local_legacy, central.local_fast));
+    Json dist_json = Json::object();
+    dist_json.set("sites", Json::number(dist.topology().sites().size()));
+    dist_json.set("greedy", algo_json(distributed.greedy_legacy,
+                                      distributed.greedy_fast));
+    dist_json.set("local_search", algo_json(distributed.local_legacy,
+                                            distributed.local_fast));
+    entry.set("distributed", std::move(dist_json));
 
     // Exhaustive: serial vs parallel over the same fast engine, with a
     // bit-identical deterministic reduction.
@@ -339,16 +396,8 @@ int main() {
     }
 
     workloads.push_back(std::move(entry));
-    table.add_row(
-        {w.name, std::to_string(ops),
-         format_blocks(greedy_legacy.evals_per_sec()),
-         format_blocks(greedy_fast.evals_per_sec()),
-         fmt1(greedy_fast.evals_per_sec() / greedy_legacy.evals_per_sec()) +
-             "x",
-         format_blocks(local_legacy.evals_per_sec()),
-         format_blocks(local_fast.evals_per_sec()),
-         fmt1(local_fast.evals_per_sec() / local_legacy.evals_per_sec()) +
-             "x"});
+    add_row(table, w.name, ops, central);
+    add_row(table, w.name + " @3 sites", ops, distributed);
   }
   report.set("workloads", std::move(workloads));
 

@@ -62,7 +62,7 @@ int main() {
   // 6. A day of updates, then refresh.
   Rng rng(7);
   std::size_t touched = 0;
-  for (const std::string& table : {"Fact", "Dim0", "Dim2"}) {
+  for (const char* table : {"Fact", "Dim0", "Dim2"}) {
     touched += apply_update_batch(db, table, {}, rng);
   }
   designer.refresh(design, db);

@@ -3,9 +3,7 @@
 // Every MVPP node is assigned a compute site: base relations sit where the
 // topology places them; selections, projections and aggregates run where
 // their input lives; a join runs on the side shipping fewer blocks; query
-// roots read at their issue site. produce/answer/maintenance costs then add
-// blocks-shipped × per-block link cost on every cross-site edge, on top of
-// the block-access costs of the base evaluator.
+// roots read at their issue site.
 //
 // View placement: a materialized view is *stored* at the site minimizing
 // estimated read shipping plus refresh shipping — chosen among the view's
@@ -15,9 +13,12 @@
 // shipping, which is exactly the distributed design trade-off of the
 // paper's Section 4.1 note.
 //
-// Because the class derives from MvppEvaluator, every selection algorithm
-// (Figure 9 heuristic, greedy, exhaustive, annealing) runs against the
-// distributed cost model unchanged — that comparison is bench Ext-F.
+// This class only derives that placement, plus the topology's per-block
+// link prices, and hands it to MvppEvaluator as data: the base cost
+// function then charges blocks × price on every cross-site edge, read and
+// refresh shipment. Every selection algorithm — including the incremental
+// fast path and the parallel exact searches — therefore runs against the
+// distributed cost model unchanged; that comparison is bench Ext-F.
 #pragma once
 
 #include "src/distributed/topology.hpp"
@@ -36,10 +37,6 @@ class DistributedMvppEvaluator : public MvppEvaluator {
   /// Storage site chosen for a node if it were materialized.
   const std::string& storage_site_of(NodeId v) const;
 
-  double produce_cost(NodeId v, const MaterializedSet& m) const override;
-  double answer_cost(NodeId query, const MaterializedSet& m) const override;
-  double maintenance_cost(NodeId v, const MaterializedSet& m) const override;
-
   /// Predicted blocks shipped across sites while producing v's result
   /// over the materialized frontier `m` — the raw transfer volume,
   /// independent of per-link costs (every cross-site edge counts its
@@ -54,14 +51,7 @@ class DistributedMvppEvaluator : public MvppEvaluator {
   const SiteTopology& topology() const { return topology_; }
 
  private:
-  double produce_cost_memo(NodeId v, const MaterializedSet& m,
-                           std::map<NodeId, double>& memo) const;
-  double produce_transfer_memo(NodeId v, const MaterializedSet& m,
-                               std::map<NodeId, double>& memo) const;
-
   SiteTopology topology_;
-  std::vector<std::string> node_site_;     // compute sites
-  std::vector<std::string> storage_site_;  // storage sites when materialized
 };
 
 }  // namespace mvd

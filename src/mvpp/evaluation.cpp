@@ -1,7 +1,6 @@
 #include "src/mvpp/evaluation.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
@@ -17,6 +16,32 @@ MvppEvaluator::MvppEvaluator(const MvppGraph& graph, MaintenancePolicy policy,
       closures_(std::make_shared<const GraphClosures>(graph)) {
   MVD_ASSERT_MSG(graph.annotated(),
                  "MvppGraph must be annotate()d before evaluation");
+  placement_.compute_site.assign(graph.size(), 0);
+  placement_.storage_site.assign(graph.size(), 0);
+}
+
+void MvppEvaluator::set_placement(Placement placement) {
+  MVD_ASSERT(placement.price.size() ==
+             placement.site_count * placement.site_count);
+  MVD_ASSERT(placement.compute_site.size() == graph_->size());
+  MVD_ASSERT(placement.storage_site.size() == graph_->size());
+  placement_ = std::move(placement);
+}
+
+double MvppEvaluator::read_charge(NodeId from, NodeId to, bool stored) const {
+  const std::size_t f = static_cast<std::size_t>(from);
+  const std::size_t source = stored ? placement_.storage_site[f]
+                                    : placement_.compute_site[f];
+  return graph_->node(from).blocks *
+         placement_.transfer_price(
+             source, placement_.compute_site[static_cast<std::size_t>(to)]);
+}
+
+double MvppEvaluator::store_charge(NodeId v) const {
+  const std::size_t i = static_cast<std::size_t>(v);
+  return graph_->node(v).blocks *
+         placement_.transfer_price(placement_.compute_site[i],
+                                   placement_.storage_site[i]);
 }
 
 double MvppEvaluator::op_contribution(const MvppNode& n,
@@ -75,9 +100,10 @@ double produce_walk(const MvppEvaluator& eval, NodeId v,
   if (n.kind != MvppNodeKind::kBase) {
     cost = eval.op_contribution(n, m);
     for (NodeId c : n.children) {
-      const MvppNode& child = g.node(c);
-      const bool stored = child.kind == MvppNodeKind::kBase || m.contains(c);
-      if (!stored) cost += produce_walk(eval, c, m, memo);
+      const bool base = g.node(c).kind == MvppNodeKind::kBase;
+      const bool member = !base && m.contains(c);
+      if (!base && !member) cost += produce_walk(eval, c, m, memo);
+      cost += eval.read_charge(c, v, member);
     }
   }
   memo.known[i] = 1;
@@ -96,8 +122,10 @@ double MvppEvaluator::answer_cost(NodeId query, const MaterializedSet& m) const 
   const MvppNode& q = graph_->node(query);
   MVD_ASSERT(q.kind == MvppNodeKind::kQuery);
   const NodeId result = q.children[0];
-  if (m.contains(result)) return graph_->node(result).blocks;
-  return produce_cost(result, m);
+  const bool member = m.contains(result);
+  const double read =
+      member ? graph_->node(result).blocks : produce_cost(result, m);
+  return read + read_charge(result, query, member);
 }
 
 double MvppEvaluator::query_processing_cost(const MaterializedSet& m) const {
@@ -125,11 +153,12 @@ double MvppEvaluator::update_factor(NodeId v) const {
 }
 
 double MvppEvaluator::maintenance_cost(NodeId v, const MaterializedSet& m) const {
-  const MvppNode& n = graph_->node(v);
-  MVD_ASSERT_MSG(n.is_operation(), "only operation nodes can be maintained");
-  const double recompute =
-      policy_.reuse_materialized ? produce_cost(v, m) : n.full_cost;
-  return update_factor(v) * recompute;
+  MVD_ASSERT_MSG(graph_->node(v).is_operation(),
+                 "only operation nodes can be maintained");
+  const double recompute = policy_.reuse_materialized
+                               ? produce_cost(v, m)
+                               : produce_cost(v, MaterializedSet{});
+  return update_factor(v) * (recompute + store_charge(v));
 }
 
 double MvppEvaluator::total_maintenance_cost(const MaterializedSet& m) const {

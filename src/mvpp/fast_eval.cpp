@@ -36,7 +36,7 @@ FastMvppEvaluator::FastMvppEvaluator(const MvppEvaluator& eval,
   op_cost_.resize(node_count_);
   blocks_.resize(node_count_);
   rows_.resize(node_count_);
-  full_cost_.resize(node_count_);
+  store_charge_.resize(node_count_);
   update_factor_.assign(node_count_, 0.0);
   pure_equality_.assign(node_count_, 0);
   child_begin_.assign(node_count_ + 1, 0);
@@ -47,7 +47,7 @@ FastMvppEvaluator::FastMvppEvaluator(const MvppEvaluator& eval,
     op_cost_[i] = n.op_cost;
     blocks_[i] = n.blocks;
     rows_[i] = n.rows;
-    full_cost_[i] = n.full_cost;
+    store_charge_[i] = eval.store_charge(static_cast<NodeId>(i));
     if (n.kind == MvppNodeKind::kSelect) {
       pure_equality_[i] = is_pure_equality(n.predicate) ? 1 : 0;
     }
@@ -56,12 +56,16 @@ FastMvppEvaluator::FastMvppEvaluator(const MvppEvaluator& eval,
   }
   child_ids_.reserve(child_begin_[node_count_]);
   for (std::size_t i = 0; i < node_count_; ++i) {
-    const MvppNode& n = g.node(static_cast<NodeId>(i));
-    child_ids_.insert(child_ids_.end(), n.children.begin(), n.children.end());
+    const NodeId v = static_cast<NodeId>(i);
+    for (NodeId c : g.node(v).children) {
+      child_ids_.push_back(c);
+      edge_virtual_.push_back(eval.read_charge(c, v, /*stored=*/false));
+      edge_stored_.push_back(eval.read_charge(c, v, /*stored=*/true));
+    }
   }
 
   // Update factors, folded over bases_under in ascending order — the same
-  // order (and therefore the same floating-point result) as the legacy
+  // order (and therefore the same floating-point result) as
   // MvppEvaluator::update_factor.
   for (NodeId v : closures.operation_ids()) {
     double factor = 0;
@@ -78,11 +82,23 @@ FastMvppEvaluator::FastMvppEvaluator(const MvppEvaluator& eval,
 
   for (NodeId q : closures.query_ids()) {
     const MvppNode& n = g.node(q);
-    query_terms_.push_back(QueryTerm{q, n.children[0], n.frequency});
+    const NodeId result = n.children[0];
+    query_terms_.push_back(
+        QueryTerm{q, result, n.frequency,
+                  eval.read_charge(result, q, /*stored=*/false),
+                  eval.read_charge(result, q, /*stored=*/true)});
   }
 
   memo_.assign(node_count_, 0.0);
   memo_epoch_.assign(node_count_, 0);
+  // The no-reuse recompute starts from the base relations alone:
+  // produce(v, ∅), which is Ca(v) bit for bit on one site.
+  from_base_.assign(node_count_, 0.0);
+  ++epoch_;
+  const FastMaterializedSet none(node_count_);
+  for (NodeId v : closures.operation_ids()) {
+    from_base_[static_cast<std::size_t>(v)] = produce(v, none);
+  }
   query_term_value_.assign(query_terms_.size(), 0.0);
   maint_term_value_.assign(node_count_, 0.0);
   current_ = FastMaterializedSet(node_count_);
@@ -152,10 +168,11 @@ double FastMvppEvaluator::produce(NodeId v, const FastMaterializedSet& m) {
     cost = op_contribution(v, m);
     for (std::uint32_t ci = child_begin_[i]; ci < child_begin_[i + 1]; ++ci) {
       const NodeId c = child_ids_[ci];
-      const bool stored =
-          kind_[static_cast<std::size_t>(c)] == MvppNodeKind::kBase ||
-          m.test(c);
-      if (!stored) cost += produce(c, m);
+      const bool member = m.test(c);
+      const bool base =
+          kind_[static_cast<std::size_t>(c)] == MvppNodeKind::kBase;
+      if (!member && !base) cost += produce(c, m);
+      cost += member ? edge_stored_[ci] : edge_virtual_[ci];
     }
   }
   memo_epoch_[i] = epoch_;
@@ -163,17 +180,20 @@ double FastMvppEvaluator::produce(NodeId v, const FastMaterializedSet& m) {
   return cost;
 }
 
-double FastMvppEvaluator::answer(NodeId result, const FastMaterializedSet& m) {
-  if (m.test(result)) return blocks_[static_cast<std::size_t>(result)];
-  return produce(result, m);
+double FastMvppEvaluator::answer(const QueryTerm& q,
+                                 const FastMaterializedSet& m) {
+  if (m.test(q.result)) {
+    return blocks_[static_cast<std::size_t>(q.result)] + q.read_stored;
+  }
+  return produce(q.result, m) + q.read_virtual;
 }
 
 double FastMvppEvaluator::maintenance_term(NodeId v,
                                            const FastMaterializedSet& m) {
   const std::size_t i = static_cast<std::size_t>(v);
   const double recompute =
-      policy_.reuse_materialized ? produce(v, m) : full_cost_[i];
-  return update_factor_[i] * recompute;
+      policy_.reuse_materialized ? produce(v, m) : from_base_[i];
+  return update_factor_[i] * (recompute + store_charge_[i]);
 }
 
 MvppCosts FastMvppEvaluator::evaluate(const FastMaterializedSet& m) {
@@ -182,7 +202,7 @@ MvppCosts FastMvppEvaluator::evaluate(const FastMaterializedSet& m) {
   if (tally_) ++full_evals_;
   MvppCosts costs;
   for (const QueryTerm& q : query_terms_) {
-    costs.query_processing += q.frequency * answer(q.result, m);
+    costs.query_processing += q.frequency * answer(q, m);
   }
   m.for_each([&](NodeId v) { costs.maintenance += maintenance_term(v, m); });
   return costs;
@@ -197,7 +217,7 @@ void FastMvppEvaluator::load(const FastMaterializedSet& m) {
   double qp = 0;
   for (std::size_t qi = 0; qi < query_terms_.size(); ++qi) {
     const QueryTerm& q = query_terms_[qi];
-    query_term_value_[qi] = q.frequency * answer(q.result, current_);
+    query_term_value_[qi] = q.frequency * answer(q, current_);
     qp += query_term_value_[qi];
   }
   double maint = 0;
@@ -232,14 +252,14 @@ double FastMvppEvaluator::eval_toggled(const NodeId* toggles,
   // Unchanged terms reuse their cached value; affected terms — owners in
   // a toggled node's ancestor cone, plus the toggled members themselves —
   // fall back to a fresh walk under the toggled set. Re-summing every
-  // term in the legacy order keeps the result bit-identical to a full
+  // term in the reference order keeps the result bit-identical to a full
   // evaluation.
   double qp = 0;
   for (std::size_t qi = 0; qi < query_terms_.size(); ++qi) {
     const QueryTerm& q = query_terms_[qi];
     double term = query_term_value_[qi];
     if (term_affected(q.query, toggles, count)) {
-      term = q.frequency * answer(q.result, scratch_);
+      term = q.frequency * answer(q, scratch_);
       if (tally_) ++terms_recomputed_;
     } else if (tally_) {
       ++terms_reused_;

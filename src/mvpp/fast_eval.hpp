@@ -1,29 +1,33 @@
 // Fast-path cost evaluation (same semantics as MvppEvaluator, different
 // machinery).
 //
-// MvppEvaluator::total_cost re-walks the DAG with a std::map memo and
-// re-derives bases_under()/queries_using() per call; the selection
-// algorithms additionally copy whole std::set candidate sets per probe.
-// This engine removes all of that for the plain (non-derived) evaluator:
+// MvppEvaluator is the reference: a recursive std::set walk per call. The
+// selection algorithms price thousands of one-bit variations of a set, so
+// they drive this engine instead, for every evaluator — its placement
+// (compute/storage sites and per-block link prices, one free site by
+// default) is data, read once here:
 //
 //   - FastMaterializedSet is a dense NodeBitset: O(1) membership, copies
 //     that are a few words.
-//   - Node payloads (op_cost, blocks, rows, Ca, children CSR, pure-
-//     equality flags, update factors) live in flat arrays indexed by
-//     NodeId, built once from the annotated graph + GraphClosures.
+//   - Node payloads (op_cost, blocks, rows, pure-equality flags, update
+//     factors, the from-base recompute cost) and the transfer charges
+//     (per child edge for a virtual or stored child, per query read, per
+//     refresh shipment) live in flat arrays, built once from the
+//     annotated graph + GraphClosures + placement.
 //   - produce-cost memoization is a flat double array invalidated by
 //     bumping an epoch counter — no clearing, no allocation per probe.
 //   - load()/probe/commit keep the per-query answer terms and per-member
 //     maintenance terms of the current set cached. Toggling v can only
 //     change the terms whose owner lies in v's strict-ancestor cone (a
-//     node's production cost depends on exactly the membership of its
-//     descendants), so a probe recomputes just those terms and re-sums.
-//     When the cone spans the whole graph the probe degrades gracefully
-//     into a full evaluation — that is the fallback, not an error.
+//     node's production cost, transfer charges included, depends on
+//     exactly the membership of its descendants), so a probe recomputes
+//     just those terms and re-sums. When the cone spans the whole graph
+//     the probe degrades gracefully into a full evaluation.
 //
-// Every sum is accumulated in the same order as the legacy evaluator
-// (queries ascending, members ascending, children in declaration order),
-// so full evaluations, probes, and committed totals are bit-identical to
+// Every sum is accumulated in the same order as the reference walk
+// (queries ascending, members ascending, children in declaration order,
+// each transfer charge right after its child's produce term), so full
+// evaluations, probes, and committed totals are bit-identical to
 // MvppEvaluator::total_cost — searches driven by this engine pick the
 // same sets, not just similarly-priced ones.
 //
@@ -49,8 +53,8 @@ MaterializedSet to_materialized_set(const FastMaterializedSet& m);
 
 class FastMvppEvaluator {
  public:
-  /// Snapshot of `eval`'s graph/policy/index. `closures` must describe
-  /// the same graph and outlive the evaluator.
+  /// Snapshot of `eval`'s graph/policy/index/placement. `closures` must
+  /// describe the same graph and outlive the evaluator.
   FastMvppEvaluator(const MvppEvaluator& eval, const GraphClosures& closures);
 
   /// Flushes the local work tallies (probes vs full loads, memo epoch
@@ -92,11 +96,13 @@ class FastMvppEvaluator {
     NodeId query = -1;
     NodeId result = -1;
     double frequency = 0;
+    double read_virtual = 0;  // shipping the produced result to the query
+    double read_stored = 0;   // shipping the stored result to the query
   };
 
   double produce(NodeId v, const FastMaterializedSet& m);
   double op_contribution(NodeId v, const FastMaterializedSet& m) const;
-  double answer(NodeId result, const FastMaterializedSet& m);
+  double answer(const QueryTerm& q, const FastMaterializedSet& m);
   double maintenance_term(NodeId v, const FastMaterializedSet& m);
   /// Shared probe/commit body over one or two toggled nodes.
   double eval_toggled(const NodeId* toggles, std::size_t count, bool commit);
@@ -113,12 +119,16 @@ class FastMvppEvaluator {
   std::vector<double> op_cost_;
   std::vector<double> blocks_;
   std::vector<double> rows_;
-  std::vector<double> full_cost_;
+  std::vector<double> from_base_;       // produce(v, ∅): no-reuse recompute
+  std::vector<double> store_charge_;    // refresh shipment to storage site
   std::vector<double> update_factor_;
   std::vector<char> pure_equality_;  // kSelect: predicate is pure equality
-  // Children in CSR layout (declaration order preserved).
+  // Children in CSR layout (declaration order preserved), with the charge
+  // for shipping each child to its parent when virtual / when stored.
   std::vector<std::uint32_t> child_begin_;
   std::vector<NodeId> child_ids_;
+  std::vector<double> edge_virtual_;
+  std::vector<double> edge_stored_;
 
   std::vector<QueryTerm> query_terms_;  // queries ascending
 

@@ -1,11 +1,18 @@
+// Selection algorithms. Every search prices candidate sets through
+// FastMvppEvaluator, whatever cost model the evaluator carries (its
+// placement is data the fast path reads): the local searches probe one-
+// and two-node toggles incrementally, and the exact 2^n searches shard the
+// mask range across threads with a private engine per worker. The
+// std::set reference walk of MvppEvaluator is used only where a formula
+// asks for one term (the Yang heuristic's Cs, the branch-and-bound bound)
+// and to report each result's final costs.
 #include "src/mvpp/selection.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <limits>
-#include <memory>
 #include <optional>
-#include <typeinfo>
 
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
@@ -19,104 +26,6 @@
 namespace mvd {
 
 namespace {
-
-/// True when `eval` is exactly the base block-access evaluator, whose
-/// semantics the bitset fast path reproduces bit-for-bit. Derived
-/// evaluators (e.g. the communication-aware distributed one) override
-/// the virtual cost hooks, so they keep the generic std::set path.
-bool has_fast_path(const MvppEvaluator& eval) {
-  return typeid(eval) == typeid(MvppEvaluator);
-}
-
-// ---- Toggle probing ---------------------------------------------------
-//
-// Every local algorithm (greedy, local search, annealing, budgeted
-// greedy) explores neighbors of a current set by toggling one or two
-// nodes. The Prober interface hides how a probe is priced: the fast
-// implementation asks the incremental bitset engine (cached terms +
-// ancestor-cone recomputation), the legacy one copies the std::set and
-// calls MvppEvaluator::total_cost exactly like the original code — so
-// custom evaluator subclasses see the same calls as before. Both
-// implementations return bit-identical totals for the base evaluator,
-// so algorithm decisions do not depend on the path taken.
-
-class Prober {
- public:
-  virtual ~Prober() = default;
-  virtual double total() const = 0;
-  virtual bool contains(NodeId v) const = 0;
-  /// Cost of current with v toggled; state unchanged.
-  virtual double probe_toggle(NodeId v) = 0;
-  /// Cost of current with `out` dropped and `in` added; state unchanged.
-  virtual double probe_swap(NodeId out, NodeId in) = 0;
-  /// Apply a toggle whose probed cost was `new_total`.
-  virtual void commit_toggle(NodeId v, double new_total) = 0;
-  virtual MaterializedSet snapshot() const = 0;
-};
-
-class LegacyProber final : public Prober {
- public:
-  LegacyProber(const MvppEvaluator& eval, MaterializedSet start)
-      : eval_(&eval), m_(std::move(start)), total_(eval.total_cost(m_)) {}
-
-  double total() const override { return total_; }
-  bool contains(NodeId v) const override { return m_.contains(v); }
-
-  double probe_toggle(NodeId v) override {
-    MaterializedSet next = m_;
-    if (!next.erase(v)) next.insert(v);
-    return eval_->total_cost(next);
-  }
-
-  double probe_swap(NodeId out, NodeId in) override {
-    MaterializedSet next = m_;
-    next.erase(out);
-    next.insert(in);
-    return eval_->total_cost(next);
-  }
-
-  void commit_toggle(NodeId v, double new_total) override {
-    if (!m_.erase(v)) m_.insert(v);
-    total_ = new_total;
-  }
-
-  MaterializedSet snapshot() const override { return m_; }
-
- private:
-  const MvppEvaluator* eval_;
-  MaterializedSet m_;
-  double total_;
-};
-
-class FastProber final : public Prober {
- public:
-  FastProber(const MvppEvaluator& eval, const MaterializedSet& start)
-      : fast_(eval, eval.closures()) {
-    fast_.load(to_fast_set(start, fast_.universe()));
-  }
-
-  double total() const override { return fast_.current_total(); }
-  bool contains(NodeId v) const override { return fast_.current().test(v); }
-  double probe_toggle(NodeId v) override { return fast_.probe_toggle(v); }
-  double probe_swap(NodeId out, NodeId in) override {
-    return fast_.probe_swap(out, in);
-  }
-  void commit_toggle(NodeId v, double) override { fast_.commit_toggle(v); }
-  MaterializedSet snapshot() const override {
-    return to_materialized_set(fast_.current());
-  }
-
- private:
-  FastMvppEvaluator fast_;
-};
-
-std::unique_ptr<Prober> make_prober(const MvppEvaluator& eval,
-                                    MaterializedSet start) {
-  if (has_fast_path(eval)) {
-    return std::make_unique<FastProber>(eval, start);
-  }
-  return std::make_unique<LegacyProber>(eval, std::move(start));
-}
 
 /// Every algorithm funnels its finished result through here, so the
 /// selection-stage lint hook sees each SelectionResult exactly once
@@ -335,9 +244,9 @@ struct MaskSearchBest {
 };
 
 template <typename Admit>
-MaskSearchBest fast_mask_search(const MvppEvaluator& eval,
-                                const std::vector<NodeId>& candidates,
-                                std::size_t threads, const Admit& admit) {
+MaskSearchBest mask_search(const MvppEvaluator& eval,
+                           const std::vector<NodeId>& candidates,
+                           std::size_t threads, const Admit& admit) {
   const std::size_t combos = std::size_t{1} << candidates.size();
   if (threads == 0) threads = recommended_threads(combos);
   // Below ~4k subsets the thread spawn outweighs the work.
@@ -374,6 +283,24 @@ MaskSearchBest fast_mask_search(const MvppEvaluator& eval,
   return overall;
 }
 
+/// Throws PlanError when `candidates` exceed the caller's limit or do not
+/// fit the subset mask (one bit per candidate in a std::size_t), whatever
+/// the limit says.
+void check_mask_search(const char* search, std::size_t candidates,
+                       std::size_t max_candidates) {
+  if (candidates > max_candidates) {
+    throw PlanError(str_cat(search, " over ", candidates,
+                            " candidates exceeds the limit of ",
+                            max_candidates));
+  }
+  constexpr std::size_t kMaskBits = std::numeric_limits<std::size_t>::digits;
+  if (candidates >= kMaskBits) {
+    throw PlanError(str_cat(search, " over ", candidates,
+                            " candidates does not fit a ", kMaskBits,
+                            "-bit subset mask"));
+  }
+}
+
 MaterializedSet mask_to_set(const std::vector<NodeId>& candidates,
                             std::size_t mask) {
   MaterializedSet m;
@@ -389,11 +316,7 @@ SelectionResult exhaustive_optimal(const MvppEvaluator& eval,
                                    std::size_t max_candidates,
                                    std::size_t threads) {
   const std::vector<NodeId> candidates = eval.graph().operation_ids();
-  if (candidates.size() > max_candidates) {
-    throw PlanError(str_cat("exhaustive search over ", candidates.size(),
-                            " candidates exceeds the limit of ",
-                            max_candidates));
-  }
+  check_mask_search("exhaustive search", candidates.size(), max_candidates);
   MVD_TRACE_SPAN("selection", "exhaustive-optimal");
   if (counters_enabled()) {
     MetricsRegistry::global().counter("selection/exhaustive/masks")
@@ -401,25 +324,9 @@ SelectionResult exhaustive_optimal(const MvppEvaluator& eval,
   }
   SelectionResult r;
   r.algorithm = "exhaustive-optimal";
-  MaterializedSet best_set;
-  if (has_fast_path(eval)) {
-    const MaskSearchBest best =
-        fast_mask_search(eval, candidates, threads, [](std::size_t) {
-          return true;
-        });
-    best_set = mask_to_set(candidates, best.mask);
-  } else {
-    double best = std::numeric_limits<double>::infinity();
-    const std::size_t combos = std::size_t{1} << candidates.size();
-    for (std::size_t mask = 0; mask < combos; ++mask) {
-      MaterializedSet m = mask_to_set(candidates, mask);
-      const double cost = eval.total_cost(m);
-      if (cost < best) {
-        best = cost;
-        best_set = std::move(m);
-      }
-    }
-  }
+  const MaskSearchBest best =
+      mask_search(eval, candidates, threads, [](std::size_t) { return true; });
+  MaterializedSet best_set = mask_to_set(candidates, best.mask);
   r.costs = eval.evaluate(best_set);
   r.materialized = std::move(best_set);
   return finish(eval, std::move(r));
@@ -517,9 +424,12 @@ SelectionResult branch_and_bound_optimal(const MvppEvaluator& eval,
   r.algorithm = "branch-and-bound";
   r.costs = eval.evaluate(ctx.best_set);
   r.materialized = std::move(ctx.best_set);
-  r.trace.push_back(str_cat("visited ", ctx.nodes_visited,
-                            " search nodes of ",
-                            (std::size_t{1} << (ctx.candidates.size() + 1)) - 1,
+  // The full decision tree has 2^(n+1) - 1 nodes; a double holds that
+  // count (exactly up to n = 52) for any n the search can be asked for.
+  const double tree_nodes =
+      std::ldexp(1.0, static_cast<int>(ctx.candidates.size()) + 1) - 1;
+  r.trace.push_back(str_cat("visited ", ctx.nodes_visited, " search nodes of ",
+                            std::fixed, std::setprecision(0), tree_nodes,
                             " possible"));
   return finish(eval, std::move(r));
 }
@@ -529,16 +439,17 @@ SelectionResult greedy_incremental(const MvppEvaluator& eval) {
   SelectionResult r;
   r.algorithm = "greedy-incremental";
   const std::vector<NodeId> candidates = eval.graph().operation_ids();
-  std::unique_ptr<Prober> prober = make_prober(eval, {});
+  FastMvppEvaluator fast(eval, eval.closures());
+  fast.load(FastMaterializedSet(fast.universe()));
   Gauge* best_gauge = best_total_gauge("greedy-incremental");
   std::size_t probes = 0;
-  double current = prober->total();
+  double current = fast.current_total();
   while (true) {
     std::optional<NodeId> best_v;
     double best_cost = current;
     for (NodeId v : candidates) {
-      if (prober->contains(v)) continue;
-      const double cost = prober->probe_toggle(v);
+      if (fast.current().test(v)) continue;
+      const double cost = fast.probe_toggle(v);
       ++probes;
       if (cost < best_cost) {
         best_cost = cost;
@@ -546,7 +457,7 @@ SelectionResult greedy_incremental(const MvppEvaluator& eval) {
       }
     }
     if (!best_v.has_value()) break;
-    prober->commit_toggle(*best_v, best_cost);
+    fast.commit_toggle(*best_v);
     if (best_gauge != nullptr) best_gauge->set(best_cost);
     r.trace.push_back(eval.graph().node(*best_v).name + ": total " +
                       format_blocks(current) + " -> " +
@@ -557,7 +468,7 @@ SelectionResult greedy_incremental(const MvppEvaluator& eval) {
     MetricsRegistry::global().counter("selection/greedy/probes")
         .add(static_cast<double>(probes));
   }
-  MaterializedSet m = prober->snapshot();
+  MaterializedSet m = to_materialized_set(fast.current());
   r.costs = eval.evaluate(m);
   r.materialized = std::move(m);
   return finish(eval, std::move(r));
@@ -571,10 +482,11 @@ SelectionResult local_search(const MvppEvaluator& eval, MaterializedSet start,
   eval.check_materializable(start);
   const std::vector<NodeId> candidates = eval.graph().operation_ids();
 
-  std::unique_ptr<Prober> prober = make_prober(eval, std::move(start));
+  FastMvppEvaluator fast(eval, eval.closures());
+  fast.load(to_fast_set(start, fast.universe()));
   Gauge* best_gauge = best_total_gauge("local-search");
   std::size_t rounds_taken = 0;
-  double current_cost = prober->total();
+  double current_cost = fast.current_total();
   for (std::size_t round = 0; round < max_rounds; ++round) {
     enum class Move { kNone, kToggle, kSwap };
     Move best_move = Move::kNone;
@@ -594,31 +506,27 @@ SelectionResult local_search(const MvppEvaluator& eval, MaterializedSet start,
       }
     };
 
+    const FastMaterializedSet& current = fast.current();
     for (NodeId v : candidates) {
-      const bool member = prober->contains(v);
-      const double cost = prober->probe_toggle(v);
+      const bool member = current.test(v);
+      const double cost = fast.probe_toggle(v);
       consider(Move::kToggle, v, -1, cost,
                (member ? "drop " : "add ") + eval.graph().node(v).name);
     }
     // Swaps: replace one member with one non-member.
-    const MaterializedSet current = prober->snapshot();
-    for (NodeId out : current) {
+    current.for_each([&](NodeId out) {
       for (NodeId in : candidates) {
-        if (current.contains(in)) continue;
-        const double cost = prober->probe_swap(out, in);
+        if (current.test(in)) continue;
+        const double cost = fast.probe_swap(out, in);
         consider(Move::kSwap, out, in, cost,
                  "swap " + eval.graph().node(out).name + " -> " +
                      eval.graph().node(in).name);
       }
-    }
+    });
 
     if (best_move == Move::kNone) break;  // local optimum
-    if (best_move == Move::kToggle) {
-      prober->commit_toggle(move_a, best_cost);
-    } else {
-      prober->commit_toggle(move_a, best_cost);
-      prober->commit_toggle(move_b, best_cost);
-    }
+    fast.commit_toggle(move_a);
+    if (best_move == Move::kSwap) fast.commit_toggle(move_b);
     ++rounds_taken;
     current_cost = best_cost;
     if (best_gauge != nullptr) best_gauge->set(best_cost);
@@ -628,7 +536,7 @@ SelectionResult local_search(const MvppEvaluator& eval, MaterializedSet start,
     MetricsRegistry::global().counter("selection/local_search/rounds")
         .add(static_cast<double>(rounds_taken));
   }
-  MaterializedSet m = prober->snapshot();
+  MaterializedSet m = to_materialized_set(fast.current());
   r.costs = eval.evaluate(m);
   r.materialized = std::move(m);
   return finish(eval, std::move(r));
@@ -648,20 +556,21 @@ SelectionResult budgeted_greedy(const MvppEvaluator& eval,
   r.algorithm = "budgeted-greedy";
   const std::vector<NodeId> candidates = eval.graph().operation_ids();
 
-  std::unique_ptr<Prober> prober = make_prober(eval, {});
+  FastMvppEvaluator fast(eval, eval.closures());
+  fast.load(FastMaterializedSet(fast.universe()));
   Gauge* best_gauge = best_total_gauge("budgeted-greedy");
   std::size_t probes = 0;
   double used = 0;
-  double current = prober->total();
+  double current = fast.current_total();
   while (true) {
     std::optional<NodeId> best_v;
     double best_density = 0;
     double best_cost = current;
     for (NodeId v : candidates) {
-      if (prober->contains(v)) continue;
+      if (fast.current().test(v)) continue;
       const double blocks = std::max(eval.graph().node(v).blocks, 1e-9);
       if (used + blocks > budget_blocks) continue;
-      const double cost = prober->probe_toggle(v);
+      const double cost = fast.probe_toggle(v);
       ++probes;
       const double density = (current - cost) / blocks;
       if (cost < current && density > best_density) {
@@ -671,7 +580,7 @@ SelectionResult budgeted_greedy(const MvppEvaluator& eval,
       }
     }
     if (!best_v.has_value()) break;
-    prober->commit_toggle(*best_v, best_cost);
+    fast.commit_toggle(*best_v);
     used += eval.graph().node(*best_v).blocks;
     r.trace.push_back(eval.graph().node(*best_v).name + ": total " +
                       format_blocks(current) + " -> " +
@@ -685,7 +594,7 @@ SelectionResult budgeted_greedy(const MvppEvaluator& eval,
     MetricsRegistry::global().counter("selection/budgeted_greedy/probes")
         .add(static_cast<double>(probes));
   }
-  MaterializedSet m = prober->snapshot();
+  MaterializedSet m = to_materialized_set(fast.current());
   r.costs = eval.evaluate(m);
   r.materialized = std::move(m);
   return finish(eval, std::move(r), budget_blocks);
@@ -697,11 +606,7 @@ SelectionResult budgeted_optimal(const MvppEvaluator& eval,
                                  std::size_t threads) {
   if (!(budget_blocks >= 0)) throw PlanError("negative space budget");
   const std::vector<NodeId> candidates = eval.graph().operation_ids();
-  if (candidates.size() > max_candidates) {
-    throw PlanError(str_cat("budgeted search over ", candidates.size(),
-                            " candidates exceeds the limit of ",
-                            max_candidates));
-  }
+  check_mask_search("budgeted search", candidates.size(), max_candidates);
   MVD_TRACE_SPAN("selection", "budgeted-optimal");
   SelectionResult r;
   r.algorithm = "budgeted-optimal";
@@ -709,49 +614,25 @@ SelectionResult budgeted_optimal(const MvppEvaluator& eval,
     MetricsRegistry::global().counter("selection/budgeted_optimal/masks")
         .add(static_cast<double>(std::size_t{1} << candidates.size()));
   }
-  MaterializedSet best_set;
-  if (has_fast_path(eval)) {
-    // Per-candidate block sizes, so the budget filter is a running sum
-    // over mask bits instead of a set rebuild.
-    std::vector<double> blocks_of(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      blocks_of[i] = eval.graph().node(candidates[i]).blocks;
-    }
-    const auto fits = [&](std::size_t mask) {
-      double blocks = 0;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (mask & (std::size_t{1} << i)) {
-          blocks += blocks_of[i];
-          if (blocks > budget_blocks) return false;
-        }
-      }
-      return true;
-    };
-    const MaskSearchBest best =
-        fast_mask_search(eval, candidates, threads, fits);
-    if (best.valid) best_set = mask_to_set(candidates, best.mask);
-  } else {
-    double best = std::numeric_limits<double>::infinity();
-    const std::size_t combos = std::size_t{1} << candidates.size();
-    for (std::size_t mask = 0; mask < combos; ++mask) {
-      MaterializedSet m;
-      double blocks = 0;
-      bool fits = true;
-      for (std::size_t i = 0; i < candidates.size() && fits; ++i) {
-        if (mask & (std::size_t{1} << i)) {
-          m.insert(candidates[i]);
-          blocks += eval.graph().node(candidates[i]).blocks;
-          fits = blocks <= budget_blocks;
-        }
-      }
-      if (!fits) continue;
-      const double cost = eval.total_cost(m);
-      if (cost < best) {
-        best = cost;
-        best_set = std::move(m);
-      }
-    }
+  // Per-candidate block sizes, so the budget filter is a running sum over
+  // mask bits instead of a set rebuild.
+  std::vector<double> blocks_of(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    blocks_of[i] = eval.graph().node(candidates[i]).blocks;
   }
+  const auto fits = [&](std::size_t mask) {
+    double blocks = 0;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      if (mask & (std::size_t{1} << i)) {
+        blocks += blocks_of[i];
+        if (blocks > budget_blocks) return false;
+      }
+    }
+    return true;
+  };
+  const MaskSearchBest best = mask_search(eval, candidates, threads, fits);
+  MaterializedSet best_set;
+  if (best.valid) best_set = mask_to_set(candidates, best.mask);
   r.costs = eval.evaluate(best_set);
   r.materialized = std::move(best_set);
   return finish(eval, std::move(r), budget_blocks);
@@ -768,12 +649,13 @@ SelectionResult simulated_annealing(const MvppEvaluator& eval,
     return finish(eval, std::move(r));
   }
 
-  std::unique_ptr<Prober> prober =
-      make_prober(eval, greedy_incremental(eval).materialized);
+  FastMvppEvaluator fast(eval, eval.closures());
+  fast.load(
+      to_fast_set(greedy_incremental(eval).materialized, fast.universe()));
   Gauge* best_gauge = best_total_gauge("simulated-annealing");
   std::size_t accepted = 0;
-  double current_cost = prober->total();
-  MaterializedSet best = prober->snapshot();
+  double current_cost = fast.current_total();
+  FastMaterializedSet best = fast.current();
   double best_cost = current_cost;
 
   Rng rng(options.seed);
@@ -781,14 +663,14 @@ SelectionResult simulated_annealing(const MvppEvaluator& eval,
       std::max(options.initial_temperature * eval.total_cost({}), 1e-9);
   for (std::size_t it = 0; it < options.iterations; ++it) {
     const NodeId v = candidates[rng.index(candidates.size())];
-    const double next_cost = prober->probe_toggle(v);
+    const double next_cost = fast.probe_toggle(v);
     const double delta = next_cost - current_cost;
     if (delta <= 0 || rng.uniform01() < std::exp(-delta / temperature)) {
-      prober->commit_toggle(v, next_cost);
+      fast.commit_toggle(v);
       ++accepted;
       current_cost = next_cost;
       if (current_cost < best_cost) {
-        best = prober->snapshot();
+        best = fast.current();
         best_cost = current_cost;
         if (best_gauge != nullptr) best_gauge->set(best_cost);
       }
@@ -802,8 +684,8 @@ SelectionResult simulated_annealing(const MvppEvaluator& eval,
     reg.counter("selection/annealing/accepted")
         .add(static_cast<double>(accepted));
   }
-  r.costs = eval.evaluate(best);
-  r.materialized = std::move(best);
+  r.materialized = to_materialized_set(best);
+  r.costs = eval.evaluate(r.materialized);
   return finish(eval, std::move(r));
 }
 

@@ -8,6 +8,13 @@
 namespace mvd {
 namespace {
 
+/// Stats that set only the cardinality (blocks and columns derived).
+RelationStats rows_only(double rows) {
+  RelationStats stats;
+  stats.rows = rows;
+  return stats;
+}
+
 Schema product_schema() {
   return Schema({{"Pid", ValueType::kInt64, "Product"},
                  {"name", ValueType::kString, "Product"},
@@ -92,8 +99,8 @@ TEST(CatalogTest, RegisterAndLookup) {
 
 TEST(CatalogTest, DuplicateRelationThrows) {
   Catalog c;
-  c.add_relation("R", product_schema(), {.rows = 1});
-  EXPECT_THROW(c.add_relation("R", product_schema(), {.rows = 1}),
+  c.add_relation("R", product_schema(), rows_only(1));
+  EXPECT_THROW(c.add_relation("R", product_schema(), rows_only(1)),
                CatalogError);
 }
 
@@ -106,12 +113,12 @@ TEST(CatalogTest, UnknownRelationThrows) {
 
 TEST(CatalogTest, InvalidInputsRejected) {
   Catalog c;
-  EXPECT_THROW(c.add_relation("", product_schema(), {.rows = 1}),
+  EXPECT_THROW(c.add_relation("", product_schema(), rows_only(1)),
                CatalogError);
-  EXPECT_THROW(c.add_relation("R", product_schema(), {.rows = -5}),
+  EXPECT_THROW(c.add_relation("R", product_schema(), rows_only(-5)),
                CatalogError);
   EXPECT_THROW(
-      c.add_relation("R", product_schema(), {.rows = 1}, /*fu=*/-1.0),
+      c.add_relation("R", product_schema(), rows_only(1), /*fu=*/-1.0),
       CatalogError);
   EXPECT_THROW(Catalog(-1.0), CatalogError);
 }
@@ -144,7 +151,7 @@ TEST(CatalogTest, BlocksForRowsUsesBlockingFactor) {
 
 TEST(CatalogTest, UpdateFrequencyMutable) {
   Catalog c;
-  c.add_relation("R", product_schema(), {.rows = 1});
+  c.add_relation("R", product_schema(), rows_only(1));
   c.set_update_frequency("R", 7.5);
   EXPECT_DOUBLE_EQ(c.update_frequency("R"), 7.5);
   EXPECT_THROW(c.set_update_frequency("R", -1), CatalogError);
@@ -153,9 +160,9 @@ TEST(CatalogTest, UpdateFrequencyMutable) {
 
 TEST(CatalogTest, JoinSizeOverrides) {
   Catalog c;
-  c.add_relation("R", product_schema(), {.rows = 10});
+  c.add_relation("R", product_schema(), rows_only(10));
   c.add_relation("S",
-                 Schema({{"Did", ValueType::kInt64, "S"}}), {.rows = 20});
+                 Schema({{"Did", ValueType::kInt64, "S"}}), rows_only(20));
   c.add_join_size_override({"R", "S"}, {15, 3});
   const JoinSizeOverride* pin = c.join_size_override({"S", "R"});
   ASSERT_NE(pin, nullptr);
@@ -166,7 +173,7 @@ TEST(CatalogTest, JoinSizeOverrides) {
 
 TEST(CatalogTest, JoinOverrideValidation) {
   Catalog c;
-  c.add_relation("R", product_schema(), {.rows = 10});
+  c.add_relation("R", product_schema(), rows_only(10));
   EXPECT_THROW(c.add_join_size_override({"R"}, {1, 1}), CatalogError);
   EXPECT_THROW(c.add_join_size_override({"R", "unknown"}, {1, 1}),
                CatalogError);

@@ -196,7 +196,9 @@ TEST(TextTable, SeparatorAndIndent) {
   t.add_row({"y"});
   const std::string out = t.render(2);
   for (const auto& line : split(out, '\n')) {
-    if (!line.empty()) EXPECT_EQ(line.substr(0, 2), "  ");
+    if (!line.empty()) {
+      EXPECT_EQ(line.substr(0, 2), "  ");
+    }
   }
   EXPECT_EQ(t.row_count(), 3u);
 }

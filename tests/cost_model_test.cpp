@@ -70,7 +70,9 @@ TEST_F(CostModelTest, NotAndOrCombinators) {
 TEST_F(CostModelTest, DefaultsWhenStatsMissing) {
   // Part.supplier has distinct stats; use a column with none: make one.
   Catalog c(10.0);
-  c.add_relation("T", Schema({{"x", ValueType::kInt64, ""}}), {.rows = 100});
+  RelationStats stats;
+  stats.rows = 100;
+  c.add_relation("T", Schema({{"x", ValueType::kInt64, ""}}), stats);
   CostModel m(c, paper_cost_config());
   const PlanPtr s = make_scan(c, "T");
   // No distinct info: defaults to near-unique (rows), so eq -> 1/rows.

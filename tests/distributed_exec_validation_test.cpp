@@ -61,10 +61,10 @@ class TransferValidationTest : public ::testing::Test {
     design_ = designer_->design();
 
     SiteTopology topo({"warehouse", "store"});
-    for (const std::string& r : {"Fact", "Dim0", "Dim1"}) {
+    for (const char* r : {"Fact", "Dim0", "Dim1"}) {
       topo.place_relation(r, "store");
     }
-    for (const std::string& q : {"Q1", "Q2", "Q3"}) {
+    for (const char* q : {"Q1", "Q2", "Q3"}) {
       topo.place_query(q, "warehouse");
     }
     dist_ = std::make_unique<DistributedMvppEvaluator>(design_.graph(),
@@ -111,10 +111,10 @@ TEST(PaperTransferValidationTest, PredictedTransferTracksMeasuredGather) {
   SiteTopology topo({"warehouse", "store"});
   topo.place_relation("Order", "store");
   topo.place_relation("Customer", "store");
-  for (const std::string& r : {"Product", "Division", "Part"}) {
+  for (const char* r : {"Product", "Division", "Part"}) {
     topo.place_relation(r, "warehouse");
   }
-  for (const std::string& q : {"Q1", "Q2", "Q3", "Q4"}) {
+  for (const char* q : {"Q1", "Q2", "Q3", "Q4"}) {
     topo.place_query(q, "warehouse");
   }
   const DistributedMvppEvaluator dist(g, std::move(topo));
@@ -127,7 +127,7 @@ TEST(PaperTransferValidationTest, PredictedTransferTracksMeasuredGather) {
   // Q1 and Q2 never touch the store site: the model predicts zero
   // transfer and the engine routes them to the coordinator replicas
   // without any exchange.
-  for (const std::string& name : {"Q1", "Q2"}) {
+  for (const std::string name : {"Q1", "Q2"}) {
     const NodeId q = g.find_by_name(name);
     ASSERT_GE(q, 0) << name;
     EXPECT_DOUBLE_EQ(dist.answer_transfer_blocks(q, none), 0.0) << name;
@@ -156,7 +156,7 @@ TEST(PaperTransferValidationTest, PredictedTransferTracksMeasuredGather) {
   //                  upper-bound it.
   const double per_shard_replicated =
       sdb.exchange_log().broadcast_blocks / static_cast<double>(sdb.shards());
-  for (const std::string& name : {"Q3", "Q4"}) {
+  for (const std::string name : {"Q3", "Q4"}) {
     const NodeId q = g.find_by_name(name);
     const NodeId r = g.find_by_name(name == "Q3" ? "result3" : "result4");
     ASSERT_GE(q, 0) << name;
@@ -188,7 +188,7 @@ TEST_F(TransferValidationTest, MeasuredGatherIsShardCountInvariant) {
   // exchange volume of a run must not depend on the shard count.
   const MvppGraph& g = design_.graph();
   const MaterializedSet none;
-  for (const std::string& name : {"Q1", "Q2", "Q3"}) {
+  for (const std::string name : {"Q1", "Q2", "Q3"}) {
     const NodeId q = g.find_by_name(name);
     std::vector<double> volumes;
     for (const std::size_t shards : {1u, 4u, 8u}) {

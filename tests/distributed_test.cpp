@@ -57,7 +57,7 @@ class DistributedEvaluatorTest : public ::testing::Test {
     // consumers) at hq.
     topo.place_relation("Order", "remote");
     topo.place_relation("Customer", "remote");
-    for (const std::string& r : {"Product", "Division", "Part"}) {
+    for (const char* r : {"Product", "Division", "Part"}) {
       topo.place_relation(r, "hq");
     }
     return topo;
@@ -134,7 +134,7 @@ TEST_F(DistributedEvaluatorTest, RarelyReadViewStaysAtComputeSite) {
   EXPECT_EQ(dist.storage_site_of(g.find_by_name("result4")), "remote");
 }
 
-TEST_F(DistributedEvaluatorTest, SelectionAlgorithmsRunPolymorphically) {
+TEST_F(DistributedEvaluatorTest, SelectionAlgorithmsRunOnTransferCosts) {
   const DistributedMvppEvaluator dist(graph_, split_topology(3.0));
   const SelectionResult yang = yang_heuristic(dist);
   const SelectionResult greedy = greedy_incremental(dist);

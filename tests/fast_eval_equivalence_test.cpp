@@ -1,6 +1,8 @@
 // Equivalence of the bitset/incremental fast evaluation path with the
-// legacy std::set evaluator, and determinism of the parallel search
-// drivers. The fast path is constructed to mirror the legacy
+// std::set reference walk of MvppEvaluator, on the centralized cost model
+// and on distributed ones (random 2–3 site topologies, whose placement
+// adds transfer charges), plus determinism of the parallel search
+// drivers. The fast path is constructed to mirror the reference
 // floating-point operation order exactly, so most checks can demand
 // bit-identical doubles; the randomized sweeps additionally accept a
 // 1e-9 relative tolerance to keep the intent (numerical equivalence)
@@ -9,10 +11,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/random.hpp"
+#include "src/distributed/distributed_evaluator.hpp"
 #include "src/mvpp/builder.hpp"
 #include "src/mvpp/fast_eval.hpp"
 #include "src/mvpp/node_bitset.hpp"
@@ -21,13 +26,6 @@
 
 namespace mvd {
 namespace {
-
-// Any subclass loses the typeid fast-path dispatch in the selection
-// algorithms, forcing the legacy std::set probing path with unchanged
-// cost semantics — the reference for fast-vs-legacy algorithm runs.
-struct LegacyForcedEvaluator : MvppEvaluator {
-  using MvppEvaluator::MvppEvaluator;
-};
 
 // ---- NodeBitset ------------------------------------------------------
 
@@ -186,6 +184,31 @@ std::vector<IndexPolicy> all_index_policies() {
   return {off, on};
 }
 
+/// 2–3 sites with random default and per-link prices; relations and
+/// queries placed uniformly at random.
+SiteTopology random_topology(const Workload& w, Rng& rng) {
+  std::vector<std::string> sites;
+  const std::size_t count = 2 + rng.index(2);
+  for (std::size_t i = 0; i < count; ++i) {
+    sites.push_back("site" + std::to_string(i));
+  }
+  SiteTopology topo(sites, 0.5 + 4.0 * rng.uniform01());
+  for (std::size_t a = 0; a < count; ++a) {
+    for (std::size_t b = a + 1; b < count; ++b) {
+      if (rng.chance(0.5)) {
+        topo.set_link_cost(sites[a], sites[b], 10.0 * rng.uniform01());
+      }
+    }
+  }
+  for (const std::string& relation : w.catalog.relation_names()) {
+    topo.place_relation(relation, sites[rng.index(count)]);
+  }
+  for (NodeId q : w.graph.query_ids()) {
+    topo.place_query(w.graph.node(q).name, sites[rng.index(count)]);
+  }
+  return topo;
+}
+
 MaterializedSet random_operation_subset(const MvppGraph& g, Rng& rng,
                                         double p) {
   MaterializedSet m;
@@ -195,14 +218,29 @@ MaterializedSet random_operation_subset(const MvppGraph& g, Rng& rng,
   return m;
 }
 
-void expect_close(double fast, double legacy, const char* what) {
+void expect_close(double fast, double reference, const char* what) {
   // Bit-identical by construction; the tolerance states the contract.
-  EXPECT_DOUBLE_EQ(fast, legacy) << what;
-  const double tol = 1e-9 * std::max(1.0, std::abs(legacy));
-  EXPECT_NEAR(fast, legacy, tol) << what;
+  EXPECT_DOUBLE_EQ(fast, reference) << what;
+  const double tol = 1e-9 * std::max(1.0, std::abs(reference));
+  EXPECT_NEAR(fast, reference, tol) << what;
 }
 
 // ---- Full-evaluation equivalence -------------------------------------
+
+void expect_random_sets_match(const MvppEvaluator& eval, Rng& rng) {
+  FastMvppEvaluator fast(eval, eval.closures());
+  for (int trial = 0; trial < 40; ++trial) {
+    const MaterializedSet m =
+        random_operation_subset(eval.graph(), rng, rng.uniform01());
+    const MvppCosts reference = eval.evaluate(m);
+    const MvppCosts got = fast.evaluate(to_fast_set(m, fast.universe()));
+    expect_close(got.query_processing, reference.query_processing,
+                 "query_processing_cost");
+    expect_close(got.maintenance, reference.maintenance,
+                 "total_maintenance_cost");
+    expect_close(got.total(), reference.total(), "total_cost");
+  }
+}
 
 TEST(FastEvalEquivalenceTest, RandomSetsMatchLegacyEvaluator) {
   Rng rng(1234);
@@ -211,22 +249,57 @@ TEST(FastEvalEquivalenceTest, RandomSetsMatchLegacyEvaluator) {
          {star_workload(seed, 5), chain_workload(seed, 5)}) {
       for (const MaintenancePolicy& policy : all_policies()) {
         for (const IndexPolicy& index : all_index_policies()) {
-          const MvppEvaluator eval(w.graph, policy, index);
-          FastMvppEvaluator fast(eval, eval.closures());
-          for (int trial = 0; trial < 40; ++trial) {
-            const MaterializedSet m =
-                random_operation_subset(w.graph, rng, rng.uniform01());
-            const MvppCosts legacy = eval.evaluate(m);
-            const MvppCosts got =
-                fast.evaluate(to_fast_set(m, fast.universe()));
-            expect_close(got.query_processing, legacy.query_processing,
-                         "query_processing_cost");
-            expect_close(got.maintenance, legacy.maintenance,
-                         "total_maintenance_cost");
-            expect_close(got.total(), legacy.total(), "total_cost");
-          }
+          expect_random_sets_match(MvppEvaluator(w.graph, policy, index), rng);
+        }
+        SCOPED_TRACE("distributed");
+        expect_random_sets_match(
+            DistributedMvppEvaluator(w.graph, random_topology(w, rng), policy),
+            rng);
+      }
+    }
+  }
+}
+
+void expect_probes_match(const MvppEvaluator& eval, Rng& rng) {
+  const std::vector<NodeId> ops = eval.graph().operation_ids();
+  ASSERT_FALSE(ops.empty());
+  FastMvppEvaluator fast(eval, eval.closures());
+
+  MaterializedSet m = random_operation_subset(eval.graph(), rng, 0.4);
+  fast.load(to_fast_set(m, fast.universe()));
+  expect_close(fast.current_total(), eval.total_cost(m), "load");
+
+  for (int step = 0; step < 120; ++step) {
+    const NodeId v = ops[rng.index(ops.size())];
+    MaterializedSet toggled = m;
+    if (!toggled.erase(v)) toggled.insert(v);
+    expect_close(fast.probe_toggle(v), eval.total_cost(toggled),
+                 "probe_toggle");
+    expect_close(fast.delta_cost(v),
+                 eval.total_cost(toggled) - eval.total_cost(m), "delta_cost");
+
+    // Swap probe: any member against any non-member.
+    if (!m.empty() && m.size() < ops.size()) {
+      const NodeId out = *m.begin();
+      NodeId in = -1;
+      for (NodeId c : ops) {
+        if (!m.contains(c)) {
+          in = c;
+          break;
         }
       }
+      MaterializedSet swapped = m;
+      swapped.erase(out);
+      swapped.insert(in);
+      expect_close(fast.probe_swap(out, in), eval.total_cost(swapped),
+                   "probe_swap");
+    }
+
+    if (rng.chance(0.5)) {
+      fast.commit_toggle(v);
+      m = std::move(toggled);
+      expect_close(fast.current_total(), eval.total_cost(m), "commit_toggle");
+      EXPECT_EQ(to_materialized_set(fast.current()), m);
     }
   }
 }
@@ -236,98 +309,71 @@ TEST(FastEvalEquivalenceTest, IncrementalProbesMatchFullEvaluation) {
   for (std::uint64_t seed : {4u, 5u}) {
     for (const Workload& w :
          {star_workload(seed, 6), chain_workload(seed, 6)}) {
-      const std::vector<NodeId> ops = w.graph.operation_ids();
-      ASSERT_FALSE(ops.empty());
       for (const MaintenancePolicy& policy : all_policies()) {
         for (const IndexPolicy& index : all_index_policies()) {
-          const MvppEvaluator eval(w.graph, policy, index);
-          FastMvppEvaluator fast(eval, eval.closures());
-
-          MaterializedSet m = random_operation_subset(w.graph, rng, 0.4);
-          fast.load(to_fast_set(m, fast.universe()));
-          expect_close(fast.current_total(), eval.total_cost(m), "load");
-
-          for (int step = 0; step < 120; ++step) {
-            const NodeId v = ops[rng.index(ops.size())];
-            MaterializedSet toggled = m;
-            if (!toggled.erase(v)) toggled.insert(v);
-            expect_close(fast.probe_toggle(v), eval.total_cost(toggled),
-                         "probe_toggle");
-            expect_close(fast.delta_cost(v),
-                         eval.total_cost(toggled) - eval.total_cost(m),
-                         "delta_cost");
-
-            // Swap probe: any member against any non-member.
-            if (!m.empty() && m.size() < ops.size()) {
-              const NodeId out = *m.begin();
-              NodeId in = -1;
-              for (NodeId c : ops) {
-                if (!m.contains(c)) {
-                  in = c;
-                  break;
-                }
-              }
-              MaterializedSet swapped = m;
-              swapped.erase(out);
-              swapped.insert(in);
-              expect_close(fast.probe_swap(out, in),
-                           eval.total_cost(swapped), "probe_swap");
-            }
-
-            if (rng.chance(0.5)) {
-              fast.commit_toggle(v);
-              m = std::move(toggled);
-              expect_close(fast.current_total(), eval.total_cost(m),
-                           "commit_toggle");
-              EXPECT_EQ(to_materialized_set(fast.current()), m);
-            }
-          }
+          expect_probes_match(MvppEvaluator(w.graph, policy, index), rng);
         }
+        SCOPED_TRACE("distributed");
+        expect_probes_match(
+            DistributedMvppEvaluator(w.graph, random_topology(w, rng), policy),
+            rng);
       }
     }
   }
 }
 
-// ---- Selection algorithms: fast path vs legacy path ------------------
+// ---- Exact searches vs a brute-force loop over total_cost ------------
 
-void expect_same_selection(const SelectionResult& fast,
-                           const SelectionResult& legacy) {
-  EXPECT_EQ(fast.materialized, legacy.materialized);
-  EXPECT_DOUBLE_EQ(fast.costs.query_processing, legacy.costs.query_processing);
-  EXPECT_DOUBLE_EQ(fast.costs.maintenance, legacy.costs.maintenance);
-  EXPECT_EQ(fast.trace, legacy.trace);
+/// The serial reference for the 2^n searches: price every subset of the
+/// operation nodes with the std::set walk and keep the first strict
+/// improvement (lowest cost, then lowest mask). `budget` < 0 means none.
+MaterializedSet brute_force_optimum(const MvppEvaluator& eval,
+                                    double budget) {
+  const std::vector<NodeId> ops = eval.graph().operation_ids();
+  double best = std::numeric_limits<double>::infinity();
+  MaterializedSet best_set;
+  for (std::size_t mask = 0; mask < (std::size_t{1} << ops.size()); ++mask) {
+    MaterializedSet m;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (mask & (std::size_t{1} << i)) m.insert(ops[i]);
+    }
+    if (budget >= 0 && total_view_blocks(eval.graph(), m) > budget) continue;
+    const double cost = eval.total_cost(m);
+    if (cost < best) {
+      best = cost;
+      best_set = std::move(m);
+    }
+  }
+  return best_set;
 }
 
-TEST(FastEvalEquivalenceTest, AlgorithmsMatchLegacyPath) {
+void expect_exact_searches_match_brute_force(const MvppEvaluator& eval) {
+  const MvppGraph& g = eval.graph();
+  const SelectionResult exhaustive = exhaustive_optimal(eval);
+  const MaterializedSet brute = brute_force_optimum(eval, -1);
+  EXPECT_EQ(exhaustive.materialized, brute);
+  EXPECT_DOUBLE_EQ(exhaustive.costs.total(), eval.total_cost(brute));
+
+  const double budget =
+      0.5 * total_view_blocks(g, select_all_operations(eval).materialized);
+  const SelectionResult budgeted = budgeted_optimal(eval, budget);
+  const MaterializedSet brute_budgeted = brute_force_optimum(eval, budget);
+  EXPECT_EQ(budgeted.materialized, brute_budgeted);
+  EXPECT_DOUBLE_EQ(budgeted.costs.total(), eval.total_cost(brute_budgeted));
+}
+
+TEST(FastEvalEquivalenceTest, ExactSearchesMatchBruteForce) {
+  Rng rng(61);
   for (std::uint64_t seed : {6u, 7u}) {
     for (const Workload& w :
-         {star_workload(seed, 5), chain_workload(seed, 5)}) {
+         {star_workload(seed, 3), chain_workload(seed, 3)}) {
+      ASSERT_LE(w.graph.operation_ids().size(), 14u);
       for (const MaintenancePolicy& policy : all_policies()) {
-        const MvppEvaluator fast_eval(w.graph, policy);
-        const LegacyForcedEvaluator legacy_eval(w.graph, policy);
-
-        expect_same_selection(greedy_incremental(fast_eval),
-                              greedy_incremental(legacy_eval));
-        expect_same_selection(local_search(fast_eval, {}),
-                              local_search(legacy_eval, {}));
-        expect_same_selection(simulated_annealing(fast_eval),
-                              simulated_annealing(legacy_eval));
-        expect_same_selection(yang_heuristic(fast_eval),
-                              yang_heuristic(legacy_eval));
-
-        const double budget =
-            0.5 * total_view_blocks(w.graph,
-                                    select_all_operations(fast_eval)
-                                        .materialized);
-        expect_same_selection(budgeted_greedy(fast_eval, budget),
-                              budgeted_greedy(legacy_eval, budget));
-
-        if (w.graph.operation_ids().size() <= 16) {
-          expect_same_selection(exhaustive_optimal(fast_eval),
-                                exhaustive_optimal(legacy_eval));
-          expect_same_selection(budgeted_optimal(fast_eval, budget),
-                                budgeted_optimal(legacy_eval, budget));
-        }
+        expect_exact_searches_match_brute_force(
+            MvppEvaluator(w.graph, policy));
+        SCOPED_TRACE("distributed");
+        expect_exact_searches_match_brute_force(
+            DistributedMvppEvaluator(w.graph, random_topology(w, rng), policy));
       }
     }
   }
@@ -335,31 +381,38 @@ TEST(FastEvalEquivalenceTest, AlgorithmsMatchLegacyPath) {
 
 // ---- Parallel determinism --------------------------------------------
 
+void expect_parallel_matches_serial(const MvppEvaluator& eval) {
+  const SelectionResult serial = exhaustive_optimal(eval, 24, 1);
+  for (std::size_t threads : {2u, 3u, 8u}) {
+    const SelectionResult parallel = exhaustive_optimal(eval, 24, threads);
+    EXPECT_EQ(parallel.materialized, serial.materialized)
+        << "threads=" << threads;
+    EXPECT_DOUBLE_EQ(parallel.costs.total(), serial.costs.total());
+  }
+
+  const double budget =
+      0.4 * total_view_blocks(eval.graph(),
+                              select_all_operations(eval).materialized);
+  const SelectionResult bserial = budgeted_optimal(eval, budget, 22, 1);
+  for (std::size_t threads : {2u, 5u}) {
+    const SelectionResult bparallel =
+        budgeted_optimal(eval, budget, 22, threads);
+    EXPECT_EQ(bparallel.materialized, bserial.materialized)
+        << "threads=" << threads;
+    EXPECT_DOUBLE_EQ(bparallel.costs.total(), bserial.costs.total());
+  }
+}
+
 TEST(FastEvalEquivalenceTest, ParallelExhaustiveIsBitIdenticalToSerial) {
+  Rng rng(808);
   for (std::uint64_t seed : {8u, 9u, 10u}) {
     for (const Workload& w :
          {star_workload(seed, 6), chain_workload(seed, 6)}) {
       if (w.graph.operation_ids().size() > 18) continue;
-      const MvppEvaluator eval(w.graph);
-      const SelectionResult serial = exhaustive_optimal(eval, 24, 1);
-      for (std::size_t threads : {2u, 3u, 8u}) {
-        const SelectionResult parallel = exhaustive_optimal(eval, 24, threads);
-        EXPECT_EQ(parallel.materialized, serial.materialized)
-            << "threads=" << threads;
-        EXPECT_DOUBLE_EQ(parallel.costs.total(), serial.costs.total());
-      }
-
-      const double budget =
-          0.4 * total_view_blocks(w.graph,
-                                  select_all_operations(eval).materialized);
-      const SelectionResult bserial = budgeted_optimal(eval, budget, 22, 1);
-      for (std::size_t threads : {2u, 5u}) {
-        const SelectionResult bparallel =
-            budgeted_optimal(eval, budget, 22, threads);
-        EXPECT_EQ(bparallel.materialized, bserial.materialized)
-            << "threads=" << threads;
-        EXPECT_DOUBLE_EQ(bparallel.costs.total(), bserial.costs.total());
-      }
+      expect_parallel_matches_serial(MvppEvaluator(w.graph));
+      SCOPED_TRACE("distributed");
+      expect_parallel_matches_serial(
+          DistributedMvppEvaluator(w.graph, random_topology(w, rng)));
     }
   }
 }

@@ -100,6 +100,28 @@ TEST_F(SelectionTest, ExhaustiveRespectsCandidateLimit) {
   EXPECT_THROW(exhaustive_optimal(eval_, 3), PlanError);
 }
 
+TEST(SelectionLimitTest, MaskSearchesRejectCandidatesBeyondTheMaskWidth) {
+  // 76 candidates do not fit a 64-bit subset mask, so the 2^n searches
+  // must refuse them even when the caller's limit would allow it.
+  StarSchemaOptions schema;
+  schema.dimensions = 6;
+  const Catalog catalog = make_star_catalog(schema);
+  StarQueryOptions qopts;
+  qopts.count = 24;
+  qopts.seed = 3;
+  const std::vector<QuerySpec> queries =
+      generate_star_queries(catalog, schema, qopts);
+  const CostModel model(catalog, {});
+  const Optimizer optimizer(model);
+  const MvppBuilder builder(optimizer);
+  const MvppGraph g =
+      builder.build(queries, builder.initial_order(queries)).graph;
+  ASSERT_GE(g.operation_ids().size(), 64u);
+  const MvppEvaluator eval(g);
+  EXPECT_THROW(exhaustive_optimal(eval, 1000), PlanError);
+  EXPECT_THROW(budgeted_optimal(eval, 1e12, 1000), PlanError);
+}
+
 TEST_F(SelectionTest, GreedyNeverWorseThanTrivialStrategies) {
   const SelectionResult g = greedy_incremental(eval_);
   EXPECT_LE(g.costs.total(), select_nothing(eval_).costs.total() + 1e-6);
@@ -135,6 +157,8 @@ TEST_F(SelectionTest, BranchAndBoundPrunes) {
   const std::string& line = bnb.trace.front();
   const std::size_t visited = std::stoul(line.substr(line.find("visited ") + 8));
   EXPECT_LT(visited, 4095u / 2);
+  EXPECT_NE(line.find(" search nodes of 4095 possible"), std::string::npos)
+      << line;
 }
 
 TEST_F(SelectionTest, BranchAndBoundRespectsLimit) {

@@ -47,7 +47,7 @@ TEST(ValueTest, EqualityAcrossIncompatibleTypesIsFalseNotThrow) {
 }
 
 TEST(ValueTest, DateCivilRoundTrip) {
-  for (const auto [y, m, d] : {std::tuple{1970, 1, 1}, {1996, 7, 1},
+  for (const auto& [y, m, d] : {std::tuple{1970, 1, 1}, {1996, 7, 1},
                                {2000, 2, 29}, {1969, 12, 31}, {2026, 7, 7}}) {
     const std::int64_t days = Value::days_from_civil(y, m, d);
     int yy = 0, mm = 0, dd = 0;
