@@ -13,9 +13,9 @@
 // design's.
 //
 // `--measured [--smoke]` / `--smoke` — the *measured* Ext-N study: the
-// in-process sharded engine serving a point-lookup-heavy workload with
-// analytic rollups and incremental refresh batches at 1/2/4/8 shards over
-// the same hash-partitioned star data. Point lookups on the partition key
+// sharded executor serving a point-lookup-heavy workload with analytic
+// rollups, plus incremental refresh batches, at 1/2/4/8 shards over the
+// same hash-partitioned star data. Point lookups on the partition key
 // route to the owning shard and scan ~1/S of the fact table, so serving
 // throughput scales with the shard count even on one core; analytic
 // aggregates and refresh do the same total work at any shard count. Every
@@ -42,7 +42,6 @@
 #include "src/exec/sharded.hpp"
 #include "src/maintenance/update_stream.hpp"
 #include "src/mvpp/selection.hpp"
-#include "src/storage/sharded_table.hpp"
 #include "src/warehouse/designer.hpp"
 #include "src/workload/generator.hpp"
 #include "src/workload/paper_example.hpp"
@@ -154,9 +153,8 @@ int run_measured(bool smoke) {
   const Database db = populate_star_database(schema, 2026);
   const Catalog catalog = catalog_from_database(db, 10.0);
 
-  // A small warehouse design so refresh maintains real views: one global
-  // rollup (partial -> final aggregation) and one partitioned selection
-  // view (per-bucket incremental apply).
+  // A small warehouse design so refresh maintains real views: one rollup
+  // stored once and one selection view stored partitioned.
   WarehouseDesigner designer(catalog);
   designer.add_query(
       "Rollup", 5.0,
@@ -209,7 +207,7 @@ int run_measured(bool smoke) {
 
   std::vector<ShardRun> runs;
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    ShardedDatabase sdb = shard_database(db, shards, {{"Fact", "d0"}});
+    Database sdb = shard_database(db, shards, {{"Fact", "d0"}});
     designer.deploy(design, sdb);  // setup, untimed
     const ShardedExecutor exec(sdb);
 
@@ -230,7 +228,7 @@ int run_measured(bool smoke) {
     // incrementally maintain the deployed views.
     auto t3 = now();
     for (const DeltaSet& batch : batches) {
-      sdb.apply_base_deltas(batch);
+      apply_base_deltas(sdb, batch);
       designer.refresh(design, sdb, batch, RefreshMode::kIncremental);
     }
     auto t4 = now();
@@ -242,16 +240,11 @@ int run_measured(bool smoke) {
     auto t6 = now();
     run.point_secs += secs(t5, t6);
 
-    // Fingerprint the maintained view state too — refresh correctness is
-    // part of the determinism contract.
-    {
-      const MvppGraph& g = design.graph();
-      for (NodeId v : design.selection.materialized) {
-        const std::string& vname = g.node(v).name;
-        h = fingerprint(h, sdb.is_partitioned(vname)
-                               ? sdb.gathered(vname)
-                               : Table(sdb.coordinator().table(vname)));
-      }
+    // Fingerprint the maintained view state too (partitioned views are
+    // stored in bucket order) — refresh correctness is part of the
+    // determinism contract.
+    for (NodeId v : design.selection.materialized) {
+      h = fingerprint(h, sdb.table(design.graph().node(v).name));
     }
 
     run.total_secs = run.point_secs + run.analytic_secs + run.refresh_secs;

@@ -1,14 +1,16 @@
 // Exchange instrumentation for the sharded execution layer.
 //
 // The three exchange operators move rows between the coordinator and the
-// hash-partitioned buckets (src/storage/sharded_table.hpp):
+// buckets of a partitioned Database (src/storage/database.hpp):
 //
-//   shuffle    hash-route rows to their owning bucket (fact loads, fact
-//              delta routing during shard-aware refresh)
+//   shuffle    hash-route rows to their owning bucket (fact loads and
+//              base-delta rounds)
 //   broadcast  replicate rows to every shard (dimension tables and their
-//              deltas, global-view deltas consumed by partitioned views)
+//              deltas, deltas of views stored once that feed partitioned
+//              views during refresh)
 //   gather     collect per-bucket results / partial aggregates onto the
-//              coordinator in bucket order (the deterministic final merge)
+//              coordinator in bucket order (the deterministic final merge),
+//              and partitioned views' deltas that feed views stored once
 //
 // Everything is in-process, so an "exchange" is pointer traffic — but the
 // counts are the measured analogue of the §4.1 cost model's cross-site

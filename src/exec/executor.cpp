@@ -20,7 +20,8 @@ namespace mvd {
 /// locally (no registry traffic inside the plan walk) and flush once at
 /// the end of run().
 struct Executor::RunContext {
-  std::map<const LogicalOp*, TableRef> memo;
+  const RunScope* scope = nullptr;
+  std::map<const LogicalOp*, Rows> memo;
   double op_blocks[kExecOpKinds] = {};
   double op_rows[kExecOpKinds] = {};
 };
@@ -63,15 +64,6 @@ std::size_t default_exec_threads() {
   return static_cast<std::size_t>(n);
 }
 
-std::size_t default_exec_shards() {
-  const char* env = std::getenv("MVD_EXEC_SHARDS");
-  if (env == nullptr) return 0;
-  char* end = nullptr;
-  const unsigned long n = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0') return 0;
-  return static_cast<std::size_t>(n);
-}
-
 Executor::Executor(const Database& db, ExecMode mode, std::size_t threads)
     : db_(&db),
       mode_(mode),
@@ -86,7 +78,8 @@ Executor::Executor(std::shared_ptr<const Database> db, ExecMode mode,
   pinned_ = std::move(db);
 }
 
-Table Executor::run(const PlanPtr& plan, ExecStats* stats) const {
+Table Executor::run(const PlanPtr& plan, ExecStats* stats,
+                    const RunScope* scope) const {
   MVD_ASSERT(plan != nullptr);
   // Static pre-flight (MVD_CHECK=off|warn|error): reject plans that would
   // die row-by-row before any engine touches data.
@@ -109,10 +102,17 @@ Table Executor::run(const PlanPtr& plan, ExecStats* stats) const {
                  mode_ == ExecMode::kVectorized ? "vec-run" : "row-run");
   Table out = [&] {
     if (mode_ == ExecMode::kVectorized) {
-      return run_vectorized(*db_, plan, s, threads_, *column_cache_);
+      return run_vectorized(*db_, plan, s, threads_, *column_cache_, scope);
     }
     RunContext ctx;
-    Table t = *run_node(plan, s, ctx);
+    ctx.scope = scope;
+    if (scope != nullptr && scope->given_node != nullptr) {
+      ctx.memo.emplace(scope->given_node,
+                       Rows::all(TableRef(TableRef{}, scope->given)));
+    }
+    const Rows result = run_node(plan, s, ctx);
+    Table t = Table::rebind(result.schema(), *result.table, result.begin,
+                            result.end);
     if (publish) publish_op_tallies(engine, ctx.op_blocks, ctx.op_rows);
     return t;
   }();
@@ -133,14 +133,14 @@ Table Executor::run(const PlanPtr& plan, ExecStats* stats) const {
   return out;
 }
 
-Executor::TableRef Executor::run_node(const PlanPtr& plan, ExecStats* stats,
-                                      RunContext& ctx) const {
+Executor::Rows Executor::run_node(const PlanPtr& plan, ExecStats* stats,
+                                  RunContext& ctx) const {
   if (auto it = ctx.memo.find(plan.get()); it != ctx.memo.end()) {
     return it->second;
   }
   // Children first (left to right, as before), so the operator's span and
   // per-operator tallies cover only its own work.
-  std::vector<TableRef> in;
+  std::vector<Rows> in;
   in.reserve(plan->children().size());
   for (const PlanPtr& c : plan->children()) {
     in.push_back(run_node(c, stats, ctx));
@@ -150,10 +150,10 @@ Executor::TableRef Executor::run_node(const PlanPtr& plan, ExecStats* stats,
   const double rows0 = stats != nullptr ? stats->rows_scanned : 0;
   TraceSpan span("exec.row", kExecOpNames[static_cast<std::size_t>(
                                  plan->kind())]);
-  TableRef result;
+  Rows result;
   switch (plan->kind()) {
     case OpKind::kScan:
-      result = exec_scan(static_cast<const ScanOp&>(*plan), stats);
+      result = exec_scan(static_cast<const ScanOp&>(*plan), stats, ctx.scope);
       break;
     case OpKind::kSelect:
       result = exec_select(static_cast<const SelectOp&>(*plan), in[0], stats);
@@ -170,16 +170,16 @@ Executor::TableRef Executor::run_node(const PlanPtr& plan, ExecStats* stats,
                               stats);
       break;
   }
-  MVD_ASSERT(result != nullptr);
+  MVD_ASSERT(result.table != nullptr);
   if (stats != nullptr) {
-    stats->rows_out[plan->label()] = static_cast<double>(result->row_count());
+    stats->rows_out[plan->label()] = static_cast<double>(result.size());
     const auto k = static_cast<std::size_t>(plan->kind());
     ctx.op_blocks[k] += stats->blocks_read - blocks0;
     ctx.op_rows[k] += stats->rows_scanned - rows0;
   }
   if (span.active()) {
     span.arg("label", plan->label());
-    span.arg("rows_out", static_cast<double>(result->row_count()));
+    span.arg("rows_out", static_cast<double>(result.size()));
     if (stats != nullptr) {
       span.arg("blocks_read", stats->blocks_read - blocks0);
       span.arg("rows_scanned", stats->rows_scanned - rows0);
@@ -189,12 +189,19 @@ Executor::TableRef Executor::run_node(const PlanPtr& plan, ExecStats* stats,
   return result;
 }
 
-Executor::TableRef Executor::exec_scan(const ScanOp& op,
-                                       ExecStats* stats) const {
+Executor::Rows Executor::exec_scan(const ScanOp& op, ExecStats* stats,
+                                   const RunScope* scope) const {
   const Table& src = db_->table(op.relation());
+  // A bucket-scoped run reads only the bucket's row range.
+  std::size_t begin = 0;
+  std::size_t end = src.row_count();
+  if (scope != nullptr && scope->relation == op.relation()) {
+    begin = scope->begin;
+    end = scope->end;
+  }
   if (stats != nullptr) {
-    stats->blocks_read += src.blocks();
-    stats->rows_scanned += static_cast<double>(src.row_count());
+    stats->blocks_read += Table::blocks_of(end - begin, src.blocking_factor());
+    stats->rows_scanned += static_cast<double>(end - begin);
     stats->batches += 1;
   }
   if (src.schema().size() != op.output_schema().size()) {
@@ -205,56 +212,58 @@ Executor::TableRef Executor::exec_scan(const ScanOp& op,
   // table instead of copying it (the database outlives the run). Stored
   // views read back through named scans hit this path every time.
   if (src.schema() == op.output_schema()) {
-    return TableRef(TableRef{}, &src);
+    return Rows{TableRef(TableRef{}, &src), begin, end};
   }
   // Otherwise rebind under the plan's (qualified) schema so downstream
   // binding by qualified name works even when the stored table has bare
   // names — one bulk row copy, types validated per column.
-  return std::make_shared<Table>(Table::rebind(op.output_schema(), src));
+  auto rebound = std::make_shared<Table>(
+      Table::rebind(op.output_schema(), src, begin, end));
+  return Rows{rebound, 0, end - begin};
 }
 
-Executor::TableRef Executor::exec_select(const SelectOp& op,
-                                         const TableRef& in,
-                                         ExecStats* stats) const {
+Executor::Rows Executor::exec_select(const SelectOp& op, const Rows& in,
+                                     ExecStats* stats) const {
   if (stats != nullptr) {
-    stats->blocks_read += in->blocks();
-    stats->rows_scanned += static_cast<double>(in->row_count());
+    stats->blocks_read += in.blocks();
+    stats->rows_scanned += static_cast<double>(in.size());
     stats->batches += 1;
   }
-  const CompiledExpr pred(op.predicate(), in->schema());
-  auto out = std::make_shared<Table>(in->schema(), in->blocking_factor());
-  for (const Tuple& t : in->rows()) {
+  const CompiledExpr pred(op.predicate(), in.schema());
+  auto out =
+      std::make_shared<Table>(in.schema(), in.table->blocking_factor());
+  for (const Tuple& t : in.rows()) {
     if (pred.matches(t)) out->append(t);
   }
-  return out;
+  return Rows::all(std::move(out));
 }
 
-Executor::TableRef Executor::exec_project(const ProjectOp& op,
-                                          const TableRef& in) const {
+Executor::Rows Executor::exec_project(const ProjectOp& op,
+                                      const Rows& in) const {
   std::vector<std::size_t> indices;
   indices.reserve(op.columns().size());
   for (const std::string& c : op.columns()) {
-    indices.push_back(in->schema().index_of(c));
+    indices.push_back(in.schema().index_of(c));
   }
-  auto out = std::make_shared<Table>(op.output_schema(), in->blocking_factor());
-  for (const Tuple& t : in->rows()) {
+  auto out = std::make_shared<Table>(op.output_schema(),
+                                     in.table->blocking_factor());
+  for (const Tuple& t : in.rows()) {
     Tuple projected;
     projected.reserve(indices.size());
     for (std::size_t i : indices) projected.push_back(t[i]);
     out->append(std::move(projected));
   }
-  return out;
+  return Rows::all(std::move(out));
 }
 
-Executor::TableRef Executor::exec_join(const JoinOp& op, const TableRef& left,
-                                       const TableRef& right,
-                                       ExecStats* stats) const {
-  const Schema& ls = left->schema();
-  const Schema& rs = right->schema();
+Executor::Rows Executor::exec_join(const JoinOp& op, const Rows& left,
+                                   const Rows& right, ExecStats* stats) const {
+  const Schema& ls = left.schema();
+  const Schema& rs = right.schema();
   const JoinSplit split = split_join_predicate(op, ls, rs);
 
   auto out = std::make_shared<Table>(op.output_schema(),
-                                     left->blocking_factor());
+                                     left.table->blocking_factor());
   const Schema joint = Schema::concat(ls, rs);
   std::unique_ptr<CompiledExpr> residual;
   if (!split.residual.empty()) {
@@ -271,30 +280,28 @@ Executor::TableRef Executor::exec_join(const JoinOp& op, const TableRef& left,
   };
 
   if (stats != nullptr) {
-    stats->rows_scanned +=
-        static_cast<double>(left->row_count() + right->row_count());
+    stats->rows_scanned += static_cast<double>(left.size() + right.size());
     stats->batches += 2;
   }
   if (!split.equi.empty()) {
     // Build on the smaller side, probe with the larger.
-    const bool build_right = right->row_count() <= left->row_count();
-    const Table& build = build_right ? *right : *left;
-    const Table& probe = build_right ? *left : *right;
+    const bool build_right = right.size() <= left.size();
+    const std::span<const Tuple> build = (build_right ? right : left).rows();
+    const std::span<const Tuple> probe = (build_right ? left : right).rows();
     std::vector<std::size_t> build_idx, probe_idx;
     for (const auto& [li, ri] : split.equi) {
       build_idx.push_back(build_right ? ri : li);
       probe_idx.push_back(build_right ? li : ri);
     }
     std::unordered_multimap<std::size_t, std::size_t> table;
-    table.reserve(build.row_count());
-    for (std::size_t i = 0; i < build.row_count(); ++i) {
-      table.emplace(tuple_hash_key(build.row(i), build_idx), i);
+    table.reserve(build.size());
+    for (std::size_t i = 0; i < build.size(); ++i) {
+      table.emplace(tuple_hash_key(build[i], build_idx), i);
     }
-    for (std::size_t i = 0; i < probe.row_count(); ++i) {
-      const Tuple& p = probe.row(i);
+    for (const Tuple& p : probe) {
       auto [lo, hi] = table.equal_range(tuple_hash_key(p, probe_idx));
       for (auto it = lo; it != hi; ++it) {
-        const Tuple& b = build.row(it->second);
+        const Tuple& b = build[it->second];
         if (!tuple_keys_equal(p, probe_idx, b, build_idx)) continue;
         if (build_right) {
           emit(p, b);
@@ -303,32 +310,31 @@ Executor::TableRef Executor::exec_join(const JoinOp& op, const TableRef& left,
         }
       }
     }
-    if (stats != nullptr) stats->blocks_read += left->blocks() + right->blocks();
+    if (stats != nullptr) stats->blocks_read += left.blocks() + right.blocks();
   } else {
     // Nested loop (cross product or theta join).
-    for (const Tuple& l : left->rows()) {
-      for (const Tuple& r : right->rows()) emit(l, r);
+    for (const Tuple& l : left.rows()) {
+      for (const Tuple& r : right.rows()) emit(l, r);
     }
     if (stats != nullptr) {
       // Outer = the smaller input, matching CostModel::join_op_cost (the
       // previous formula charged the left side as outer unconditionally,
       // double-counting whenever the left input was the larger one).
-      const double outer = std::min(left->blocks(), right->blocks());
-      const double inner = std::max(left->blocks(), right->blocks());
+      const double outer = std::min(left.blocks(), right.blocks());
+      const double inner = std::max(left.blocks(), right.blocks());
       stats->blocks_read += outer + outer * inner;
     }
   }
-  return out;
+  return Rows::all(std::move(out));
 }
 
-Executor::TableRef Executor::exec_aggregate(const AggregateOp& op,
-                                            const TableRef& in,
-                                            ExecStats* stats) const {
+Executor::Rows Executor::exec_aggregate(const AggregateOp& op, const Rows& in,
+                                        ExecStats* stats) const {
   if (stats != nullptr) {
-    stats->rows_scanned += static_cast<double>(in->row_count());
+    stats->rows_scanned += static_cast<double>(in.size());
     stats->batches += 1;
   }
-  const Schema& is = in->schema();
+  const Schema& is = in.schema();
   std::vector<std::size_t> group_idx;
   for (const std::string& g : op.group_by()) {
     group_idx.push_back(is.index_of(g));
@@ -347,7 +353,7 @@ Executor::TableRef Executor::exec_aggregate(const AggregateOp& op,
   std::unordered_map<std::string, std::size_t> index;
   std::vector<Group> groups;
   std::string key;
-  for (const Tuple& t : in->rows()) {
+  for (const Tuple& t : in.rows()) {
     key.clear();
     for (std::size_t gi : group_idx) append_packed_key(key, t[gi]);
     auto [it, inserted] = index.try_emplace(key, groups.size());
@@ -369,7 +375,7 @@ Executor::TableRef Executor::exec_aggregate(const AggregateOp& op,
   }
 
   auto out = std::make_shared<Table>(op.output_schema(),
-                                     in->blocking_factor());
+                                     in.table->blocking_factor());
   const Schema& os = op.output_schema();
   for (const Group& g : groups) {
     Tuple row = g.key_values;
@@ -379,7 +385,7 @@ Executor::TableRef Executor::exec_aggregate(const AggregateOp& op,
     }
     out->append(std::move(row));
   }
-  return out;
+  return Rows::all(std::move(out));
 }
 
 bool same_bag(const Table& a, const Table& b) {

@@ -15,6 +15,8 @@
 
 #include <map>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/algebra/aggregate.hpp"
@@ -42,14 +44,15 @@ struct ExecStats {
   /// Incremental maintenance only: compacted delta rows (inserts + deletes)
   /// applied to each refreshed view, keyed by the view's MVPP node name.
   std::map<std::string, double> delta_rows;
-  /// Sharded execution only: rows/blocks moved by exchange operators
+  /// Partitioned databases only: rows/blocks moved by exchange operators
   /// (shuffle + broadcast + gather) during this run or refresh round.
   double rows_exchanged = 0;
   double blocks_exchanged = 0;
-  /// Sharded execution only: one entry per shard with that shard's own
-  /// counters (blocks read, rows out per node, ...). Empty for
-  /// single-site runs. Totals above include every shard plus coordinator
-  /// work (final merges, remainder plans).
+  /// Partitioned databases only: one entry per shard with that shard's
+  /// own counters (blocks read, rows out per node, stored rows of each
+  /// partitioned view after deploy/refresh, ...). Empty otherwise. Totals
+  /// above include every shard plus coordinator work (final merges,
+  /// remainder plans).
   std::vector<ExecStats> per_shard;
 };
 
@@ -67,12 +70,19 @@ const char* exec_mode_name(ExecMode mode);
 /// auto); 1 (serial) when unset or unparsable.
 std::size_t default_exec_threads();
 
-/// Shard count from MVD_EXEC_SHARDS; 0 (single-site execution, no
-/// sharded layer) when unset or unparsable. N >= 1 selects the sharded
-/// execution layer (src/exec/sharded.hpp) in shard-aware drivers (mvprof,
-/// benches) — N = 1 is the degenerate one-shard layout, still
-/// bucket-partitioned and bit-identical to any other shard count.
-std::size_t default_exec_shards();
+/// Narrows one Executor::run — how the sharded executor runs a plan over
+/// one bucket and finishes a merged aggregate (src/exec/sharded.hpp).
+struct RunScope {
+  /// When non-empty, scans of this relation read only its rows
+  /// [begin, end) — one bucket of a partitioned table.
+  std::string relation;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  /// When set, plan node `given_node` evaluates to `*given` instead of
+  /// being computed (the node's subtree is not run).
+  const LogicalOp* given_node = nullptr;
+  const Table* given = nullptr;
+};
 
 class ColumnTableCache;
 
@@ -93,27 +103,49 @@ class Executor {
 
   /// Execute `plan`. Scan nodes resolve by relation name in the database
   /// (base tables and stored views alike). Throws ExecError for unknown
-  /// relations, BindError for predicate binding failures.
-  Table run(const PlanPtr& plan, ExecStats* stats = nullptr) const;
+  /// relations, BindError for predicate binding failures. Concurrent
+  /// calls on one executor are safe (they share its column cache).
+  Table run(const PlanPtr& plan, ExecStats* stats = nullptr,
+            const RunScope* scope = nullptr) const;
 
  private:
   using TableRef = std::shared_ptr<const Table>;
+
+  /// A row-engine intermediate: rows [begin, end) of a shared table —
+  /// the whole table except below a bucket-scoped scan.
+  struct Rows {
+    TableRef table;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+
+    static Rows all(TableRef t) {
+      const std::size_t n = t->row_count();
+      return {std::move(t), 0, n};
+    }
+    std::span<const Tuple> rows() const {
+      return {table->rows().data() + begin, end - begin};
+    }
+    std::size_t size() const { return end - begin; }
+    double blocks() const {
+      return Table::blocks_of(size(), table->blocking_factor());
+    }
+    const Schema& schema() const { return table->schema(); }
+  };
 
   /// Per-run row-engine state: the shared-fragment memo plus per-operator
   /// work tallies flushed to the MetricsRegistry at the end of run().
   struct RunContext;
 
-  TableRef run_node(const PlanPtr& plan, ExecStats* stats,
-                    RunContext& ctx) const;
+  Rows run_node(const PlanPtr& plan, ExecStats* stats, RunContext& ctx) const;
 
-  TableRef exec_scan(const ScanOp& op, ExecStats* stats) const;
-  TableRef exec_select(const SelectOp& op, const TableRef& in,
-                       ExecStats* stats) const;
-  TableRef exec_project(const ProjectOp& op, const TableRef& in) const;
-  TableRef exec_join(const JoinOp& op, const TableRef& left,
-                     const TableRef& right, ExecStats* stats) const;
-  TableRef exec_aggregate(const AggregateOp& op, const TableRef& in,
-                          ExecStats* stats) const;
+  Rows exec_scan(const ScanOp& op, ExecStats* stats,
+                 const RunScope* scope) const;
+  Rows exec_select(const SelectOp& op, const Rows& in, ExecStats* stats) const;
+  Rows exec_project(const ProjectOp& op, const Rows& in) const;
+  Rows exec_join(const JoinOp& op, const Rows& left, const Rows& right,
+                 ExecStats* stats) const;
+  Rows exec_aggregate(const AggregateOp& op, const Rows& in,
+                      ExecStats* stats) const;
 
   const Database* db_;
   /// Set by the pinning constructor; keeps the snapshot alive for the

@@ -1,7 +1,7 @@
 #include "src/exec/sharded.hpp"
 
-#include <cmath>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -18,8 +18,7 @@ namespace {
 // Path count (not node count): a DAG node shared under two parents is
 // reached twice, which is exactly what matters — each reference would
 // need its own exchange.
-std::size_t count_partitioned_paths(const PlanPtr& node,
-                                    const ShardedDatabase& db,
+std::size_t count_partitioned_paths(const PlanPtr& node, const Database& db,
                                     const ScanOp** leaf) {
   if (node->kind() == OpKind::kScan) {
     const auto& scan = static_cast<const ScanOp&>(*node);
@@ -61,7 +60,7 @@ std::optional<std::size_t> try_find(const Schema& schema,
 // routes the query to the key's owning bucket (hence shard). Conservative:
 // equality conjuncts higher up the spine are not inspected.
 std::optional<std::size_t> find_route(
-    const std::vector<const LogicalOp*>& spine, const ShardedDatabase& db,
+    const std::vector<const LogicalOp*>& spine, const Database& db,
     const ScanOp& leaf) {
   const std::string* key = db.partition_key(leaf.relation());
   if (key == nullptr) return std::nullopt;
@@ -90,7 +89,7 @@ std::optional<std::size_t> find_route(
       auto idx = try_find(leaf.output_schema(),
                           static_cast<const ColumnExpr&>(*col).name());
       if (idx.has_value() && *idx == *key_idx) {
-        return ShardedTable::bucket_of(
+        return Database::bucket_of(
             static_cast<const LiteralExpr&>(*lit).value());
       }
     }
@@ -109,10 +108,21 @@ void add_stats(ExecStats& into, const ExecStats& from) {
   into.blocks_exchanged += from.blocks_exchanged;
 }
 
+void merge_shard_stats(ExecStats* stats, std::vector<ExecStats> shard_stats) {
+  if (stats == nullptr) return;
+  for (const ExecStats& s : shard_stats) add_stats(*stats, s);
+  if (stats->per_shard.size() != shard_stats.size()) {
+    stats->per_shard = std::move(shard_stats);
+  } else {
+    for (std::size_t s = 0; s < shard_stats.size(); ++s) {
+      add_stats(stats->per_shard[s], shard_stats[s]);
+    }
+  }
+}
+
 }  // namespace
 
-ShardPlanAnalysis analyze_shard_plan(const PlanPtr& plan,
-                                     const ShardedDatabase& db) {
+ShardPlanAnalysis analyze_shard_plan(const PlanPtr& plan, const Database& db) {
   ShardPlanAnalysis a;
   const ScanOp* leaf = nullptr;
   a.refs = count_partitioned_paths(plan, db, &leaf);
@@ -130,83 +140,113 @@ ShardPlanAnalysis analyze_shard_plan(const PlanPtr& plan,
   return a;
 }
 
-PlanPtr replace_subtree(const PlanPtr& plan, const LogicalOp* target,
-                        const PlanPtr& repl) {
-  if (plan.get() == target) return repl;
-  const std::vector<PlanPtr>& children = plan->children();
-  std::vector<PlanPtr> rebuilt;
-  rebuilt.reserve(children.size());
-  bool changed = false;
-  for (const PlanPtr& c : children) {
-    PlanPtr nc = replace_subtree(c, target, repl);
-    changed = changed || nc != c;
-    rebuilt.push_back(std::move(nc));
-  }
-  if (!changed) return plan;
-  switch (plan->kind()) {
-    case OpKind::kScan:
-      return plan;
-    case OpKind::kSelect:
-      return make_select(rebuilt[0],
-                         static_cast<const SelectOp&>(*plan).predicate());
-    case OpKind::kProject:
-      return make_project(rebuilt[0],
-                          static_cast<const ProjectOp&>(*plan).columns());
-    case OpKind::kJoin:
-      return make_join(rebuilt[0], rebuilt[1],
-                       static_cast<const JoinOp&>(*plan).predicate());
-    case OpKind::kAggregate: {
-      const auto& agg = static_cast<const AggregateOp&>(*plan);
-      return make_aggregate(rebuilt[0], agg.group_by(), agg.aggregates());
+Database shard_database(
+    const Database& db, std::size_t shards,
+    const std::map<std::string, std::string>& partition_keys) {
+  Database out = db;
+  out.set_shards(shards);
+  for (const std::string& name : out.table_names()) {
+    const Table& t = out.table(name);
+    const auto rows = static_cast<double>(t.row_count());
+    const auto it = partition_keys.find(name);
+    if (it != partition_keys.end()) {
+      MVD_TRACE_SPAN("exec.exchange", "shuffle");
+      out.partition(name, it->second);
+      record_shuffle(out.exchange_log(), rows, t.blocks());
+    } else {
+      MVD_TRACE_SPAN("exec.exchange", "broadcast");
+      record_broadcast(out.exchange_log(), rows, t.blocks(),
+                       approx_table_bytes(t), shards);
     }
   }
-  throw ExecError("replace_subtree: unknown operator kind");
+  return out;
 }
 
-ShardedExecutor::ShardedExecutor(ShardedDatabase& db, ExecMode mode,
+void apply_base_deltas(Database& db, const DeltaSet& deltas) {
+  for (const auto& [name, delta] : deltas) {
+    if (delta.empty()) continue;
+    db.apply_delta(name, delta);
+    const auto rows = static_cast<double>(delta.row_count());
+    if (const std::string* key = db.partition_key(name)) {
+      MVD_TRACE_SPAN("exec.exchange", "shuffle");
+      // Each bucket's share of the delta ships as its own blocks.
+      const std::size_t k = delta.schema().index_of(*key);
+      std::vector<std::size_t> inserts(Database::kBuckets);
+      std::vector<std::size_t> deletes(Database::kBuckets);
+      for (const Tuple& t : delta.inserts().rows()) {
+        ++inserts[Database::bucket_of(t[k])];
+      }
+      for (const Tuple& t : delta.deletes().rows()) {
+        ++deletes[Database::bucket_of(t[k])];
+      }
+      double blocks = 0;
+      for (std::size_t b = 0; b < Database::kBuckets; ++b) {
+        blocks += Table::blocks_of(inserts[b], delta.blocking_factor()) +
+                  Table::blocks_of(deletes[b], delta.blocking_factor());
+      }
+      record_shuffle(db.exchange_log(), rows, blocks);
+    } else {
+      MVD_TRACE_SPAN("exec.exchange", "broadcast");
+      record_broadcast(db.exchange_log(), rows, delta.blocks(),
+                       approx_delta_bytes(delta), db.shards());
+    }
+  }
+}
+
+void record_shard_rows(const Database& db, const std::string& name,
+                       ExecStats* stats) {
+  if (stats == nullptr || !db.is_partitioned(name)) return;
+  if (stats->per_shard.size() != db.shards()) {
+    stats->per_shard.assign(db.shards(), ExecStats{});
+  }
+  for (std::size_t s = 0; s < db.shards(); ++s) {
+    const auto [b0, b1] = db.bucket_range(s);
+    const std::size_t rows =
+        db.bucket_rows(name, b1 - 1).second - db.bucket_rows(name, b0).first;
+    stats->per_shard[s].rows_out[name] = static_cast<double>(rows);
+  }
+}
+
+ShardedExecutor::ShardedExecutor(Database& db, ExecMode mode,
                                  std::size_t threads)
-    : db_(&db), mode_(mode), threads_(threads) {
-  bucket_exec_.resize(ShardedDatabase::kBuckets);
-}
+    : db_(&db), exec_(db, mode, threads), threads_(threads) {}
 
-void ShardedExecutor::refresh_executors() const {
-  if (cached_generation_ == db_->generation()) return;
-  db_->sync_replicas();
-  for (std::size_t b = 0; b < ShardedDatabase::kBuckets; ++b) {
-    bucket_exec_[b] =
-        std::make_unique<Executor>(db_->bucket(b), mode_, threads_);
-  }
-  coord_exec_ =
-      std::make_unique<Executor>(db_->coordinator(), mode_, threads_);
-  cached_generation_ = db_->generation();
-}
-
-std::pair<std::size_t, std::size_t> ShardedExecutor::shard_span(
-    const ShardPlanAnalysis& a) const {
+template <typename Take>
+void ShardedExecutor::run_buckets(const PlanPtr& plan,
+                                  const ShardPlanAnalysis& a,
+                                  std::vector<ExecStats>& shard_stats,
+                                  Take&& take) const {
+  std::size_t s_begin = 0;
+  std::size_t s_end = db_->shards();
   if (a.route_bucket.has_value()) {
-    const std::size_t s = db_->shard_of_bucket(*a.route_bucket);
-    return {s, s + 1};
+    s_begin = db_->shard_of_bucket(*a.route_bucket);
+    s_end = s_begin + 1;
   }
-  return {0, db_->shards()};
-}
-
-void ShardedExecutor::merge_shard_stats(
-    ExecStats* stats, std::vector<ExecStats> shard_stats) const {
-  if (stats == nullptr) return;
-  for (const ExecStats& s : shard_stats) add_stats(*stats, s);
-  if (stats->per_shard.size() != shard_stats.size()) {
-    stats->per_shard = std::move(shard_stats);
-  } else {
-    for (std::size_t s = 0; s < shard_stats.size(); ++s) {
-      add_stats(stats->per_shard[s], shard_stats[s]);
-    }
-  }
+  const std::string& relation = a.leaf->relation();
+  parallel_shards(
+      s_end - s_begin, threads_,
+      [&](std::size_t, std::size_t wb, std::size_t we) {
+        for (std::size_t s = s_begin + wb; s < s_begin + we; ++s) {
+          const auto [b0, b1] = db_->bucket_range(s);
+          for (std::size_t b = b0; b < b1; ++b) {
+            RunScope scope;
+            scope.relation = relation;
+            std::tie(scope.begin, scope.end) = db_->bucket_rows(relation, b);
+            // Fresh stats per bucket run: Executor::run assigns rows_out
+            // by label, so sharing a slot would keep only the last
+            // bucket's counts.
+            ExecStats bucket_stats;
+            Table result = exec_.run(plan, &bucket_stats, &scope);
+            add_stats(shard_stats[s], bucket_stats);
+            take(s, b, std::move(result));
+          }
+        }
+      });
 }
 
 Table ShardedExecutor::run(const PlanPtr& plan, ExecStats* stats) const {
-  refresh_executors();
   const ShardPlanAnalysis a = analyze_shard_plan(plan, *db_);
-  if (a.refs == 0) return coord_exec_->run(plan, stats);
+  if (a.refs == 0) return exec_.run(plan, stats);
   if (a.refs > 1) {
     throw ExecError("sharded execution supports one partitioned-leaf "
                     "reference per plan (cross-shard repartitioning is not "
@@ -218,77 +258,30 @@ Table ShardedExecutor::run(const PlanPtr& plan, ExecStats* stats) const {
   }
 
   // Non-aggregate spine: full plan per bucket, bucket-order concat.
-  const auto [s_begin, s_end] = shard_span(a);
-  std::vector<std::optional<Table>> results(ShardedDatabase::kBuckets);
+  std::vector<std::optional<Table>> results(Database::kBuckets);
   std::vector<ExecStats> shard_stats(db_->shards());
-  parallel_shards(s_end - s_begin, threads_,
-                  [&](std::size_t, std::size_t wb, std::size_t we) {
-                    for (std::size_t s = s_begin + wb; s < s_begin + we; ++s) {
-                      const auto [b0, b1] = db_->bucket_range(s);
-                      for (std::size_t b = b0; b < b1; ++b) {
-                        // Fresh stats per bucket run: Executor::run
-                        // assigns rows_out by label, so sharing a slot
-                        // would keep only the last bucket's counts.
-                        ExecStats bucket_stats;
-                        results[b].emplace(
-                            bucket_exec_[b]->run(plan, &bucket_stats));
-                        add_stats(shard_stats[s], bucket_stats);
-                      }
-                    }
-                  });
+  run_buckets(plan, a, shard_stats,
+              [&](std::size_t, std::size_t b, Table t) {
+                results[b].emplace(std::move(t));
+              });
 
   MVD_TRACE_SPAN("exec.exchange", "gather");
-  const auto [b_first, b_last] = db_->bucket_range(s_begin);
-  (void)b_last;
-  Table out(results[b_first]->schema(), results[b_first]->blocking_factor());
+  std::optional<Table> out;
   double gather_blocks = 0;
-  for (std::size_t b = 0; b < ShardedDatabase::kBuckets; ++b) {
-    if (!results[b].has_value()) continue;
-    gather_blocks += results[b]->blocks();
-    for (const Tuple& row : results[b]->rows()) out.append(row);
+  for (const std::optional<Table>& r : results) {
+    if (!r.has_value()) continue;
+    if (!out.has_value()) out.emplace(r->schema(), r->blocking_factor());
+    gather_blocks += r->blocks();
+    for (const Tuple& row : r->rows()) out->append(row);
   }
-  record_gather(db_->exchange_log(), static_cast<double>(out.row_count()),
-                gather_blocks);
+  const auto rows = static_cast<double>(out->row_count());
+  record_gather(db_->exchange_log(), rows, gather_blocks);
   if (stats != nullptr) {
-    stats->rows_exchanged += static_cast<double>(out.row_count());
+    stats->rows_exchanged += rows;
     stats->blocks_exchanged += gather_blocks;
   }
   merge_shard_stats(stats, std::move(shard_stats));
-  return out;
-}
-
-std::vector<Table> ShardedExecutor::run_partitioned(const PlanPtr& plan,
-                                                    ExecStats* stats) const {
-  refresh_executors();
-  const ShardPlanAnalysis a = analyze_shard_plan(plan, *db_);
-  if (a.refs != 1 || a.spine_aggregate != nullptr) {
-    throw ExecError("run_partitioned needs exactly one partitioned leaf and "
-                    "no aggregate on its spine");
-  }
-  std::vector<std::optional<Table>> results(ShardedDatabase::kBuckets);
-  std::vector<ExecStats> shard_stats(db_->shards());
-  parallel_shards(db_->shards(), threads_,
-                  [&](std::size_t, std::size_t sb, std::size_t se) {
-                    for (std::size_t s = sb; s < se; ++s) {
-                      const auto [b0, b1] = db_->bucket_range(s);
-                      for (std::size_t b = b0; b < b1; ++b) {
-                        // Fresh stats per bucket run: Executor::run
-                        // assigns rows_out by label, so sharing a slot
-                        // would keep only the last bucket's counts.
-                        ExecStats bucket_stats;
-                        results[b].emplace(
-                            bucket_exec_[b]->run(plan, &bucket_stats));
-                        add_stats(shard_stats[s], bucket_stats);
-                      }
-                    }
-                  });
-  merge_shard_stats(stats, std::move(shard_stats));
-  std::vector<Table> out;
-  out.reserve(ShardedDatabase::kBuckets);
-  for (std::size_t b = 0; b < ShardedDatabase::kBuckets; ++b) {
-    out.push_back(std::move(*results[b]));
-  }
-  return out;
+  return std::move(*out);
 }
 
 Table ShardedExecutor::run_spine_aggregate(const PlanPtr& plan,
@@ -315,47 +308,37 @@ Table ShardedExecutor::run_spine_aggregate(const PlanPtr& plan,
     std::vector<std::vector<Accumulator>> accs;
     double bf = 10.0;
   };
-  std::vector<std::optional<Partial>> partials(ShardedDatabase::kBuckets);
+  std::vector<std::optional<Partial>> partials(Database::kBuckets);
   std::vector<ExecStats> shard_stats(db_->shards());
-  const auto [s_begin, s_end] = shard_span(a);
-  parallel_shards(
-      s_end - s_begin, threads_,
-      [&](std::size_t, std::size_t wb, std::size_t we) {
-        for (std::size_t s = s_begin + wb; s < s_begin + we; ++s) {
-          const auto [b0, b1] = db_->bucket_range(s);
-          for (std::size_t b = b0; b < b1; ++b) {
-            ExecStats bucket_stats;
-            const Table in = bucket_exec_[b]->run(child, &bucket_stats);
-            add_stats(shard_stats[s], bucket_stats);
-            shard_stats[s].rows_scanned +=
-                static_cast<double>(in.row_count());
-            shard_stats[s].batches += 1;
-            Partial p;
-            p.bf = in.blocking_factor();
-            std::unordered_map<std::string, std::size_t> index;
-            std::string key;
-            for (const Tuple& t : in.rows()) {
-              key.clear();
-              for (std::size_t gi : group_idx) append_packed_key(key, t[gi]);
-              auto [it, inserted] = index.try_emplace(key, p.keys.size());
-              if (inserted) {
-                Tuple kv;
-                kv.reserve(group_idx.size());
-                for (std::size_t gi : group_idx) kv.push_back(t[gi]);
-                p.keys.push_back(std::move(kv));
-                p.accs.emplace_back(agg.aggregates().size());
-              }
-              std::vector<Accumulator>& accs = p.accs[it->second];
-              for (std::size_t j = 0; j < agg_idx.size(); ++j) {
-                accs[j].feed(agg_idx[j] == SIZE_MAX ? Value::int64(1)
-                                                    : t[agg_idx[j]]);
-              }
-            }
-            shard_stats[s].rows_out["partial(" + agg.label() + ")"] +=
-                static_cast<double>(p.keys.size());
-            partials[b].emplace(std::move(p));
+  const std::string partial_label = "partial(" + agg.label() + ")";
+  run_buckets(
+      child, a, shard_stats, [&](std::size_t s, std::size_t b, Table in) {
+        shard_stats[s].rows_scanned += static_cast<double>(in.row_count());
+        shard_stats[s].batches += 1;
+        Partial p;
+        p.bf = in.blocking_factor();
+        std::unordered_map<std::string, std::size_t> index;
+        std::string key;
+        for (const Tuple& t : in.rows()) {
+          key.clear();
+          for (std::size_t gi : group_idx) append_packed_key(key, t[gi]);
+          auto [it, inserted] = index.try_emplace(key, p.keys.size());
+          if (inserted) {
+            Tuple kv;
+            kv.reserve(group_idx.size());
+            for (std::size_t gi : group_idx) kv.push_back(t[gi]);
+            p.keys.push_back(std::move(kv));
+            p.accs.emplace_back(agg.aggregates().size());
+          }
+          std::vector<Accumulator>& accs = p.accs[it->second];
+          for (std::size_t j = 0; j < agg_idx.size(); ++j) {
+            accs[j].feed(agg_idx[j] == SIZE_MAX ? Value::int64(1)
+                                                : t[agg_idx[j]]);
           }
         }
+        shard_stats[s].rows_out[partial_label] +=
+            static_cast<double>(p.keys.size());
+        partials[b].emplace(std::move(p));
       });
 
   // Final merge on the calling thread, buckets in ascending order: group
@@ -367,18 +350,14 @@ Table ShardedExecutor::run_spine_aggregate(const PlanPtr& plan,
   std::unordered_map<std::string, std::size_t> index;
   double partial_rows = 0;
   double partial_blocks = 0;
-  double bf = 10.0;
-  bool bf_set = false;
+  std::optional<double> bf;
   std::string key;
-  for (std::size_t b = 0; b < ShardedDatabase::kBuckets; ++b) {
-    if (!partials[b].has_value()) continue;
-    Partial& p = *partials[b];
-    if (!bf_set) {
-      bf = p.bf;
-      bf_set = true;
-    }
+  for (std::optional<Partial>& slot : partials) {
+    if (!slot.has_value()) continue;
+    Partial& p = *slot;
+    if (!bf.has_value()) bf = p.bf;
     partial_rows += static_cast<double>(p.keys.size());
-    partial_blocks += std::ceil(static_cast<double>(p.keys.size()) / p.bf);
+    partial_blocks += Table::blocks_of(p.keys.size(), p.bf);
     for (std::size_t g = 0; g < p.keys.size(); ++g) {
       key.clear();
       for (const Value& v : p.keys[g]) append_packed_key(key, v);
@@ -400,7 +379,7 @@ Table ShardedExecutor::run_spine_aggregate(const PlanPtr& plan,
   }
 
   const Schema& os = agg.output_schema();
-  Table merged(os, bf);
+  Table merged(os, bf.value_or(10.0));
   for (std::size_t g = 0; g < keys.size(); ++g) {
     Tuple row = std::move(keys[g]);
     for (std::size_t j = 0; j < accs[g].size(); ++j) {
@@ -420,23 +399,12 @@ Table ShardedExecutor::run_spine_aggregate(const PlanPtr& plan,
 
   if (a.spine_aggregate == plan.get()) return merged;
 
-  // The aggregate was interior: run the plan's remainder over the merged
-  // partials at the coordinator (a fresh executor — the temp table's
-  // lifetime must not outlive this call in any column cache).
-  const std::string tmp = "__shard_partial";
-  db_->coordinator().put_table(tmp, std::move(merged));
-  std::optional<Table> out;
-  try {
-    const PlanPtr remainder = replace_subtree(
-        plan, a.spine_aggregate, make_named_scan(tmp, agg.output_schema()));
-    const Executor exec(db_->coordinator(), mode_, threads_);
-    out.emplace(exec.run(remainder, stats));
-  } catch (...) {
-    db_->coordinator().drop_table(tmp);
-    throw;
-  }
-  db_->coordinator().drop_table(tmp);
-  return std::move(*out);
+  // The aggregate was interior: run the plan's remainder with the merged
+  // result standing in for the aggregate's subtree.
+  RunScope scope;
+  scope.given_node = a.spine_aggregate;
+  scope.given = &merged;
+  return exec_.run(plan, stats, &scope);
 }
 
 }  // namespace mvd

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -18,14 +17,16 @@
 
 namespace mvd {
 
-std::shared_ptr<const ColumnTable> ColumnTableCache::get(const Table& table) {
+std::shared_ptr<const ColumnTable> ColumnTableCache::get(
+    const Table& table, std::uint64_t version) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   auto it = cache_.find(&table);
-  if (it != cache_.end() && it->second.rows == table.row_count()) {
+  if (it != cache_.end() && it->second.version == version) {
     return it->second.data;
   }
   auto data =
       std::make_shared<const ColumnTable>(ColumnTable::from_table(table));
-  cache_[&table] = {table.row_count(), data};
+  cache_[&table] = {version, data};
   return data;
 }
 
@@ -37,24 +38,21 @@ namespace {
 /// data; join and aggregate compact into fresh ColumnTables.
 struct VecRel {
   std::shared_ptr<const ColumnTable> data;
-  bool identity = false;           // all physical rows, in order
+  bool identity = false;           // the dense physical rows [lo, hi)
+  std::size_t lo = 0;              // used when identity
+  std::size_t hi = 0;
   std::vector<std::uint32_t> sel;  // used when !identity
   std::vector<std::size_t> cols;   // logical col -> physical col
   Schema schema;                   // logical schema of this result
   double blocking_factor = 10.0;
 
-  std::size_t active_rows() const {
-    return identity ? data->row_count() : sel.size();
-  }
+  std::size_t active_rows() const { return identity ? hi - lo : sel.size(); }
   /// Same accounting as Table::blocks() over the active row count.
   double blocks() const {
-    const std::size_t n = active_rows();
-    if (n == 0) return 0;
-    return std::max(1.0,
-                    std::ceil(static_cast<double>(n) / blocking_factor));
+    return Table::blocks_of(active_rows(), blocking_factor);
   }
   std::uint32_t physical(std::size_t i) const {
-    return identity ? static_cast<std::uint32_t>(i) : sel[i];
+    return identity ? static_cast<std::uint32_t>(lo + i) : sel[i];
   }
 };
 
@@ -64,6 +62,7 @@ VecRel identity_rel(std::shared_ptr<const ColumnTable> data, Schema schema,
   VecRel r;
   r.data = std::move(data);
   r.identity = true;
+  r.hi = r.data->row_count();
   r.cols.resize(schema.size());
   std::iota(r.cols.begin(), r.cols.end(), std::size_t{0});
   r.schema = std::move(schema);
@@ -469,11 +468,19 @@ bool packed_aggregate_ok(const AggregateOp& op, const ColumnTable& data,
 class VectorizedEngine {
  public:
   VectorizedEngine(const Database& db, ExecStats* stats, std::size_t threads,
-                   ColumnTableCache& cache)
-      : db_(&db), stats_(stats), threads_(threads), cache_(&cache) {}
+                   ColumnTableCache& cache, const RunScope* scope)
+      : db_(&db), stats_(stats), threads_(threads), cache_(&cache),
+        scope_(scope) {}
 
   Table run(const PlanPtr& plan) {
     MVD_ASSERT(plan != nullptr);
+    if (scope_ != nullptr && scope_->given_node != nullptr) {
+      const Table& given = *scope_->given;
+      memo_.emplace(scope_->given_node,
+                    identity_rel(std::make_shared<const ColumnTable>(
+                                     ColumnTable::from_table(given)),
+                                 given.schema(), given.blocking_factor()));
+    }
     Table out = sink(node(plan));
     if (counters_enabled() && stats_ != nullptr) {
       publish_op_tallies("vec", op_blocks_, op_rows_);
@@ -551,8 +558,13 @@ class VectorizedEngine {
     }
     // Rebinding to the plan's (qualified) schema is free: only the
     // logical schema changes, the arrays are shared.
-    VecRel r = identity_rel(cache_->get(src), op.output_schema(),
-                            src.blocking_factor());
+    VecRel r = identity_rel(cache_->get(src, db_->version(op.relation())),
+                            op.output_schema(), src.blocking_factor());
+    // A bucket-scoped run reads only the bucket's row range.
+    if (scope_ != nullptr && scope_->relation == op.relation()) {
+      r.lo = scope_->begin;
+      r.hi = scope_->end;
+    }
     for (std::size_t c = 0; c < src.schema().size(); ++c) {
       if (column_kind(op.output_schema().at(c).type) != r.data->kind(c)) {
         throw ExecError("stored table '" + op.relation() +
@@ -586,8 +598,8 @@ class VectorizedEngine {
             const std::size_t kept =
                 in.identity
                     ? pred.filter_range(*in.data, in.cols,
-                                        static_cast<std::uint32_t>(lo),
-                                        static_cast<std::uint32_t>(hi),
+                                        static_cast<std::uint32_t>(in.lo + lo),
+                                        static_cast<std::uint32_t>(in.lo + hi),
                                         buf.data())
                     : pred.filter_batch(*in.data, in.cols,
                                         in.sel.data() + lo, hi - lo,
@@ -623,6 +635,8 @@ class VectorizedEngine {
     VecRel r;
     r.data = in.data;
     r.identity = in.identity;
+    r.lo = in.lo;
+    r.hi = in.hi;
     r.sel = in.sel;
     r.schema = op.output_schema();
     r.blocking_factor = in.blocking_factor;
@@ -803,12 +817,13 @@ class VectorizedEngine {
     return gather_join(op, left, right, lrows, rrows);
   }
 
-  /// Hash aggregation shared by both group-key encodings: a single pass at
-  /// one thread (or one morsel), otherwise per-morsel partials merged in
-  /// morsel order — the same partial boundaries and merge order either
-  /// way, so group order and floating-point sums do not depend on the
-  /// thread count. `key_of(key, row)` encodes a row's group key and
-  /// `feed(states, row)` folds the row into its group's `width` states.
+  /// Hash aggregation shared by both group-key encodings: a single pass
+  /// over a one-morsel input, otherwise per-morsel partials merged in
+  /// morsel order at any thread count — the partial boundaries and merge
+  /// order depend only on the input, so group order and floating-point
+  /// sums do not depend on the thread count. `key_of(key, row)` encodes
+  /// a row's group key and `feed(states, row)` folds the row into its
+  /// group's `width` states.
   template <typename Key, typename Index, typename State, typename KeyOf,
             typename Feed>
   GroupTable<Key, Index, State> group_rows(const VecRel& in, std::size_t width,
@@ -827,7 +842,7 @@ class VectorizedEngine {
       }
     };
     Groups global;
-    if (threads_ <= 1 || morsels <= 1) {
+    if (morsels <= 1) {
       add_rows(global, 0, n);
       return global;
     }
@@ -981,6 +996,7 @@ class VectorizedEngine {
   ExecStats* stats_;
   std::size_t threads_;
   ColumnTableCache* cache_;
+  const RunScope* scope_;
   std::map<const LogicalOp*, VecRel> memo_;
   /// Per-operator work tallies (indexed by OpKind), flushed once at the
   /// end of run() under the same names as the row engine.
@@ -991,8 +1007,9 @@ class VectorizedEngine {
 }  // namespace
 
 Table run_vectorized(const Database& db, const PlanPtr& plan, ExecStats* stats,
-                     std::size_t threads, ColumnTableCache& cache) {
-  VectorizedEngine engine(db, stats, threads, cache);
+                     std::size_t threads, ColumnTableCache& cache,
+                     const RunScope* scope) {
+  VectorizedEngine engine(db, stats, threads, cache, scope);
   return engine.run(plan);
 }
 

@@ -14,8 +14,10 @@
 // two-word key. See DESIGN.md §10.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 
 #include "src/exec/executor.hpp"
 #include "src/storage/column_table.hpp"
@@ -23,19 +25,21 @@
 namespace mvd {
 
 /// Memoized columnar conversions of stored tables, keyed by table
-/// identity. An entry is invalidated when the table's row count changes;
-/// callers that mutate stored tables in place between runs without
-/// changing the row count must use a fresh Executor (constructing one is
-/// free — the cache fills lazily).
+/// identity. An entry is invalidated when the table's Database::version
+/// changes, so a database mutated between runs is re-read. Thread-safe:
+/// concurrent runs of one executor (the sharded executor's bucket runs)
+/// convert each table once and share the result.
 class ColumnTableCache {
  public:
-  std::shared_ptr<const ColumnTable> get(const Table& table);
+  std::shared_ptr<const ColumnTable> get(const Table& table,
+                                         std::uint64_t version);
 
  private:
   struct Entry {
-    std::size_t rows = 0;
+    std::uint64_t version = 0;
     std::shared_ptr<const ColumnTable> data;
   };
+  std::mutex mutex_;
   std::map<const Table*, Entry> cache_;
 };
 
@@ -43,8 +47,10 @@ class ColumnTableCache {
 /// same bag of tuples, same ExecStats block accounting, same rows_out
 /// entries; only row order may differ between the two engines (and is
 /// itself deterministic per engine). `threads` is the morsel worker
-/// count (1 = serial, 0 = hardware auto).
+/// count (1 = serial, 0 = hardware auto); `scope` narrows the run as in
+/// Executor::run.
 Table run_vectorized(const Database& db, const PlanPtr& plan, ExecStats* stats,
-                     std::size_t threads, ColumnTableCache& cache);
+                     std::size_t threads, ColumnTableCache& cache,
+                     const RunScope* scope = nullptr);
 
 }  // namespace mvd

@@ -1,8 +1,8 @@
 // Sharded-execution consistency rules: when a deploy/refresh ran against
-// a ShardedDatabase, the per-shard counters it records must reconcile
-// with the recorded totals — a shard whose slice went missing (or was
-// double-counted) shows up as a sum mismatch long before a query reads
-// the hole.
+// a partitioned Database, the per-shard counters it records must
+// reconcile with the recorded totals — a shard whose bucket rows went
+// missing (or were double-counted) shows up as a sum mismatch long before
+// a query reads the hole.
 #include <cmath>
 
 #include "src/common/strings.hpp"
@@ -14,13 +14,13 @@ namespace mvd {
 namespace {
 
 void check_shard_stats_consistent(const LintContext& ctx, RuleEmitter& out) {
-  // Sharded deploy records, for every hash-partitioned view, the view's
-  // total stored rows in stats->rows_out[name] and each shard's slice
-  // rows in stats->per_shard[s].rows_out[name]. The slices partition the
+  // Deploy and refresh record, for every hash-partitioned view, the
+  // view's total stored rows in stats->rows_out[name] and each shard's
+  // rows in stats->per_shard[s].rows_out[name]. The shards partition the
   // view, so the per-shard counts must sum to the recorded total; a
-  // mismatch means a shard's slice drifted (lost bucket, double
+  // mismatch means a shard's rows drifted (lost bucket, double
   // application, stats recorded from a different run). Views with no
-  // per-shard entry are coordinator-resident and skip.
+  // per-shard entry are stored once and skip.
   if (ctx.exec_stats == nullptr || ctx.exec_stats->per_shard.empty()) return;
   const MvppGraph& g = *ctx.graph;
   for (const LintContext::SelectionCheck& check : ctx.selections) {

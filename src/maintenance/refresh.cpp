@@ -9,6 +9,7 @@
 #include "src/check/check.hpp"
 #include "src/common/error.hpp"
 #include "src/exec/exec_internal.hpp"
+#include "src/exec/sharded.hpp"
 #include "src/mvpp/rewrite.hpp"
 #include "src/obs/publish.hpp"
 #include "src/obs/trace.hpp"
@@ -92,7 +93,7 @@ struct GroupDelta {
 
 }  // namespace
 
-// See refresh.hpp — shared with the sharded refresh driver.
+// See refresh.hpp.
 std::optional<GroupApplyResult> maintain_aggregate_view(
     const AggregateOp& op, const Table& stored,
     const DeltaTable& child_delta) {
@@ -343,6 +344,33 @@ void fold_stats(ExecStats* into, const ExecStats& from) {
   for (const auto& [k, v] : from.delta_rows) into->delta_rows[k] = v;
 }
 
+/// The transfer a partitioned layout pays for one view's delta (DESIGN.md
+/// §15): a partitioned view's delta feeding a view stored once is
+/// gathered; the delta of a view stored once that feeds a partitioned
+/// view is broadcast to every shard.
+void charge_exchange(Database& db, const std::string& name,
+                     const DeltaTable& delta, bool feeds_global,
+                     bool feeds_partitioned, ExecStats* stats) {
+  auto rows = static_cast<double>(delta.row_count());
+  double blocks = delta.blocks();
+  if (db.is_partitioned(name)) {
+    if (!feeds_global) return;
+    MVD_TRACE_SPAN("exec.exchange", "gather");
+    record_gather(db.exchange_log(), rows, blocks);
+  } else {
+    if (!feeds_partitioned) return;
+    MVD_TRACE_SPAN("exec.exchange", "broadcast");
+    record_broadcast(db.exchange_log(), rows, blocks, approx_delta_bytes(delta),
+                     db.shards());
+    rows *= static_cast<double>(db.shards());
+    blocks *= static_cast<double>(db.shards());
+  }
+  if (stats != nullptr) {
+    stats->rows_exchanged += rows;
+    stats->blocks_exchanged += blocks;
+  }
+}
+
 }  // namespace
 
 RefreshReport incremental_refresh(const MvppGraph& graph,
@@ -386,9 +414,18 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
         stats->rows_out[name] = entry.stored_rows;
         stats->delta_rows[name] = 0;
       }
+      record_shard_rows(db, name, stats);
       annotate(view_span, entry);
       report.views.push_back(std::move(entry));
       continue;
+    }
+    // The stored ancestors consuming this view's delta, by placement.
+    bool feeds_global = false;
+    bool feeds_partitioned = false;
+    for (NodeId a : graph.ancestors(v)) {
+      if (!m.contains(a)) continue;
+      (db.is_partitioned(graph.node(a).name) ? feeds_partitioned
+                                             : feeds_global) = true;
     }
 
     ExecStats local;
@@ -417,7 +454,7 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
       auto delta = prop.propagate(plan, &local);
       if (delta.has_value()) {
         const DeltaTable compact = delta->compacted();
-        Table& stored = db.mutable_table(name);
+        const Table& stored = db.table(name);
         // Applying charges the delta; a batch with deletes additionally
         // rewrites the stored table.
         local.blocks_read += compact.blocks();
@@ -425,7 +462,7 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
           local.blocks_read += stored.blocks();
           local.rows_scanned += static_cast<double>(stored.row_count());
         }
-        apply_delta(stored, compact);
+        db.apply_delta(name, compact);
         view_delta = compact;
         entry.path = RefreshPath::kApplied;
         entry.delta_rows = static_cast<double>(compact.row_count());
@@ -436,13 +473,7 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
       // Fallback: recompute from the frontier (the propagator memoized any
       // full sides it already produced, so partial work is reused).
       const Table& fresh = prop.full(plan, &local);
-      const bool ancestor_in_m = [&] {
-        for (NodeId a : graph.ancestors(v)) {
-          if (m.contains(a)) return true;
-        }
-        return false;
-      }();
-      if (ancestor_in_m) {
+      if (feeds_global || feeds_partitioned) {
         DeltaTable diffed = DeltaTable::diff(db.table(name), fresh);
         entry.delta_rows = static_cast<double>(diffed.row_count());
         view_delta = std::move(diffed);
@@ -452,6 +483,10 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
     }
 
     if (view_delta.has_value()) {
+      if (!view_delta->empty()) {
+        charge_exchange(db, name, *view_delta, feeds_global,
+                        feeds_partitioned, stats);
+      }
       frontier.insert_or_assign(name, std::move(*view_delta));
     }
     entry.stored_rows = static_cast<double>(db.table(name).row_count());
@@ -459,6 +494,7 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
     local.rows_out[name] = entry.stored_rows;
     local.delta_rows[name] = entry.delta_rows;
     fold_stats(stats, local);
+    record_shard_rows(db, name, stats);
     annotate(view_span, entry);
     report.views.push_back(std::move(entry));
   }

@@ -94,7 +94,7 @@ struct GroupApplyResult {
 /// to detect emptied groups, or a delete reaching a stored MIN/MAX —
 /// in which case the caller recomputes. Throws ExecError when the delta
 /// disagrees with the stored view (negative counts, deletes into absent
-/// groups). Shared by the single-site and sharded refresh drivers.
+/// groups).
 std::optional<GroupApplyResult> maintain_aggregate_view(
     const AggregateOp& op, const Table& stored, const DeltaTable& child_delta);
 
@@ -107,6 +107,12 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
 /// stats->delta_rows (mirroring deploy, so the exec-rows lint rules keep
 /// working). Throws ExecError when a delta deletes rows a stored view
 /// does not contain (stale or externally modified warehouse).
+///
+/// Over a partitioned `db` (DESIGN.md §15) the same walk runs on the
+/// whole tables: stored views keep their layout, per-shard stored rows of
+/// partitioned views land in stats->per_shard, and each view's delta is
+/// charged to the exchange log when it crosses placements (gathered into
+/// a view stored once, broadcast into a partitioned one).
 RefreshReport incremental_refresh(const MvppGraph& graph,
                                   const MaterializedSet& m, Database& db,
                                   const DeltaSet& base_deltas,

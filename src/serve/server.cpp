@@ -41,10 +41,8 @@ MvServer::MvServer(Catalog catalog, DesignResult design, const Database& db,
   // order is topological, so refresh plans read stored descendants.
   Database deployed = db;
   for (const NodeId id : m) {
-    const MvppNode& node = graph.node(id);
-    if (deployed.has_table(node.name)) continue;
-    const Executor exec(deployed, options_.mode, options_.threads);
-    deployed.put_table(node.name, exec.run(refresh_plan(graph, id, m)));
+    if (deployed.has_table(graph.node(id).name)) continue;
+    deploy_view(graph, id, m, deployed, options_.mode, options_.threads);
   }
 
   auto first = std::make_shared<ServeSnapshot>();

@@ -106,7 +106,8 @@ class MvServer {
  public:
   /// `db` holds the base tables; chosen views are deployed into the first
   /// snapshot (reusing stored tables already present in `db`, computing
-  /// the missing ones with their refresh plans).
+  /// the missing ones with deploy_view). A partitioned `db` keeps its
+  /// layout through every snapshot, ingest and refresh.
   MvServer(Catalog catalog, DesignResult design, const Database& db,
            ServeOptions options = {});
 

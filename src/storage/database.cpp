@@ -1,37 +1,76 @@
 #include "src/storage/database.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+
 #include "src/common/error.hpp"
 
 namespace mvd {
 
-Database::Database(const Database& other) {
-  for (const auto& [name, table] : other.tables_) {
-    tables_.emplace(name, std::make_shared<Table>(*table));
-  }
+namespace {
+
+std::uint64_t next_version() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-Database& Database::operator=(const Database& other) {
-  if (this == &other) return *this;
-  Database copy(other);
-  tables_ = std::move(copy.tables_);
-  return *this;
+// FNV-1a over the value's packed bytes. Numeric kinds pack as the double
+// bit pattern (mirroring the executor's packed group keys, so values that
+// compare equal hash equal), strings pack raw, bools as one byte.
+std::uint64_t fnv1a(const unsigned char* data, std::size_t n) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= data[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t hash_value_stable(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kInt64:
+    case ValueType::kDate:
+    case ValueType::kDouble: {
+      double d = v.as_double();
+      if (d == 0.0) d = 0.0;  // fold -0.0 onto +0.0 (they compare equal)
+      unsigned char bytes[sizeof(double)];
+      std::memcpy(bytes, &d, sizeof(double));
+      return fnv1a(bytes, sizeof(double));
+    }
+    case ValueType::kString: {
+      const std::string& s = v.as_string();
+      return fnv1a(reinterpret_cast<const unsigned char*>(s.data()), s.size());
+    }
+    case ValueType::kBool: {
+      unsigned char b = v.as_bool() ? 1 : 0;
+      return fnv1a(&b, 1);
+    }
+  }
+  throw ExecError("unhashable value type");
+}
+
+}  // namespace
+
+std::size_t Database::bucket_of(const Value& key) {
+  return static_cast<std::size_t>(hash_value_stable(key) % kBuckets);
 }
 
 void Database::add_table(const std::string& name, Table table) {
   if (tables_.contains(name)) {
     throw ExecError("duplicate table '" + name + "'");
   }
-  tables_.emplace(name, std::make_shared<Table>(std::move(table)));
+  tables_.emplace(name, Entry{std::move(table), next_version(), {}, {}});
 }
 
 void Database::put_table(const std::string& name, Table table) {
-  tables_.insert_or_assign(name, std::make_shared<Table>(std::move(table)));
-}
-
-void Database::put_shared(const std::string& name,
-                          std::shared_ptr<Table> table) {
-  if (table == nullptr) throw ExecError("put_shared: null table");
-  tables_.insert_or_assign(name, std::move(table));
+  const auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    add_table(name, std::move(table));
+    return;
+  }
+  it->second.table = std::move(table);
+  changed(it->second);
 }
 
 bool Database::has_table(const std::string& name) const {
@@ -39,21 +78,13 @@ bool Database::has_table(const std::string& name) const {
 }
 
 const Table& Database::table(const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) throw ExecError("unknown table '" + name + "'");
-  return *it->second;
+  return entry(name).table;
 }
 
-Table& Database::mutable_table(const std::string& name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) throw ExecError("unknown table '" + name + "'");
-  return *it->second;
-}
-
-std::shared_ptr<Table> Database::shared_table(const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) throw ExecError("unknown table '" + name + "'");
-  return it->second;
+void Database::apply_delta(const std::string& name, const DeltaTable& delta) {
+  Entry& e = entry(name);
+  mvd::apply_delta(e.table, delta);
+  changed(e);
 }
 
 void Database::drop_table(const std::string& name) {
@@ -67,6 +98,96 @@ std::vector<std::string> Database::table_names() const {
   names.reserve(tables_.size());
   for (const auto& [n, _] : tables_) names.push_back(n);
   return names;
+}
+
+std::uint64_t Database::version(const std::string& name) const {
+  return entry(name).version;
+}
+
+void Database::set_shards(std::size_t shards) {
+  if (shards < 1 || shards > kBuckets) {
+    throw ExecError("shard count must be in [1, " + std::to_string(kBuckets) +
+                    "]");
+  }
+  shards_ = shards;
+}
+
+std::size_t Database::shard_of_bucket(std::size_t bucket) const {
+  return bucket * shards_ / kBuckets;
+}
+
+std::pair<std::size_t, std::size_t> Database::bucket_range(
+    std::size_t shard) const {
+  return {(shard * kBuckets + shards_ - 1) / shards_,
+          ((shard + 1) * kBuckets + shards_ - 1) / shards_};
+}
+
+void Database::partition(const std::string& name,
+                         const std::string& key_column) {
+  Entry& e = entry(name);
+  (void)e.table.schema().index_of(key_column);  // BindError when absent
+  e.key = key_column;
+  changed(e);
+}
+
+bool Database::is_partitioned(const std::string& name) const {
+  const auto it = tables_.find(name);
+  return it != tables_.end() && !it->second.key.empty();
+}
+
+const std::string* Database::partition_key(const std::string& name) const {
+  const auto it = tables_.find(name);
+  if (it == tables_.end() || it->second.key.empty()) return nullptr;
+  return &it->second.key;
+}
+
+std::vector<std::string> Database::partitioned_names() const {
+  std::vector<std::string> names;
+  for (const auto& [n, e] : tables_) {
+    if (!e.key.empty()) names.push_back(n);
+  }
+  return names;
+}
+
+std::pair<std::size_t, std::size_t> Database::bucket_rows(
+    const std::string& name, std::size_t bucket) const {
+  const Entry& e = entry(name);
+  if (e.key.empty()) throw ExecError("'" + name + "' is not partitioned");
+  return {e.offsets.at(bucket), e.offsets.at(bucket + 1)};
+}
+
+Database::Entry& Database::entry(const std::string& name) {
+  const auto it = tables_.find(name);
+  if (it == tables_.end()) throw ExecError("unknown table '" + name + "'");
+  return it->second;
+}
+
+const Database::Entry& Database::entry(const std::string& name) const {
+  const auto it = tables_.find(name);
+  if (it == tables_.end()) throw ExecError("unknown table '" + name + "'");
+  return it->second;
+}
+
+// A new version for every change; a partitioned entry is additionally
+// re-ordered into bucket order by a stable counting sort (no row moves
+// when it already is) and its offsets recomputed.
+void Database::changed(Entry& e) {
+  e.version = next_version();
+  if (e.key.empty()) return;
+  const std::size_t k = e.table.schema().index_of(e.key);
+  const std::size_t n = e.table.row_count();
+  std::vector<std::uint8_t> bucket(n);
+  e.offsets.assign(kBuckets + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    bucket[i] = static_cast<std::uint8_t>(bucket_of(e.table.row(i)[k]));
+    ++e.offsets[bucket[i] + 1];
+  }
+  for (std::size_t b = 0; b < kBuckets; ++b) e.offsets[b + 1] += e.offsets[b];
+  if (std::is_sorted(bucket.begin(), bucket.end())) return;
+  std::vector<std::size_t> next(e.offsets.begin(), e.offsets.end() - 1);
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[next[bucket[i]]++] = i;
+  e.table.permute(order);
 }
 
 }  // namespace mvd

@@ -3,60 +3,115 @@
 // homogenized). Materialized views live beside base tables under their
 // MVPP node names.
 //
-// Entries are held through shared_ptr so one physical table can be
-// registered in several databases at once — the sharded execution layer
-// aliases each replicated dimension (and every coordinator-resident view)
-// into its per-bucket databases instead of copying it 64 times. Copying a
-// Database still deep-copies every table (value semantics), so snapshot
-// twins used by the differential refresh tests stay independent.
+// Hash partitioning is a layout of an entry, not a second kind of
+// database (DESIGN.md §15). A partitioned entry is stored once, its rows
+// in bucket order — ascending bucket_of(key), source order within a
+// bucket — together with kBuckets + 1 row offsets, so bucket b is the row
+// range bucket_rows(name, b). put_table and apply_delta keep every
+// partitioned entry in bucket order. The shard count only decides which
+// shard owns which (contiguous) bucket range, never where a row lives.
+//
+// Copying a Database deep-copies every table together with its layout
+// and exchange ledger (value semantics), so serving snapshots, staging
+// copies and differential twins are independent and stay partitioned.
 #pragma once
 
+#include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "src/exec/exchange.hpp"
+#include "src/storage/delta_table.hpp"
 #include "src/storage/table.hpp"
 
 namespace mvd {
 
 class Database {
  public:
-  Database() = default;
-  Database(const Database& other);
-  Database& operator=(const Database& other);
-  Database(Database&&) = default;
-  Database& operator=(Database&&) = default;
+  /// Virtual buckets per partitioned table — the unit of partitioning,
+  /// per-bucket execution and partial merging, independent of the shard
+  /// count.
+  static constexpr std::size_t kBuckets = 64;
+
+  /// Owning bucket of a key value: FNV-1a over the value's packed bytes,
+  /// stable across platforms and shard counts. Int64/date/double hash by
+  /// double bit pattern (with -0.0 folded onto +0.0), so values that
+  /// compare equal — int64 5, date 5, double 5.0 — share a bucket.
+  static std::size_t bucket_of(const Value& key);
 
   /// Add a table under `name`; throws ExecError on duplicates.
   void add_table(const std::string& name, Table table);
 
-  /// Replace-or-insert, used when refreshing materialized views.
+  /// Replace-or-insert, used when refreshing materialized views. A
+  /// partitioned entry keeps its key and is re-ordered into bucket order.
   void put_table(const std::string& name, Table table);
-
-  /// Replace-or-insert an *alias*: the entry shares `table` with every
-  /// other holder instead of owning a private copy. In-place mutations
-  /// through any holder are visible to all of them; put_table replaces
-  /// only this database's entry (other aliases keep the old object).
-  void put_shared(const std::string& name, std::shared_ptr<Table> table);
 
   bool has_table(const std::string& name) const;
   const Table& table(const std::string& name) const;
 
-  /// Mutable access for in-place maintenance (incremental refresh applies
-  /// deltas to stored views without copying them). Throws like table().
-  /// Mutating a shared entry (see put_shared) is visible through every
-  /// alias of it.
-  Table& mutable_table(const std::string& name);
-
-  /// The shared handle behind `name`, for aliasing into other databases.
-  std::shared_ptr<Table> shared_table(const std::string& name) const;
+  /// Apply `delta` to the stored table in place (bag-subtract the
+  /// deletes, append the inserts — see apply_delta in delta_table.hpp),
+  /// keeping a partitioned entry in bucket order. Throws ExecError for
+  /// unknown tables and deletes of absent rows.
+  void apply_delta(const std::string& name, const DeltaTable& delta);
 
   void drop_table(const std::string& name);
 
   std::vector<std::string> table_names() const;
 
+  /// Changes whenever the entry's table changes (add, put, apply_delta,
+  /// partition); copies keep it. Lets column caches keyed by table
+  /// address tell a mutated table from the one they converted.
+  std::uint64_t version(const std::string& name) const;
+
+  // ---- Partition layout ------------------------------------------------
+
+  /// Shard count in [1, kBuckets] (1 by default); shard s owns the
+  /// contiguous bucket range bucket_range(s).
+  std::size_t shards() const { return shards_; }
+  void set_shards(std::size_t shards);
+  /// Owning shard of a bucket: floor(bucket * shards / kBuckets).
+  std::size_t shard_of_bucket(std::size_t bucket) const;
+  /// Half-open bucket range [begin, end) owned by `shard`.
+  std::pair<std::size_t, std::size_t> bucket_range(std::size_t shard) const;
+
+  /// Store `name` hash-partitioned on `key_column` (bare or qualified)
+  /// from now on, re-ordering its rows into bucket order. Throws
+  /// BindError when the column is absent or ambiguous.
+  void partition(const std::string& name, const std::string& key_column);
+
+  bool is_partitioned(const std::string& name) const;
+  /// Partition key of a partitioned entry; nullptr otherwise.
+  const std::string* partition_key(const std::string& name) const;
+  std::vector<std::string> partitioned_names() const;
+  /// Half-open row range of bucket `bucket` in partitioned entry `name`.
+  std::pair<std::size_t, std::size_t> bucket_rows(const std::string& name,
+                                                  std::size_t bucket) const;
+
+  /// Exchange traffic charged against this layout: loads, base-delta
+  /// rounds, sharded gathers and refresh transfers (src/exec/exchange).
+  ExchangeCounters& exchange_log() { return log_; }
+  const ExchangeCounters& exchange_log() const { return log_; }
+
  private:
-  std::map<std::string, std::shared_ptr<Table>> tables_;
+  struct Entry {
+    Table table;
+    std::uint64_t version = 0;
+    std::string key;                   // partition key; empty = unpartitioned
+    std::vector<std::size_t> offsets;  // kBuckets + 1 when partitioned
+  };
+
+  Entry& entry(const std::string& name);
+  const Entry& entry(const std::string& name) const;
+  /// An entry's table changed: give it a new version and restore its
+  /// layout.
+  static void changed(Entry& e);
+
+  std::map<std::string, Entry> tables_;
+  std::size_t shards_ = 1;
+  ExchangeCounters log_;
 };
 
 }  // namespace mvd

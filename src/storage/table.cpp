@@ -40,7 +40,8 @@ void Table::append(Tuple tuple) {
   rows_.push_back(std::move(tuple));
 }
 
-Table Table::rebind(Schema schema, const Table& src) {
+Table Table::rebind(Schema schema, const Table& src, std::size_t begin,
+                    std::size_t end) {
   if (schema.size() != src.schema().size()) {
     throw ExecError("cannot rebind: schema arity " +
                     std::to_string(schema.size()) +
@@ -57,8 +58,11 @@ Table Table::rebind(Schema schema, const Table& src) {
                       to_string(src.schema().at(i).type));
     }
   }
+  end = std::min(end, src.rows_.size());
+  MVD_ASSERT(begin <= end);
   Table out(std::move(schema), src.blocking_factor());
-  out.rows_ = src.rows_;
+  out.rows_.assign(src.rows_.begin() + static_cast<std::ptrdiff_t>(begin),
+                   src.rows_.begin() + static_cast<std::ptrdiff_t>(end));
   return out;
 }
 
@@ -80,10 +84,17 @@ void Table::remove_row(std::size_t i) {
   rows_.pop_back();
 }
 
-double Table::blocks() const {
-  if (rows_.empty()) return 0;
-  return std::max(1.0,
-                  std::ceil(static_cast<double>(rows_.size()) / blocking_factor_));
+void Table::permute(const std::vector<std::size_t>& order) {
+  MVD_ASSERT(order.size() == rows_.size());
+  std::vector<Tuple> next;
+  next.reserve(order.size());
+  for (const std::size_t i : order) next.push_back(std::move(rows_[i]));
+  rows_ = std::move(next);
+}
+
+double Table::blocks_of(std::size_t rows, double blocking_factor) {
+  if (rows == 0) return 0;
+  return std::max(1.0, std::ceil(static_cast<double>(rows) / blocking_factor));
 }
 
 RelationStats Table::compute_stats() const {

@@ -5,6 +5,7 @@
 // catalog uses, making estimated-vs-actual comparisons meaningful.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,10 +28,12 @@ class Table {
   /// kDate is declared and vice versa — both are day counts).
   void append(Tuple tuple);
 
-  /// Copy of `src` under a new (e.g. qualified) schema, validating column
-  /// types once per column instead of once per cell. Throws ExecError on
-  /// arity or declared-type incompatibility.
-  static Table rebind(Schema schema, const Table& src);
+  /// Copy of `src`'s rows [begin, end) (all of them by default) under a
+  /// new (e.g. qualified) schema, validating column types once per column
+  /// instead of once per cell. Throws ExecError on arity or declared-type
+  /// incompatibility.
+  static Table rebind(Schema schema, const Table& src, std::size_t begin = 0,
+                      std::size_t end = SIZE_MAX);
 
   std::size_t row_count() const { return rows_.size(); }
   const Tuple& row(std::size_t i) const;
@@ -42,8 +45,15 @@ class Table {
   /// Remove row `i` (swap-with-last, order not preserved).
   void remove_row(std::size_t i);
 
+  /// Reorder the rows so that row i is the old row order[i]; `order` must
+  /// be a permutation of the row indices. Rows move, never copy.
+  void permute(const std::vector<std::size_t>& order);
+
   /// Size in blocks: ceil(rows / blocking_factor), 0 when empty.
-  double blocks() const;
+  double blocks() const { return blocks_of(rows_.size(), blocking_factor_); }
+  /// The same accounting for any row count (at least one block when
+  /// non-empty).
+  static double blocks_of(std::size_t rows, double blocking_factor);
 
   /// Derive RelationStats (rows, blocks, per-column distinct counts and
   /// numeric min/max) from the actual data. Lets generated datasets feed

@@ -6,7 +6,6 @@
 #include "src/common/text_table.hpp"
 #include "src/common/units.hpp"
 #include "src/exec/sharded.hpp"
-#include "src/maintenance/sharded_refresh.hpp"
 #include "src/obs/publish.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sql/parser.hpp"
@@ -109,31 +108,51 @@ std::string WarehouseDesigner::report(const DesignResult& design) const {
   return os.str();
 }
 
+void deploy_view(const MvppGraph& graph, NodeId v, const MaterializedSet& m,
+                 Database& db, ExecMode mode, std::size_t threads,
+                 ExecStats* stats) {
+  const std::string& name = graph.node(v).name;
+  TraceSpan span("warehouse", "deploy-view");
+  const PlanPtr plan = refresh_plan(graph, v, m);
+  const Executor exec(db, mode, threads);
+  Table view = exec.run(plan, stats);
+  const auto rows = static_cast<double>(view.row_count());
+
+  // Co-partition the view with its partitioned leaf when every row
+  // carries the leaf's key (ambiguous in the view schema counts as lost).
+  std::string key;
+  const ShardPlanAnalysis a = analyze_shard_plan(plan, db);
+  if (a.refs == 1 && a.spine_aggregate == nullptr) {
+    const std::string& leaf_key = *db.partition_key(a.leaf->relation());
+    try {
+      if (view.schema().find(leaf_key).has_value()) key = leaf_key;
+    } catch (const BindError&) {
+      // Ambiguous in the view schema: the key is lost.
+    }
+  }
+  db.put_table(name, std::move(view));  // a redeploy keeps the layout
+  if (!key.empty() && !db.is_partitioned(name)) db.partition(name, key);
+
+  if (span.active()) {
+    span.arg("view", name);
+    span.arg("rows", rows);
+  }
+  if (counters_enabled()) {
+    MetricsRegistry::global().counter("warehouse/deploy/views").increment();
+    MetricsRegistry::global().counter("warehouse/deploy/rows").add(rows);
+  }
+  if (stats != nullptr) stats->rows_out[name] = rows;
+  record_shard_rows(db, name, stats);
+}
+
 void WarehouseDesigner::deploy(const DesignResult& design, Database& db,
                                ExecStats* stats) const {
-  const MvppGraph& g = design.graph();
   MVD_TRACE_SPAN("warehouse", "deploy");
   // Node ids ascend topologically, so iterating the ordered set stores
   // every view after the views it reads.
   for (NodeId v : design.selection.materialized) {
-    MaterializedSet deps = design.selection.materialized;
-    deps.erase(v);
-    const Executor exec(db);
-    TraceSpan span("warehouse", "deploy-view");
-    Table view = exec.run(refresh_plan(g, v, deps), stats);
-    if (span.active()) {
-      span.arg("view", g.node(v).name);
-      span.arg("rows", static_cast<double>(view.row_count()));
-    }
-    if (counters_enabled()) {
-      MetricsRegistry::global().counter("warehouse/deploy/views").increment();
-      MetricsRegistry::global().counter("warehouse/deploy/rows")
-          .add(static_cast<double>(view.row_count()));
-    }
-    if (stats != nullptr) {
-      stats->rows_out[g.node(v).name] = static_cast<double>(view.row_count());
-    }
-    db.put_table(g.node(v).name, std::move(view));
+    deploy_view(design.graph(), v, design.selection.materialized, db,
+                default_exec_mode(), default_exec_threads(), stats);
   }
 }
 
@@ -179,116 +198,6 @@ RefreshReport WarehouseDesigner::refresh(const DesignResult& design,
     obs->publish_gauges();
   }
   return report;
-}
-
-void WarehouseDesigner::deploy(const DesignResult& design, ShardedDatabase& db,
-                               ExecStats* stats) const {
-  const MvppGraph& g = design.graph();
-  MVD_TRACE_SPAN("warehouse", "deploy");
-  const ShardedExecutor exec(db);
-  for (NodeId v : design.selection.materialized) {
-    MaterializedSet deps = design.selection.materialized;
-    deps.erase(v);
-    const std::string& name = g.node(v).name;
-    TraceSpan span("warehouse", "deploy-view");
-    const PlanPtr plan = refresh_plan(g, v, deps);
-    const ShardPlanAnalysis a = analyze_shard_plan(plan, db);
-    double rows = 0;
-    if (a.refs == 1 && a.spine_aggregate == nullptr) {
-      // Fact-rooted, aggregate-free view: store co-partitioned slices.
-      std::vector<Table> slices = exec.run_partitioned(plan, stats);
-      for (const Table& t : slices) rows += static_cast<double>(t.row_count());
-      std::string key;
-      if (const std::string* leaf_key = db.partition_key(a.leaf->relation());
-          leaf_key != nullptr && !leaf_key->empty() && !slices.empty()) {
-        try {
-          if (slices.front().schema().find(*leaf_key).has_value()) {
-            key = *leaf_key;
-          }
-        } catch (const BindError&) {
-          // Ambiguous in the view schema: treat the key as lost.
-        }
-      }
-      if (stats != nullptr) {
-        if (stats->per_shard.size() != db.shards()) {
-          stats->per_shard.assign(db.shards(), ExecStats{});
-        }
-        for (std::size_t s = 0; s < db.shards(); ++s) {
-          const auto [b0, b1] = db.bucket_range(s);
-          double shard_rows = 0;
-          for (std::size_t b = b0; b < b1; ++b) {
-            shard_rows += static_cast<double>(slices[b].row_count());
-          }
-          stats->per_shard[s].rows_out[name] = shard_rows;
-        }
-      }
-      db.put_partitioned_slices(name, std::move(slices), key);
-    } else {
-      // Aggregate spine or coordinator-only plan: one global result.
-      Table view = exec.run(plan, stats);
-      rows = static_cast<double>(view.row_count());
-      db.put_global(name, std::move(view));
-    }
-    if (span.active()) {
-      span.arg("view", name);
-      span.arg("rows", rows);
-    }
-    if (counters_enabled()) {
-      MetricsRegistry::global().counter("warehouse/deploy/views").increment();
-      MetricsRegistry::global().counter("warehouse/deploy/rows").add(rows);
-    }
-    if (stats != nullptr) stats->rows_out[name] = rows;
-  }
-}
-
-void WarehouseDesigner::refresh(const DesignResult& design, ShardedDatabase& db,
-                                ExecStats* stats) const {
-  deploy(design, db, stats);
-}
-
-RefreshReport WarehouseDesigner::refresh(const DesignResult& design,
-                                         ShardedDatabase& db,
-                                         const DeltaSet& base_deltas,
-                                         RefreshMode mode,
-                                         ExecStats* stats) const {
-  const MvppGraph& g = design.graph();
-  if (mode == RefreshMode::kIncremental) {
-    return sharded_incremental_refresh(g, design.selection.materialized, db,
-                                       base_deltas, stats);
-  }
-  MVD_TRACE_SPAN("maintenance", "recompute-refresh");
-  deploy(design, db, stats);
-  RefreshReport report;
-  for (NodeId v : design.selection.materialized) {
-    ViewRefresh entry;
-    entry.id = v;
-    entry.view = g.node(v).name;
-    entry.path = RefreshPath::kRecomputed;
-    entry.stored_rows = static_cast<double>(
-        db.is_partitioned(entry.view)
-            ? db.partitioned_rows(entry.view)
-            : db.coordinator().table(entry.view).row_count());
-    report.views.push_back(std::move(entry));
-  }
-  publish_refresh_report(report);
-  return report;
-}
-
-Table WarehouseDesigner::answer(const DesignResult& design,
-                                const std::string& query_name,
-                                ShardedDatabase& db, ExecStats* stats) const {
-  const MvppGraph& g = design.graph();
-  const NodeId q = g.find_by_name(query_name);
-  if (q < 0 || g.node(q).kind != MvppNodeKind::kQuery) {
-    throw PlanError("unknown query '" + query_name + "'");
-  }
-  TraceSpan span("warehouse", "answer");
-  span.arg("query", query_name);
-  if (counters_enabled()) {
-    MetricsRegistry::global().counter("warehouse/answer/queries").increment();
-  }
-  const ShardedExecutor exec(db);
-  return exec.run(answer_plan(g, q, design.selection.materialized), stats);
 }
 
 Table WarehouseDesigner::answer(const DesignResult& design,

@@ -24,8 +24,6 @@
 
 namespace mvd {
 
-class ShardedDatabase;
-
 struct DesignerOptions {
   CostModelConfig cost;
   MaintenancePolicy maintenance;
@@ -71,14 +69,14 @@ class WarehouseDesigner {
   std::string report(const DesignResult& design) const;
 
   // ---- Runtime (requires a Database holding the base tables under their
-  // catalog names) ----
+  // catalog names; a partitioned one works the same — see deploy_view) ----
 
   /// Compute and store every chosen view (dependency order; views read
-  /// already-stored views). Stored under their MVPP node names. When
-  /// `stats` is given, refresh work is accumulated and each view's row
-  /// count is recorded under its node name in stats->rows_out (the
-  /// selection/exec-rows-consistent lint rule checks those entries
-  /// against the stored tables).
+  /// already-stored views) through deploy_view. Stored under their MVPP
+  /// node names. When `stats` is given, refresh work is accumulated and
+  /// each view's row count is recorded under its node name in
+  /// stats->rows_out (the selection/exec-rows-consistent lint rule checks
+  /// those entries against the stored tables).
   void deploy(const DesignResult& design, Database& db,
               ExecStats* stats = nullptr) const;
 
@@ -101,42 +99,11 @@ class WarehouseDesigner {
                         ExecStats* stats = nullptr,
                         WorkloadObservatory* obs = nullptr) const;
 
-  /// Answer a registered query from the deployed warehouse.
+  /// Answer a registered query from the deployed warehouse. (On a
+  /// partitioned warehouse, ShardedExecutor runs the same answer_plan
+  /// bucket by bucket.)
   Table answer(const DesignResult& design, const std::string& query_name,
                const Database& db, ExecStats* stats = nullptr) const;
-
-  // ---- Sharded runtime (requires a ShardedDatabase built over the same
-  // base tables, e.g. by shard_database) ----
-
-  /// Deploy onto a sharded layout. Views whose refresh plan has a
-  /// partitioned leaf and no aggregate on its spine are stored as
-  /// per-bucket slices (co-partitioned with the fact table; the partition
-  /// key survives when it appears in the view's output schema, enabling
-  /// point-query routing); aggregate and coordinator-only views are
-  /// stored globally. Per-shard stored rows of partitioned views land in
-  /// stats->per_shard[s].rows_out.
-  void deploy(const DesignResult& design, ShardedDatabase& db,
-              ExecStats* stats = nullptr) const;
-
-  /// Recompute all stored views on the sharded layout.
-  void refresh(const DesignResult& design, ShardedDatabase& db,
-               ExecStats* stats = nullptr) const;
-
-  /// Maintain the sharded warehouse after base-table changes. `db` must
-  /// already hold the post-update base state (apply_base_deltas with the
-  /// same deltas). kIncremental routes the deltas to their owning shards
-  /// and refreshes bucket-by-bucket (src/maintenance/sharded_refresh.hpp);
-  /// kRecompute redeploys.
-  RefreshReport refresh(const DesignResult& design, ShardedDatabase& db,
-                        const DeltaSet& base_deltas,
-                        RefreshMode mode = default_refresh_mode(),
-                        ExecStats* stats = nullptr) const;
-
-  /// Answer a registered query on the sharded warehouse (per-shard
-  /// partials, deterministic bucket-order merge; point queries on the
-  /// partition key run only on the owning shard).
-  Table answer(const DesignResult& design, const std::string& query_name,
-               ShardedDatabase& db, ExecStats* stats = nullptr) const;
 
  private:
   SelectionAlgorithm selection_algorithm() const;
@@ -147,5 +114,18 @@ class WarehouseDesigner {
   Optimizer optimizer_;
   std::vector<QuerySpec> queries_;
 };
+
+/// Compute view `v` of `graph` from its refresh plan over `db` (the other
+/// views of `m` read as stored) and store it under its node name — the
+/// one routine behind WarehouseDesigner::deploy and MvServer's first
+/// snapshot. The view is stored hash-partitioned (DESIGN.md §15) when its
+/// plan has one partitioned-leaf path, no aggregate on that path, and
+/// keeps the leaf's partition key in its output; otherwise it is stored
+/// once, because no refresh could re-bucket it. Its row count lands in
+/// stats->rows_out[name] and, when partitioned, each shard's share in
+/// stats->per_shard.
+void deploy_view(const MvppGraph& graph, NodeId v, const MaterializedSet& m,
+                 Database& db, ExecMode mode, std::size_t threads,
+                 ExecStats* stats = nullptr);
 
 }  // namespace mvd

@@ -21,7 +21,6 @@
 #include "src/check/check.hpp"
 #include "src/exec/executor.hpp"
 #include "src/exec/sharded.hpp"
-#include "src/storage/sharded_table.hpp"
 
 namespace mvd {
 namespace {
@@ -352,7 +351,7 @@ TEST_F(CheckAgreementTest, CardinalityBoundsHoldUnderShardedExecution) {
     const CheckReport report = check_plan(c.plan, opts);
     EXPECT_TRUE(report.ok()) << report.render_text();
 
-    ShardedDatabase sdb = shard_database(db_, 4, {{"T", "a"}});
+    Database sdb = shard_database(db_, 4, {{"T", "a"}});
     ExecStats stats;
     const Table out = ShardedExecutor(sdb).run(c.plan, &stats);
 

@@ -21,7 +21,6 @@
 #include "src/distributed/distributed_evaluator.hpp"
 #include "src/exec/sharded.hpp"
 #include "src/mvpp/rewrite.hpp"
-#include "src/storage/sharded_table.hpp"
 #include "src/warehouse/designer.hpp"
 #include "src/workload/generator.hpp"
 #include "src/workload/paper_example.hpp"
@@ -83,7 +82,7 @@ TEST_F(TransferValidationTest, LoadExchangeMatchesStorageVolumes) {
   // every fact row once, replication broadcasts each dimension to every
   // shard.
   const std::size_t shards = 4;
-  ShardedDatabase sdb = shard_database(db_, shards, {{"Fact", "d0"}});
+  Database sdb = shard_database(db_, shards, {{"Fact", "d0"}});
   const ExchangeCounters& log = sdb.exchange_log();
   EXPECT_DOUBLE_EQ(log.shuffle_rows,
                    static_cast<double>(db_.table("Fact").row_count()));
@@ -120,7 +119,7 @@ TEST(PaperTransferValidationTest, PredictedTransferTracksMeasuredGather) {
   const DistributedMvppEvaluator dist(g, std::move(topo));
 
   const Database db = populate_paper_database(1.0, 17);
-  ShardedDatabase sdb = shard_database(db, 4, {{"Order", "Cid"}});
+  Database sdb = shard_database(db, 4, {{"Order", "Cid"}});
   const ShardedExecutor exec(sdb);
   const MaterializedSet none;
 
@@ -192,7 +191,7 @@ TEST_F(TransferValidationTest, MeasuredGatherIsShardCountInvariant) {
     const NodeId q = g.find_by_name(name);
     std::vector<double> volumes;
     for (const std::size_t shards : {1u, 4u, 8u}) {
-      ShardedDatabase sdb = shard_database(db_, shards, {{"Fact", "d0"}});
+      Database sdb = shard_database(db_, shards, {{"Fact", "d0"}});
       ExecStats stats;
       ShardedExecutor(sdb).run(answer_plan(g, q, none), &stats);
       volumes.push_back(stats.blocks_exchanged);

@@ -104,7 +104,7 @@ void expect_sharded_agree(const Database& db, const PlanPtr& plan,
   std::optional<Table> first;
   std::optional<ExecStats> first_stats;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    ShardedDatabase sdb = shard_database(db, shards, keys);
+    Database sdb = shard_database(db, shards, keys);
     const bool routed = analyze_shard_plan(plan, sdb).route_bucket.has_value();
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
@@ -368,6 +368,14 @@ TEST(ExecEquivalenceTest, RandomizedChainFuzz) {
                          db.table(name).compute_stats());
   }
 
+  // A fixed case the filtered random chains never reach: double SUM/AVG
+  // over the unfiltered three-morsel F, whose partial sums must not
+  // depend on the thread count.
+  expect_engines_agree(
+      db, make_aggregate(make_scan(catalog, "F"), {"F.a"},
+                         {AggSpec{AggFn::kSum, "F.b", "sb"},
+                          AggSpec{AggFn::kAvg, "F.b", "ab"}}));
+
   const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
   auto any_op = [&] { return ops[rng() % 6]; };
@@ -502,8 +510,8 @@ TEST(ShardedExecEquivalenceTest, RoutedPointQueryScansFewerBlocks) {
   const PlanPtr plan =
       make_select(make_scan(catalog, "Fact"), eq(col("Fact.d0"), lit_i64(7)));
 
-  ShardedDatabase one = shard_database(db, 1, keys);
-  ShardedDatabase eight = shard_database(db, 8, keys);
+  Database one = shard_database(db, 1, keys);
+  Database eight = shard_database(db, 8, keys);
   ASSERT_TRUE(analyze_shard_plan(plan, eight).route_bucket.has_value());
 
   ExecStats stats1, stats8;
@@ -579,13 +587,14 @@ TEST(ExecKernelTsanTest, IntKeyPipelineIsRaceFreeAndDeterministic) {
 }
 
 // Sharded counterpart for the CI TSan filter: shards execute on worker
-// threads with morsel parallelism inside each bucket, partials merge on
-// the calling thread — 4 shards x 4 threads must match the 1 x 1 layout
-// bit for bit.
+// threads as bucket-range runs of one shared executor — one database, one
+// column cache — with morsel parallelism inside each run, and partials
+// merge on the calling thread. 4 shards x 4 threads must match the 1 x 1
+// layout bit for bit.
 TEST(DistributedExecTsanTest, ShardedPipelineIsRaceFreeAndDeterministic) {
   StarSchemaOptions schema;
   schema.dimensions = 2;
-  schema.fact_rows = 6'000;  // three morsels of fact rows per bucket run
+  schema.fact_rows = 6'000;
   schema.dimension_rows = 100;
   const Database db = populate_star_database(schema, 9);
   const Catalog catalog = catalog_from_database(db, 10.0);
@@ -600,8 +609,8 @@ TEST(DistributedExecTsanTest, ShardedPipelineIsRaceFreeAndDeterministic) {
       {AggSpec{AggFn::kSum, "Fact.measure", ""},
        AggSpec{AggFn::kCount, "", ""}});
 
-  ShardedDatabase serial = shard_database(db, 1, keys);
-  ShardedDatabase wide = shard_database(db, 4, keys);
+  Database serial = shard_database(db, 1, keys);
+  Database wide = shard_database(db, 4, keys);
   const Table a = ShardedExecutor(serial, ExecMode::kVectorized, 1).run(plan);
   const Table b = ShardedExecutor(wide, ExecMode::kVectorized, 4).run(plan);
   ASSERT_EQ(a.row_count(), b.row_count());

@@ -169,7 +169,7 @@ PathCounts run_differential(Workload w, ExecMode mode, std::size_t threads,
     // Advance the twin's base tables with the captured deltas: proves the
     // capture is exactly (new − old) on top of keeping the twins aligned.
     for (const auto& [rel, delta] : batch) {
-      apply_delta(recomputed.mutable_table(rel), delta.compacted());
+      recomputed.apply_delta(rel, delta.compacted());
       EXPECT_TRUE(same_bag(w.db.table(rel), recomputed.table(rel))) << rel;
     }
 

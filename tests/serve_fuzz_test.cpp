@@ -23,6 +23,10 @@
 // boundary, an extra FROM relation, a grouping / projection column the
 // view never stored — are asserted to REFUSE via match_query_to_view
 // against each workload query's own covering view.
+//
+// The star family runs a second time over its warehouse hash-partitioned
+// on Fact.d0 at four shards, with an incremental update_and_refresh round
+// on Fact and Dim0 between two differential rounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +37,7 @@
 
 #include "src/check/implication.hpp"
 #include "src/common/random.hpp"
+#include "src/exec/sharded.hpp"
 #include "src/optimizer/view_rewrite.hpp"
 #include "src/serve/server.hpp"
 #include "src/warehouse/deployed.hpp"
@@ -89,6 +94,14 @@ Fixture chain_fixture() {
 Fixture paper_fixture() {
   PaperExample ex = make_paper_example();
   return {"paper", ex.catalog, populate_paper_database(0.01, 23), ex.queries};
+}
+
+/// The star fixture over its warehouse partitioned on Fact.d0.
+Fixture partitioned_star_fixture() {
+  Fixture fx = star_fixture();
+  fx.label = "star-partitioned";
+  fx.db = shard_database(fx.db, 4, {{"Fact", "d0"}});
+  return fx;
 }
 
 /// Design the warehouse and force every query's result node into the
@@ -287,17 +300,28 @@ class AdhocGenerator {
 
 // ---- Differential rounds --------------------------------------------------
 
-/// >= kQueriesPerRound random queries, each answered on all three
-/// engine configurations via both paths of one snapshot; any
-/// disagreement fails with the offending query's text.
-void run_differential_round(const Fixture& fx, std::uint64_t seed) {
-  const DesignResult design = covered_design(fx.catalog, fx.workload);
-  MvServer row(fx.catalog, design, fx.db, engine_options(ExecMode::kRow));
-  MvServer vec(fx.catalog, design, fx.db,
-               engine_options(ExecMode::kVectorized));
-  MvServer vec1(fx.catalog, design, fx.db,
-                engine_options(ExecMode::kVectorized, 1));
+/// The three engine configurations under test, serving one design over
+/// one database.
+struct Servers {
+  Servers(const Fixture& fx, const DesignResult& design)
+      : row(fx.catalog, design, fx.db, engine_options(ExecMode::kRow)),
+        vec(fx.catalog, design, fx.db, engine_options(ExecMode::kVectorized)),
+        vec1(fx.catalog, design, fx.db,
+             engine_options(ExecMode::kVectorized, 1)) {}
 
+  MvServer row;
+  MvServer vec;
+  MvServer vec1;
+};
+
+/// >= kQueriesPerRound random queries, each answered on all three
+/// engine configurations via both paths of one snapshot (published at
+/// `epoch`); any disagreement fails with the offending query's text.
+void fuzz_round(const Fixture& fx, Servers& servers, std::uint64_t seed,
+                std::uint64_t epoch) {
+  MvServer& row = servers.row;
+  MvServer& vec = servers.vec;
+  MvServer& vec1 = servers.vec1;
   AdhocGenerator gen(fx.catalog, fx.db, fx.workload, seed);
   int hits = 0;
   int fallbacks = 0;
@@ -330,11 +354,11 @@ void run_differential_round(const Fixture& fx, std::uint64_t seed) {
     ASSERT_TRUE(exactly_equal(vh.table, v1h.table)) << "vec 2t != 1t (hit)";
     ASSERT_TRUE(exactly_equal(vb.table, v1b.table)) << "vec 2t != 1t (base)";
 
-    // ExecStats sanity: the base path always scans real blocks; every
-    // snapshot is still epoch 0 (no writers in this round).
+    // ExecStats sanity: the base path always scans real blocks; no
+    // writer publishes during a round.
     ASSERT_GT(rb.stats.blocks_read, 0u);
     ASSERT_GT(rb.stats.rows_scanned, 0u);
-    ASSERT_EQ(rh.epoch, 0u);
+    ASSERT_EQ(rh.epoch, epoch);
     if (rh.rewritten) {
       ++hits;
       ASSERT_FALSE(rh.view.empty());
@@ -356,8 +380,30 @@ void run_differential_round(const Fixture& fx, std::uint64_t seed) {
   }
 }
 
+void run_differential_round(const Fixture& fx, std::uint64_t seed) {
+  Servers servers(fx, covered_design(fx.catalog, fx.workload));
+  fuzz_round(fx, servers, seed, 0);
+}
+
 TEST(ServeFuzzTest, StarSchemaDifferential) {
   run_differential_round(star_fixture(), 0xfacade01);
+}
+
+TEST(ServeFuzzTest, PartitionedStarDifferential) {
+  const Fixture fx = partitioned_star_fixture();
+  Servers servers(fx, covered_design(fx.catalog, fx.workload));
+  fuzz_round(fx, servers, 0xfacade04, 0);
+  // One writer round on the fact and a dimension, each batch refreshed
+  // incrementally in the same publish; then the differential again.
+  for (MvServer* server : {&servers.row, &servers.vec, &servers.vec1}) {
+    Rng rng(0xfacade05);
+    for (const char* relation : {"Fact", "Dim0"}) {
+      server->update_and_refresh(relation, UpdateStreamOptions{}, rng,
+                                 RefreshMode::kIncremental);
+    }
+    ASSERT_TRUE(server->snapshot()->db->is_partitioned("Fact"));
+  }
+  fuzz_round(fx, servers, 0xfacade06, 2);
 }
 
 TEST(ServeFuzzTest, ChainSchemaDifferential) {
@@ -507,6 +553,10 @@ void run_near_misses(const Fixture& fx) {
 }
 
 TEST(ServeFuzzTest, StarNearMissesRefuse) { run_near_misses(star_fixture()); }
+
+TEST(ServeFuzzTest, PartitionedStarNearMissesRefuse) {
+  run_near_misses(partitioned_star_fixture());
+}
 
 TEST(ServeFuzzTest, ChainNearMissesRefuse) {
   run_near_misses(chain_fixture());

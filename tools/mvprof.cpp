@@ -6,11 +6,11 @@
 //   mvprof --input FILE         profile selection over a serialized MVPP
 //                               (to_json output; paper catalog relations)
 //   mvprof --scale X            database scale for --paper (default 0.01)
-//   mvprof --shards N           run the --paper pipeline on a sharded
+//   mvprof --shards N           run the --paper pipeline on a partitioned
 //                               layout (Order hash-partitioned on Cid,
-//                               dimensions replicated) and report the
-//                               exec/exchange/* traffic counters;
-//                               defaults to MVD_EXEC_SHARDS when set
+//                               dimensions replicated; answers through
+//                               the sharded executor) and report the
+//                               exec/exchange/* traffic counters
 //   mvprof --out DIR            where trace.json / metrics.json go
 //                               (default ".")
 //   mvprof --json               machine-readable phase summary on stdout
@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
-#include "src/exec/executor.hpp"
+#include "src/exec/sharded.hpp"
 #include "src/common/random.hpp"
 #include "src/common/strings.hpp"
 #include "src/common/text_table.hpp"
@@ -48,7 +48,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/obs/workload.hpp"
-#include "src/storage/sharded_table.hpp"
 #include "src/warehouse/designer.hpp"
 #include "src/workload/paper_example.hpp"
 
@@ -161,9 +160,10 @@ void write_file(const std::string& path, const std::string& text) {
 }
 
 /// Full pipeline over the paper workload. With `shards` > 0 the runtime
-/// phases (deploy, answer, update, refresh) run against the sharded
-/// layout — Order hash-partitioned on Cid, dimensions replicated — and
-/// the exchange traffic is reported alongside the ledger gate.
+/// phases (deploy, answer, update, refresh) run against the partitioned
+/// layout — Order hash-partitioned on Cid, dimensions replicated, answers
+/// through the sharded executor — and the exchange traffic is reported
+/// alongside the ledger gate.
 int profile_paper(double scale, std::size_t shards,
                   const std::string& out_dir, bool as_json) {
   const PaperExample example = make_paper_example();
@@ -181,21 +181,19 @@ int profile_paper(double scale, std::size_t shards,
   run_phase(rows, "populate",
             [&] { db = populate_paper_database(scale, 17); });
 
-  std::optional<ShardedDatabase> sdb;
+  // The warehouse the runtime phases run on: `db` itself, or a
+  // partitioned copy that follows it through apply_base_deltas.
+  std::optional<Database> sdb;
   if (shards > 0) {
     run_phase(rows, "shard", [&] {
       sdb.emplace(shard_database(db, shards, {{"Order", "Cid"}}));
     });
   }
+  Database& warehouse = sdb ? *sdb : db;
 
   ExecStats deploy_stats;
-  run_phase(rows, "deploy", [&] {
-    if (sdb) {
-      designer.deploy(design, *sdb, &deploy_stats);
-    } else {
-      designer.deploy(design, db, &deploy_stats);
-    }
-  });
+  run_phase(rows, "deploy",
+            [&] { designer.deploy(design, warehouse, &deploy_stats); });
 
   run_phase(rows, "answer", [&] {
     // Per-answer latencies land in a histogram so the summary can report
@@ -205,7 +203,9 @@ int profile_paper(double scale, std::size_t shards,
     for (const QuerySpec& q : example.queries) {
       const auto a0 = std::chrono::steady_clock::now();
       if (sdb) {
-        (void)designer.answer(design, q.name(), *sdb);
+        const NodeId id = design.graph().find_by_name(q.name());
+        (void)ShardedExecutor(*sdb).run(
+            answer_plan(design.graph(), id, design.selection.materialized));
       } else {
         (void)designer.answer(design, q.name(), db);
       }
@@ -222,19 +222,15 @@ int profile_paper(double scale, std::size_t shards,
       (void)apply_update_batch(db, relation, UpdateStreamOptions{}, rng,
                                &deltas);
     }
-    // The sharded layout receives the same base changes: partitioned
+    // The partitioned layout receives the same base changes: partitioned
     // deltas shuffle to their owning buckets, dimension deltas broadcast.
-    if (sdb) sdb->apply_base_deltas(deltas);
+    if (sdb) apply_base_deltas(*sdb, deltas);
   });
 
   RefreshReport refresh;
   run_phase(rows, "refresh", [&] {
-    if (sdb) {
-      refresh =
-          designer.refresh(design, *sdb, deltas, RefreshMode::kIncremental);
-    } else {
-      refresh = designer.refresh(design, db, deltas, RefreshMode::kIncremental);
-    }
+    refresh =
+        designer.refresh(design, warehouse, deltas, RefreshMode::kIncremental);
   });
 
   const MetricsSnapshot final_snap = MetricsRegistry::global().snapshot();
@@ -371,10 +367,7 @@ int main(int argc, char** argv) {
   std::string input_path;
   std::string out_dir = ".";
   double scale = 0.01;
-  // MVD_EXEC_SHARDS selects the sharded layer without touching the
-  // command line; --shards overrides it.
-  std::size_t shards =
-      std::min(default_exec_shards(), ShardedDatabase::kBuckets);
+  std::size_t shards = 0;  // 0: single-site runtime
   bool as_json = false;
 
   const std::vector<std::string> args(argv + 1, argv + argc);
@@ -398,7 +391,7 @@ int main(int argc, char** argv) {
       if (i + 1 >= args.size()) return usage("--shards needs a count");
       try {
         const long n = std::stol(args[++i]);
-        if (n < 1 || static_cast<std::size_t>(n) > ShardedDatabase::kBuckets) {
+        if (n < 1 || static_cast<std::size_t>(n) > Database::kBuckets) {
           return usage("--shards must be between 1 and 64");
         }
         shards = static_cast<std::size_t>(n);
