@@ -39,9 +39,6 @@ struct ExchangeCounters {
   double gather_blocks = 0;
 
   void add(const ExchangeCounters& other);
-  double total_rows() const {
-    return shuffle_rows + broadcast_rows + gather_rows;
-  }
   double total_blocks() const {
     return shuffle_blocks + broadcast_blocks + gather_blocks;
   }

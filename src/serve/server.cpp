@@ -175,32 +175,8 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
 
 std::uint64_t MvServer::ingest(const std::string& relation,
                                const UpdateStreamOptions& options, Rng& rng) {
-  std::lock_guard<std::mutex> writer(writer_mutex_);
-  const std::shared_ptr<const ServeSnapshot> cur = snapshot();
-
-  auto next = std::make_shared<ServeSnapshot>();
-  next->epoch = cur->epoch + 1;
-  Database staging = *cur->db;
-  const auto before = pending_deltas_.find(relation);
-  const std::size_t rows0 =
-      before != pending_deltas_.end() ? before->second.row_count() : 0;
-  apply_update_batch(staging, relation, options, rng, &pending_deltas_);
-  const std::size_t rows1 = pending_deltas_.at(relation).row_count();
-  next->registry = cur->registry;
-  const std::vector<std::string> marked = next->registry.mark_stale(relation);
-  next->db = std::make_shared<const Database>(std::move(staging));
-  publish(next);
-  if (observatory_ != nullptr) {
-    JournalEvent e;
-    e.kind = EventKind::kIngest;
-    e.epoch = next->epoch;
-    e.relation = relation;
-    e.delta_rows = static_cast<double>(rows1 - rows0);
-    e.marked_stale = marked;
-    observatory_->record(std::move(e));
-    observatory_->publish_gauges();
-  }
-  return next->epoch;
+  const Batch batch{relation, options, rng};
+  return write(&batch, std::nullopt);
 }
 
 std::uint64_t MvServer::begin_refresh() {
@@ -219,29 +195,7 @@ std::uint64_t MvServer::begin_refresh() {
 }
 
 std::uint64_t MvServer::finish_refresh(RefreshMode mode) {
-  std::lock_guard<std::mutex> writer(writer_mutex_);
-  const std::shared_ptr<const ServeSnapshot> cur = snapshot();
-
-  auto next = std::make_shared<ServeSnapshot>();
-  next->epoch = cur->epoch + 1;
-  Database staging = *cur->db;
-  DeployedViewRegistry registry = cur->registry;
-  const std::vector<std::string> pending = registry.pending();
-  const DeltaSet deltas = std::exchange(pending_deltas_, DeltaSet{});
-  rebuild_pending(staging, registry, mode, deltas);
-  next->db = std::make_shared<const Database>(std::move(staging));
-  next->registry = std::move(registry);
-  publish(next);
-  if (observatory_ != nullptr && !pending.empty()) {
-    JournalEvent e;
-    e.kind = EventKind::kRefresh;
-    e.epoch = next->epoch;
-    e.refreshed = pending;
-    e.mode = to_string(mode);
-    observatory_->record(std::move(e));
-    observatory_->publish_gauges();
-  }
-  return next->epoch;
+  return write(nullptr, mode);
 }
 
 std::uint64_t MvServer::refresh(RefreshMode mode) {
@@ -252,51 +206,66 @@ std::uint64_t MvServer::refresh(RefreshMode mode) {
 std::uint64_t MvServer::update_and_refresh(const std::string& relation,
                                            const UpdateStreamOptions& options,
                                            Rng& rng, RefreshMode mode) {
-  std::lock_guard<std::mutex> writer(writer_mutex_);
-  const std::shared_ptr<const ServeSnapshot> cur = snapshot();
+  const Batch batch{relation, options, rng};
+  return write(&batch, mode);
+}
 
+std::uint64_t MvServer::write(const Batch* batch,
+                              std::optional<RefreshMode> rebuild) {
+  std::lock_guard<std::mutex> writer(writer_mutex_);
+  // `cur` stays pinned until the publish, so every table the staging copy
+  // shares with it stays shared and is cloned before it is written.
+  const std::shared_ptr<const ServeSnapshot> cur = snapshot();
+  Database staging = *cur->db;
   auto next = std::make_shared<ServeSnapshot>();
   next->epoch = cur->epoch + 1;
-  Database staging = *cur->db;
-  DeployedViewRegistry registry = cur->registry;
-  DeltaSet deltas = std::exchange(pending_deltas_, DeltaSet{});
-  const auto before = deltas.find(relation);
-  const std::size_t rows0 =
-      before != deltas.end() ? before->second.row_count() : 0;
-  apply_update_batch(staging, relation, options, rng, &deltas);
-  const std::size_t rows1 = deltas.at(relation).row_count();
-  const std::vector<std::string> marked = registry.mark_stale(relation);
-  const std::vector<std::string> pending = registry.pending();
-  rebuild_pending(staging, registry, mode, deltas);
+  next->registry = cur->registry;
+
+  std::vector<JournalEvent> events;
+  if (batch != nullptr) {
+    // A relation with no rows captures no delta entry: zero delta rows.
+    const auto captured = [&] {
+      const auto it = pending_deltas_.find(batch->relation);
+      return it != pending_deltas_.end() ? it->second.row_count() : 0;
+    };
+    const std::size_t rows0 = captured();
+    apply_update_batch(staging, batch->relation, batch->options, batch->rng,
+                       &pending_deltas_);
+    JournalEvent& e = events.emplace_back();
+    e.kind = EventKind::kIngest;
+    e.relation = batch->relation;
+    e.delta_rows = static_cast<double>(captured() - rows0);
+    e.marked_stale = next->registry.mark_stale(batch->relation);
+  }
+  if (rebuild.has_value()) {
+    std::vector<std::string> refreshed =
+        rebuild_pending(staging, next->registry, *rebuild,
+                        std::exchange(pending_deltas_, DeltaSet{}));
+    if (!refreshed.empty()) {
+      JournalEvent& e = events.emplace_back();
+      e.kind = EventKind::kRefresh;
+      e.refreshed = std::move(refreshed);
+      e.mode = to_string(*rebuild);
+    }
+  }
   next->db = std::make_shared<const Database>(std::move(staging));
-  next->registry = std::move(registry);
   publish(next);
-  if (observatory_ != nullptr) {
-    JournalEvent ingest_event;
-    ingest_event.kind = EventKind::kIngest;
-    ingest_event.epoch = next->epoch;
-    ingest_event.relation = relation;
-    ingest_event.delta_rows = static_cast<double>(rows1 - rows0);
-    ingest_event.marked_stale = marked;
-    observatory_->record(std::move(ingest_event));
-    if (!pending.empty()) {
-      JournalEvent refresh_event;
-      refresh_event.kind = EventKind::kRefresh;
-      refresh_event.epoch = next->epoch;
-      refresh_event.refreshed = pending;
-      refresh_event.mode = to_string(mode);
-      observatory_->record(std::move(refresh_event));
+
+  if (observatory_ != nullptr && !events.empty()) {
+    for (JournalEvent& e : events) {
+      e.epoch = next->epoch;
+      observatory_->record(std::move(e));
     }
     observatory_->publish_gauges();
   }
   return next->epoch;
 }
 
-void MvServer::rebuild_pending(Database& db, DeployedViewRegistry& registry,
-                               RefreshMode mode,
-                               const DeltaSet& deltas) const {
+std::vector<std::string> MvServer::rebuild_pending(
+    Database& db, DeployedViewRegistry& registry, RefreshMode mode,
+    const DeltaSet& deltas) const {
   const std::vector<std::string> pending = registry.pending();
-  if (pending.empty()) return;
+  if (pending.empty()) return pending;
   const MvppGraph& graph = design_.graph();
   const MaterializedSet& m = design_.selection.materialized;
 
@@ -307,18 +276,16 @@ void MvServer::rebuild_pending(Database& db, DeployedViewRegistry& registry,
                         options_.threads);
   } else {
     for (const NodeId id : m) {
-      const MvppNode& node = graph.node(id);
-      if (std::find(pending.begin(), pending.end(), node.name) ==
+      if (std::find(pending.begin(), pending.end(), graph.node(id).name) !=
           pending.end()) {
-        continue;
+        deploy_view(graph, id, m, db, options_.mode, options_.threads);
       }
-      const Executor exec(db, options_.mode, options_.threads);
-      db.put_table(node.name, exec.run(refresh_plan(graph, id, m)));
     }
   }
   for (const std::string& name : pending) {
     registry.set_status(name, ViewStatus::kValid);
   }
+  return pending;
 }
 
 std::uint64_t MvServer::epoch() const { return snapshot()->epoch; }

@@ -14,10 +14,11 @@
 //   * Readers pin the current snapshot (one shared_ptr copy under the
 //     snapshot mutex) and run entirely against it; the pinning Executor
 //     overload keeps the data alive even when the server swaps mid-query.
-//   * Writers (ingest / refresh) are serialized by a writer mutex. They
-//     deep-copy the current database (Database copy = value semantics),
-//     mutate the staging copy, and publish a new snapshot in one swap.
-//     A reader therefore sees pre-state or post-state, never a mix.
+//   * Writers (ingest / refresh) are serialized by a writer mutex and
+//     share one routine: copy the current database, which shares every
+//     table (copy-on-write), so only the tables written get cloned; mutate
+//     the copy; publish a new snapshot in one swap; journal. A reader
+//     therefore sees pre-state or post-state, never a mix.
 //   * ingest() applies an update batch to one base relation, captures its
 //     signed delta for later incremental refresh, and marks every view
 //     over that relation STALE — the matcher skips STALE views, so
@@ -33,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -171,12 +173,24 @@ class MvServer {
   WorkloadObservatory* observatory() const { return observatory_.get(); }
 
  private:
+  struct Batch {  // one update batch for write()
+    const std::string& relation;
+    const UpdateStreamOptions& options;
+    Rng& rng;
+  };
+
   void publish(std::shared_ptr<const ServeSnapshot> next);
+  /// ingest, finish_refresh and update_and_refresh: stage a copy of the
+  /// current snapshot, apply `batch` if any, rebuild the pending views if
+  /// `rebuild` is set, publish once, journal. Returns the new epoch.
+  std::uint64_t write(const Batch* batch, std::optional<RefreshMode> rebuild);
   /// Rebuild every pending view of `registry` inside `db` (incremental
-  /// from `deltas` when possible, recompute otherwise) and mark them
-  /// VALID. Caller holds writer_mutex_.
-  void rebuild_pending(Database& db, DeployedViewRegistry& registry,
-                       RefreshMode mode, const DeltaSet& deltas) const;
+  /// from `deltas` when possible, recomputed through deploy_view
+  /// otherwise), mark them VALID and return their names.
+  std::vector<std::string> rebuild_pending(Database& db,
+                                           DeployedViewRegistry& registry,
+                                           RefreshMode mode,
+                                           const DeltaSet& deltas) const;
 
   Catalog catalog_;
   DesignResult design_;

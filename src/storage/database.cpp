@@ -60,7 +60,8 @@ void Database::add_table(const std::string& name, Table table) {
   if (tables_.contains(name)) {
     throw ExecError("duplicate table '" + name + "'");
   }
-  tables_.emplace(name, Entry{std::move(table), next_version(), {}, {}});
+  tables_.emplace(name, Entry{std::make_shared<Table>(std::move(table)),
+                              next_version(), {}, {}});
 }
 
 void Database::put_table(const std::string& name, Table table) {
@@ -69,8 +70,13 @@ void Database::put_table(const std::string& name, Table table) {
     add_table(name, std::move(table));
     return;
   }
-  it->second.table = std::move(table);
-  changed(it->second);
+  Entry& e = it->second;
+  if (e.table.use_count() == 1) {
+    *e.table = std::move(table);
+  } else {
+    e.table = std::make_shared<Table>(std::move(table));
+  }
+  changed(e);
 }
 
 bool Database::has_table(const std::string& name) const {
@@ -78,12 +84,13 @@ bool Database::has_table(const std::string& name) const {
 }
 
 const Table& Database::table(const std::string& name) const {
-  return entry(name).table;
+  return *entry(name).table;
 }
 
 void Database::apply_delta(const std::string& name, const DeltaTable& delta) {
   Entry& e = entry(name);
-  mvd::apply_delta(e.table, delta);
+  if (delta.empty()) return;
+  mvd::apply_delta(writable(e), delta);
   changed(e);
 }
 
@@ -125,7 +132,7 @@ std::pair<std::size_t, std::size_t> Database::bucket_range(
 void Database::partition(const std::string& name,
                          const std::string& key_column) {
   Entry& e = entry(name);
-  (void)e.table.schema().index_of(key_column);  // BindError when absent
+  (void)e.table->schema().index_of(key_column);  // BindError when absent
   e.key = key_column;
   changed(e);
 }
@@ -168,18 +175,25 @@ const Database::Entry& Database::entry(const std::string& name) const {
   return it->second;
 }
 
+// Only entries own tables, so use_count() == 1 means no copy shares it.
+Table& Database::writable(Entry& e) {
+  if (e.table.use_count() != 1) e.table = std::make_shared<Table>(*e.table);
+  return *e.table;
+}
+
 // A new version for every change; a partitioned entry is additionally
-// re-ordered into bucket order by a stable counting sort (no row moves
-// when it already is) and its offsets recomputed.
+// re-ordered into bucket order by a stable counting sort (no row moves,
+// and no clone of a shared table, when it already is) and its offsets
+// recomputed.
 void Database::changed(Entry& e) {
   e.version = next_version();
   if (e.key.empty()) return;
-  const std::size_t k = e.table.schema().index_of(e.key);
-  const std::size_t n = e.table.row_count();
+  const std::size_t k = e.table->schema().index_of(e.key);
+  const std::size_t n = e.table->row_count();
   std::vector<std::uint8_t> bucket(n);
   e.offsets.assign(kBuckets + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    bucket[i] = static_cast<std::uint8_t>(bucket_of(e.table.row(i)[k]));
+    bucket[i] = static_cast<std::uint8_t>(bucket_of(e.table->row(i)[k]));
     ++e.offsets[bucket[i] + 1];
   }
   for (std::size_t b = 0; b < kBuckets; ++b) e.offsets[b + 1] += e.offsets[b];
@@ -187,7 +201,7 @@ void Database::changed(Entry& e) {
   std::vector<std::size_t> next(e.offsets.begin(), e.offsets.end() - 1);
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[next[bucket[i]]++] = i;
-  e.table.permute(order);
+  writable(e).permute(order);
 }
 
 }  // namespace mvd

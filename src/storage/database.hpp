@@ -11,13 +11,19 @@
 // partitioned entry in bucket order. The shard count only decides which
 // shard owns which (contiguous) bucket range, never where a row lives.
 //
-// Copying a Database deep-copies every table together with its layout
-// and exchange ledger (value semantics), so serving snapshots, staging
-// copies and differential twins are independent and stay partitioned.
+// Copying a Database copies the layout and exchange ledger and shares
+// every table (copy-on-write): a write clones an entry's table only while
+// another copy still holds it, and a sole owner writes in place. Copies
+// keep value semantics — snapshots, staging copies and test twins never
+// see each other's writes — yet cost nothing per row. After a write to a
+// shared entry, a reference from table() still shows the old table. A
+// thread may write a copy while others read copies sharing its tables if
+// it holds the copy it staged from until done, so those tables stay shared.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,10 +57,11 @@ class Database {
   bool has_table(const std::string& name) const;
   const Table& table(const std::string& name) const;
 
-  /// Apply `delta` to the stored table in place (bag-subtract the
-  /// deletes, append the inserts — see apply_delta in delta_table.hpp),
-  /// keeping a partitioned entry in bucket order. Throws ExecError for
-  /// unknown tables and deletes of absent rows.
+  /// Apply `delta` to the stored table (bag-subtract the deletes, append
+  /// the inserts — see apply_delta in delta_table.hpp), in place unless a
+  /// copy still shares it, keeping a partitioned entry in bucket order. An
+  /// empty delta changes nothing. Throws ExecError for unknown tables and
+  /// deletes of absent rows.
   void apply_delta(const std::string& name, const DeltaTable& delta);
 
   void drop_table(const std::string& name);
@@ -62,8 +69,9 @@ class Database {
   std::vector<std::string> table_names() const;
 
   /// Changes whenever the entry's table changes (add, put, apply_delta,
-  /// partition); copies keep it. Lets column caches keyed by table
-  /// address tell a mutated table from the one they converted.
+  /// partition); copies that share the table share it. Lets column caches
+  /// keyed by table address tell a table written in place from the one
+  /// they converted (a cloned table has a new address).
   std::uint64_t version(const std::string& name) const;
 
   // ---- Partition layout ------------------------------------------------
@@ -97,7 +105,7 @@ class Database {
 
  private:
   struct Entry {
-    Table table;
+    std::shared_ptr<Table> table;  // shared with every copy until written
     std::uint64_t version = 0;
     std::string key;                   // partition key; empty = unpartitioned
     std::vector<std::size_t> offsets;  // kBuckets + 1 when partitioned
@@ -105,6 +113,8 @@ class Database {
 
   Entry& entry(const std::string& name);
   const Entry& entry(const std::string& name) const;
+  /// The entry's table, cloned first when another copy still shares it.
+  static Table& writable(Entry& e);
   /// An entry's table changed: give it a new version and restore its
   /// layout.
   static void changed(Entry& e);

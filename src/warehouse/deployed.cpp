@@ -58,10 +58,6 @@ void DeployedViewRegistry::set_status(const std::string& name,
   v->status = status;
 }
 
-void DeployedViewRegistry::set_all(ViewStatus status) {
-  for (DeployedView& v : views_) v.status = status;
-}
-
 std::vector<std::string> DeployedViewRegistry::mark_stale(
     const std::string& relation) {
   std::vector<std::string> flagged;

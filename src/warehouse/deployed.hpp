@@ -51,7 +51,6 @@ class DeployedViewRegistry {
   /// Throws ExecError for unknown views.
   ViewStatus status(const std::string& name) const;
   void set_status(const std::string& name, ViewStatus status);
-  void set_all(ViewStatus status);
 
   /// Flag every view with `relation` beneath it; returns the names
   /// flagged (already-stale views are included and stay stale).

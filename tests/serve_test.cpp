@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -485,6 +486,86 @@ TEST_F(ServeTest, PinnedSnapshotSurvivesConcurrentSwap) {
                        server_->serve(q4, ServePath::kBaseOnly).table));
 }
 
+/// Every table of a snapshot by name, with its address.
+std::map<std::string, const Table*> table_addresses(const ServeSnapshot& s) {
+  std::map<std::string, const Table*> out;
+  for (const std::string& n : s.db->table_names()) out[n] = &s.db->table(n);
+  return out;
+}
+
+/// Names whose table address differs between two snapshots.
+std::set<std::string> written_tables(const ServeSnapshot& before,
+                                     const ServeSnapshot& after) {
+  const auto a = table_addresses(before);
+  const auto b = table_addresses(after);
+  EXPECT_EQ(a.size(), b.size());
+  std::set<std::string> out;
+  for (const auto& [n, p] : a) {
+    if (b.at(n) != p) out.insert(n);
+  }
+  return out;
+}
+
+// A snapshot shares every table with the one before it, except the base
+// relation an ingest wrote and the views a refresh changed.
+TEST_F(ServeTest, WritesCloneOnlyTheTablesTheyChange) {
+  Rng rng(99);
+  const std::vector<std::pair<std::string, RefreshMode>> rounds = {
+      {"Order", RefreshMode::kIncremental},
+      {"Customer", RefreshMode::kRecompute}};
+  for (const auto& [relation, mode] : rounds) {
+    SCOPED_TRACE(relation);
+    const auto initial = server_->snapshot();
+    server_->ingest(relation, {}, rng);
+    const auto ingested = server_->snapshot();
+    EXPECT_EQ(written_tables(*initial, *ingested),
+              std::set<std::string>{relation});
+
+    const std::vector<std::string> pending = ingested->registry.pending();
+    const std::set<std::string> stale(pending.begin(), pending.end());
+    server_->refresh(mode);
+    // Only refreshed views are written (one whose delta came out empty
+    // is not written at all).
+    const std::set<std::string> written =
+        written_tables(*ingested, *server_->snapshot());
+    EXPECT_FALSE(written.empty());
+    EXPECT_TRUE(std::includes(stale.begin(), stale.end(), written.begin(),
+                              written.end()));
+  }
+}
+
+// An empty relation yields no delta entry: the write still publishes,
+// journals zero delta rows, and every query keeps answering exactly.
+TEST_F(ServeTest, IngestIntoAnEmptyRelationJournalsZeroDeltaRows) {
+  Database db = populate_paper_database(0.02, 23);
+  const Table& division = db.table("Division");
+  db.put_table("Division",
+               Table(division.schema(), division.blocking_factor()));
+  ServeOptions options;
+  options.observe = true;
+  MvServer server(designer_.catalog(), design_, db, options);
+
+  Rng rng(3);
+  EXPECT_EQ(server.ingest("Division", {}, rng), 1u);
+  EXPECT_EQ(server.update_and_refresh("Division", {}, rng), 2u);
+  std::vector<JournalEvent> ingests;
+  for (const JournalEvent& e : server.observatory()->journal()->events()) {
+    if (e.kind == EventKind::kIngest) ingests.push_back(e);
+  }
+  ASSERT_EQ(ingests.size(), 2u);
+  for (const JournalEvent& e : ingests) {
+    EXPECT_EQ(e.relation, "Division");
+    EXPECT_EQ(e.delta_rows, 0);
+  }
+  for (const QuerySpec& q : designer_.queries()) {
+    const ServeResult hit = server.serve(q);
+    EXPECT_TRUE(hit.rewritten) << q.name() << ": " << hit.refusal;
+    EXPECT_TRUE(
+        same_bag(hit.table, server.serve(q, ServePath::kBaseOnly).table))
+        << q.name();
+  }
+}
+
 TEST_F(ServeTest, RewriteLogEvidenceRechecks) {
   for (const QuerySpec& q : designer_.queries()) server_->serve(q);
   const std::vector<RewriteRecord> log = server_->rewrite_log();
@@ -537,59 +618,75 @@ TEST_F(ServeTest, RewriteLogFeedsTheLintRule) {
 TEST(MvserveTsanTest, ReadersNeverObserveTornSnapshots) {
   WarehouseDesigner designer = paper_designer();
   const DesignResult design = forced_design(designer);
-  MvServer server(designer.catalog(), design,
-                  populate_paper_database(0.005, 31));
   const std::vector<QuerySpec> queries = designer.queries();
 
-  std::atomic<bool> done{false};
-  std::atomic<int> mixes{0};
-  std::atomic<int> served{0};
+  // Once per engine: the vectorized one also shares each reader's column
+  // cache with tables the writer may clone.
+  for (const ExecMode mode : {ExecMode::kRow, ExecMode::kVectorized}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    ServeOptions options;
+    options.mode = mode;
+    MvServer server(designer.catalog(), design,
+                    populate_paper_database(0.005, 31), options);
 
-  // Readers pin a snapshot and check its internal consistency: on one
-  // snapshot, the view path and the base path must agree — a torn swap
-  // (views from one epoch, bases from another) shows up as a mismatch.
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&, t] {
-      // Run until the writer quiesces, but at least a few rounds even if
-      // the writer wins the race — the consistency check must execute.
-      std::size_t i = static_cast<std::size_t>(t);
-      while (i < static_cast<std::size_t>(t) + 6 ||
-             !done.load(std::memory_order_acquire)) {
-        const QuerySpec& q = queries[i++ % queries.size()];
-        const auto snap = server.snapshot();
-        const ServeResult a = server.serve_on(snap, q);
-        const ServeResult b = server.serve_on(snap, q, ServePath::kBaseOnly);
-        if (!same_bag(a.table, b.table)) mixes.fetch_add(1);
-        served.fetch_add(1);
-      }
-    });
-  }
+    std::atomic<bool> done{false};
+    std::atomic<int> mixes{0};
+    std::atomic<int> served{0};
 
-  // Writer: update + refresh in one atomic publish per round, alternating
-  // refresh modes and touched relations.
-  Rng rng(77);
-  for (int round = 0; round < 6; ++round) {
-    const char* relation = (round % 2 == 0) ? "Order" : "Customer";
-    const RefreshMode mode = (round % 2 == 0) ? RefreshMode::kIncremental
-                                              : RefreshMode::kRecompute;
-    server.update_and_refresh(relation, {}, rng, mode);
-  }
-  done.store(true, std::memory_order_release);
-  for (std::thread& t : readers) t.join();
+    // Readers pin a snapshot and check its internal consistency: on one
+    // snapshot, the view path and the base path must agree — a torn swap
+    // (views from one epoch, bases from another) shows up as a mismatch.
+    // Reader 0 serves from its own copy of the pinned database, so the
+    // share counts the writer's clone check reads change under it.
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+      readers.emplace_back([&, t] {
+        // Run until the writer quiesces, but at least a few rounds even if
+        // the writer wins the race — the consistency check must execute.
+        std::size_t i = static_cast<std::size_t>(t);
+        while (i < static_cast<std::size_t>(t) + 6 ||
+               !done.load(std::memory_order_acquire)) {
+          const QuerySpec& q = queries[i++ % queries.size()];
+          std::shared_ptr<const ServeSnapshot> snap = server.snapshot();
+          if (t == 0) {
+            auto copy = std::make_shared<ServeSnapshot>(*snap);
+            copy->db = std::make_shared<const Database>(*snap->db);
+            snap = std::move(copy);
+          }
+          const ServeResult a = server.serve_on(snap, q);
+          const ServeResult b =
+              server.serve_on(snap, q, ServePath::kBaseOnly);
+          if (!same_bag(a.table, b.table)) mixes.fetch_add(1);
+          served.fetch_add(1);
+        }
+      });
+    }
 
-  EXPECT_EQ(mixes.load(), 0);
-  EXPECT_GT(served.load(), 0);
-  EXPECT_EQ(server.epoch(), 6u);
+    // Writer: update + refresh in one atomic publish per round,
+    // alternating refresh modes and touched relations.
+    Rng rng(77);
+    for (int round = 0; round < 6; ++round) {
+      const char* relation = (round % 2 == 0) ? "Order" : "Customer";
+      const RefreshMode refresh = (round % 2 == 0) ? RefreshMode::kIncremental
+                                                   : RefreshMode::kRecompute;
+      server.update_and_refresh(relation, {}, rng, refresh);
+    }
+    done.store(true, std::memory_order_release);
+    for (std::thread& t : readers) t.join();
 
-  // After the writer quiesces, every view is VALID again and serves the
-  // final state.
-  for (const QuerySpec& q : queries) {
-    const ServeResult r = server.serve(q);
-    EXPECT_TRUE(r.rewritten) << q.name() << ": " << r.refusal;
-    EXPECT_TRUE(
-        same_bag(r.table, server.serve(q, ServePath::kBaseOnly).table))
-        << q.name();
+    EXPECT_EQ(mixes.load(), 0);
+    EXPECT_GT(served.load(), 0);
+    EXPECT_EQ(server.epoch(), 6u);
+
+    // After the writer quiesces, every view is VALID again and serves the
+    // final state.
+    for (const QuerySpec& q : queries) {
+      const ServeResult r = server.serve(q);
+      EXPECT_TRUE(r.rewritten) << q.name() << ": " << r.refusal;
+      EXPECT_TRUE(
+          same_bag(r.table, server.serve(q, ServePath::kBaseOnly).table))
+          << q.name();
+    }
   }
 }
 
