@@ -5,9 +5,13 @@
 // queries, residual variants answerable from their views, and uncovered
 // queries that must fall back) from 1 / 4 / 16 / 64 client threads.
 // Each thread count is measured twice — rewriting enabled and forced
-// base-only — so the table reports the rewrite win directly. A final
-// section keeps 4 readers serving while a writer loops
-// update_and_refresh, measuring read throughput under snapshot churn.
+// base-only — so the table reports the rewrite win directly; rows with
+// more threads than the host has are marked "oversubscribed" (they
+// measure contention, not scaling). The template cache's hit ratio over
+// those runs is reported. A snapshot-churn section keeps 4 readers
+// serving while a writer loops update_and_refresh, measuring read
+// throughput under snapshot churn, and a concurrent section reports QPS
+// with the workload observatory on vs off at hardware_threads clients.
 //
 // Gates (nonzero exit):
 //   * every covered query in the mix must actually rewrite — the hit
@@ -185,11 +189,14 @@ int main(int argc, char** argv) {
   report.set("mix_size", Json::number(mix.size()));
   report.set("mix_coverable_fraction", Json::number(coverable_fraction));
 
+  const int hardware_threads =
+      static_cast<int>(std::thread::hardware_concurrency());
   TextTable table({"threads", "queries", "rewrite q/s", "base q/s",
                    "speedup", "hit rate"});
   Json scaling = Json::array();
   bool hit_rate_ok = true;
   for (const int threads : {1, 4, 16, 64}) {
+    const bool oversubscribed = threads > hardware_threads;
     const Throughput rewrite =
         drive(server, mix, threads, per_thread, ServePath::kAuto);
     const Throughput base =
@@ -198,7 +205,8 @@ int main(int argc, char** argv) {
     // coverable fraction, which covers the whole registered workload.
     hit_rate_ok = hit_rate_ok && rewrite.hit_rate >= coverable_fraction - 1e-9;
 
-    table.add_row({std::to_string(threads), std::to_string(rewrite.queries),
+    table.add_row({std::to_string(threads) + (oversubscribed ? "*" : ""),
+                   std::to_string(rewrite.queries),
                    format_fixed(rewrite.qps, 0), format_fixed(base.qps, 0),
                    format_fixed(rewrite.qps / base.qps, 2),
                    format_fixed(rewrite.hit_rate, 3)});
@@ -211,13 +219,35 @@ int main(int argc, char** argv) {
     row.set("base_qps", Json::number(base.qps));
     row.set("speedup", Json::number(rewrite.qps / base.qps));
     row.set("hit_rate", Json::number(rewrite.hit_rate));
+    row.set("oversubscribed", Json::boolean(oversubscribed));
     scaling.push_back(std::move(row));
   }
   report.set("scaling", std::move(scaling));
   std::cout << "mvserve throughput (paper warehouse, scale "
             << format_fixed(scale, 2) << ", mix of " << mix.size()
-            << " queries):\n"
+            << " queries; * = more threads than the host's "
+            << hardware_threads << "):\n"
             << table.render() << "\n";
+
+  // Every request of the mix repeats one of its templates, so after the
+  // first serve of each the matcher should not run again.
+  {
+    const TemplateCacheStats cache = server.template_cache_stats();
+    const double lookups = static_cast<double>(cache.hits + cache.misses);
+    const double ratio =
+        lookups > 0 ? static_cast<double>(cache.hits) / lookups : 0.0;
+    Json tc = Json::object();
+    tc.set("hits", Json::number(static_cast<double>(cache.hits)));
+    tc.set("misses", Json::number(static_cast<double>(cache.misses)));
+    tc.set("evictions", Json::number(static_cast<double>(cache.evictions)));
+    tc.set("entries", Json::number(cache.entries));
+    tc.set("hit_ratio", Json::number(ratio));
+    report.set("template_cache", std::move(tc));
+    std::cout << "template cache: " << cache.hits << " hits, "
+              << cache.misses << " misses (hit ratio "
+              << format_fixed(ratio, 4) << "), " << cache.entries
+              << " entries\n";
+  }
 
   // Snapshot churn: 4 readers serve while a writer loops ingest+refresh
   // with a single publish per round.
@@ -343,6 +373,38 @@ int main(int argc, char** argv) {
     obs.set("overhead", Json::number(overhead_bound));
     obs.set("gate", Json::number(0.01));
     obs.set("ok", Json::boolean(observatory_ok));
+
+    // Concurrent cost: the same mix from hardware_threads clients with the
+    // observatory on and off, alternating, medians of three passes each.
+    // Reported, not gated: shared-host noise swamps a sub-1% effect.
+    std::vector<double> on_qps;
+    std::vector<double> off_qps;
+    for (int rep = 0; rep < 3; ++rep) {
+      on_qps.push_back(
+          drive(on_server, mix, hardware_threads, per_thread, ServePath::kAuto)
+              .qps);
+      off_qps.push_back(
+          drive(off_server, mix, hardware_threads, per_thread, ServePath::kAuto)
+              .qps);
+    }
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    Json concurrent = Json::object();
+    concurrent.set("clients", Json::number(hardware_threads));
+    concurrent.set("queries_per_pass",
+                   Json::number(static_cast<std::size_t>(hardware_threads) *
+                                per_thread));
+    concurrent.set("observe_on_qps", Json::number(median(on_qps)));
+    concurrent.set("observe_off_qps", Json::number(median(off_qps)));
+    concurrent.set("on_over_off",
+                   Json::number(median(on_qps) / median(off_qps)));
+    obs.set("concurrent", std::move(concurrent));
+    std::cout << "observatory at " << hardware_threads << " clients: "
+              << format_fixed(median(on_qps), 0) << " q/s on vs "
+              << format_fixed(median(off_qps), 0)
+              << " q/s off (median of 3 passes each)\n";
     report.set("observatory", std::move(obs));
     std::cout << "observatory overhead: record "
               << format_fixed(record_ns, 0) << " ns/serve vs mean serve "

@@ -17,29 +17,10 @@ std::string relation_of_column(const std::string& qualified) {
   return qualified.substr(0, dot);
 }
 
-/// The canonical identity string behind QuerySpec::fingerprint().
-/// Sorted pieces make it stable under FROM/WHERE reordering; the output
-/// shape stays in declaration order because a permuted projection is a
-/// different result.
-std::string compute_fingerprint(const QuerySpec& query) {
-  std::vector<std::string> relations = query.relations();
-  std::sort(relations.begin(), relations.end());
-  std::vector<std::string> joins;
-  for (const JoinPredicate& j : query.joins()) joins.push_back(j.canonical());
-  std::sort(joins.begin(), joins.end());
-  std::vector<std::string> selections;
-  for (const ExprPtr& s : query.selections()) {
-    selections.push_back(s->to_string());
-  }
-  std::sort(selections.begin(), selections.end());
-
-  std::string fp = "R[";
-  fp += join(relations, ",");
-  fp += "] J[";
-  fp += join(joins, ",");
-  fp += "] S[";
-  fp += join(selections, ",");
-  fp += "] P[";
+/// The output shape both identity strings end with. It stays in
+/// declaration order because a permuted projection is a different result.
+std::string output_shape(const QuerySpec& query) {
+  std::string fp = "P[";
   fp += join(query.projection(), ",");
   fp += "]";
   if (query.has_aggregation()) {
@@ -54,7 +35,124 @@ std::string compute_fingerprint(const QuerySpec& query) {
   return fp;
 }
 
+std::string sorted_relations(const QuerySpec& query) {
+  std::vector<std::string> relations = query.relations();
+  std::sort(relations.begin(), relations.end());
+  return "R[" + join(relations, ",") + "]";
+}
+
+/// The canonical identity string behind QuerySpec::fingerprint().
+/// Sorted pieces make it stable under FROM/WHERE reordering.
+std::string compute_fingerprint(const QuerySpec& query) {
+  std::vector<std::string> joins;
+  for (const JoinPredicate& j : query.joins()) joins.push_back(j.canonical());
+  std::sort(joins.begin(), joins.end());
+  std::vector<std::string> selections;
+  for (const ExprPtr& s : query.selections()) {
+    selections.push_back(s->to_string());
+  }
+  std::sort(selections.begin(), selections.end());
+  return sorted_relations(query) + " J[" + join(joins, ",") + "] S[" +
+         join(selections, ",") + "] " + output_shape(query);
+}
+
+/// One walk of a normalized conjunct: its Expr::to_string() text, and the
+/// same text with every literal rendered as a typed slot ("?int64"),
+/// whose values are appended to `slots` in rendering order.
+void render(const ExprPtr& e, std::string& text, std::string& shape,
+            std::vector<Value>& slots) {
+  const auto both = [&](const char* piece) {
+    text += piece;
+    shape += piece;
+  };
+  switch (e->kind()) {
+    case ExprKind::kColumn:
+      text += static_cast<const ColumnExpr&>(*e).name();
+      shape += static_cast<const ColumnExpr&>(*e).name();
+      return;
+    case ExprKind::kLiteral: {
+      const Value& v = static_cast<const LiteralExpr&>(*e).value();
+      text += v.to_string();
+      shape += "?";
+      shape += mvd::to_string(v.type());
+      slots.push_back(v);
+      return;
+    }
+    case ExprKind::kComparison: {
+      const auto& c = static_cast<const ComparisonExpr&>(*e);
+      both("(");
+      render(c.lhs(), text, shape, slots);
+      both(" ");
+      const std::string op = mvd::to_string(c.op());
+      both(op.c_str());
+      both(" ");
+      render(c.rhs(), text, shape, slots);
+      both(")");
+      return;
+    }
+    case ExprKind::kAnd:
+    case ExprKind::kOr: {
+      const auto& b = static_cast<const BoolExpr&>(*e);
+      both("(");
+      for (std::size_t i = 0; i < b.operands().size(); ++i) {
+        if (i != 0) both(e->kind() == ExprKind::kAnd ? " AND " : " OR ");
+        render(b.operands()[i], text, shape, slots);
+      }
+      both(")");
+      return;
+    }
+    case ExprKind::kNot:
+      both("(NOT ");
+      render(static_cast<const NotExpr&>(*e).operand(), text, shape, slots);
+      both(")");
+      return;
+  }
+  MVD_ASSERT(false);
+}
+
 }  // namespace
+
+void QuerySpec::compute_identity() {
+  fingerprint_ = compute_fingerprint(*this);
+
+  // The conjuncts of normalize(joins AND selections), normalized one by
+  // one (the top level is already flat) and then sorted and deduplicated
+  // the way normalize() would, but by slot-bearing text first.
+  struct Piece {
+    std::string shape;
+    std::string text;
+    ExprPtr expr;
+    std::vector<Value> slots;
+  };
+  std::vector<Piece> pieces;
+  const auto add = [&](const ExprPtr& conjunct) {
+    for (ExprPtr& c : conjuncts_of(normalize(conjunct))) {
+      Piece& p = pieces.emplace_back();
+      render(c, p.text, p.shape, p.slots);
+      p.expr = std::move(c);
+    }
+  };
+  for (const JoinPredicate& j : joins_) add(j.expr());
+  for (const ExprPtr& s : selections_) add(s);
+  std::sort(pieces.begin(), pieces.end(), [](const Piece& a, const Piece& b) {
+    return a.shape != b.shape ? a.shape < b.shape : a.text < b.text;
+  });
+  pieces.erase(std::unique(pieces.begin(), pieces.end(),
+                           [](const Piece& a, const Piece& b) {
+                             return a.text == b.text;
+                           }),
+               pieces.end());
+
+  template_ = sorted_relations(*this) + " C[";
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    if (i != 0) template_ += ",";
+    template_ += pieces[i].shape;
+    conjuncts_.push_back(std::move(pieces[i].expr));
+    slots_.insert(slots_.end(), pieces[i].slots.begin(),
+                  pieces[i].slots.end());
+  }
+  template_ += "] " + output_shape(*this);
+}
 
 std::string JoinPredicate::left_relation() const {
   return relation_of_column(left_column);
@@ -285,7 +383,7 @@ QuerySpec QuerySpec::bind(const Catalog& catalog, std::string name,
       }
       spec.projection_.push_back(q);
     }
-    spec.fingerprint_ = compute_fingerprint(spec);
+    spec.compute_identity();
     return spec;
   }
 
@@ -337,7 +435,7 @@ QuerySpec QuerySpec::bind(const Catalog& catalog, std::string name,
     // intermediate plans have a non-empty schema.
     spec.projection_.push_back(joint.at(0).qualified());
   }
-  spec.fingerprint_ = compute_fingerprint(spec);
+  spec.compute_identity();
   return spec;
 }
 

@@ -98,6 +98,24 @@ class QuerySpec {
   /// re-canonicalization.
   const std::string& fingerprint() const { return fingerprint_; }
 
+  /// Literal-free identity of the query's shape, for serving by template:
+  /// relations, conjuncts and output shape as in fingerprint(), with
+  /// every literal replaced by a typed slot ("?int64", "?string", ...).
+  /// Requests that differ only in literal values share it, whatever
+  /// their FROM/WHERE order. Computed at bind time.
+  const std::string& template_fingerprint() const { return template_; }
+
+  /// The join and selection conjuncts, normalized (src/algebra/expr) and
+  /// in template order: sorted by their slot-bearing text, ties by their
+  /// full text.
+  const std::vector<ExprPtr>& canonical_conjuncts() const {
+    return conjuncts_;
+  }
+
+  /// The literals of canonical_conjuncts(), one per slot, in template
+  /// order (conjunct by conjunct, left to right within each).
+  const std::vector<Value>& template_slots() const { return slots_; }
+
   std::string to_string() const;
 
   /// Emit the query back as parseable SQL text (the parser's own
@@ -120,6 +138,9 @@ class QuerySpec {
                         std::vector<AggSpec> aggregates = {});
 
  private:
+  /// Fill fingerprint_, conjuncts_, slots_ and template_ (end of bind).
+  void compute_identity();
+
   std::string name_;
   double frequency_ = 1.0;
   std::vector<std::string> relations_;
@@ -129,6 +150,9 @@ class QuerySpec {
   std::vector<std::string> group_by_;
   std::vector<AggSpec> aggregates_;
   std::string fingerprint_;
+  std::vector<ExprPtr> conjuncts_;
+  std::vector<Value> slots_;
+  std::string template_;
 };
 
 /// The final operator of a query: the aggregate for aggregation queries,

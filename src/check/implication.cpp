@@ -477,6 +477,22 @@ bool PredicateFacts::entails(const ExprPtr& conjunct) const {
   return true;
 }
 
+bool PredicateFacts::constrains(const std::string& column) const {
+  if (index_dirty_) rebuild_index();
+  const auto i = safe_find(schema_, column);
+  if (!i.has_value()) return true;
+  const std::size_t rep = find_rep(*i);
+  for (const OrderEdge& e : orders_) {
+    if (e.left == rep || e.right == rep) return true;
+  }
+  const ClassState* s = state_ptr(*i);
+  if (s == nullptr) return false;
+  // An open endpoint at an infinity still entails no finite comparison.
+  return s->interval.lo != -kInf || s->interval.hi != kInf ||
+         s->str_eq.has_value() || s->bool_eq.has_value() ||
+         !s->str_ne.empty() || !s->num_ne.empty();
+}
+
 bool PredicateFacts::entails_indexed(const ExprPtr& c) const {
   if (conjunct_texts_.count(c->to_string())) return true;
   switch (c->kind()) {

@@ -88,6 +88,14 @@ class PredicateFacts {
   /// everything.
   bool entails(const ExprPtr& conjunct) const;
 
+  /// True when the facts hold anything on `column`'s equivalence class:
+  /// a bounded interval, a string/bool binding, a disequality set or an
+  /// ordering edge. An unknown column answers true (conservative). When
+  /// it answers false on non-contradictory facts, no `column op v` with
+  /// op in {=, <, <=, >, >=} and a finite v of the column's kind is
+  /// entailed, whatever v is.
+  bool constrains(const std::string& column) const;
+
   /// The normalized conjuncts accumulated so far, in insertion order.
   const std::vector<ExprPtr>& conjuncts() const { return conjuncts_; }
 

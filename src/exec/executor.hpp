@@ -100,6 +100,7 @@ class Executor {
                     std::size_t threads = default_exec_threads());
 
   ExecMode mode() const { return mode_; }
+  const Database& database() const { return *db_; }
 
   /// Execute `plan`. Scan nodes resolve by relation name in the database
   /// (base tables and stored views alike). Throws ExecError for unknown

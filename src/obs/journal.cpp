@@ -1,5 +1,6 @@
 #include "src/obs/journal.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -7,6 +8,17 @@
 #include "src/common/error.hpp"
 
 namespace mvd {
+
+RefusalList::RefusalList(std::vector<ServeRefusal> refusals) {
+  if (!refusals.empty()) {
+    list_ = std::make_shared<const std::vector<ServeRefusal>>(
+        std::move(refusals));
+  }
+}
+
+bool operator==(const RefusalList& a, const RefusalList& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
 
 std::string to_string(EventKind kind) {
   switch (kind) {
@@ -145,11 +157,13 @@ JournalEvent JournalEvent::from_json(const Json& doc) {
       e.latency_ms = number_or(doc, "latency_ms", 0);
       if (doc.contains("refusals")) {
         const Json& arr = doc.at("refusals");
+        std::vector<ServeRefusal> refusals;
         for (std::size_t i = 0; i < arr.size(); ++i) {
           const Json& one = arr.at(i);
-          e.refusals.push_back(
+          refusals.push_back(
               {one.at("view").as_string(), one.at("reason").as_string()});
         }
+        e.refusals = RefusalList(std::move(refusals));
       }
       if (doc.contains("stale_views")) {
         e.stale_views = names_from_json(doc.at("stale_views"));
@@ -184,20 +198,26 @@ EventJournal::EventJournal(std::size_t capacity, std::string sink_path)
   }
 }
 
-void EventJournal::append(JournalEvent event) {
+void EventJournal::append(JournalEvent&& event) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++appended_;
   if (sink_.is_open()) {
     sink_ << event.to_json().dump() << '\n';
     sink_.flush();
   }
-  ring_.push_back(std::move(event));
-  if (ring_.size() > capacity_) ring_.pop_front();
+  if (ring_.size() < capacity_) {
+    ring_.push_back(std::move(event));
+  } else {
+    ring_[next_] = std::move(event);
+    next_ = (next_ + 1) % capacity_;
+  }
 }
 
 std::vector<JournalEvent> EventJournal::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<JournalEvent>(ring_.begin(), ring_.end());
+  std::vector<JournalEvent> out(ring_.begin() + next_, ring_.end());
+  out.insert(out.end(), ring_.begin(), ring_.begin() + next_);
+  return out;
 }
 
 std::uint64_t EventJournal::appended() const {

@@ -26,8 +26,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <fstream>
+#include <initializer_list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -44,6 +45,33 @@ struct ServeRefusal {
   std::string reason;
 
   friend bool operator==(const ServeRefusal&, const ServeRefusal&) = default;
+};
+
+/// The refusals of one fallback, immutable once built and shared: a
+/// cached template decision hands one list to every serve it answers and
+/// to their journal events, so copying an event or a result copies a
+/// reference, not the reason strings. Compares by value.
+class RefusalList {
+ public:
+  RefusalList() = default;
+  RefusalList(std::vector<ServeRefusal> refusals);
+  RefusalList(std::initializer_list<ServeRefusal> refusals)
+      : RefusalList(std::vector<ServeRefusal>(refusals)) {}
+
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return list_ != nullptr ? list_->size() : 0; }
+  const ServeRefusal& operator[](std::size_t i) const { return (*list_)[i]; }
+  const ServeRefusal* begin() const {
+    return list_ != nullptr ? list_->data() : nullptr;
+  }
+  const ServeRefusal* end() const { return begin() + size(); }
+  /// Both hold the same built list (not merely equal refusals).
+  bool shares(const RefusalList& other) const { return list_ == other.list_; }
+
+  friend bool operator==(const RefusalList& a, const RefusalList& b);
+
+ private:
+  std::shared_ptr<const std::vector<ServeRefusal>> list_;
 };
 
 enum class EventKind {
@@ -82,7 +110,7 @@ struct JournalEvent {
   std::string view;    // the hit view when rewritten
   std::string engine;  // "row" | "vec"
   double latency_ms = 0;
-  std::vector<ServeRefusal> refusals;  // per-VALID-view reasons on a miss
+  RefusalList refusals;  // per-VALID-view reasons on a miss
   /// Deployed-but-unavailable coverage on a fallback: non-VALID
   /// matchable views over exactly the query's relation set (the matcher
   /// would at least have consulted them had they been fresh) — the
@@ -120,7 +148,8 @@ class EventJournal {
                         std::string sink_path = default_journal_path());
 
   /// Append one event (ring + sink, one flushed JSONL line).
-  void append(JournalEvent event);
+  void append(const JournalEvent& event) { append(JournalEvent(event)); }
+  void append(JournalEvent&& event);
 
   /// Ring contents, oldest first (the most recent `capacity` appends).
   std::vector<JournalEvent> events() const;
@@ -152,7 +181,10 @@ class EventJournal {
   std::string sink_path_;
 
   mutable std::mutex mutex_;
-  std::deque<JournalEvent> ring_;
+  /// Filled in order up to capacity_, then overwritten in place from
+  /// the oldest slot, `next_`.
+  std::vector<JournalEvent> ring_;
+  std::size_t next_ = 0;
   std::uint64_t appended_ = 0;
   std::ofstream sink_;
 };

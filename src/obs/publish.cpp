@@ -65,7 +65,7 @@ void publish_selection_ledger(const MvppEvaluator& eval,
 
 void publish_serve_result(bool rewritten, const std::string& view,
                           double latency_ms, const std::string& engine,
-                          const std::vector<ServeRefusal>& refusals) {
+                          const RefusalList& refusals) {
   if (!counters_enabled()) return;
   MetricsRegistry& reg = MetricsRegistry::global();
   reg.counter("serve/queries").increment();
@@ -86,6 +86,21 @@ void publish_serve_result(bool rewritten, const std::string& view,
   reg.histogram("serve/latency_ms",
                 {0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 500})
       .observe(latency_ms);
+}
+
+void publish_template_lookup(bool hit) {
+  if (!counters_enabled()) return;
+  MetricsRegistry::global()
+      .counter(hit ? "serve/template_cache/hits" : "serve/template_cache/misses")
+      .increment();
+}
+
+void publish_template_store(bool evicted, std::size_t entries) {
+  if (!counters_enabled()) return;
+  MetricsRegistry& reg = MetricsRegistry::global();
+  if (evicted) reg.counter("serve/template_cache/evictions").increment();
+  reg.gauge("serve/template_cache/entries")
+      .set(static_cast<double>(entries));
 }
 
 }  // namespace mvd

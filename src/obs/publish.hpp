@@ -53,6 +53,15 @@ void publish_selection_ledger(const MvppEvaluator& eval,
 /// so a miss is explainable per-view instead of a bare rewritten=false.
 void publish_serve_result(bool rewritten, const std::string& view,
                           double latency_ms, const std::string& engine = "",
-                          const std::vector<ServeRefusal>& refusals = {});
+                          const RefusalList& refusals = {});
+
+/// Publish one mvserve template-cache lookup: "serve/template_cache/hits"
+/// or ".../misses".
+void publish_template_lookup(bool hit);
+
+/// Publish one template-cache insert: "serve/template_cache/evictions"
+/// when it evicted an entry, and the cache's size as the
+/// "serve/template_cache/entries" gauge.
+void publish_template_store(bool evicted, std::size_t entries);
 
 }  // namespace mvd

@@ -338,7 +338,7 @@ void WorkloadObservatory::declare_update(const std::string& relation,
   record(std::move(e));
 }
 
-std::uint64_t WorkloadObservatory::record(JournalEvent event) {
+std::uint64_t WorkloadObservatory::record(JournalEvent&& event) {
   std::lock_guard<std::mutex> lock(mutex_);
   event.seq = ++state_.events;
   apply_locked(event);
@@ -386,10 +386,18 @@ void WorkloadObservatory::apply_locked(const JournalEvent& e) {
       if (e.rewritten) {
         ++state_.views[e.view].hits;
       } else {
-        for (const ServeRefusal& r : e.refusals) {
-          ViewObservation& v = state_.views[r.view];
-          ++v.refusals;
-          ++v.refusal_reasons[refusal_code(r.reason)];
+        if (!e.refusals.shares(tallied_list_)) {
+          tallies_.clear();
+          for (const ServeRefusal& r : e.refusals) {
+            ViewObservation& v = state_.views[r.view];
+            tallies_.emplace_back(&v.refusals,
+                                  &v.refusal_reasons[refusal_code(r.reason)]);
+          }
+          tallied_list_ = e.refusals;
+        }
+        for (const auto& [refusals, reason] : tallies_) {
+          ++*refusals;
+          ++*reason;
         }
       }
       for (const std::string& name : e.stale_views) {

@@ -36,6 +36,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/json.hpp"
@@ -196,7 +197,10 @@ class WorkloadObservatory {
   /// Record one event: assign the next sequence number, fold the event
   /// into the state and append it to the journal, all under one lock (the
   /// total order both sides share). Returns the assigned seq.
-  std::uint64_t record(JournalEvent event);
+  std::uint64_t record(const JournalEvent& event) {
+    return record(JournalEvent(event));
+  }
+  std::uint64_t record(JournalEvent&& event);
 
   WorkloadStats stats() const;
   DriftReport drift() const { return compute_drift(stats()); }
@@ -213,6 +217,14 @@ class WorkloadObservatory {
 
   mutable std::mutex mutex_;
   WorkloadStats state_;
+  /// The (refusals, refusal_reasons[code]) tallies of every view in the
+  /// last fallback's refusal list. A cached template decision hands one
+  /// shared list to every serve it answers, so its repeats skip the
+  /// per-refusal map lookups. Holding the list keeps it alive, so a list
+  /// that shares it holds the same refusals; the pointers are into
+  /// state_'s maps, which never erase a node.
+  RefusalList tallied_list_;
+  std::vector<std::pair<std::uint64_t*, std::uint64_t*>> tallies_;
 };
 
 /// Reconstruct an observatory by re-recording `events` in order.

@@ -1,9 +1,12 @@
 #include "src/optimizer/view_rewrite.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <string_view>
 
 #include "src/check/implication.hpp"
+#include "src/common/assert.hpp"
 #include "src/optimizer/optimizer.hpp"
 
 namespace mvd {
@@ -336,6 +339,298 @@ std::optional<ViewMatch> best_view_match(const QuerySpec& query,
     if (!best.has_value() || m->stored_blocks < best->stored_blocks ||
         (m->stored_blocks == best->stored_blocks && m->view < best->view)) {
       best = std::move(m);
+    }
+  }
+  return best;
+}
+
+// ---- Serving by template ---------------------------------------------------
+
+namespace {
+
+bool is_nan(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.as_double());
+}
+
+/// Same type and same representation: what a pinned slot admits. The
+/// oracle reads literal text as well as values, so numerically equal
+/// literals (0.0 and -0.0) are not interchangeable.
+bool identical(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kInt64:
+    case ValueType::kDate:
+      return a.as_int64() == b.as_int64();
+    case ValueType::kDouble:
+      return std::bit_cast<std::uint64_t>(a.as_double()) ==
+             std::bit_cast<std::uint64_t>(b.as_double());
+    case ValueType::kString:
+      return a.as_string() == b.as_string();
+    case ValueType::kBool:
+      return a.as_bool() == b.as_bool();
+  }
+  return false;
+}
+
+/// The literal slots `e` holds.
+std::size_t count_literals(const ExprPtr& e) {
+  switch (e->kind()) {
+    case ExprKind::kColumn:
+      return 0;
+    case ExprKind::kLiteral:
+      return 1;
+    case ExprKind::kComparison: {
+      const auto& c = static_cast<const ComparisonExpr&>(*e);
+      return count_literals(c.lhs()) + count_literals(c.rhs());
+    }
+    case ExprKind::kAnd:
+    case ExprKind::kOr: {
+      std::size_t n = 0;
+      for (const ExprPtr& o : static_cast<const BoolExpr&>(*e).operands()) {
+        n += count_literals(o);
+      }
+      return n;
+    }
+    case ExprKind::kNot:
+      return count_literals(static_cast<const NotExpr&>(*e).operand());
+  }
+  return 0;
+}
+
+/// A top-level `column op literal` conjunct (normalized: column first),
+/// with the column's type in the joint schema.
+struct ColumnLiteral {
+  std::string column;
+  CompareOp op;
+  Value value;
+  ValueType column_type;
+};
+
+std::optional<ColumnLiteral> column_literal(const ExprPtr& c,
+                                            const Schema& joint) {
+  if (c->kind() != ExprKind::kComparison) return std::nullopt;
+  const auto& cmp = static_cast<const ComparisonExpr&>(*c);
+  if (cmp.lhs()->kind() != ExprKind::kColumn ||
+      cmp.rhs()->kind() != ExprKind::kLiteral) {
+    return std::nullopt;
+  }
+  const std::string& column = static_cast<const ColumnExpr&>(*cmp.lhs()).name();
+  const std::optional<std::size_t> i = joint.find(column);
+  if (!i.has_value()) return std::nullopt;
+  return ColumnLiteral{column, cmp.op(),
+                       static_cast<const LiteralExpr&>(*cmp.rhs()).value(),
+                       joint.at(*i).type};
+}
+
+/// Widening (b) applies: a numeric range bound with a non-NaN literal.
+bool one_sided(const ColumnLiteral& b) {
+  return b.op != CompareOp::kEq && b.op != CompareOp::kNe &&
+         is_numeric(b.column_type) && is_numeric(b.value.type()) &&
+         !is_nan(b.value);
+}
+
+/// The literals on one side of the anchor: `up` admits it and everything
+/// above. Tighter is up for > and >=, down for < and <=.
+ValueInterval side(const ColumnLiteral& b, bool tighter) {
+  const bool up = tighter == (b.op == CompareOp::kGt || b.op == CompareOp::kGe);
+  const double v = b.value.as_double();
+  return up ? ValueInterval::at_least(v, false)
+            : ValueInterval::at_most(v, false);
+}
+
+/// Every finite number: where widening (c) holds for a numeric slot
+/// (`column <= +inf` would be entailed, and NaN is ingested as nothing).
+ValueInterval finite() {
+  ValueInterval iv;
+  iv.lo_open = true;
+  iv.hi_open = true;
+  return iv;
+}
+
+/// Widening (c) applies to conjunct `b` against a view's facts: the
+/// conjunct stays residual for every literal in finite() (numeric) or of
+/// its type (string).
+bool always_residual(const ColumnLiteral& b, const PredicateFacts& facts) {
+  if (facts.contradictory() || facts.constrains(b.column)) return false;
+  if (b.op == CompareOp::kNe) return false;
+  if (is_numeric(b.column_type) && is_numeric(b.value.type())) {
+    return std::isfinite(b.value.as_double());
+  }
+  return b.op == CompareOp::kEq && b.column_type == ValueType::kString &&
+         b.value.type() == ValueType::kString;
+}
+
+/// Where match_query_to_view refused: before it reads the predicates,
+/// at containment, at the residual checks, or at the output checks
+/// after them (which read no literal). An unknown reason counts as a
+/// residual refusal, the most conservative stage.
+enum class RefusalStage { kShape, kContainment, kResidual, kOutput };
+
+RefusalStage refusal_stage(const std::string& reason) {
+  const std::string code = refusal_code(reason);
+  if (code == "unmatchable" || code == "relations" ||
+      code == "spj-over-aggregate") {
+    return RefusalStage::kShape;
+  }
+  if (code == "containment") return RefusalStage::kContainment;
+  if (code == "residual-column" || code == "residual-grouping" ||
+      code == "other") {
+    return RefusalStage::kResidual;
+  }
+  return RefusalStage::kOutput;
+}
+
+/// Widening (a): the slot-bearing conjuncts freed for containment, grown
+/// in template order; a candidate joins only if implies() still proves
+/// `view_pred` with it and every conjunct freed before it removed.
+std::vector<bool> freed_for_containment(const std::vector<ExprPtr>& conjuncts,
+                                        const std::vector<std::size_t>& first,
+                                        const ExprPtr& view_pred,
+                                        const Schema& joint) {
+  std::vector<bool> freed(conjuncts.size(), false);
+  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+    if (first[i] == first[i + 1]) continue;
+    freed[i] = true;
+    std::vector<ExprPtr> kept;
+    for (std::size_t j = 0; j < conjuncts.size(); ++j) {
+      if (!freed[j]) kept.push_back(conjuncts[j]);
+    }
+    if (!implies(conj(std::move(kept)), view_pred, joint)) freed[i] = false;
+  }
+  return freed;
+}
+
+/// `top` (a projection or aggregation) over a new input.
+PlanPtr with_input(const PlanPtr& top, PlanPtr input) {
+  if (top->kind() == OpKind::kProject) {
+    return make_project(std::move(input),
+                        static_cast<const ProjectOp&>(*top).columns());
+  }
+  MVD_ASSERT(top->kind() == OpKind::kAggregate);
+  const auto& agg = static_cast<const AggregateOp&>(*top);
+  return make_aggregate(std::move(input), agg.group_by(), agg.aggregates());
+}
+
+}  // namespace
+
+bool LiteralGuard::admits(const Value& v) const {
+  if (v.type() != anchor.type()) return false;
+  if (pinned) return identical(v, anchor);
+  if (!is_numeric(v.type())) return true;
+  const double d = v.as_double();
+  return !std::isnan(d) && range.contains_point(d);
+}
+
+bool TemplateMatch::admits(const QuerySpec& query) const {
+  const std::vector<Value>& slots = query.template_slots();
+  if (slots.size() != guards.size()) return false;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (!guards[i].admits(slots[i])) return false;
+  }
+  return true;
+}
+
+PlanPtr TemplateMatch::plan(const QuerySpec& query) const {
+  MVD_ASSERT(!view.empty());
+  PlanPtr plan = scan;
+  if (!residual.empty()) {
+    std::vector<ExprPtr> kept;
+    for (const std::size_t i : residual) {
+      kept.push_back(query.canonical_conjuncts()[i]);
+    }
+    plan = make_select(std::move(plan), conj(std::move(kept)));
+  }
+  return with_input(output, std::move(plan));
+}
+
+std::optional<ViewMatch> match_template(const QuerySpec& query,
+                                        const std::vector<ViewDef>& views,
+                                        const Catalog& catalog,
+                                        TemplateMatch& out) {
+  out = TemplateMatch{};
+  std::optional<ViewMatch> best =
+      best_view_match(query, views, catalog, &out.refusals);
+
+  // first[i] .. first[i + 1]: the slots of conjunct i.
+  const std::vector<ExprPtr>& conjuncts = query.canonical_conjuncts();
+  std::vector<std::size_t> first{0};
+  for (const ExprPtr& c : conjuncts) {
+    first.push_back(first.back() + count_literals(c));
+  }
+  MVD_ASSERT(first.back() == query.template_slots().size());
+  for (const Value& v : query.template_slots()) {
+    out.guards.push_back(LiteralGuard{v, is_nan(v), ValueInterval()});
+  }
+  const auto pin = [&](std::size_t i) {
+    for (std::size_t s = first[i]; s < first[i + 1]; ++s) {
+      out.guards[s].pinned = true;
+    }
+  };
+  const auto narrow = [&](std::size_t i, const ValueInterval& iv) {
+    for (std::size_t s = first[i]; s < first[i + 1]; ++s) {
+      out.guards[s].range = out.guards[s].range.intersect(iv);
+    }
+  };
+
+  const Schema joint = joint_base_schema(
+      catalog, std::set<std::string>(query.relations().begin(),
+                                     query.relations().end()));
+  std::vector<std::optional<ColumnLiteral>> bounds;
+  for (const ExprPtr& c : conjuncts) bounds.push_back(column_literal(c, joint));
+
+  for (const ViewDef& view : views) {
+    const auto refused =
+        std::find_if(out.refusals.begin(), out.refusals.end(),
+                     [&](const ViewRefusal& r) { return r.view == view.name; });
+    const RefusalStage stage = refused == out.refusals.end()
+                                   ? RefusalStage::kOutput
+                                   : refusal_stage(refused->reason);
+    if (stage == RefusalStage::kShape) continue;
+    if (stage != RefusalStage::kOutput) {
+      for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+        const auto& b = bounds[i];
+        if (stage == RefusalStage::kContainment && b && one_sided(*b)) {
+          narrow(i, side(*b, /*tighter=*/false));
+        } else {
+          pin(i);
+        }
+      }
+      continue;
+    }
+
+    // The view passed containment and the residual checks: keep the
+    // proof, and each conjunct's residual status, for every admitted
+    // request.
+    const ExprPtr view_pred = conj(std::vector<ExprPtr>(view.conjuncts));
+    const PredicateFacts facts(view_pred, joint);
+    const std::vector<bool> freed =
+        freed_for_containment(conjuncts, first, view_pred, joint);
+    for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+      const auto& b = bounds[i];
+      if (!freed[i]) {
+        if (b && one_sided(*b)) {
+          narrow(i, side(*b, /*tighter=*/true));
+        } else {
+          pin(i);
+        }
+      }
+      if (b && always_residual(*b, facts)) {
+        if (is_numeric(b->value.type())) narrow(i, finite());
+      } else {
+        pin(i);
+      }
+    }
+
+    if (best.has_value() && view.name == best->view) {
+      out.view = view.name;
+      out.scan = make_named_scan(view.name, view.output);
+      out.output = best->plan;
+      std::vector<ExprPtr> kept;
+      for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+        if (!facts.entails(conjuncts[i])) out.residual.push_back(i);
+        if (!freed[i]) kept.push_back(conjuncts[i]);
+      }
+      out.evidence_pred = conj(std::move(kept));
     }
   }
   return best;

@@ -40,6 +40,7 @@
 
 #include "src/algebra/query_spec.hpp"
 #include "src/catalog/catalog.hpp"
+#include "src/check/implication.hpp"
 
 namespace mvd {
 
@@ -126,5 +127,77 @@ struct ViewRefusal {
 std::optional<ViewMatch> best_view_match(
     const QuerySpec& query, const std::vector<ViewDef>& views,
     const Catalog& catalog, std::vector<ViewRefusal>* refusals = nullptr);
+
+// ---- Serving by template -------------------------------------------------
+//
+// Requests of one template (QuerySpec::template_fingerprint) differ only
+// in their literals. match_template runs best_view_match on one request,
+// the anchor, and bounds each literal slot by a guard inside which the
+// decision — the chosen view or the ordered refusal list, and which
+// conjuncts are residual — provably stays what best_view_match returns.
+// A slot's guard is the anchor literal alone unless a widening applies:
+//   (a) free for containment: for a view that passed containment, a set
+//       of slot-bearing conjuncts whose removal *together* still proves
+//       it (found greedily in template order, each step testing the
+//       whole set) can take any literals;
+//   (b) one-sided: a top-level numeric `column {<,<=,>,>=} literal` may
+//       move toward tighter values for a view that passed containment
+//       and toward looser ones for a view refused on containment (the
+//       oracle is monotone in top-level conjuncts; literals under OR or
+//       NOT stay pinned, because its text fallback is not monotone);
+//   (c) free for residual status: for a view whose PredicateFacts are
+//       non-contradictory and hold nothing on the slot column's class,
+//       a `column {=,<,<=,>,>=} literal` over numerics (finite values
+//       only) or `column = 'string'` is residual for every literal.
+// A slot of a view that passed containment needs (a) or (b) for the
+// containment proof and (c) for its residual status. Views refused
+// before their predicate is read (relation sets, aggregation shape)
+// constrain nothing; views refused on a residual check pin every slot.
+// The entry's guard is the intersection over all views.
+
+/// The literals one template slot admits.
+struct LiteralGuard {
+  Value anchor;
+  /// Only a literal bit-identical to the anchor is admitted.
+  bool pinned = false;
+  /// Unpinned numeric slots: the admitted values (never NaN). Unpinned
+  /// string and bool slots admit every value of their type.
+  ValueInterval range;
+
+  bool admits(const Value& v) const;
+};
+
+/// One template's decision, compensation skeleton and guards.
+struct TemplateMatch {
+  /// The view that answers; empty when every view refused.
+  std::string view;
+  /// best_view_match's refusals, in view order.
+  std::vector<ViewRefusal> refusals;
+  /// Compensation skeleton (rewritten templates only): the view scan,
+  /// the positions in QuerySpec::canonical_conjuncts() of the residual
+  /// conjuncts, and the anchor's top projection or aggregation.
+  PlanPtr scan;
+  std::vector<std::size_t> residual;
+  PlanPtr output;
+  /// One guard per QuerySpec::template_slots() entry.
+  std::vector<LiteralGuard> guards;
+  /// Rewritten templates: the loosest predicate the guards admit — the
+  /// anchor's conjuncts minus the set (a) freed for the chosen view. It
+  /// implies the view predicate, and every admitted request implies it.
+  ExprPtr evidence_pred;
+
+  /// Every slot of `query` (same template) lies inside its guard.
+  bool admits(const QuerySpec& query) const;
+  /// The compensation plan for an admitted request of a rewritten
+  /// template, built from the request's own residual conjuncts.
+  PlanPtr plan(const QuerySpec& query) const;
+};
+
+/// best_view_match(query, views, catalog), unchanged, plus the template
+/// decision `out` its answer holds for.
+std::optional<ViewMatch> match_template(const QuerySpec& query,
+                                        const std::vector<ViewDef>& views,
+                                        const Catalog& catalog,
+                                        TemplateMatch& out);
 
 }  // namespace mvd

@@ -10,6 +10,7 @@
 #include "src/common/error.hpp"
 #include "src/mvpp/rewrite.hpp"
 #include "src/obs/publish.hpp"
+#include "src/obs/trace.hpp"
 
 namespace mvd {
 
@@ -49,6 +50,8 @@ MvServer::MvServer(Catalog catalog, DesignResult design, const Database& db,
   first->epoch = 0;
   first->db = std::make_shared<const Database>(std::move(deployed));
   first->registry = DeployedViewRegistry(graph, m, *first->db);
+  first->exec = std::make_shared<const Executor>(first->db, options_.mode,
+                                                 options_.threads);
   snapshot_ = std::move(first);
 
   if (options_.observe) {
@@ -77,12 +80,45 @@ void MvServer::publish(std::shared_ptr<const ServeSnapshot> next) {
 }
 
 ServeResult MvServer::serve(const std::string& sql, ServePath path) {
-  return serve(parse_adhoc(catalog_, sql), path);
+  ParsedQuery parsed;
+  {
+    MVD_TRACE_SPAN("serve", "parse");
+    parsed = parse_query(sql);
+  }
+  QuerySpec query;
+  {
+    MVD_TRACE_SPAN("serve", "bind");
+    query = bind_adhoc(catalog_, std::move(parsed));
+  }
+  return serve(query, path);
 }
 
 ServeResult MvServer::serve(const QuerySpec& query, ServePath path) {
   return serve_on(snapshot(), query, path);
 }
+
+namespace {
+
+/// Views up to this many cells (rows x columns) keep their columnar form
+/// in the snapshot's executor. Small views answer requests by the
+/// thousand, and converting one per request dominated a covered serve;
+/// keeping large ones resident for a snapshot's life raised the design
+/// workload's peak RSS by up to 16% (its views hold 140k-380k cells, the
+/// paper warehouse's 26k at most).
+constexpr std::size_t kSnapshotColumnarCells = std::size_t{1} << 16;
+
+/// The template-cache key: which views are VALID, then the template.
+std::string template_key(const ServeSnapshot& snap, const QuerySpec& query) {
+  std::string key;
+  for (const DeployedView& v : snap.registry.views()) {
+    key += v.status == ViewStatus::kValid ? '1' : '0';
+  }
+  key += '|';
+  key += query.template_fingerprint();
+  return key;
+}
+
+}  // namespace
 
 ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
                                const QuerySpec& query, ServePath path) const {
@@ -96,16 +132,43 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
       path == ServePath::kViewOnly ||
       (path == ServePath::kAuto && options_.rewrite);
 
-  std::optional<ViewMatch> best;
+  PlanPtr plan;
   std::string refusals;
   if (try_rewrite) {
-    std::vector<ViewRefusal> refused;
-    best = best_view_match(query, snap->registry.matchable(), catalog_,
-                           &refused);
-    for (ViewRefusal& r : refused) {
-      if (!refusals.empty()) refusals += "; ";
-      refusals += r.view + ": " + r.reason;
-      out.refusals.push_back({std::move(r.view), std::move(r.reason)});
+    MVD_TRACE_SPAN("serve", "match");
+    std::string key = template_key(*snap, query);
+    std::shared_ptr<const Decision> decision = lookup_template(key, query);
+    if (decision != nullptr) {
+      if (!decision->match.view.empty()) plan = decision->match.plan(query);
+    } else {
+      auto fresh = std::make_shared<Decision>();
+      std::optional<ViewMatch> best = match_template(
+          query, snap->registry.matchable(), catalog_, fresh->match);
+      std::optional<RewriteRecord> record;
+      if (best.has_value()) {
+        plan = best->plan;
+        record = RewriteRecord{query.name(), best->view,
+                               fresh->match.evidence_pred, best->view_pred,
+                               best->joint};
+      } else {
+        std::vector<ServeRefusal> refused;
+        for (const ViewRefusal& r : fresh->match.refusals) {
+          refused.push_back({r.view, r.reason});
+        }
+        fresh->refusals = RefusalList(std::move(refused));
+      }
+      decision = fresh;
+      store_template(std::move(key), std::move(fresh), std::move(record));
+    }
+    if (plan != nullptr) {
+      out.rewritten = true;
+      out.view = decision->match.view;
+    } else {
+      out.refusals = decision->refusals;
+      for (const ServeRefusal& r : out.refusals) {
+        if (!refusals.empty()) refusals += "; ";
+        refusals += r.view + ": " + r.reason;
+      }
     }
   } else if (path == ServePath::kBaseOnly) {
     refusals = "base-only path forced";
@@ -113,35 +176,36 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
     refusals = "rewriting disabled";
   }
 
-  if (path == ServePath::kViewOnly && !best.has_value()) {
+  if (path == ServePath::kViewOnly && !out.rewritten) {
     throw ExecError("no materialized view covers query '" + query.name() +
                     "'" + (refusals.empty() ? "" : " (" + refusals + ")"));
   }
-
-  PlanPtr plan;
-  if (best.has_value()) {
-    out.rewritten = true;
-    out.view = best->view;
-    out.refusals.clear();
-    plan = best->plan;
-  } else {
+  if (!out.rewritten) {
     out.refusal = refusals.empty() ? "no deployed views" : refusals;
     plan = canonical_plan(catalog_, query);
   }
   out.engine = exec_mode_name(options_.mode);
 
-  const Executor exec(snap->db, options_.mode, options_.threads);
-  const auto t0 = std::chrono::steady_clock::now();
-  out.table = exec.run(plan, &out.stats);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.latency_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-
-  if (out.rewritten) {
-    std::lock_guard<std::mutex> lock(log_mutex_);
-    rewrite_log_.push_back({query.name(), best->view, best->query_pred,
-                            best->view_pred, best->joint});
+  {
+    MVD_TRACE_SPAN("serve", "exec");
+    const Executor* exec = snap->exec.get();
+    const auto small_view = [&] {
+      const Table& view = snap->db->table(out.view);
+      return view.row_count() * view.schema().size() <= kSnapshotColumnarCells;
+    };
+    std::optional<Executor> own;
+    if (!out.rewritten || exec == nullptr ||
+        &exec->database() != snap->db.get() || !small_view()) {
+      exec = &own.emplace(snap->db, options_.mode, options_.threads);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    out.table = exec->run(plan, &out.stats);
+    const auto t1 = std::chrono::steady_clock::now();
+    out.latency_ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
   }
+
+  MVD_TRACE_SPAN("serve", "record");
   publish_serve_result(out.rewritten, out.view, out.latency_ms, out.engine,
                        out.refusals);
 
@@ -173,6 +237,47 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
   return out;
 }
 
+std::shared_ptr<const MvServer::Decision> MvServer::lookup_template(
+    const std::string& key, const QuerySpec& query) const {
+  std::shared_ptr<const Decision> decision;
+  {
+    std::shared_lock<std::shared_mutex> lock(cache_mutex_);
+    const auto it = templates_.find(key);
+    if (it != templates_.end() &&
+        it->second->decision->match.admits(query)) {
+      decision = it->second->decision;
+    }
+  }
+  (decision != nullptr ? cache_hits_ : cache_misses_)
+      .fetch_add(1, std::memory_order_relaxed);
+  publish_template_lookup(decision != nullptr);
+  return decision;
+}
+
+void MvServer::store_template(std::string key,
+                              std::shared_ptr<const Decision> decision,
+                              std::optional<RewriteRecord> record) const {
+  std::unique_lock<std::shared_mutex> lock(cache_mutex_);
+  bool evicted = false;
+  if (const auto it = templates_.find(key); it != templates_.end()) {
+    // A guard miss (or a concurrent miss on the same template): the new
+    // decision replaces the old one and counts as the newest entry.
+    it->second->decision = std::move(decision);
+    it->second->record = std::move(record);
+    entries_.splice(entries_.end(), entries_, it->second);
+  } else {
+    if (entries_.size() >= kTemplateCacheCapacity) {
+      templates_.erase(entries_.front().key);
+      entries_.pop_front();
+      cache_evictions_.fetch_add(1, std::memory_order_relaxed);
+      evicted = true;
+    }
+    entries_.push_back({key, std::move(decision), std::move(record)});
+    templates_.emplace(std::move(key), std::prev(entries_.end()));
+  }
+  publish_template_store(evicted, entries_.size());
+}
+
 std::uint64_t MvServer::ingest(const std::string& relation,
                                const UpdateStreamOptions& options, Rng& rng) {
   const Batch batch{relation, options, rng};
@@ -183,8 +288,8 @@ std::uint64_t MvServer::begin_refresh() {
   std::lock_guard<std::mutex> writer(writer_mutex_);
   const std::shared_ptr<const ServeSnapshot> cur = snapshot();
 
-  // Content is unchanged, so the new snapshot shares the database; only
-  // the registry advances (STALE -> BUILDING).
+  // Content is unchanged, so the new snapshot shares the database and its
+  // executor; only the registry advances (STALE -> BUILDING).
   auto next = std::make_shared<ServeSnapshot>(*cur);
   next->epoch = cur->epoch + 1;
   for (const std::string& name : next->registry.pending()) {
@@ -249,6 +354,8 @@ std::uint64_t MvServer::write(const Batch* batch,
     }
   }
   next->db = std::make_shared<const Database>(std::move(staging));
+  next->exec = std::make_shared<const Executor>(next->db, options_.mode,
+                                                options_.threads);
   publish(next);
 
   if (observatory_ != nullptr && !events.empty()) {
@@ -295,8 +402,22 @@ ViewStatus MvServer::status(const std::string& view) const {
 }
 
 std::vector<RewriteRecord> MvServer::rewrite_log() const {
-  std::lock_guard<std::mutex> lock(log_mutex_);
-  return rewrite_log_;
+  std::shared_lock<std::shared_mutex> lock(cache_mutex_);
+  std::vector<RewriteRecord> out;
+  for (const TemplateEntry& e : entries_) {
+    if (e.record.has_value()) out.push_back(*e.record);
+  }
+  return out;
+}
+
+TemplateCacheStats MvServer::template_cache_stats() const {
+  TemplateCacheStats stats;
+  stats.hits = cache_hits_.load(std::memory_order_relaxed);
+  stats.misses = cache_misses_.load(std::memory_order_relaxed);
+  stats.evictions = cache_evictions_.load(std::memory_order_relaxed);
+  std::shared_lock<std::shared_mutex> lock(cache_mutex_);
+  stats.entries = entries_.size();
+  return stats;
 }
 
 }  // namespace mvd

@@ -14,6 +14,8 @@
 //   * Readers pin the current snapshot (one shared_ptr copy under the
 //     snapshot mutex) and run entirely against it; the pinning Executor
 //     overload keeps the data alive even when the server swaps mid-query.
+//     Small views are scanned on the Executor the snapshot was published
+//     with, whose column cache converts each of them once per snapshot.
 //   * Writers (ingest / refresh) are serialized by a writer mutex and
 //     share one routine: copy the current database, which shares every
 //     table (copy-on-write), so only the tables written get cloned; mutate
@@ -29,13 +31,29 @@
 //     from the captured deltas or by recompute — then publish them
 //     VALID). update_and_refresh() does batch + rebuild with one
 //     publish, for writers that must never expose an intermediate state.
+//
+// Serving by template: served traffic is a few query shapes with changing
+// literals, so view matching runs once per (template, set of VALID
+// views). The entry holds view_rewrite's TemplateMatch — the decision,
+// the compensation skeleton and one literal guard per slot — plus the
+// template's one RewriteRecord. A request whose literals lie inside every
+// guard builds its plan from its own residual conjuncts and skips the
+// matcher; any other request runs best_view_match and replaces the entry.
+// View definitions never change, so a refresh that leaves every view
+// VALID again finds its entries still keyed, and no publish invalidates
+// anything. The cache holds kTemplateCacheCapacity entries and evicts the
+// oldest beyond that.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/exec/executor.hpp"
@@ -73,6 +91,11 @@ struct ServeSnapshot {
   std::uint64_t epoch = 0;
   std::shared_ptr<const Database> db;
   DeployedViewRegistry registry;
+  /// Runs view-answered serves of small views on `db`, so each such view
+  /// converts to columnar once per snapshot and the form dies with it.
+  /// Larger views, base-table fallbacks and snapshots assembled without
+  /// an executor over `db` run on a one-off executor.
+  std::shared_ptr<const Executor> exec;
 };
 
 struct ServeResult {
@@ -84,7 +107,7 @@ struct ServeResult {
   /// the flattened form of `refusals`).
   std::string refusal;
   /// Structured per-view refusal reasons on the fallback path.
-  std::vector<ServeRefusal> refusals;
+  RefusalList refusals;
   /// Engine that executed the answer plan ("row" | "vec").
   std::string engine;
   std::uint64_t epoch = 0;
@@ -93,9 +116,12 @@ struct ServeResult {
   double latency_ms = 0;
 };
 
-/// Evidence that one query was answered from one view — what the mvlint
+/// Evidence that a template was answered from one view — what the mvlint
 /// serve/rewrite-consistent rule re-derives (implies(query_pred,
-/// view_pred) over joint must hold for every record).
+/// view_pred) over joint must hold for every record). query names the
+/// request the entry was built from; query_pred is the loosest predicate
+/// the entry admits (TemplateMatch::evidence_pred), so the proof covers
+/// every request the entry answers.
 struct RewriteRecord {
   std::string query;  // QuerySpec name
   std::string view;
@@ -104,8 +130,19 @@ struct RewriteRecord {
   Schema joint;
 };
 
+/// Template-cache counters since construction, and its current size.
+struct TemplateCacheStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::size_t entries = 0;
+};
+
 class MvServer {
  public:
+  /// Template-cache entries kept; inserting beyond evicts the oldest.
+  static constexpr std::size_t kTemplateCacheCapacity = 1024;
+
   /// `db` holds the base tables; chosen views are deployed into the first
   /// snapshot (reusing stored tables already present in `db`, computing
   /// the missing ones with deploy_view). A partitioned `db` keeps its
@@ -163,8 +200,11 @@ class MvServer {
   std::uint64_t epoch() const;
   ViewStatus status(const std::string& view) const;
 
-  /// All rewrite evidence accumulated so far (thread-safe copy).
+  /// The rewrite evidence of every live template-cache entry answered
+  /// from a view, oldest entry first (thread-safe copy).
   std::vector<RewriteRecord> rewrite_log() const;
+
+  TemplateCacheStats template_cache_stats() const;
 
   /// The workload observatory recording this server's traffic (null when
   /// options.observe is off). Seeded at construction with the declared
@@ -179,7 +219,29 @@ class MvServer {
     Rng& rng;
   };
 
+  /// A template's decision; a fallback's refusals are built once, in the
+  /// form every serve it answers reports and journals.
+  struct Decision {
+    TemplateMatch match;
+    RefusalList refusals;
+  };
+
+  struct TemplateEntry {
+    std::string key;
+    std::shared_ptr<const Decision> decision;
+    std::optional<RewriteRecord> record;  // templates answered from a view
+  };
+
   void publish(std::shared_ptr<const ServeSnapshot> next);
+  /// The live entry for `key` if it admits `query`'s literals (counts a
+  /// hit or a miss).
+  std::shared_ptr<const Decision> lookup_template(
+      const std::string& key, const QuerySpec& query) const;
+  /// Insert or replace the entry for `key`, evicting the oldest at
+  /// capacity.
+  void store_template(std::string key,
+                      std::shared_ptr<const Decision> decision,
+                      std::optional<RewriteRecord> record) const;
   /// ingest, finish_refresh and update_and_refresh: stage a copy of the
   /// current snapshot, apply `batch` if any, rebuild the pending views if
   /// `rebuild` is set, publish once, journal. Returns the new epoch.
@@ -203,10 +265,16 @@ class MvServer {
   std::mutex writer_mutex_;
   DeltaSet pending_deltas_;
 
-  mutable std::mutex log_mutex_;
-  /// Mutable: serve_on is logically const (it only reads the snapshot)
-  /// but records its rewrite evidence.
-  mutable std::vector<RewriteRecord> rewrite_log_;
+  /// The template cache. Mutable: serve_on is logically const (it only
+  /// reads the snapshot) but fills the cache. Entries are kept oldest
+  /// first; `templates_` indexes them by key.
+  mutable std::shared_mutex cache_mutex_;
+  mutable std::list<TemplateEntry> entries_;
+  mutable std::unordered_map<std::string, std::list<TemplateEntry>::iterator>
+      templates_;
+  mutable std::atomic<std::uint64_t> cache_hits_{0};
+  mutable std::atomic<std::uint64_t> cache_misses_{0};
+  mutable std::atomic<std::uint64_t> cache_evictions_{0};
 
   /// Thread-safe itself; serve_on records through the pointer.
   std::unique_ptr<WorkloadObservatory> observatory_;

@@ -282,10 +282,9 @@ ExprPtr parse_predicate(const std::string& text) {
   return Parser(text).parse_standalone_predicate();
 }
 
-QuerySpec parse_and_bind(const Catalog& catalog, const std::string& name,
-                         double frequency, const std::string& sql) {
-  ParsedQuery parsed = parse_query(sql);
-  std::vector<std::string> select_list = parsed.select_list;
+QuerySpec bind_parsed(const Catalog& catalog, const std::string& name,
+                      double frequency, ParsedQuery parsed) {
+  std::vector<std::string> select_list = std::move(parsed.select_list);
   if (select_list.size() == 1 && select_list[0] == "*") {
     if (!parsed.aggregates.empty()) {
       throw BindError("SELECT * cannot be combined with aggregates");
@@ -300,15 +299,26 @@ QuerySpec parse_and_bind(const Catalog& catalog, const std::string& name,
       }
     }
   }
-  return QuerySpec::bind(catalog, name, frequency, parsed.relations,
+  return QuerySpec::bind(catalog, name, frequency, std::move(parsed.relations),
                          parsed.where, std::move(select_list),
-                         parsed.group_by, std::move(parsed.aggregates));
+                         std::move(parsed.group_by),
+                         std::move(parsed.aggregates));
+}
+
+QuerySpec parse_and_bind(const Catalog& catalog, const std::string& name,
+                         double frequency, const std::string& sql) {
+  return bind_parsed(catalog, name, frequency, parse_query(sql));
+}
+
+QuerySpec bind_adhoc(const Catalog& catalog, ParsedQuery parsed) {
+  static std::atomic<std::uint64_t> next{0};
+  const std::uint64_t n = next.fetch_add(1, std::memory_order_relaxed);
+  return bind_parsed(catalog, "adhoc-" + std::to_string(n), 1.0,
+                     std::move(parsed));
 }
 
 QuerySpec parse_adhoc(const Catalog& catalog, const std::string& sql) {
-  static std::atomic<std::uint64_t> next{0};
-  const std::uint64_t n = next.fetch_add(1, std::memory_order_relaxed);
-  return parse_and_bind(catalog, "adhoc-" + std::to_string(n), 1.0, sql);
+  return bind_adhoc(catalog, parse_query(sql));
 }
 
 }  // namespace mvd

@@ -40,15 +40,22 @@ ParsedQuery parse_query(const std::string& sql);
 /// for building selection conditions programmatically from text.
 ExprPtr parse_predicate(const std::string& text);
 
-/// parse_query + QuerySpec::bind. `SELECT *` expands to every column of
-/// every FROM relation (in schema order).
+/// QuerySpec::bind of a parsed query. `SELECT *` expands to every column
+/// of every FROM relation (in schema order).
+QuerySpec bind_parsed(const Catalog& catalog, const std::string& name,
+                      double frequency, ParsedQuery parsed);
+
+/// parse_query + bind_parsed.
 QuerySpec parse_and_bind(const Catalog& catalog, const std::string& name,
                          double frequency, const std::string& sql);
 
-/// Ad-hoc binding for serving front doors (mvserve): like parse_and_bind
+/// Ad-hoc binding for serving front doors (mvserve): like bind_parsed
 /// but with a generated name ("adhoc-<n>", process-unique) and unit
 /// frequency — ad-hoc queries are not part of a designed workload, so
 /// their names never collide with registered query roots.
+QuerySpec bind_adhoc(const Catalog& catalog, ParsedQuery parsed);
+
+/// parse_query + bind_adhoc.
 QuerySpec parse_adhoc(const Catalog& catalog, const std::string& sql);
 
 }  // namespace mvd

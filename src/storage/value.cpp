@@ -105,29 +105,29 @@ std::size_t Value::hash() const {
 }
 
 std::string Value::to_string() const {
-  std::ostringstream os;
+  // Only doubles need the stream's formatting; the rest are built directly
+  // (expression texts and fingerprints render literals on every bind).
   switch (type_) {
     case ValueType::kInt64:
-      os << std::get<std::int64_t>(data_);
-      break;
-    case ValueType::kDouble:
+      return std::to_string(std::get<std::int64_t>(data_));
+    case ValueType::kDouble: {
+      std::ostringstream os;
       os << std::get<double>(data_);
-      break;
+      return os.str();
+    }
     case ValueType::kString:
-      os << '\'' << std::get<std::string>(data_) << '\'';
-      break;
+      return '\'' + std::get<std::string>(data_) + '\'';
     case ValueType::kBool:
-      os << (std::get<bool>(data_) ? "true" : "false");
-      break;
+      return std::get<bool>(data_) ? "true" : "false";
     case ValueType::kDate: {
       int y = 0, m = 0, d = 0;
       civil_from_days(std::get<std::int64_t>(data_), y, m, d);
-      os << y << '-' << (m < 10 ? "0" : "") << m << '-' << (d < 10 ? "0" : "")
-         << d;
-      break;
+      return std::to_string(y) + (m < 10 ? "-0" : "-") + std::to_string(m) +
+             (d < 10 ? "-0" : "-") + std::to_string(d);
     }
   }
-  return os.str();
+  MVD_ASSERT(false);
+  return {};
 }
 
 std::int64_t Value::days_from_civil(int y, int m, int d) {

@@ -44,6 +44,7 @@
 #include "src/warehouse/designer.hpp"
 #include "src/workload/generator.hpp"
 #include "src/workload/paper_example.hpp"
+#include "tests/serve_oracle.hpp"
 
 namespace mvd {
 namespace {
@@ -325,6 +326,10 @@ void fuzz_round(const Fixture& fx, Servers& servers, std::uint64_t seed,
   AdhocGenerator gen(fx.catalog, fx.db, fx.workload, seed);
   int hits = 0;
   int fallbacks = 0;
+  std::vector<TemplateCacheStats> before;
+  for (const MvServer* s : {&row, &vec, &vec1}) {
+    before.push_back(s->template_cache_stats());
+  }
   for (int i = 0; i < kQueriesPerRound; ++i) {
     const QuerySpec q = gen.next();
     SCOPED_TRACE(fx.label + ": " + q.to_string());
@@ -340,6 +345,12 @@ void fuzz_round(const Fixture& fx, Servers& servers, std::uint64_t seed,
     ASSERT_TRUE(same_bag(rh.table, rb.table)) << "row hit != row base";
     ASSERT_TRUE(same_bag(vh.table, vb.table)) << "vec hit != vec base";
     ASSERT_TRUE(same_bag(v1h.table, v1b.table)) << "vec1 hit != vec1 base";
+
+    // Cache hit or miss, each server's decision is the matcher's on its
+    // snapshot (no writer publishes during a round).
+    ASSERT_EQ(decision_mismatch(row, *row.snapshot(), q, rh), "");
+    ASSERT_EQ(decision_mismatch(vec, *vec.snapshot(), q, vh), "");
+    ASSERT_EQ(decision_mismatch(vec1, *vec1.snapshot(), q, v1h), "");
 
     // The matcher is engine-independent: one decision for all three.
     ASSERT_EQ(rh.rewritten, vh.rewritten);
@@ -370,6 +381,17 @@ void fuzz_round(const Fixture& fx, Servers& servers, std::uint64_t seed,
 
   // Most perturbations stay inside a view; the widened ones must not.
   EXPECT_GE(hits, kQueriesPerRound / 4) << fx.label;
+
+  // Every round both reuses template decisions and makes new ones.
+  for (std::size_t k = 0; k < before.size(); ++k) {
+    const MvServer& s = k == 0 ? row : k == 1 ? vec : vec1;
+    const TemplateCacheStats after = s.template_cache_stats();
+    EXPECT_GT(after.hits, before[k].hits) << fx.label << " server " << k;
+    EXPECT_GT(after.misses, before[k].misses) << fx.label << " server " << k;
+    ::testing::Test::RecordProperty(
+        fx.label + "_cache_hits" + std::to_string(k),
+        static_cast<int>(after.hits - before[k].hits));
+  }
   ::testing::Test::RecordProperty(fx.label + "_hits", hits);
   ::testing::Test::RecordProperty(fx.label + "_fallbacks", fallbacks);
 

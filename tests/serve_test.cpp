@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -22,6 +24,7 @@
 #include "src/sql/parser.hpp"
 #include "src/warehouse/designer.hpp"
 #include "src/workload/paper_example.hpp"
+#include "tests/serve_oracle.hpp"
 
 namespace mvd {
 namespace {
@@ -339,6 +342,182 @@ TEST_F(ViewMatchTest, BestMatchReportsEveryRefusal) {
   EXPECT_EQ(refusal_code(refusals[1].reason), "relations");
 }
 
+// ---- Template guards: each widening, against the matcher -------------------
+
+class TemplateGuardTest : public ViewMatchTest {
+ protected:
+  /// Order ⋈ Customer filtered through an OR: the view's facts hold
+  /// nothing on quantity, so quantity conjuncts stay residual for every
+  /// literal (widening (c)) while containment still reads them.
+  ViewDef or_view() const {
+    return view_from_sql(
+        catalog_, "v_or",
+        "SELECT Customer.city, date, quantity FROM Order, Customer "
+        "WHERE (quantity > 100 OR date > DATE '1996-07-01') "
+        "AND Order.Cid = Customer.Cid");
+  }
+
+  /// The anchor's template decision must hold for `request` exactly when
+  /// its guards say so, and then equal best_view_match on `request`.
+  void expect_admits(const TemplateMatch& t, const std::vector<ViewDef>& views,
+                     const std::string& request, bool admitted) const {
+    const QuerySpec q = query(request);
+    EXPECT_EQ(t.admits(q), admitted) << request;
+    if (!t.admits(q)) return;
+    std::vector<ViewRefusal> refusals;
+    const auto best = best_view_match(q, views, catalog_, &refusals);
+    EXPECT_EQ(best.has_value(), !t.view.empty()) << request;
+    if (best.has_value()) {
+      EXPECT_EQ(best->view, t.view) << request;
+    }
+  }
+};
+
+// (a): two conjuncts each removable alone, but not together — only the
+// first in template order is freed.
+TEST_F(TemplateGuardTest, ContainmentFreesConjunctsJointly) {
+  const std::vector<ViewDef> views{or_view()};
+  TemplateMatch t;
+  const auto m = match_template(
+      query("SELECT Customer.city FROM Order, Customer "
+            "WHERE quantity > 120 AND quantity >= 130 "
+            "AND Order.Cid = Customer.Cid"),
+      views, catalog_, t);
+  ASSERT_TRUE(m.has_value());
+  ASSERT_EQ(t.guards.size(), 2u);
+  // Template order: (quantity > ?) before (quantity >= ?).
+  EXPECT_FALSE(t.guards[0].pinned);
+  EXPECT_TRUE(t.guards[0].admits(Value::int64(-5)));
+  EXPECT_TRUE(t.guards[0].admits(Value::int64(1'000'000)));
+  // The second proves containment alone: one-sided, not free.
+  EXPECT_FALSE(t.guards[1].admits(Value::int64(129)));
+  const std::string shape =
+      "SELECT Customer.city FROM Order, Customer WHERE quantity > $a "
+      "AND quantity >= $b AND Order.Cid = Customer.Cid";
+  const auto with = [&](int a, int b) {
+    std::string sql = shape;
+    sql.replace(sql.find("$a"), 2, std::to_string(a));
+    sql.replace(sql.find("$b"), 2, std::to_string(b));
+    return sql;
+  };
+  expect_admits(t, views, with(7, 500), true);
+  expect_admits(t, views, with(7, 131), true);
+  // Freeing both slots at once would admit this one, which the view does
+  // not contain.
+  expect_admits(t, views, with(7, 50), false);
+  EXPECT_FALSE(best_view_match(query(with(7, 50)), views, catalog_));
+  // The evidence drops exactly the freed conjunct and still proves
+  // containment.
+  EXPECT_TRUE(implies(t.evidence_pred, m->view_pred, m->joint));
+  EXPECT_EQ(conjuncts_of(t.evidence_pred).size(), 2u);  // join + q >= 130
+}
+
+// (b): a matched view admits tighter bounds only, a view refused on
+// containment looser ones only; literals under OR stay pinned.
+TEST_F(TemplateGuardTest, BoundsMoveOnlyTowardTheSameDecision) {
+  const std::vector<ViewDef> views{or_view()};
+  const std::string shape =
+      "SELECT Customer.city FROM Order, Customer "
+      "WHERE quantity > $ AND Order.Cid = Customer.Cid";
+  const auto with = [&](const std::string& v) {
+    std::string sql = shape;
+    sql.replace(sql.find('$'), 1, v);
+    return sql;
+  };
+
+  TemplateMatch matched;
+  ASSERT_TRUE(match_template(query(with("150")), views, catalog_, matched));
+  expect_admits(matched, views, with("150"), true);
+  expect_admits(matched, views, with("151"), true);
+  expect_admits(matched, views, with("100000"), true);
+  expect_admits(matched, views, with("149"), false);
+  expect_admits(matched, views, with("150.0"), false);  // another type
+
+  TemplateMatch refused;
+  ASSERT_FALSE(match_template(query(with("50")), views, catalog_, refused));
+  ASSERT_EQ(refused.refusals.size(), 1u);
+  EXPECT_EQ(refusal_code(refused.refusals[0].reason), "containment");
+  expect_admits(refused, views, with("50"), true);
+  expect_admits(refused, views, with("0"), true);
+  expect_admits(refused, views, with("51"), false);
+
+  // The view's own OR matches by text; a tighter literal inside it does
+  // not, so those slots must stay pinned.
+  const std::string nested_shape =
+      "SELECT Customer.city FROM Order, Customer "
+      "WHERE (quantity > $ OR date > DATE '1996-07-01') "
+      "AND Order.Cid = Customer.Cid";
+  const auto nested_with = [&](const std::string& v) {
+    std::string sql = nested_shape;
+    sql.replace(sql.find('$'), 1, v);
+    return sql;
+  };
+  TemplateMatch nested;
+  ASSERT_TRUE(
+      match_template(query(nested_with("100")), views, catalog_, nested));
+  ASSERT_EQ(nested.guards.size(), 2u);
+  EXPECT_TRUE(nested.guards[0].pinned);
+  EXPECT_TRUE(nested.guards[1].pinned);
+  expect_admits(nested, views, nested_with("101"), false);
+  EXPECT_FALSE(best_view_match(query(nested_with("101")), views, catalog_));
+}
+
+// (c): a column the view's facts leave alone is residual for every finite
+// literal; a bound or bound-class column pins its slot.
+TEST_F(TemplateGuardTest, ResidualStatusFreesOnlyUnconstrainedColumns) {
+  const ViewDef v_or = or_view();
+  TemplateMatch free_city;
+  ASSERT_TRUE(match_template(
+      query("SELECT Customer.city FROM Order, Customer "
+            "WHERE quantity > 150 AND Customer.city = 'LA' "
+            "AND Order.Cid = Customer.Cid"),
+      {v_or}, catalog_, free_city));
+  ASSERT_EQ(free_city.guards.size(), 2u);
+  // Template order: (Customer.city = ?) before (Order.quantity > ?).
+  EXPECT_EQ(free_city.guards[0].anchor.as_string(), "LA");
+  EXPECT_TRUE(free_city.guards[0].admits(Value::string("SF")));
+
+  const ViewDef v_la = view_from_sql(
+      catalog_, "v_la",
+      "SELECT Customer.city, date, quantity FROM Order, Customer "
+      "WHERE Customer.city = 'LA' AND Order.Cid = Customer.Cid");
+  TemplateMatch bound_city;
+  ASSERT_TRUE(match_template(
+      query("SELECT Customer.city FROM Order, Customer "
+            "WHERE Customer.city = 'LA' AND Order.Cid = Customer.Cid"),
+      {v_la}, catalog_, bound_city));
+  ASSERT_EQ(bound_city.guards.size(), 1u);
+  EXPECT_TRUE(bound_city.guards[0].pinned);
+  EXPECT_FALSE(bound_city.guards[0].admits(Value::string("SF")));
+
+  // Numeric slots: finite values only, whatever the widenings allow.
+  TemplateMatch free_quantity;
+  ASSERT_TRUE(match_template(
+      query("SELECT Customer.city FROM Order, Customer "
+            "WHERE quantity > 120.5 AND quantity >= 130 "
+            "AND Order.Cid = Customer.Cid"),
+      {v_or}, catalog_, free_quantity));
+  const LiteralGuard& g = free_quantity.guards[0];
+  ASSERT_EQ(g.anchor.type(), ValueType::kDouble);
+  EXPECT_TRUE(g.admits(Value::real(-1e300)));
+  EXPECT_TRUE(g.admits(Value::real(1e300)));
+  EXPECT_FALSE(g.admits(Value::real(std::numeric_limits<double>::infinity())));
+  EXPECT_FALSE(g.admits(Value::real(std::nan(""))));
+}
+
+// Views refused before their predicate is read constrain nothing.
+TEST_F(TemplateGuardTest, ShapeRefusalsLeaveSlotsFree) {
+  const ViewDef other = view_from_sql(catalog_, "v_other",
+                                      "SELECT city FROM Customer");
+  TemplateMatch t;
+  ASSERT_FALSE(match_template(
+      query("SELECT name FROM Division WHERE city = 'LA'"), {other}, catalog_,
+      t));
+  ASSERT_EQ(t.guards.size(), 1u);
+  EXPECT_FALSE(t.guards[0].pinned);
+  EXPECT_TRUE(t.admits(query("SELECT name FROM Division WHERE city = 'SF'")));
+}
+
 // ---- MvServer: serving, lifecycle, refresh ---------------------------------
 
 class ServeTest : public ::testing::Test {
@@ -613,6 +792,234 @@ TEST_F(ServeTest, RewriteLogFeedsTheLintRule) {
             std::set<std::string>{"serve/rewrite-consistent"});
 }
 
+// ---- Template cache ---------------------------------------------------------
+
+/// `sql` with its first `$` replaced by `literal`.
+std::string fill(const std::string& sql, const std::string& literal) {
+  const std::size_t at = sql.find('$');
+  std::string out(sql, 0, at);
+  out.append(literal);
+  out.append(sql, at + 1);
+  return out;
+}
+
+const char* const kQ4Shape =
+    "SELECT Customer.city, date FROM Order, Customer "
+    "WHERE quantity > $ AND Order.Cid = Customer.Cid";
+
+/// Serve `sql` and hold the answer to the matcher and to the base path on
+/// the same snapshot. Returns whether the serve hit the template cache.
+bool serve_checked(MvServer& server, const std::string& sql) {
+  const auto snap = server.snapshot();
+  const QuerySpec q = parse_adhoc(server.catalog(), sql);
+  const std::uint64_t hits = server.template_cache_stats().hits;
+  const ServeResult r = server.serve_on(snap, q);
+  const bool hit = server.template_cache_stats().hits > hits;
+  EXPECT_EQ(decision_mismatch(server, *snap, q, r), "") << sql;
+  EXPECT_TRUE(
+      same_bag(r.table, server.serve_on(snap, q, ServePath::kBaseOnly).table))
+      << sql;
+  return hit;
+}
+
+// The Q4 view keeps quantity > 100: literals on both sides of the
+// boundary, in shuffled order, with int and with double literals.
+TEST_F(ServeTest, TemplateCacheFollowsTheMatcherAcrossTheQ4Boundary) {
+  for (const char* suffix : {"", ".0"}) {
+    std::vector<int> xs;
+    for (int x = 95; x <= 105; ++x) xs.push_back(x);
+    Rng rng(11);
+    rng.shuffle(xs);
+    for (int round = 0; round < 2; ++round) {
+      for (const int x : xs) {
+        serve_checked(*server_, fill(kQ4Shape, std::to_string(x) + suffix));
+      }
+    }
+  }
+  EXPECT_GT(server_->template_cache_stats().hits, 0u);
+}
+
+// Q1's view binds city = 'LA': an 'SF' request must not reuse the entry.
+TEST_F(ServeTest, BoundLiteralIsNotReused) {
+  const std::string shape =
+      "SELECT Product.name FROM Product, Division "
+      "WHERE Product.Did = Division.Did AND Division.city = '$'";
+  EXPECT_FALSE(serve_checked(*server_, fill(shape, "LA")));
+  EXPECT_TRUE(serve_checked(*server_, fill(shape, "LA")));
+  EXPECT_TRUE(server_->serve(fill(shape, "LA")).rewritten);
+  EXPECT_FALSE(serve_checked(*server_, fill(shape, "SF")));
+  EXPECT_FALSE(server_->serve(fill(shape, "SF")).rewritten);
+}
+
+// quantity > 5 AND quantity < v is contradictory once v <= 6, and a
+// contradictory predicate implies every view (ex falso).
+TEST_F(ServeTest, ExFalsoBoundaryIsGuarded) {
+  const std::string shape =
+      "SELECT Customer.city, date FROM Order, Customer "
+      "WHERE Order.quantity > 5 AND Order.quantity < $ "
+      "AND Order.Cid = Customer.Cid";
+  for (const int v : {10, 7, 6, 5, 3, 6, 7, 12, 4, 200, 5}) {
+    serve_checked(*server_, fill(shape, std::to_string(v)));
+  }
+}
+
+TEST_F(ServeTest, ReorderedRequestsShareOneEntry) {
+  EXPECT_FALSE(serve_checked(
+      *server_,
+      "SELECT Customer.city, date FROM Order, Customer "
+      "WHERE quantity > 100 AND Order.Cid = Customer.Cid "
+      "AND date > DATE '1996-07-01'"));
+  EXPECT_TRUE(serve_checked(
+      *server_,
+      "SELECT Customer.city, date FROM Customer, Order "
+      "WHERE date > DATE '1996-07-01' AND Customer.Cid = Order.Cid "
+      "AND quantity > 100"));
+  EXPECT_EQ(server_->template_cache_stats().entries, 1u);
+  EXPECT_EQ(server_->template_cache_stats().misses, 1u);
+}
+
+TEST_F(ServeTest, IngestFallsBackAndRefreshHitsAgain) {
+  const std::string q4 = fill(kQ4Shape, "100");
+  EXPECT_FALSE(serve_checked(*server_, q4));
+  EXPECT_TRUE(serve_checked(*server_, q4));
+
+  Rng rng(99);
+  server_->ingest("Order", {}, rng);
+  EXPECT_FALSE(serve_checked(*server_, q4));  // the Q4 view is STALE
+  EXPECT_FALSE(server_->serve(q4).rewritten);
+
+  server_->refresh(RefreshMode::kIncremental);
+  const TemplateCacheStats before = server_->template_cache_stats();
+  EXPECT_TRUE(serve_checked(*server_, q4));
+  EXPECT_TRUE(server_->serve(q4).rewritten);
+  EXPECT_EQ(server_->template_cache_stats().misses, before.misses);
+}
+
+TEST_F(ServeTest, TemplateCacheEvictsAtCapacity) {
+  // An alias is part of the output shape, so each one is a template.
+  const std::size_t n = MvServer::kTemplateCacheCapacity + 5;
+  for (std::size_t i = 0; i < n; ++i) {
+    const ServeResult r = server_->serve(
+        "SELECT Customer.city, count(*) AS c" + std::to_string(i) +
+        " FROM Order, Customer WHERE quantity > 100 "
+        "AND Order.Cid = Customer.Cid GROUP BY Customer.city");
+    ASSERT_TRUE(r.rewritten) << r.refusal;
+  }
+  const TemplateCacheStats stats = server_->template_cache_stats();
+  EXPECT_EQ(stats.entries, MvServer::kTemplateCacheCapacity);
+  EXPECT_EQ(stats.evictions, 5u);
+  EXPECT_EQ(stats.misses, n);
+  EXPECT_EQ(server_->rewrite_log().size(), MvServer::kTemplateCacheCapacity);
+}
+
+TEST_F(ServeTest, OneTemplateKeepsOneRecord) {
+  const std::string shape =
+      "SELECT Customer.city, date FROM Order, Customer "
+      "WHERE quantity > 100 AND date > DATE '1996-07-$' "
+      "AND Order.Cid = Customer.Cid";
+  for (int i = 0; i < 10'000; ++i) {
+    const int day = 1 + i % 28;
+    const ServeResult r =
+        server_->serve(fill(shape, std::to_string(day / 10) +
+                                       std::to_string(day % 10)));
+    ASSERT_TRUE(r.rewritten) << r.refusal;
+  }
+  EXPECT_EQ(server_->rewrite_log().size(), 1u);
+  EXPECT_EQ(server_->template_cache_stats().misses, 1u);
+  for (const RewriteRecord& r : server_->rewrite_log()) {
+    EXPECT_TRUE(implies(r.query_pred, r.view_pred, r.joint));
+  }
+}
+
+// A cached fallback hands every serve it answers the same refusal list,
+// so results and journal events hold a reference, not a copy.
+TEST_F(ServeTest, FallbacksOfOneTemplateShareTheirRefusals) {
+  const ServeResult first =
+      server_->serve("SELECT name FROM Division WHERE city = 'LA'");
+  const ServeResult second =
+      server_->serve("SELECT name FROM Division WHERE city = 'SF'");
+  ASSERT_FALSE(first.rewritten);
+  ASSERT_FALSE(second.rewritten);
+  ASSERT_FALSE(first.refusals.empty());
+  EXPECT_EQ(server_->template_cache_stats().hits, 1u);
+  EXPECT_TRUE(second.refusals.shares(first.refusals));
+  if (server_->observatory() != nullptr) {
+    const std::vector<JournalEvent> events =
+        server_->observatory()->journal()->events();
+    ASSERT_FALSE(events.empty());
+    EXPECT_TRUE(events.back().refusals.shares(first.refusals));
+  }
+}
+
+// serve_covered's traffic over the design it serves (the Yang heuristic's
+// views tmp5 and tmp6): after warm-up nearly every request is a hit.
+TEST(TemplateCacheHitRateTest, ServeCoveredLiteralsHit) {
+  DesignerOptions options;
+  options.cost = paper_cost_config();
+  options.algorithm = DesignerOptions::Algorithm::kYang;
+  WarehouseDesigner designer(make_paper_catalog(), options);
+  designer.add_query("Q1", 10.0,
+                     "SELECT Product.name FROM Product, Division "
+                     "WHERE Division.city = 'LA' AND Product.Did = Division.Did");
+  designer.add_query("Q2", 0.5,
+                     "SELECT Part.name FROM Product, Part, Division "
+                     "WHERE Division.city = 'LA' AND Product.Did = Division.Did "
+                     "AND Part.Pid = Product.Pid");
+  designer.add_query("Q3", 0.8,
+                     "SELECT Customer.name, Product.name, quantity "
+                     "FROM Product, Division, Order, Customer "
+                     "WHERE Division.city = 'LA' AND Product.Did = Division.Did "
+                     "AND Product.Pid = Order.Pid AND Order.Cid = Customer.Cid "
+                     "AND date > DATE '1996-07-01'");
+  designer.add_query("Q4", 5.0,
+                     "SELECT Customer.city, date FROM Order, Customer "
+                     "WHERE quantity > 100 AND Order.Cid = Customer.Cid");
+  const Database db = populate_paper_database(0.02, 17);
+  ServeOptions serve;
+  serve.mode = ExecMode::kVectorized;
+  serve.threads = 1;
+  serve.rewrite = true;
+  MvServer server(designer.catalog(), designer.design(), db, serve);
+  std::set<std::string> views;
+  for (const DeployedView& v : server.snapshot()->registry.views()) {
+    views.insert(v.def.name);
+  }
+  EXPECT_EQ(views, (std::set<std::string>{"tmp5", "tmp6"}));
+
+  const auto city = [](std::int64_t c) {
+    return c == 0 ? std::string("LA")
+                  : c == 1 ? std::string("SF") : "city_" + std::to_string(c);
+  };
+  const auto products =
+      static_cast<std::int64_t>(db.table("Product").row_count());
+  Rng rng(7);
+  const auto request = [&] {
+    if (rng.chance(10.0 / 15.0)) {
+      return "SELECT Product.name FROM Product, Division "
+             "WHERE Division.city = 'LA' AND Product.Did = Division.Did "
+             "AND Product.Pid > " +
+             std::to_string(rng.uniform_int(0, products - 1));
+    }
+    const std::int64_t quantity = rng.uniform_int(100, 199);
+    return "SELECT Customer.city, date FROM Order, Customer "
+           "WHERE quantity > " +
+           std::to_string(quantity) +
+           " AND Order.Cid = Customer.Cid AND Customer.city = '" +
+           city(rng.uniform_int(0, 49)) + "'";
+  };
+  for (int i = 0; i < 200; ++i) server.serve(request());
+  const TemplateCacheStats warm = server.template_cache_stats();
+  const int n = 2'000;
+  for (int i = 0; i < n; ++i) {
+    const std::string sql = request();
+    const ServeResult r = server.serve(sql);
+    ASSERT_TRUE(r.rewritten) << sql << ": " << r.refusal;
+  }
+  const double hits =
+      static_cast<double>(server.template_cache_stats().hits - warm.hits);
+  EXPECT_GE(hits / n, 0.99);
+}
+
 // ---- Concurrency: the snapshot/epoch contract (also run under TSan) --------
 
 TEST(MvserveTsanTest, ReadersNeverObserveTornSnapshots) {
@@ -715,6 +1122,70 @@ TEST(MvserveTsanTest, ConcurrentServesShareOneSnapshotSafely) {
   }
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Readers share templates while a writer ingests and refreshes, so
+// entries are filled, hit and replaced concurrently under several
+// VALID-view sets. Every decision must be the matcher's on the reader's
+// own pinned snapshot.
+TEST(MvserveTsanTest, TemplateCacheUnderConcurrentServes) {
+  WarehouseDesigner designer = paper_designer();
+  const DesignResult design = forced_design(designer);
+  ServeOptions options;
+  options.mode = ExecMode::kVectorized;
+  MvServer server(designer.catalog(), design,
+                  populate_paper_database(0.005, 31), options);
+  const std::vector<std::string> shapes = {
+      kQ4Shape,
+      "SELECT Customer.city, date FROM Order, Customer "
+      "WHERE quantity > 100 AND date > DATE '1996-07-$' "
+      "AND Order.Cid = Customer.Cid",
+      "SELECT Product.name FROM Product, Division "
+      "WHERE Product.Did = Division.Did AND Division.city = 'LA' "
+      "AND Product.Pid > $",
+      "SELECT name FROM Division WHERE city = 'city_$'"};
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> served{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(100 + static_cast<std::uint64_t>(t));
+      int i = 0;
+      while (i < 40 || !done.load(std::memory_order_acquire)) {
+        const std::string& shape = shapes[static_cast<std::size_t>(i++) %
+                                          shapes.size()];
+        const std::string sql =
+            fill(shape, std::to_string(rng.uniform_int(10, 28)) +
+                            (shape == shapes[0] ? "0" : ""));
+        const auto snap = server.snapshot();
+        const QuerySpec q = parse_adhoc(server.catalog(), sql);
+        const ServeResult r = server.serve_on(snap, q);
+        if (!decision_mismatch(server, *snap, q, r).empty()) {
+          mismatches.fetch_add(1);
+        }
+        served.fetch_add(1);
+      }
+    });
+  }
+  Rng rng(77);
+  for (int round = 0; round < 6; ++round) {
+    server.ingest(round % 2 == 0 ? "Order" : "Division", {}, rng);
+    server.refresh(round % 2 == 0 ? RefreshMode::kIncremental
+                                  : RefreshMode::kRecompute);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(served.load(), 0);
+  const TemplateCacheStats stats = server.template_cache_stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.misses, 0u);
+  for (const RewriteRecord& r : server.rewrite_log()) {
+    EXPECT_TRUE(implies(r.query_pred, r.view_pred, r.joint)) << r.query;
+  }
 }
 
 }  // namespace

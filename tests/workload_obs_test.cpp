@@ -242,6 +242,46 @@ TEST(JournalRingTest, BoundedRingKeepsTheTailAndCountsDrops) {
 
 // ---- Observatory state transitions ------------------------------------
 
+// A cached template decision hands one shared refusal list to every
+// fallback it answers. Tallying it must equal tallying equal lists built
+// per event, which is what a journal replay feeds, also when lists
+// alternate.
+TEST(ObservatoryTest, SharedRefusalListsTallyLikeCopies) {
+  const RefusalList a = {
+      {"mv_q1", "relation sets differ (view Order)"},
+      {"mv_q2", "containment not proved for conjunct q > 10"}};
+  const RefusalList b = {{"mv_q2", "relation sets differ (view misses Order)"}};
+  const auto copy_of = [](const RefusalList& list) {
+    return RefusalList(std::vector<ServeRefusal>(list.begin(), list.end()));
+  };
+  EXPECT_EQ(copy_of(a), a);
+  EXPECT_FALSE(copy_of(a).shares(a));
+  EXPECT_TRUE(RefusalList(a).shares(a));
+
+  const auto miss = [](const RefusalList& refusals) {
+    JournalEvent e;
+    e.kind = EventKind::kServe;
+    e.query = "adhoc";
+    e.fingerprint = "fp";
+    e.refusals = refusals;
+    return e;
+  };
+  WorkloadObservatory shared(16);
+  WorkloadObservatory copied(16);
+  for (const int pick : {0, 0, 1, 0, 1, 1, 0}) {
+    const RefusalList& list = pick == 0 ? a : b;
+    shared.record(miss(list));
+    copied.record(miss(copy_of(list)));
+  }
+  const WorkloadStats s = shared.stats();
+  EXPECT_EQ(s.to_gauges(), copied.stats().to_gauges());
+  EXPECT_EQ(s.views.at("mv_q1").refusals, 4u);
+  EXPECT_EQ(s.views.at("mv_q2").refusals, 7u);
+  EXPECT_EQ(s.views.at("mv_q2").refusal_reasons.at("containment"), 4u);
+  EXPECT_EQ(s.views.at("mv_q2").refusal_reasons.at("relations"), 3u);
+}
+
+
 TEST(ObservatoryTest, TalliesHitsMissesRefusalsAndStaleness) {
   WorkloadObservatory obs(16);
   obs.declare_query("Q1", 10);     // seq 1

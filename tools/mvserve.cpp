@@ -13,11 +13,17 @@
 //   mvserve --repl              one query per stdin line until EOF
 //   mvserve --selftest          covered queries must rewrite, uncovered
 //                               and near-miss ones must refuse, and every
-//                               answer must equal the base-table answer
+//                               answer must equal the base-table answer;
+//                               each case's twin (a fresh literal inside
+//                               the first serve's guard) must hit the
+//                               template cache with the same route, and
+//                               the q4 boundary pair must keep its routes
+//                               in either order
 //
 // Exit status: 0 ok, 1 self-test failure or serve error, 2 usage.
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -94,58 +100,120 @@ struct ServeCase {
   std::string name;
   std::string sql;
   bool expect_rewrite;
+  /// The same template with a fresh literal inside the first serve's
+  /// guard; where the guard pins every literal, the same literals in
+  /// another FROM/WHERE order.
+  std::string twin;
 };
+
+/// Serve `sql` through the rewriter and the base path on one snapshot;
+/// "ok" or what went wrong. `hit` receives whether the serve reused a
+/// template-cache entry.
+std::string check_serve(MvServer& server, const std::string& sql,
+                        bool expect_rewrite, ServeResult& hit_out,
+                        bool& hit) {
+  try {
+    const auto snap = server.snapshot();
+    const QuerySpec q = parse_adhoc(server.catalog(), sql);
+    const std::uint64_t hits = server.template_cache_stats().hits;
+    hit_out = server.serve_on(snap, q);
+    hit = server.template_cache_stats().hits > hits;
+    const ServeResult base = server.serve_on(snap, q, ServePath::kBaseOnly);
+    if (hit_out.rewritten != expect_rewrite) {
+      return expect_rewrite ? "FAIL: expected a rewrite, got fallback (" +
+                                  hit_out.refusal + ")"
+                            : "FAIL: wrongly rewritten onto " + hit_out.view;
+    }
+    if (!same_bag(hit_out.table, base.table)) {
+      return "FAIL: rewritten answer differs from the base answer";
+    }
+    return "ok";
+  } catch (const Error& e) {
+    return std::string("FAIL: ") + e.what();
+  }
+}
 
 int selftest() {
   MvServer server = make_server(0.02);
   const std::vector<ServeCase> cases = {
       // The four registered queries: each has its own materialized result.
+      // The view binds city, so the twin only reorders.
       {"q1-exact",
        "SELECT Product.name FROM Product, Division "
        "WHERE Product.Did = Division.Did AND city = 'LA'",
-       true},
+       true,
+       "SELECT Product.name FROM Division, Product "
+       "WHERE city = 'LA' AND Division.Did = Product.Did"},
+      // The view bounds quantity at 100: the literal is pinned.
       {"q4-exact",
        "SELECT Customer.city, date FROM Order, Customer "
        "WHERE quantity > 100 AND Order.Cid = Customer.Cid",
-       true},
+       true,
+       "SELECT Customer.city, date FROM Customer, Order "
+       "WHERE Customer.Cid = Order.Cid AND quantity > 100"},
       // Residual compensation: strictly narrower over stored columns.
       {"q4-residual",
        "SELECT Customer.city, date FROM Order, Customer "
        "WHERE quantity > 100 AND date > DATE '1996-07-01' "
        "AND Order.Cid = Customer.Cid",
-       true},
-      // Near miss: quantity > 99 admits a row the view discarded.
+       true,
+       "SELECT Customer.city, date FROM Order, Customer "
+       "WHERE quantity > 100 AND date > DATE '1996-09-15' "
+       "AND Order.Cid = Customer.Cid"},
+      // Near miss: quantity > 99 admits a row the view discarded, and so
+      // does every looser bound.
       {"q4-near-miss",
        "SELECT Customer.city, date FROM Order, Customer "
        "WHERE quantity > 99 AND Order.Cid = Customer.Cid",
-       false},
+       false,
+       "SELECT Customer.city, date FROM Order, Customer "
+       "WHERE quantity > 42 AND Order.Cid = Customer.Cid"},
       // No deployed view touches Division alone.
-      {"uncovered", "SELECT name FROM Division WHERE city = 'LA'", false},
+      {"uncovered", "SELECT name FROM Division WHERE city = 'LA'", false,
+       "SELECT name FROM Division WHERE city = 'SF'"},
   };
 
   int failures = 0;
-  for (const ServeCase& c : cases) {
-    std::string verdict = "ok";
-    try {
-      const auto snap = server.snapshot();
-      const ServeResult hit =
-          server.serve_on(snap, parse_adhoc(server.catalog(), c.sql));
-      const ServeResult base = server.serve_on(
-          snap, parse_adhoc(server.catalog(), c.sql), ServePath::kBaseOnly);
-      if (hit.rewritten != c.expect_rewrite) {
-        verdict = c.expect_rewrite
-                      ? "FAIL: expected a rewrite, got fallback (" +
-                            hit.refusal + ")"
-                      : "FAIL: wrongly rewritten onto " + hit.view;
-      } else if (!same_bag(hit.table, base.table)) {
-        verdict = "FAIL: rewritten answer differs from the base answer";
-      }
-    } catch (const Error& e) {
-      verdict = std::string("FAIL: ") + e.what();
-    }
+  const auto report = [&](const std::string& name, const std::string& verdict) {
     if (verdict != "ok") ++failures;
-    std::cout << c.name << ": " << verdict << "\n";
+    std::cout << name << ": " << verdict << "\n";
+  };
+  for (const ServeCase& c : cases) {
+    ServeResult first;
+    bool hit = false;
+    report(c.name, check_serve(server, c.sql, c.expect_rewrite, first, hit));
+    ServeResult twin;
+    std::string verdict =
+        check_serve(server, c.twin, c.expect_rewrite, twin, hit);
+    if (verdict == "ok" && !hit) verdict = "FAIL: not a template-cache hit";
+    if (verdict == "ok" && twin.view != first.view) {
+      verdict = "FAIL: the hit answered from " + twin.view + ", not " +
+                first.view;
+    }
+    report(c.name + " twin", verdict);
   }
+
+  // The boundary pair on fresh caches, in both orders: neither decision
+  // may leak across quantity > 100 / quantity > 99.
+  for (const auto& pair : {std::pair{&cases[1], &cases[3]},
+                            std::pair{&cases[3], &cases[1]}}) {
+    MvServer fresh = make_server(0.02);
+    const std::string order =
+        "boundary (" + pair.first->name + ", " + pair.second->name + ")";
+    for (const ServeCase* c : {pair.first, pair.second}) {
+      ServeResult r;
+      bool hit = false;
+      report(order + " " + c->name,
+             check_serve(fresh, c->sql, c->expect_rewrite, r, hit));
+    }
+    const TemplateCacheStats stats = fresh.template_cache_stats();
+    std::cout << order << ": " << stats.hits << " hits, " << stats.misses
+              << " misses\n";
+  }
+
+  const TemplateCacheStats stats = server.template_cache_stats();
+  std::cout << "template cache: " << stats.hits << " hits, " << stats.misses
+            << " misses, " << stats.entries << " entries\n";
   std::cout << (failures == 0
                     ? "self-test passed"
                     : "self-test FAILED (" + std::to_string(failures) +

@@ -8,6 +8,7 @@
 //
 //   mvstat --live            drive the built-in demo traffic over the
 //                            paper warehouse, then render its observatory
+//                            and the server's template-cache counters
 //   mvstat --journal FILE    load a JSONL journal (MVD_JOURNAL sink),
 //                            replay it, render the reconstruction
 //   mvstat --json            machine-readable output instead of tables
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -205,7 +207,19 @@ void render_text(const WorkloadStats& stats, std::size_t top_n) {
   }
 }
 
-void render_json(const WorkloadStats& stats) {
+/// The live server's template-cache counters; a journal does not carry
+/// them, so only --live reports them.
+Json template_cache_json(const TemplateCacheStats& cache) {
+  Json out = Json::object();
+  out.set("hits", Json::number(static_cast<double>(cache.hits)));
+  out.set("misses", Json::number(static_cast<double>(cache.misses)));
+  out.set("evictions", Json::number(static_cast<double>(cache.evictions)));
+  out.set("entries", Json::number(cache.entries));
+  return out;
+}
+
+void render_json(const WorkloadStats& stats,
+                 const std::optional<TemplateCacheStats>& cache = {}) {
   Json doc = Json::object();
   doc.set("workload", stats.to_json());
   doc.set("drift", compute_drift(stats).to_json());
@@ -220,6 +234,7 @@ void render_json(const WorkloadStats& stats) {
                          serve_latency_bounds(), stats.latency_counts,
                          stats.latency_count, 0.99)));
   doc.set("latency_percentiles", std::move(latency));
+  if (cache.has_value()) doc.set("template_cache", template_cache_json(*cache));
   std::cout << doc.dump(2) << "\n";
 }
 
@@ -231,10 +246,15 @@ int run_live(double scale, bool json, std::size_t top_n) {
   }
   drive_demo(server);
   const WorkloadStats stats = server.observatory()->stats();
+  const TemplateCacheStats cache = server.template_cache_stats();
   if (json) {
-    render_json(stats);
+    render_json(stats, cache);
   } else {
     render_text(stats, top_n);
+    std::cout << "\n== template cache\n"
+              << "hits: " << cache.hits << "  misses: " << cache.misses
+              << "  evictions: " << cache.evictions
+              << "  entries: " << cache.entries << "\n";
   }
   return 0;
 }
