@@ -12,6 +12,11 @@
 // serving while a writer loops update_and_refresh, measuring read
 // throughput under snapshot churn, and a concurrent section reports QPS
 // with the workload observatory on vs off at hardware_threads clients.
+// A text section serves the mix's shapes as SQL text with fresh literals
+// (serve(sql), through the shape cache) against the same text parsed and
+// bound per request and against requests bound beforehand (serve_on), and
+// prices the shape cache's miss path (a stream of distinct shapes)
+// against plain parse_adhoc; it is reported, not gated.
 //
 // Gates (nonzero exit):
 //   * every covered query in the mix must actually rewrite — the hit
@@ -104,6 +109,45 @@ struct Throughput {
   double qps = 0;
   double hit_rate = 0;
 };
+
+/// The mix's shapes as SQL text, each request with fresh literals: the
+/// residual and uncovered entries (make_mix's entries 4-7) vary their
+/// literal, the registered queries repeat theirs.
+std::vector<std::string> text_stream(const std::vector<MixEntry>& mix,
+                                     std::size_t n) {
+  Rng rng(11);
+  std::vector<std::string> texts;
+  texts.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (i % mix.size()) {
+      case 4:
+        texts.push_back(
+            "SELECT Customer.city, date FROM Order, Customer "
+            "WHERE quantity > 100 AND date > DATE '1996-07-" +
+            std::to_string(10 + rng.uniform_int(0, 18)) +
+            "' AND Order.Cid = Customer.Cid");
+        break;
+      case 5:
+        texts.push_back(
+            "SELECT Product.name FROM Product, Division "
+            "WHERE Product.Did = Division.Did AND city = 'LA' "
+            "AND Product.Did > " +
+            std::to_string(rng.uniform_int(0, 9)));
+        break;
+      case 6:
+        texts.push_back("SELECT name FROM Division WHERE city = 'city_" +
+                        std::to_string(rng.uniform_int(0, 49)) + "'");
+        break;
+      case 7:
+        texts.push_back("SELECT Customer.name FROM Customer WHERE Cid < " +
+                        std::to_string(rng.uniform_int(1, 200)));
+        break;
+      default:
+        texts.push_back(mix[i % mix.size()].query.to_sql());
+    }
+  }
+  return texts;
+}
 
 Throughput drive(const MvServer& server, const std::vector<MixEntry>& mix,
                  int threads, std::size_t per_thread, ServePath path) {
@@ -232,7 +276,7 @@ int main(int argc, char** argv) {
   // Every request of the mix repeats one of its templates, so after the
   // first serve of each the matcher should not run again.
   {
-    const TemplateCacheStats cache = server.template_cache_stats();
+    const CacheStats cache = server.template_cache_stats();
     const double lookups = static_cast<double>(cache.hits + cache.misses);
     const double ratio =
         lookups > 0 ? static_cast<double>(cache.hits) / lookups : 0.0;
@@ -247,6 +291,112 @@ int main(int argc, char** argv) {
               << cache.misses << " misses (hit ratio "
               << format_fixed(ratio, 4) << "), " << cache.entries
               << " entries\n";
+  }
+
+  // Serving SQL text: the mix's shapes with fresh literals through
+  // serve(sql), against the same text parsed and bound per request
+  // (parse_adhoc + serve_on, the path without the shape cache) and the
+  // same requests bound beforehand (serve_on alone); rotating passes, best
+  // of three each. Then a stream of distinct shapes, every request a
+  // shape-cache miss, through bind() against plain parse_adhoc.
+  {
+    const std::size_t n = smoke ? 2'000 : 20'000;
+    const std::vector<std::string> texts = text_stream(mix, n);
+    std::vector<QuerySpec> bound;
+    bound.reserve(n);
+    for (const std::string& sql : texts) {
+      bound.push_back(parse_adhoc(server.catalog(), sql));
+    }
+    for (const std::string& sql : texts) server.serve(sql);  // warm-up
+    const auto seconds = [](auto&& body) {
+      const auto t0 = std::chrono::steady_clock::now();
+      body();
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           t0)
+          .count();
+    };
+    double spec_secs = 1e300;
+    double text_secs = 1e300;
+    double parsed_secs = 1e300;
+    const CacheStats before = server.shape_cache_stats();
+    for (int rep = 0; rep < 3; ++rep) {
+      spec_secs = std::min(spec_secs, seconds([&] {
+                             for (const QuerySpec& q : bound) {
+                               server.serve_on(server.snapshot(), q);
+                             }
+                           }));
+      text_secs = std::min(text_secs, seconds([&] {
+                             for (const std::string& sql : texts) {
+                               server.serve(sql);
+                             }
+                           }));
+      parsed_secs = std::min(parsed_secs, seconds([&] {
+                               for (const std::string& sql : texts) {
+                                 server.serve_on(
+                                     server.snapshot(),
+                                     parse_adhoc(server.catalog(), sql));
+                               }
+                             }));
+    }
+    const CacheStats after = server.shape_cache_stats();
+    const double lookups =
+        static_cast<double>((after.hits - before.hits) +
+                            (after.misses - before.misses));
+    const double hit_ratio =
+        static_cast<double>(after.hits - before.hits) / lookups;
+    const double per = static_cast<double>(n);
+
+    // Distinct shapes: each alias is a new text shape.
+    const std::size_t unique_n = smoke ? 2'000 : 10'000;
+    std::vector<std::string> unique;
+    unique.reserve(unique_n);
+    for (std::size_t i = 0; i < unique_n; ++i) {
+      unique.push_back("SELECT Customer.city, count(*) AS c" +
+                       std::to_string(i) +
+                       " FROM Order, Customer WHERE quantity > 100 "
+                       "AND Order.Cid = Customer.Cid GROUP BY Customer.city");
+    }
+    const CacheStats miss_before = server.shape_cache_stats();
+    const double miss_secs = seconds([&] {
+      for (const std::string& sql : unique) server.bind(sql);
+    });
+    const CacheStats miss_after = server.shape_cache_stats();
+    const double adhoc_secs = seconds([&] {
+      for (const std::string& sql : unique) parse_adhoc(server.catalog(), sql);
+    });
+    const double unique_per = static_cast<double>(unique_n);
+
+    Json text = Json::object();
+    text.set("requests", Json::number(n));
+    text.set("shape_hit_ratio", Json::number(hit_ratio));
+    text.set("serve_sql_qps", Json::number(per / text_secs));
+    text.set("serve_on_qps", Json::number(per / spec_secs));
+    text.set("sql_over_spec", Json::number(spec_secs / text_secs));
+    text.set("serve_sql_us", Json::number(text_secs / per * 1e6));
+    text.set("parse_adhoc_serve_on_us",
+             Json::number(parsed_secs / per * 1e6));
+    text.set("serve_on_us", Json::number(spec_secs / per * 1e6));
+    Json misses = Json::object();
+    misses.set("requests", Json::number(unique_n));
+    misses.set("shape_misses", Json::number(static_cast<double>(
+                                   miss_after.misses - miss_before.misses)));
+    misses.set("evictions", Json::number(static_cast<double>(
+                                miss_after.evictions - miss_before.evictions)));
+    misses.set("bind_miss_us", Json::number(miss_secs / unique_per * 1e6));
+    misses.set("parse_adhoc_us", Json::number(adhoc_secs / unique_per * 1e6));
+    text.set("unique_shapes", std::move(misses));
+    report.set("sql_text", std::move(text));
+    std::cout << "SQL text (1 client, best of 3): serve(sql) "
+              << format_fixed(text_secs / per * 1e6, 1)
+              << " us vs parse_adhoc + serve_on "
+              << format_fixed(parsed_secs / per * 1e6, 1) << " us vs serve_on "
+              << format_fixed(spec_secs / per * 1e6, 1)
+              << " us per request, shape-cache hit ratio "
+              << format_fixed(hit_ratio, 4) << "; distinct shapes: bind "
+              << format_fixed(miss_secs / unique_per * 1e6, 1)
+              << " us vs parse_adhoc "
+              << format_fixed(adhoc_secs / unique_per * 1e6, 1)
+              << " us per request\n";
   }
 
   // Snapshot churn: 4 readers serve while a writer loops ingest+refresh

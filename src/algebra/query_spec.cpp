@@ -1,6 +1,7 @@
 #include "src/algebra/query_spec.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
@@ -41,41 +42,28 @@ std::string sorted_relations(const QuerySpec& query) {
   return "R[" + join(relations, ",") + "]";
 }
 
-/// The canonical identity string behind QuerySpec::fingerprint().
-/// Sorted pieces make it stable under FROM/WHERE reordering.
-std::string compute_fingerprint(const QuerySpec& query) {
-  std::vector<std::string> joins;
-  for (const JoinPredicate& j : query.joins()) joins.push_back(j.canonical());
-  std::sort(joins.begin(), joins.end());
-  std::vector<std::string> selections;
-  for (const ExprPtr& s : query.selections()) {
-    selections.push_back(s->to_string());
-  }
-  std::sort(selections.begin(), selections.end());
-  return sorted_relations(query) + " J[" + join(joins, ",") + "] S[" +
-         join(selections, ",") + "] " + output_shape(query);
-}
-
-/// One walk of a normalized conjunct: its Expr::to_string() text, and the
-/// same text with every literal rendered as a typed slot ("?int64"),
-/// whose values are appended to `slots` in rendering order.
-void render(const ExprPtr& e, std::string& text, std::string& shape,
-            std::vector<Value>& slots) {
-  const auto both = [&](const char* piece) {
+/// One walk of a conjunct: its Expr::to_string() text, built in place,
+/// and when `shape` is set the same text with every literal rendered as a
+/// typed slot ("?int64"), whose values are appended to `slots` in
+/// rendering order.
+void render(const ExprPtr& e, std::string& text, std::string* shape,
+            std::vector<Value>* slots) {
+  const auto both = [&](std::string_view piece) {
     text += piece;
-    shape += piece;
+    if (shape != nullptr) *shape += piece;
   };
   switch (e->kind()) {
     case ExprKind::kColumn:
-      text += static_cast<const ColumnExpr&>(*e).name();
-      shape += static_cast<const ColumnExpr&>(*e).name();
+      both(static_cast<const ColumnExpr&>(*e).name());
       return;
     case ExprKind::kLiteral: {
       const Value& v = static_cast<const LiteralExpr&>(*e).value();
       text += v.to_string();
-      shape += "?";
-      shape += mvd::to_string(v.type());
-      slots.push_back(v);
+      if (shape != nullptr) {
+        *shape += '?';
+        *shape += mvd::to_string(v.type());
+        slots->push_back(v);
+      }
       return;
     }
     case ExprKind::kComparison: {
@@ -83,8 +71,7 @@ void render(const ExprPtr& e, std::string& text, std::string& shape,
       both("(");
       render(c.lhs(), text, shape, slots);
       both(" ");
-      const std::string op = mvd::to_string(c.op());
-      both(op.c_str());
+      both(mvd::to_string(c.op()));
       both(" ");
       render(c.rhs(), text, shape, slots);
       both(")");
@@ -110,10 +97,234 @@ void render(const ExprPtr& e, std::string& text, std::string& shape,
   MVD_ASSERT(false);
 }
 
+/// The canonical identity string behind QuerySpec::fingerprint(), around
+/// the query's sorted_relations() and output_shape(). Sorted pieces make
+/// it stable under FROM/WHERE reordering.
+std::string compute_fingerprint(const QuerySpec& query,
+                                const std::string& relations,
+                                const std::string& output) {
+  std::vector<std::string> joins;
+  for (const JoinPredicate& j : query.joins()) joins.push_back(j.canonical());
+  std::sort(joins.begin(), joins.end());
+  std::vector<std::string> selections(query.selections().size());
+  for (std::size_t i = 0; i < selections.size(); ++i) {
+    render(query.selections()[i], selections[i], nullptr, nullptr);
+  }
+  std::sort(selections.begin(), selections.end());
+  return relations + " J[" + join(joins, ",") + "] S[" +
+         join(selections, ",") + "] " + output;
+}
+
+/// Call `f` on every literal of `e`, left to right.
+template <typename F>
+void visit_literals(const ExprPtr& e, const F& f) {
+  switch (e->kind()) {
+    case ExprKind::kColumn:
+      return;
+    case ExprKind::kLiteral:
+      f(static_cast<const LiteralExpr&>(*e));
+      return;
+    case ExprKind::kComparison: {
+      const auto& c = static_cast<const ComparisonExpr&>(*e);
+      visit_literals(c.lhs(), f);
+      visit_literals(c.rhs(), f);
+      return;
+    }
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+      for (const ExprPtr& op : static_cast<const BoolExpr&>(*e).operands()) {
+        visit_literals(op, f);
+      }
+      return;
+    case ExprKind::kNot:
+      visit_literals(static_cast<const NotExpr&>(*e).operand(), f);
+      return;
+  }
+  MVD_ASSERT(false);
+}
+
+/// `e` with its literals replaced, left to right, by literals[next],
+/// literals[next + 1], ...; subtrees without literals are shared, not
+/// copied.
+ExprPtr substitute(const ExprPtr& e, const std::vector<Value>& literals,
+                   std::size_t& next) {
+  switch (e->kind()) {
+    case ExprKind::kColumn:
+      return e;
+    case ExprKind::kLiteral: {
+      MVD_ASSERT(next < literals.size());
+      const Value& v = literals[next++];
+      MVD_ASSERT(v.type() == static_cast<const LiteralExpr&>(*e).value().type());
+      return lit(v);
+    }
+    case ExprKind::kComparison: {
+      const auto& c = static_cast<const ComparisonExpr&>(*e);
+      ExprPtr l = substitute(c.lhs(), literals, next);
+      ExprPtr r = substitute(c.rhs(), literals, next);
+      if (l == c.lhs() && r == c.rhs()) return e;
+      return cmp(c.op(), std::move(l), std::move(r));
+    }
+    case ExprKind::kAnd:
+    case ExprKind::kOr: {
+      const auto& b = static_cast<const BoolExpr&>(*e);
+      std::vector<ExprPtr> ops;
+      ops.reserve(b.operands().size());
+      bool same = true;
+      for (const ExprPtr& op : b.operands()) {
+        ops.push_back(substitute(op, literals, next));
+        same = same && ops.back() == op;
+      }
+      if (same) return e;
+      return e->kind() == ExprKind::kAnd ? conj(std::move(ops))
+                                         : disj(std::move(ops));
+    }
+    case ExprKind::kNot: {
+      const ExprPtr& inner = static_cast<const NotExpr&>(*e).operand();
+      ExprPtr op = substitute(inner, literals, next);
+      return op == inner ? e : neg(std::move(op));
+    }
+  }
+  MVD_ASSERT(false);
+  return nullptr;
+}
+
+/// True when texts rendered to the slot-bearing `a` and `b` compare the
+/// same way, and differ, for every literal: the two differ before the
+/// first slot of either, where text and slot-bearing text agree.
+bool decided(const std::string& a, const std::string& b) {
+  const std::size_t end =
+      std::min({a.find('?'), b.find('?'), a.size(), b.size()});
+  return a.compare(0, end, b, 0, end) != 0;
+}
+
+/// The slot-bearing text of `e` (see render()).
+std::string slot_text(const ExprPtr& e) {
+  std::string text;
+  std::string shape;
+  std::vector<Value> slots;
+  render(e, text, &shape, &slots);
+  return shape;
+}
+
 }  // namespace
 
+std::vector<Value> QuerySpec::selection_literals() const {
+  std::vector<Value> out;
+  for (const ExprPtr& s : selections_) {
+    visit_literals(s, [&](const LiteralExpr& l) { out.push_back(l.value()); });
+  }
+  return out;
+}
+
+BoundShape::BoundShape(QuerySpec anchor) : anchor_(std::move(anchor)) {
+  const QuerySpec& q = anchor_;
+  // Every selection a comparison under NOTs, so normalize() sorts nothing
+  // inside one and yields one conjunct per selection; nothing was merged.
+  for (const ExprPtr& s : q.selections_) {
+    const Expr* e = s.get();
+    while (e->kind() == ExprKind::kNot) {
+      e = static_cast<const NotExpr&>(*e).operand().get();
+    }
+    if (e->kind() != ExprKind::kComparison) return;
+  }
+  if (q.conjuncts_.size() != q.joins_.size() + q.selections_.size()) return;
+
+  // fingerprint() sorts the selections' texts, the template its
+  // conjuncts' (slot-bearing text first): neighbours must be decided.
+  std::vector<std::string> texts(q.selections_.size());
+  std::vector<std::size_t> order(texts.size());
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    render(q.selections_[i], texts[i], nullptr, nullptr);
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return texts[a] < texts[b]; });
+  const auto all_decided = [](const std::vector<ExprPtr>& sorted) {
+    std::string prev;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      std::string cur = slot_text(sorted[i]);
+      if (i != 0 && !decided(prev, cur)) return false;
+      prev = std::move(cur);
+    }
+    return true;
+  };
+  std::vector<ExprPtr> by_text;
+  for (const std::size_t i : order) by_text.push_back(q.selections_[i]);
+  if (!all_decided(by_text) || !all_decided(q.conjuncts_)) return;
+
+  // normalize() moves literal nodes, never copies them: each slot's node
+  // is one of the selections' literal nodes.
+  std::vector<const LiteralExpr*> literals;
+  for (const ExprPtr& s : q.selections_) {
+    visit_literals(s, [&](const LiteralExpr& l) { literals.push_back(&l); });
+  }
+  std::vector<std::size_t> slot_literal;
+  for (const ExprPtr& c : q.conjuncts_) {
+    visit_literals(c, [&](const LiteralExpr& l) {
+      const auto it = std::find(literals.begin(), literals.end(), &l);
+      slot_literal.push_back(static_cast<std::size_t>(it - literals.begin()));
+    });
+  }
+  if (std::find(slot_literal.begin(), slot_literal.end(), literals.size()) !=
+      slot_literal.end()) {
+    return;
+  }
+
+  // The anchor's fingerprint around its selection texts (identifiers hold
+  // no " S[", so the first one opens them).
+  std::size_t texts_size = texts.empty() ? 0 : texts.size() - 1;
+  for (const std::string& t : texts) texts_size += t.size();
+  const std::size_t head = q.fingerprint_.find(" S[") + 3;
+  fingerprint_head_ = q.fingerprint_.substr(0, head);
+  fingerprint_tail_ = q.fingerprint_.substr(head + texts_size);
+  fingerprint_order_ = std::move(order);
+  slot_literal_ = std::move(slot_literal);
+  reuses_order_ = true;
+}
+
+QuerySpec BoundShape::instantiate(std::string name,
+                                  const std::vector<Value>& literals) const {
+  QuerySpec out;
+  out.name_ = std::move(name);
+  out.frequency_ = anchor_.frequency_;
+  out.relations_ = anchor_.relations_;
+  out.joins_ = anchor_.joins_;
+  out.projection_ = anchor_.projection_;
+  out.group_by_ = anchor_.group_by_;
+  out.aggregates_ = anchor_.aggregates_;
+  out.selections_.reserve(anchor_.selections_.size());
+  std::size_t next = 0;
+  for (const ExprPtr& s : anchor_.selections_) {
+    out.selections_.push_back(substitute(s, literals, next));
+  }
+  MVD_ASSERT(next == literals.size());
+  if (!reuses_order_) {
+    out.compute_identity();
+    return out;
+  }
+
+  out.fingerprint_ = fingerprint_head_;
+  for (std::size_t i = 0; i < fingerprint_order_.size(); ++i) {
+    if (i != 0) out.fingerprint_ += ',';
+    render(out.selections_[fingerprint_order_[i]], out.fingerprint_, nullptr,
+           nullptr);
+  }
+  out.fingerprint_ += fingerprint_tail_;
+  out.slots_.reserve(slot_literal_.size());
+  for (const std::size_t i : slot_literal_) out.slots_.push_back(literals[i]);
+  next = 0;
+  out.conjuncts_.reserve(anchor_.conjuncts_.size());
+  for (const ExprPtr& c : anchor_.conjuncts_) {
+    out.conjuncts_.push_back(substitute(c, out.slots_, next));
+  }
+  out.template_ = anchor_.template_;
+  return out;
+}
+
 void QuerySpec::compute_identity() {
-  fingerprint_ = compute_fingerprint(*this);
+  const std::string relations = sorted_relations(*this);
+  const std::string output = output_shape(*this);
+  fingerprint_ = compute_fingerprint(*this, relations, output);
 
   // The conjuncts of normalize(joins AND selections), normalized one by
   // one (the top level is already flat) and then sorted and deduplicated
@@ -125,10 +336,11 @@ void QuerySpec::compute_identity() {
     std::vector<Value> slots;
   };
   std::vector<Piece> pieces;
+  pieces.reserve(joins_.size() + selections_.size());
   const auto add = [&](const ExprPtr& conjunct) {
     for (ExprPtr& c : conjuncts_of(normalize(conjunct))) {
       Piece& p = pieces.emplace_back();
-      render(c, p.text, p.shape, p.slots);
+      render(c, p.text, &p.shape, &p.slots);
       p.expr = std::move(c);
     }
   };
@@ -143,7 +355,7 @@ void QuerySpec::compute_identity() {
                            }),
                pieces.end());
 
-  template_ = sorted_relations(*this) + " C[";
+  template_ = relations + " C[";
   for (std::size_t i = 0; i < pieces.size(); ++i) {
     if (i != 0) template_ += ",";
     template_ += pieces[i].shape;
@@ -151,7 +363,7 @@ void QuerySpec::compute_identity() {
     slots_.insert(slots_.end(), pieces[i].slots.begin(),
                   pieces[i].slots.end());
   }
-  template_ += "] " + output_shape(*this);
+  template_ += "] " + output;
 }
 
 std::string JoinPredicate::left_relation() const {

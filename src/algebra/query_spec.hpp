@@ -116,6 +116,10 @@ class QuerySpec {
   /// order (conjunct by conjunct, left to right within each).
   const std::vector<Value>& template_slots() const { return slots_; }
 
+  /// The literals of selections(), conjunct by conjunct and left to
+  /// right within each: the order of the WHERE text they were bound from.
+  std::vector<Value> selection_literals() const;
+
   std::string to_string() const;
 
   /// Emit the query back as parseable SQL text (the parser's own
@@ -138,6 +142,8 @@ class QuerySpec {
                         std::vector<AggSpec> aggregates = {});
 
  private:
+  friend class BoundShape;
+
   /// Fill fingerprint_, conjuncts_, slots_ and template_ (end of bind).
   void compute_identity();
 
@@ -153,6 +159,46 @@ class QuerySpec {
   std::vector<ExprPtr> conjuncts_;
   std::vector<Value> slots_;
   std::string template_;
+};
+
+/// A bound query to re-instantiate with other literals: serving by shape
+/// binds a statement once and substitutes each later request's literals.
+///
+/// instantiate() returns what bind() returns for the same statement
+/// written with the new literals, field for field but the name. Binding
+/// never reads a literal value, so the joins, relations and output shape
+/// carry over and the selections take the new literals in place; only the
+/// identity (fingerprint, template order, slots) can depend on them, since
+/// conjuncts are ordered and deduplicated by their text. It is recomputed
+/// unless the anchor proves its order literal-free: every selection is a
+/// comparison (under NOTs), and each two texts the identity sorts differ
+/// before their first literal. Then no literal can reorder or merge
+/// anything, and the anchor's template, order and slot positions are
+/// reused.
+class BoundShape {
+ public:
+  explicit BoundShape(QuerySpec anchor);
+
+  const QuerySpec& anchor() const { return anchor_; }
+
+  /// True when instantiate() reuses the anchor's order.
+  bool reuses_order() const { return reuses_order_; }
+
+  /// The anchor named `name` with its selection literals replaced, in
+  /// selection_literals() order, by `literals` (same count and types).
+  QuerySpec instantiate(std::string name,
+                        const std::vector<Value>& literals) const;
+
+ private:
+  QuerySpec anchor_;
+  bool reuses_order_ = false;
+  /// With reuses_order_: fingerprint() around its selection texts, the
+  /// selections in fingerprint order, and for each template slot the
+  /// index of its literal in selection_literals().
+  std::string fingerprint_head_;
+  std::string fingerprint_tail_;
+  std::vector<std::size_t> fingerprint_order_;
+  std::vector<std::size_t> slot_literal_;
 };
 
 /// The final operator of a query: the aggregate for aggregation queries,

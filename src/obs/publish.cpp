@@ -88,18 +88,19 @@ void publish_serve_result(bool rewritten, const std::string& view,
       .observe(latency_ms);
 }
 
-void publish_template_lookup(bool hit) {
+void publish_cache_lookup(const std::string& cache, bool hit) {
   if (!counters_enabled()) return;
   MetricsRegistry::global()
-      .counter(hit ? "serve/template_cache/hits" : "serve/template_cache/misses")
+      .counter(str_cat("serve/", cache, hit ? "/hits" : "/misses"))
       .increment();
 }
 
-void publish_template_store(bool evicted, std::size_t entries) {
+void publish_cache_store(const std::string& cache, bool evicted,
+                         std::size_t entries) {
   if (!counters_enabled()) return;
   MetricsRegistry& reg = MetricsRegistry::global();
-  if (evicted) reg.counter("serve/template_cache/evictions").increment();
-  reg.gauge("serve/template_cache/entries")
+  if (evicted) reg.counter(str_cat("serve/", cache, "/evictions")).increment();
+  reg.gauge(str_cat("serve/", cache, "/entries"))
       .set(static_cast<double>(entries));
 }
 

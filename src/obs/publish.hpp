@@ -55,13 +55,14 @@ void publish_serve_result(bool rewritten, const std::string& view,
                           double latency_ms, const std::string& engine = "",
                           const RefusalList& refusals = {});
 
-/// Publish one mvserve template-cache lookup: "serve/template_cache/hits"
-/// or ".../misses".
-void publish_template_lookup(bool hit);
+/// Publish one lookup in the mvserve cache `cache` ("template_cache",
+/// "shape_cache"): "serve/<cache>/hits" or ".../misses".
+void publish_cache_lookup(const std::string& cache, bool hit);
 
-/// Publish one template-cache insert: "serve/template_cache/evictions"
-/// when it evicted an entry, and the cache's size as the
-/// "serve/template_cache/entries" gauge.
-void publish_template_store(bool evicted, std::size_t entries);
+/// Publish one store into the mvserve cache `cache`:
+/// "serve/<cache>/evictions" when it evicted an entry, and the cache's
+/// size as the "serve/<cache>/entries" gauge.
+void publish_cache_store(const std::string& cache, bool evicted,
+                         std::size_t entries);
 
 }  // namespace mvd

@@ -123,6 +123,10 @@ class TraceSpan {
   }
 
   bool active() const { return active_; }
+  /// Name the span after what the scope turned out to do (a cache miss).
+  void rename(const char* name) {
+    if (active_) event_.name = name;
+  }
   void arg(std::string key, double value) {
     if (active_) event_.num_args.emplace_back(std::move(key), value);
   }

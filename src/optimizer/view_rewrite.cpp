@@ -1,7 +1,6 @@
 #include "src/optimizer/view_rewrite.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <string_view>
 
@@ -352,26 +351,6 @@ bool is_nan(const Value& v) {
   return v.type() == ValueType::kDouble && std::isnan(v.as_double());
 }
 
-/// Same type and same representation: what a pinned slot admits. The
-/// oracle reads literal text as well as values, so numerically equal
-/// literals (0.0 and -0.0) are not interchangeable.
-bool identical(const Value& a, const Value& b) {
-  if (a.type() != b.type()) return false;
-  switch (a.type()) {
-    case ValueType::kInt64:
-    case ValueType::kDate:
-      return a.as_int64() == b.as_int64();
-    case ValueType::kDouble:
-      return std::bit_cast<std::uint64_t>(a.as_double()) ==
-             std::bit_cast<std::uint64_t>(b.as_double());
-    case ValueType::kString:
-      return a.as_string() == b.as_string();
-    case ValueType::kBool:
-      return a.as_bool() == b.as_bool();
-  }
-  return false;
-}
-
 /// The literal slots `e` holds.
 std::size_t count_literals(const ExprPtr& e) {
   switch (e->kind()) {
@@ -515,7 +494,7 @@ PlanPtr with_input(const PlanPtr& top, PlanPtr input) {
 
 bool LiteralGuard::admits(const Value& v) const {
   if (v.type() != anchor.type()) return false;
-  if (pinned) return identical(v, anchor);
+  if (pinned) return v.identical(anchor);
   if (!is_numeric(v.type())) return true;
   const double d = v.as_double();
   return !std::isnan(d) && range.contains_point(d);

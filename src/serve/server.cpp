@@ -80,17 +80,47 @@ void MvServer::publish(std::shared_ptr<const ServeSnapshot> next) {
 }
 
 ServeResult MvServer::serve(const std::string& sql, ServePath path) {
+  return serve(*bind_shared(sql), path);
+}
+
+QuerySpec MvServer::bind(const std::string& sql) const {
+  return *bind_shared(sql);
+}
+
+std::shared_ptr<const QuerySpec> MvServer::bind_shared(
+    const std::string& sql) const {
+  Lexed lexed;
   ParsedQuery parsed;
   {
-    MVD_TRACE_SPAN("serve", "parse");
-    parsed = parse_query(sql);
+    // A hit's one stage; on a miss, lexing and the lookup count as parse.
+    TraceSpan span("serve", "shape");
+    lexed = lex(sql);
+    if (const std::shared_ptr<const BoundShape> entry =
+            shapes_.find(lexed.shape)) {
+      return std::make_shared<const QuerySpec>(
+          entry->instantiate(adhoc_name(), literal_values(lexed.tokens)));
+    }
+    span.rename("parse");
+    parsed = parse_tokens(lexed.tokens);
   }
   QuerySpec query;
   {
     MVD_TRACE_SPAN("serve", "bind");
     query = bind_adhoc(catalog_, std::move(parsed));
   }
-  return serve(query, path);
+  // Substituting by position is exact when the bound literals are the
+  // text's, in its order (binding keeps the WHERE tree's shape).
+  const std::vector<Value> literals = literal_values(lexed.tokens);
+  const std::vector<Value> bound = query.selection_literals();
+  if (!std::equal(literals.begin(), literals.end(), bound.begin(), bound.end(),
+                  [](const Value& a, const Value& b) {
+                    return a.identical(b);
+                  })) {
+    return std::make_shared<const QuerySpec>(std::move(query));
+  }
+  auto entry = std::make_shared<const BoundShape>(std::move(query));
+  shapes_.store(std::move(lexed.shape), entry);
+  return {entry, &entry->anchor()};  // this request's spec is the anchor
 }
 
 ServeResult MvServer::serve(const QuerySpec& query, ServePath path) {
@@ -137,19 +167,21 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
   if (try_rewrite) {
     MVD_TRACE_SPAN("serve", "match");
     std::string key = template_key(*snap, query);
-    std::shared_ptr<const Decision> decision = lookup_template(key, query);
-    if (decision != nullptr) {
-      if (!decision->match.view.empty()) plan = decision->match.plan(query);
+    std::shared_ptr<const TemplateEntry> entry =
+        templates_.find(key, [&](const TemplateEntry& e) {
+          return e.match.admits(query);
+        });
+    if (entry != nullptr) {
+      if (!entry->match.view.empty()) plan = entry->match.plan(query);
     } else {
-      auto fresh = std::make_shared<Decision>();
+      auto fresh = std::make_shared<TemplateEntry>();
       std::optional<ViewMatch> best = match_template(
           query, snap->registry.matchable(), catalog_, fresh->match);
-      std::optional<RewriteRecord> record;
       if (best.has_value()) {
         plan = best->plan;
-        record = RewriteRecord{query.name(), best->view,
-                               fresh->match.evidence_pred, best->view_pred,
-                               best->joint};
+        fresh->record = RewriteRecord{query.name(), best->view,
+                                      fresh->match.evidence_pred,
+                                      best->view_pred, best->joint};
       } else {
         std::vector<ServeRefusal> refused;
         for (const ViewRefusal& r : fresh->match.refusals) {
@@ -157,14 +189,16 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
         }
         fresh->refusals = RefusalList(std::move(refused));
       }
-      decision = fresh;
-      store_template(std::move(key), std::move(fresh), std::move(record));
+      entry = fresh;
+      // A guard miss (or a concurrent miss on the same template) replaces
+      // the entry, which becomes the newest.
+      templates_.store(std::move(key), std::move(fresh));
     }
     if (plan != nullptr) {
       out.rewritten = true;
-      out.view = decision->match.view;
+      out.view = entry->match.view;
     } else {
-      out.refusals = decision->refusals;
+      out.refusals = entry->refusals;
       for (const ServeRefusal& r : out.refusals) {
         if (!refusals.empty()) refusals += "; ";
         refusals += r.view + ": " + r.reason;
@@ -235,47 +269,6 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
     observatory_->record(std::move(e));
   }
   return out;
-}
-
-std::shared_ptr<const MvServer::Decision> MvServer::lookup_template(
-    const std::string& key, const QuerySpec& query) const {
-  std::shared_ptr<const Decision> decision;
-  {
-    std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-    const auto it = templates_.find(key);
-    if (it != templates_.end() &&
-        it->second->decision->match.admits(query)) {
-      decision = it->second->decision;
-    }
-  }
-  (decision != nullptr ? cache_hits_ : cache_misses_)
-      .fetch_add(1, std::memory_order_relaxed);
-  publish_template_lookup(decision != nullptr);
-  return decision;
-}
-
-void MvServer::store_template(std::string key,
-                              std::shared_ptr<const Decision> decision,
-                              std::optional<RewriteRecord> record) const {
-  std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-  bool evicted = false;
-  if (const auto it = templates_.find(key); it != templates_.end()) {
-    // A guard miss (or a concurrent miss on the same template): the new
-    // decision replaces the old one and counts as the newest entry.
-    it->second->decision = std::move(decision);
-    it->second->record = std::move(record);
-    entries_.splice(entries_.end(), entries_, it->second);
-  } else {
-    if (entries_.size() >= kTemplateCacheCapacity) {
-      templates_.erase(entries_.front().key);
-      entries_.pop_front();
-      cache_evictions_.fetch_add(1, std::memory_order_relaxed);
-      evicted = true;
-    }
-    entries_.push_back({key, std::move(decision), std::move(record)});
-    templates_.emplace(std::move(key), std::prev(entries_.end()));
-  }
-  publish_template_store(evicted, entries_.size());
 }
 
 std::uint64_t MvServer::ingest(const std::string& relation,
@@ -402,22 +395,11 @@ ViewStatus MvServer::status(const std::string& view) const {
 }
 
 std::vector<RewriteRecord> MvServer::rewrite_log() const {
-  std::shared_lock<std::shared_mutex> lock(cache_mutex_);
   std::vector<RewriteRecord> out;
-  for (const TemplateEntry& e : entries_) {
+  templates_.for_each([&](const TemplateEntry& e) {
     if (e.record.has_value()) out.push_back(*e.record);
-  }
+  });
   return out;
-}
-
-TemplateCacheStats MvServer::template_cache_stats() const {
-  TemplateCacheStats stats;
-  stats.hits = cache_hits_.load(std::memory_order_relaxed);
-  stats.misses = cache_misses_.load(std::memory_order_relaxed);
-  stats.evictions = cache_evictions_.load(std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-  stats.entries = entries_.size();
-  return stats;
 }
 
 }  // namespace mvd

@@ -43,23 +43,32 @@
 // VALID again finds its entries still keyed, and no publish invalidates
 // anything. The cache holds kTemplateCacheCapacity entries and evicts the
 // oldest beyond that.
+//
+// Serving SQL text by shape: serve(sql) lexes the text once into tokens
+// and a shape — the token sequence with every literal replaced by its
+// lexical type (src/sql/lexer.hpp). The shape cache maps a shape to the
+// QuerySpec its first request bound to (a BoundShape); a later request of
+// that shape takes that spec with its own literals substituted in text
+// order, which is field for field the spec parse + bind would return, and
+// skips both. A miss parses and binds, and stores the result only when
+// its selection literals are the request's literals in text order (the
+// proof that substitution by position is exact). Errors are never
+// stored: a bad request throws on every serve. The cache holds
+// kShapeCacheCapacity entries and evicts the oldest beyond that.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/exec/executor.hpp"
 #include "src/maintenance/refresh.hpp"
 #include "src/maintenance/update_stream.hpp"
 #include "src/obs/workload.hpp"
+#include "src/serve/bounded_cache.hpp"
 #include "src/sql/parser.hpp"
 #include "src/warehouse/deployed.hpp"
 #include "src/warehouse/designer.hpp"
@@ -130,18 +139,12 @@ struct RewriteRecord {
   Schema joint;
 };
 
-/// Template-cache counters since construction, and its current size.
-struct TemplateCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-};
-
 class MvServer {
  public:
   /// Template-cache entries kept; inserting beyond evicts the oldest.
   static constexpr std::size_t kTemplateCacheCapacity = 1024;
+  /// Shape-cache entries kept; inserting beyond evicts the oldest.
+  static constexpr std::size_t kShapeCacheCapacity = 1024;
 
   /// `db` holds the base tables; chosen views are deployed into the first
   /// snapshot (reusing stored tables already present in `db`, computing
@@ -152,10 +155,15 @@ class MvServer {
 
   // ---- Read path (thread-safe, lock-free after the snapshot pin) ----
 
-  /// Parse, bind, rewrite-or-fallback, execute. Throws ParseError /
-  /// BindError on bad SQL, ExecError on a forced kViewOnly miss.
+  /// bind(sql), then serve the spec: rewrite-or-fallback, execute.
+  /// Throws ParseError / BindError on bad SQL, ExecError on a forced
+  /// kViewOnly miss.
   ServeResult serve(const std::string& sql, ServePath path = ServePath::kAuto);
   ServeResult serve(const QuerySpec& query, ServePath path = ServePath::kAuto);
+
+  /// parse_adhoc(catalog(), sql) through the shape cache: equal to it in
+  /// every field but the adhoc-<n> name, and throws what it throws.
+  QuerySpec bind(const std::string& sql) const;
 
   /// The current snapshot (readers may hold it as long as they like).
   std::shared_ptr<const ServeSnapshot> snapshot() const;
@@ -204,7 +212,8 @@ class MvServer {
   /// from a view, oldest entry first (thread-safe copy).
   std::vector<RewriteRecord> rewrite_log() const;
 
-  TemplateCacheStats template_cache_stats() const;
+  CacheStats template_cache_stats() const { return templates_.stats(); }
+  CacheStats shape_cache_stats() const { return shapes_.stats(); }
 
   /// The workload observatory recording this server's traffic (null when
   /// options.observe is off). Seeded at construction with the declared
@@ -221,27 +230,15 @@ class MvServer {
 
   /// A template's decision; a fallback's refusals are built once, in the
   /// form every serve it answers reports and journals.
-  struct Decision {
+  struct TemplateEntry {
     TemplateMatch match;
     RefusalList refusals;
-  };
-
-  struct TemplateEntry {
-    std::string key;
-    std::shared_ptr<const Decision> decision;
     std::optional<RewriteRecord> record;  // templates answered from a view
   };
 
   void publish(std::shared_ptr<const ServeSnapshot> next);
-  /// The live entry for `key` if it admits `query`'s literals (counts a
-  /// hit or a miss).
-  std::shared_ptr<const Decision> lookup_template(
-      const std::string& key, const QuerySpec& query) const;
-  /// Insert or replace the entry for `key`, evicting the oldest at
-  /// capacity.
-  void store_template(std::string key,
-                      std::shared_ptr<const Decision> decision,
-                      std::optional<RewriteRecord> record) const;
+  /// bind(), sharing a miss's spec with the shape entry it becomes.
+  std::shared_ptr<const QuerySpec> bind_shared(const std::string& sql) const;
   /// ingest, finish_refresh and update_and_refresh: stage a copy of the
   /// current snapshot, apply `batch` if any, rebuild the pending views if
   /// `rebuild` is set, publish once, journal. Returns the new epoch.
@@ -265,16 +262,12 @@ class MvServer {
   std::mutex writer_mutex_;
   DeltaSet pending_deltas_;
 
-  /// The template cache. Mutable: serve_on is logically const (it only
-  /// reads the snapshot) but fills the cache. Entries are kept oldest
-  /// first; `templates_` indexes them by key.
-  mutable std::shared_mutex cache_mutex_;
-  mutable std::list<TemplateEntry> entries_;
-  mutable std::unordered_map<std::string, std::list<TemplateEntry>::iterator>
-      templates_;
-  mutable std::atomic<std::uint64_t> cache_hits_{0};
-  mutable std::atomic<std::uint64_t> cache_misses_{0};
-  mutable std::atomic<std::uint64_t> cache_evictions_{0};
+  /// The caches are mutable: serve_on and bind are logically const (they
+  /// only read the snapshot and the catalog) but fill them.
+  mutable BoundedCache<TemplateEntry> templates_{kTemplateCacheCapacity,
+                                                 "template_cache"};
+  mutable BoundedCache<BoundShape> shapes_{kShapeCacheCapacity,
+                                           "shape_cache"};
 
   /// Thread-safe itself; serve_on records through the pointer.
   std::unique_ptr<WorkloadObservatory> observatory_;

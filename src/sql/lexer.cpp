@@ -1,8 +1,8 @@
 #include "src/sql/lexer.hpp"
 
-#include <cctype>
+#include <array>
+#include <charconv>
 #include <cstdlib>
-#include <set>
 
 #include "src/common/error.hpp"
 #include "src/common/strings.hpp"
@@ -11,124 +11,151 @@ namespace mvd {
 
 namespace {
 
-const std::set<std::string>& keywords() {
-  // DATE is intentionally not a keyword: the date-literal prefix is
-  // recognized by the parser from adjacency (DATE '...'), so relations may
-  // have a column named "date" (the paper's Order relation does).
-  static const std::set<std::string> kw = {"SELECT", "FROM", "WHERE", "AND",
-                                           "OR",     "NOT",  "TRUE",  "FALSE",
-                                           "GROUP",  "BY",   "AS"};
-  return kw;
+// DATE is intentionally not a keyword: the date-literal prefix is
+// recognized by the parser from adjacency (DATE '...'), so relations may
+// have a column named "date" (the paper's Order relation does).
+constexpr std::array<std::string_view, 11> kKeywords = {
+    "SELECT", "FROM", "WHERE", "AND", "OR", "NOT",
+    "TRUE",   "FALSE", "GROUP", "BY", "AS"};
+
+// ASCII classification, as the "C" locale's <cctype> but inlined: the
+// lexer classifies every byte of every request.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_alpha(char c) { return (c | 0x20) >= 'a' && (c | 0x20) <= 'z'; }
+bool is_word(char c) { return is_alpha(c) || is_digit(c) || c == '_'; }
+
+/// The keyword `word` spells in any case, or empty.
+std::string_view keyword(std::string_view word) {
+  for (const std::string_view kw : kKeywords) {
+    if (kw.size() != word.size()) continue;
+    std::size_t i = 0;
+    while (i < kw.size() && (word[i] & ~0x20) == kw[i]) ++i;
+    if (i == kw.size()) return kw;
+  }
+  return {};
 }
 
 }  // namespace
 
-std::vector<Token> tokenize(const std::string& sql) {
-  std::vector<Token> out;
+bool is_date_text(const std::vector<Token>& tokens, std::size_t i) {
+  return tokens[i].kind == TokenKind::kString && i > 0 &&
+         tokens[i - 1].kind == TokenKind::kIdentifier &&
+         equals_icase(tokens[i - 1].text, "date");
+}
+
+Lexed lex(const std::string& sql) {
+  Lexed out;
+  std::vector<Token>& tokens = out.tokens;
+  std::string& shape = out.shape;
+  tokens.reserve(8 + sql.size() / 4);  // typical SQL: 5 or more chars a token
+  shape.reserve(sql.size());
   std::size_t i = 0;
   const std::size_t n = sql.size();
+  std::size_t piece = 0;  // where the previous token's shape piece starts
 
-  auto peek = [&](std::size_t k = 0) -> char {
+  const auto peek = [&](std::size_t k) -> char {
     return i + k < n ? sql[i + k] : '\0';
+  };
+  const auto emit = [&](std::string_view text) {
+    if (!shape.empty()) shape += ' ';
+    piece = shape.size();
+    shape += text;
   };
 
   while (i < n) {
     const char c = sql[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (is_space(c)) {
       ++i;
       continue;
     }
-    Token tok;
+    Token& tok = tokens.emplace_back();
     tok.offset = i;
 
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::size_t start = i;
-      while (i < n && (std::isalnum(static_cast<unsigned char>(sql[i])) ||
-                       sql[i] == '_')) {
-        ++i;
-      }
-      tok.text = sql.substr(start, i - start);
-      const std::string upper = [&] {
-        std::string u = tok.text;
-        for (char& ch : u) ch = static_cast<char>(std::toupper(
-            static_cast<unsigned char>(ch)));
-        return u;
-      }();
-      if (keywords().contains(upper)) {
+    if (is_alpha(c) || c == '_') {
+      const std::size_t start = i;
+      while (i < n && is_word(sql[i])) ++i;
+      const std::string_view word(sql.data() + start, i - start);
+      if (const std::string_view kw = keyword(word); !kw.empty()) {
         tok.kind = TokenKind::kKeyword;
-        tok.text = upper;
+        tok.text = kw;
+        emit(kw == "TRUE" || kw == "FALSE" ? "?b" : kw);
       } else {
         tok.kind = TokenKind::kIdentifier;
+        tok.text = word;
+        emit(word);
       }
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t start = i;
+    } else if (is_digit(c)) {
+      const std::size_t start = i;
       bool dot = false;
-      while (i < n && (std::isdigit(static_cast<unsigned char>(sql[i])) ||
-                       (!dot && sql[i] == '.' &&
-                        std::isdigit(static_cast<unsigned char>(peek(1)))))) {
+      while (i < n && (is_digit(sql[i]) ||
+                       (!dot && sql[i] == '.' && is_digit(peek(1))))) {
         if (sql[i] == '.') dot = true;
         ++i;
       }
       tok.kind = TokenKind::kNumber;
-      tok.text = sql.substr(start, i - start);
-      tok.number = std::strtod(tok.text.c_str(), nullptr);
+      tok.text.assign(sql, start, i - start);
       tok.is_integer = !dot;
+      if (!tok.is_integer) {
+        tok.number = std::strtod(tok.text.c_str(), nullptr);
+      } else if (std::from_chars(sql.data() + start, sql.data() + i,
+                                 tok.integer)
+                     .ec == std::errc()) {
+        tok.number = static_cast<double>(tok.integer);
+      } else {
+        throw ParseError(str_cat("integer literal ", tok.text,
+                                 " out of range at offset ", start));
+      }
+      emit(tok.is_integer ? "?i" : "?d");
     } else if (c == '\'') {
       ++i;
-      std::string value;
       bool closed = false;
-      while (i < n) {
-        if (sql[i] == '\'') {
-          if (peek(1) == '\'') {  // '' escape
-            value += '\'';
-            i += 2;
-          } else {
-            ++i;
-            closed = true;
-            break;
-          }
-        } else {
-          value += sql[i++];
+      for (std::size_t quote; (quote = sql.find('\'', i)) != std::string::npos;) {
+        tok.text.append(sql, i, quote - i);
+        i = quote + 1;
+        if (peek(0) != '\'') {
+          closed = true;
+          break;
         }
+        tok.text += '\'';  // '' escape
+        ++i;
       }
       if (!closed) {
         throw ParseError(str_cat("unterminated string literal at offset ",
                                  tok.offset));
       }
       tok.kind = TokenKind::kString;
-      tok.text = std::move(value);
+      if (is_date_text(tokens, tokens.size() - 1)) {
+        shape.resize(piece);  // DATE '...' is one literal
+        shape += "?D";
+      } else {
+        emit("?s");
+      }
     } else {
       // Multi-char symbols first.
-      static const char* two_char[] = {"<>", "!=", "<=", ">="};
-      std::string pair{c, peek(1)};
-      bool matched = false;
-      for (const char* s : two_char) {
-        if (pair == s) {
-          tok.kind = TokenKind::kSymbol;
-          tok.text = pair;
-          i += 2;
-          matched = true;
-          break;
-        }
+      const char next = peek(1);
+      const bool pair = (c == '<' && (next == '>' || next == '=')) ||
+                        (c == '!' && next == '=') ||
+                        (c == '>' && next == '=');
+      if (!pair && std::string_view(",.()=<>*").find(c) ==
+                       std::string_view::npos) {
+        throw ParseError(str_cat("unexpected character '", c,
+                                 "' at offset ", i));
       }
-      if (!matched) {
-        static const std::string singles = ",.()=<>*";
-        if (singles.find(c) == std::string::npos) {
-          throw ParseError(str_cat("unexpected character '", c,
-                                   "' at offset ", i));
-        }
-        tok.kind = TokenKind::kSymbol;
-        tok.text = std::string(1, c);
-        ++i;
-      }
+      tok.kind = TokenKind::kSymbol;
+      tok.text.assign(sql, i, pair ? 2 : 1);
+      i += tok.text.size();
+      emit(tok.text);
     }
-    out.push_back(std::move(tok));
   }
-  Token end;
+  Token& end = tokens.emplace_back();
   end.kind = TokenKind::kEnd;
   end.offset = n;
-  out.push_back(std::move(end));
   return out;
+}
+
+std::vector<Token> tokenize(const std::string& sql) {
+  return lex(sql).tokens;
 }
 
 }  // namespace mvd

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
+#include <string_view>
 
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
@@ -13,9 +15,53 @@ namespace mvd {
 
 namespace {
 
+/// A DATE '...' literal's value; throws ParseError when `text` is not
+/// YYYY-MM-DD.
+Value parse_date(const std::string& text) {
+  const std::vector<std::string> parts = split(text, '-');
+  if (parts.size() == 3) {
+    char* e1 = nullptr;
+    char* e2 = nullptr;
+    char* e3 = nullptr;
+    const long y = std::strtol(parts[0].c_str(), &e1, 10);
+    const long m = std::strtol(parts[1].c_str(), &e2, 10);
+    const long d = std::strtol(parts[2].c_str(), &e3, 10);
+    const bool ok = *e1 == '\0' && *e2 == '\0' && *e3 == '\0' &&
+                    !parts[0].empty() && !parts[1].empty() &&
+                    !parts[2].empty() && m >= 1 && m <= 12 && d >= 1 &&
+                    d <= 31;
+    if (ok) {
+      return Value::date_ymd(static_cast<int>(y), static_cast<int>(m),
+                             static_cast<int>(d));
+    }
+  }
+  throw ParseError("malformed date literal '" + text +
+                   "' (expected 'YYYY-MM-DD')");
+}
+
+/// A number, a string (the text of a DATE '...' too), TRUE or FALSE.
+bool is_literal(const Token& t) {
+  return t.kind == TokenKind::kNumber || t.kind == TokenKind::kString ||
+         t.is_keyword("TRUE") || t.is_keyword("FALSE");
+}
+
+/// The value of the is_literal() token at `tokens[i]`.
+Value literal_value(const std::vector<Token>& tokens, std::size_t i) {
+  const Token& t = tokens[i];
+  switch (t.kind) {
+    case TokenKind::kNumber:
+      return t.is_integer ? Value::int64(t.integer) : Value::real(t.number);
+    case TokenKind::kString:
+      return is_date_text(tokens, i) ? parse_date(t.text)
+                                     : Value::string(t.text);
+    default:
+      return Value::boolean(t.is_keyword("TRUE"));
+  }
+}
+
 class Parser {
  public:
-  explicit Parser(const std::string& sql) : tokens_(tokenize(sql)) {}
+  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
 
   ParsedQuery parse_query() {
     expect_keyword("SELECT");
@@ -62,7 +108,7 @@ class Parser {
                              "'"));
   }
 
-  bool accept_keyword(const std::string& kw) {
+  bool accept_keyword(std::string_view kw) {
     if (cur().is_keyword(kw)) {
       advance();
       return true;
@@ -70,11 +116,11 @@ class Parser {
     return false;
   }
 
-  void expect_keyword(const std::string& kw) {
-    if (!accept_keyword(kw)) fail("keyword " + kw);
+  void expect_keyword(std::string_view kw) {
+    if (!accept_keyword(kw)) fail(str_cat("keyword ", kw));
   }
 
-  bool accept_symbol(const std::string& s) {
+  bool accept_symbol(std::string_view s) {
     if (cur().is_symbol(s)) {
       advance();
       return true;
@@ -82,11 +128,11 @@ class Parser {
     return false;
   }
 
-  void expect_symbol(const std::string& s) {
-    if (!accept_symbol(s)) fail("'" + s + "'");
+  void expect_symbol(std::string_view s) {
+    if (!accept_symbol(s)) fail(str_cat("'", s, "'"));
   }
 
-  std::string expect_identifier(const std::string& what) {
+  std::string expect_identifier(const char* what) {
     if (cur().kind != TokenKind::kIdentifier) fail(what);
     std::string text = cur().text;
     advance();
@@ -101,7 +147,8 @@ class Parser {
   std::string parse_column_name() {
     std::string name = expect_identifier("column name");
     if (accept_symbol(".")) {
-      name += "." + expect_identifier("column name after '.'");
+      name += '.';
+      name += expect_identifier("column name after '.'");
     }
     return name;
   }
@@ -220,54 +267,18 @@ class Parser {
     if (cur().kind == TokenKind::kIdentifier) {
       // DATE 'YYYY-MM-DD' is a date literal; a lone "date" identifier is a
       // column reference.
-      if (equals_icase(cur().text, "date") &&
-          tokens_[pos_ + 1].kind == TokenKind::kString) {
-        advance();
-        const std::string text = cur().text;
-        advance();
-        return lit(parse_date(text));
-      }
-      return col(parse_column_name());
-    }
-    if (cur().kind == TokenKind::kNumber) {
-      const Token t = cur();
+      if (!is_date_text(tokens_, pos_ + 1)) return col(parse_column_name());
       advance();
-      return t.is_integer ? lit_i64(static_cast<std::int64_t>(t.number))
-                          : lit_real(t.number);
     }
-    if (cur().kind == TokenKind::kString) {
-      std::string s = cur().text;
+    if (is_literal(cur())) {
+      ExprPtr e = lit(literal_value(tokens_, pos_));
       advance();
-      return lit_str(std::move(s));
+      return e;
     }
-    if (accept_keyword("TRUE")) return lit(Value::boolean(true));
-    if (accept_keyword("FALSE")) return lit(Value::boolean(false));
     fail("operand (column, number, string, TRUE/FALSE or DATE '...')");
   }
 
-  Value parse_date(const std::string& text) const {
-    const std::vector<std::string> parts = split(text, '-');
-    if (parts.size() == 3) {
-      char* e1 = nullptr;
-      char* e2 = nullptr;
-      char* e3 = nullptr;
-      const long y = std::strtol(parts[0].c_str(), &e1, 10);
-      const long m = std::strtol(parts[1].c_str(), &e2, 10);
-      const long d = std::strtol(parts[2].c_str(), &e3, 10);
-      const bool ok = *e1 == '\0' && *e2 == '\0' && *e3 == '\0' &&
-                      !parts[0].empty() && !parts[1].empty() &&
-                      !parts[2].empty() && m >= 1 && m <= 12 && d >= 1 &&
-                      d <= 31;
-      if (ok) {
-        return Value::date_ymd(static_cast<int>(y), static_cast<int>(m),
-                               static_cast<int>(d));
-      }
-    }
-    throw ParseError("malformed date literal '" + text +
-                     "' (expected 'YYYY-MM-DD')");
-  }
-
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;  // open NOT / '(' levels
 };
@@ -275,11 +286,23 @@ class Parser {
 }  // namespace
 
 ParsedQuery parse_query(const std::string& sql) {
-  return Parser(sql).parse_query();
+  return parse_tokens(tokenize(sql));
+}
+
+ParsedQuery parse_tokens(const std::vector<Token>& tokens) {
+  return Parser(tokens).parse_query();
 }
 
 ExprPtr parse_predicate(const std::string& text) {
-  return Parser(text).parse_standalone_predicate();
+  return Parser(tokenize(text)).parse_standalone_predicate();
+}
+
+std::vector<Value> literal_values(const std::vector<Token>& tokens) {
+  std::vector<Value> out;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    if (is_literal(tokens[i])) out.push_back(literal_value(tokens, i));
+  }
+  return out;
 }
 
 QuerySpec bind_parsed(const Catalog& catalog, const std::string& name,
@@ -310,11 +333,13 @@ QuerySpec parse_and_bind(const Catalog& catalog, const std::string& name,
   return bind_parsed(catalog, name, frequency, parse_query(sql));
 }
 
-QuerySpec bind_adhoc(const Catalog& catalog, ParsedQuery parsed) {
+std::string adhoc_name() {
   static std::atomic<std::uint64_t> next{0};
-  const std::uint64_t n = next.fetch_add(1, std::memory_order_relaxed);
-  return bind_parsed(catalog, "adhoc-" + std::to_string(n), 1.0,
-                     std::move(parsed));
+  return "adhoc-" + std::to_string(next.fetch_add(1, std::memory_order_relaxed));
+}
+
+QuerySpec bind_adhoc(const Catalog& catalog, ParsedQuery parsed) {
+  return bind_parsed(catalog, adhoc_name(), 1.0, std::move(parsed));
 }
 
 QuerySpec parse_adhoc(const Catalog& catalog, const std::string& sql) {

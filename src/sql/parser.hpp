@@ -18,6 +18,7 @@
 
 #include "src/algebra/expr.hpp"
 #include "src/algebra/query_spec.hpp"
+#include "src/sql/lexer.hpp"
 
 namespace mvd {
 
@@ -36,6 +37,16 @@ inline constexpr std::size_t kMaxPredicateNesting = 256;
 /// Parse SQL text. Throws ParseError with offset context on bad input.
 ParsedQuery parse_query(const std::string& sql);
 
+/// parse_query over already lexed tokens (lex()'s, ending with kEnd).
+ParsedQuery parse_tokens(const std::vector<Token>& tokens);
+
+/// The values of the literals a parse of `tokens` builds, in text order:
+/// one per literal slot of the statement's shape (lexer.hpp), each the
+/// value and type the parser gives it. Throws ParseError on a malformed
+/// DATE text, with the parser's message. Meaningful for tokens that
+/// parse: elsewhere a string or number need not be a literal.
+std::vector<Value> literal_values(const std::vector<Token>& tokens);
+
 /// Parse a standalone predicate (the WHERE grammar), e.g. for tests and
 /// for building selection conditions programmatically from text.
 ExprPtr parse_predicate(const std::string& text);
@@ -49,10 +60,13 @@ QuerySpec bind_parsed(const Catalog& catalog, const std::string& name,
 QuerySpec parse_and_bind(const Catalog& catalog, const std::string& name,
                          double frequency, const std::string& sql);
 
+/// A fresh ad-hoc query name, "adhoc-<n>" (process-unique).
+std::string adhoc_name();
+
 /// Ad-hoc binding for serving front doors (mvserve): like bind_parsed
-/// but with a generated name ("adhoc-<n>", process-unique) and unit
-/// frequency — ad-hoc queries are not part of a designed workload, so
-/// their names never collide with registered query roots.
+/// but with an adhoc_name() and unit frequency — ad-hoc queries are not
+/// part of a designed workload, so their names never collide with
+/// registered query roots.
 QuerySpec bind_adhoc(const Catalog& catalog, ParsedQuery parsed);
 
 /// parse_query + bind_adhoc.

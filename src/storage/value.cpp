@@ -1,5 +1,6 @@
 #include "src/storage/value.hpp"
 
+#include <bit>
 #include <sstream>
 
 #include "src/common/assert.hpp"
@@ -80,6 +81,15 @@ bool Value::operator==(const Value& other) const {
   if (is_numeric(type_) != is_numeric(other.type_)) return false;
   if (!is_numeric(type_) && type_ != other.type_) return false;
   return compare(other) == std::strong_ordering::equal;
+}
+
+bool Value::identical(const Value& other) const {
+  if (type_ != other.type_) return false;
+  if (type_ == ValueType::kDouble) {
+    return std::bit_cast<std::uint64_t>(std::get<double>(data_)) ==
+           std::bit_cast<std::uint64_t>(std::get<double>(other.data_));
+  }
+  return data_ == other.data_;
 }
 
 std::size_t Value::hash() const {

@@ -39,6 +39,11 @@ class Value {
   std::strong_ordering compare(const Value& other) const;
   bool operator==(const Value& other) const;
 
+  /// Same type and same representation (doubles by bit pattern), a
+  /// stricter test than ==: 1 and 1.0, or 0.0 and -0.0, are equal but
+  /// not identical. Literal text reads differently for such pairs.
+  bool identical(const Value& other) const;
+
   std::size_t hash() const;
 
   /// Display form: strings quoted, dates as YYYY-MM-DD.

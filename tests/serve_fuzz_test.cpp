@@ -9,7 +9,10 @@
 // two answers must be bag-equal on every engine. Across engines the
 // matcher's decision must agree, and the vectorized engine must return
 // bit-identical tables at both thread counts (its determinism contract,
-// row order included; the row engine is only bag-equal to it).
+// row order included; the row engine is only bag-equal to it). Each query
+// is also served as SQL text (QuerySpec::to_sql) through the shape cache
+// on every server: same bag and same route as the spec, and the spec the
+// cache instantiates equals parse_adhoc's in every field.
 //
 // Perturbations keep the differential interesting: tightened predicates
 // with constants sampled from the actual table data (residual
@@ -326,9 +329,11 @@ void fuzz_round(const Fixture& fx, Servers& servers, std::uint64_t seed,
   AdhocGenerator gen(fx.catalog, fx.db, fx.workload, seed);
   int hits = 0;
   int fallbacks = 0;
-  std::vector<TemplateCacheStats> before;
+  std::vector<CacheStats> before;
+  std::vector<CacheStats> shapes_before;
   for (const MvServer* s : {&row, &vec, &vec1}) {
     before.push_back(s->template_cache_stats());
+    shapes_before.push_back(s->shape_cache_stats());
   }
   for (int i = 0; i < kQueriesPerRound; ++i) {
     const QuerySpec q = gen.next();
@@ -365,6 +370,22 @@ void fuzz_round(const Fixture& fx, Servers& servers, std::uint64_t seed,
     ASSERT_TRUE(exactly_equal(vh.table, v1h.table)) << "vec 2t != 1t (hit)";
     ASSERT_TRUE(exactly_equal(vb.table, v1b.table)) << "vec 2t != 1t (base)";
 
+    // The same query as SQL text, through the shape cache: vec1 binds it
+    // first (the spec must be parse_adhoc's in every field), then every
+    // server serves the text, which must answer and route like the spec.
+    const std::string sql = q.to_sql();
+    const QuerySpec text_q = parse_adhoc(fx.catalog, sql);
+    ASSERT_EQ(spec_mismatch(vec1.bind(sql), text_q), "") << sql;
+    for (MvServer* s : {&row, &vec, &vec1}) {
+      const ServeResult& by_spec = s == &row ? rh : s == &vec ? vh : v1h;
+      const ServeResult by_text = s->serve(sql);
+      ASSERT_TRUE(same_bag(by_text.table, by_spec.table)) << sql;
+      ASSERT_EQ(decision_mismatch(*s, *s->snapshot(), text_q, by_text), "")
+          << sql;
+      ASSERT_EQ(by_text.rewritten, by_spec.rewritten) << sql;
+      ASSERT_EQ(by_text.view, by_spec.view) << sql;
+    }
+
     // ExecStats sanity: the base path always scans real blocks; no
     // writer publishes during a round.
     ASSERT_GT(rb.stats.blocks_read, 0u);
@@ -382,12 +403,16 @@ void fuzz_round(const Fixture& fx, Servers& servers, std::uint64_t seed,
   // Most perturbations stay inside a view; the widened ones must not.
   EXPECT_GE(hits, kQueriesPerRound / 4) << fx.label;
 
-  // Every round both reuses template decisions and makes new ones.
+  // Every round both reuses template decisions and makes new ones, and
+  // serves some text by a shape an earlier request bound (row and vec
+  // serve each text once; vec1 also binds it first).
   for (std::size_t k = 0; k < before.size(); ++k) {
     const MvServer& s = k == 0 ? row : k == 1 ? vec : vec1;
-    const TemplateCacheStats after = s.template_cache_stats();
+    const CacheStats after = s.template_cache_stats();
     EXPECT_GT(after.hits, before[k].hits) << fx.label << " server " << k;
     EXPECT_GT(after.misses, before[k].misses) << fx.label << " server " << k;
+    EXPECT_GT(s.shape_cache_stats().hits, shapes_before[k].hits)
+        << fx.label << " server " << k;
     ::testing::Test::RecordProperty(
         fx.label + "_cache_hits" + std::to_string(k),
         static_cast<int>(after.hits - before[k].hits));

@@ -20,6 +20,7 @@
 #include "src/common/random.hpp"
 #include "src/check/implication.hpp"
 #include "src/lint/registry.hpp"
+#include "src/obs/trace.hpp"
 #include "src/serve/server.hpp"
 #include "src/sql/parser.hpp"
 #include "src/warehouse/designer.hpp"
@@ -889,7 +890,7 @@ TEST_F(ServeTest, IngestFallsBackAndRefreshHitsAgain) {
   EXPECT_FALSE(server_->serve(q4).rewritten);
 
   server_->refresh(RefreshMode::kIncremental);
-  const TemplateCacheStats before = server_->template_cache_stats();
+  const CacheStats before = server_->template_cache_stats();
   EXPECT_TRUE(serve_checked(*server_, q4));
   EXPECT_TRUE(server_->serve(q4).rewritten);
   EXPECT_EQ(server_->template_cache_stats().misses, before.misses);
@@ -905,7 +906,7 @@ TEST_F(ServeTest, TemplateCacheEvictsAtCapacity) {
         "AND Order.Cid = Customer.Cid GROUP BY Customer.city");
     ASSERT_TRUE(r.rewritten) << r.refusal;
   }
-  const TemplateCacheStats stats = server_->template_cache_stats();
+  const CacheStats stats = server_->template_cache_stats();
   EXPECT_EQ(stats.entries, MvServer::kTemplateCacheCapacity);
   EXPECT_EQ(stats.evictions, 5u);
   EXPECT_EQ(stats.misses, n);
@@ -949,6 +950,274 @@ TEST_F(ServeTest, FallbacksOfOneTemplateShareTheirRefusals) {
     ASSERT_FALSE(events.empty());
     EXPECT_TRUE(events.back().refusals.shares(first.refusals));
   }
+}
+
+// ---- Shape cache ------------------------------------------------------------
+
+// An anchor reuses its order only when no literal can reorder or merge
+// its conjuncts; either way instantiate() is bind() of the same text.
+TEST(BoundShapeTest, ReusesOrderOnlyWhenNoLiteralCanChangeIt) {
+  const Catalog catalog = make_paper_catalog();
+  struct Case {
+    std::string shape;
+    std::vector<std::string> literals;  // the first binds the anchor
+    bool reuses;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT Product.name FROM Product, Division WHERE Division.city = "
+       "'$' AND Product.Did = Division.Did AND Product.Pid > 7",
+       {"LA", "O''Brien", "", "zz"},
+       true},
+      {"SELECT name FROM Product WHERE Pid > $ AND Pid >= 3",
+       {"5", "2", "3", "9007199254740993"},
+       true},
+      {"SELECT name FROM Product WHERE NOT Pid > $ AND Did = 2",
+       {"5", "1", "50"},
+       true},
+      // Equal slot-bearing texts: the literals order and merge them.
+      {"SELECT name FROM Product WHERE Pid > $ AND Pid > 5",
+       {"5", "6", "4", "5"},
+       false},
+      {"SELECT name FROM Product WHERE Pid > $ OR Pid > 10",
+       {"5", "10", "50"},
+       false},
+      // A literal first: the texts differ only after it.
+      {"SELECT name FROM Product WHERE $ < Pid AND Did = 2",
+       {"5", "1", "50"},
+       false},
+  };
+  for (const Case& c : cases) {
+    const BoundShape shape(parse_adhoc(catalog, fill(c.shape, c.literals[0])));
+    EXPECT_EQ(shape.reuses_order(), c.reuses) << c.shape;
+    for (const std::string& literal : c.literals) {
+      const std::string sql = fill(c.shape, literal);
+      EXPECT_EQ(spec_mismatch(shape.instantiate("adhoc-x",
+                                                literal_values(
+                                                    lex(sql).tokens)),
+                              parse_adhoc(catalog, sql)),
+                "")
+          << sql;
+    }
+  }
+}
+
+class ShapeCacheTest : public ServeTest {
+ protected:
+  /// Bind `sql` through the server and hold the spec to parse_adhoc's,
+  /// field by field. Returns whether the bind hit the shape cache.
+  bool bind_checked(const std::string& sql) {
+    const std::uint64_t hits = server_->shape_cache_stats().hits;
+    const QuerySpec bound = server_->bind(sql);
+    const bool hit = server_->shape_cache_stats().hits > hits;
+    EXPECT_EQ(spec_mismatch(bound, parse_adhoc(server_->catalog(), sql)), "")
+        << sql;
+    EXPECT_EQ(bound.name().rfind("adhoc-", 0), 0u) << bound.name();
+    return hit;
+  }
+
+  /// The message parse_adhoc throws for `sql`, checking the server's
+  /// bind throws the same exception type with the same text.
+  template <typename E>
+  std::string same_error(const std::string& sql) {
+    std::string expected;
+    try {
+      parse_adhoc(server_->catalog(), sql);
+    } catch (const E& e) {
+      expected = e.what();
+    }
+    EXPECT_FALSE(expected.empty()) << sql << " did not throw";
+    try {
+      server_->bind(sql);
+      ADD_FAILURE() << sql << " bound through the shape cache";
+    } catch (const E& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+    return expected;
+  }
+};
+
+// Same-shape conjuncts: normalize() orders and deduplicates them by their
+// full text, so order and dedup follow the literals, not the shape.
+TEST_F(ShapeCacheTest, LiteralDependentOrderAndDedup) {
+  const std::string disjunction =
+      "SELECT name FROM Product WHERE Product.Pid > $ OR Product.Pid > 10";
+  EXPECT_FALSE(bind_checked(fill(disjunction, "5")));
+  for (const char* v : {"10", "50", "9", "100", "1", "10"}) {
+    EXPECT_TRUE(bind_checked(fill(disjunction, v))) << v;
+  }
+  const std::string twice =
+      "SELECT name FROM Product WHERE Pid > $ AND Did = 1 AND Pid > 5";
+  EXPECT_FALSE(bind_checked(fill(twice, "5")));  // one conjunct written twice
+  for (const char* v : {"6", "4", "5", "50"}) {
+    EXPECT_TRUE(bind_checked(fill(twice, v))) << v;
+  }
+  // The answers follow the literals too.
+  for (const char* v : {"5", "10", "50"}) {
+    const std::string sql = fill(disjunction, v);
+    EXPECT_TRUE(same_bag(
+        server_->serve(sql).table,
+        server_->serve(parse_adhoc(server_->catalog(), sql),
+                       ServePath::kBaseOnly)
+            .table))
+        << sql;
+  }
+}
+
+TEST_F(ShapeCacheTest, DateLiterals) {
+  const std::string shape =
+      "SELECT Customer.city, date FROM Order, Customer "
+      "WHERE quantity > 100 AND date > DATE '$' AND Order.Cid = Customer.Cid";
+  EXPECT_FALSE(bind_checked(fill(shape, "1996-07-01")));
+  EXPECT_TRUE(bind_checked(fill(shape, "1996-01-31")));
+  EXPECT_TRUE(bind_checked(fill(shape, "2001-12-01")));
+  // The prefix is DATE in any case: one shape.
+  std::string lower = fill(shape, "1996-08-15");
+  lower.replace(lower.find("DATE"), 4, "date");
+  EXPECT_TRUE(bind_checked(lower));
+
+  // A malformed date on a cached shape throws the parser's error, every
+  // time, and nothing is cached for it.
+  const CacheStats before = server_->shape_cache_stats();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_NE(same_error<ParseError>(fill(shape, "1996-13-01"))
+                  .find("malformed date literal '1996-13-01'"),
+              std::string::npos);
+    same_error<ParseError>(fill(shape, "96"));
+  }
+  EXPECT_EQ(server_->shape_cache_stats().entries, before.entries);
+  EXPECT_THROW(server_->serve(fill(shape, "1996/07/01")), ParseError);
+  EXPECT_TRUE(bind_checked(fill(shape, "1996-07-02")));
+}
+
+TEST_F(ShapeCacheTest, QuotedStrings) {
+  const std::string shape = "SELECT name FROM Division WHERE city = '$'";
+  EXPECT_FALSE(bind_checked(fill(shape, "LA")));
+  EXPECT_TRUE(bind_checked(fill(shape, "O''Brien")));
+  EXPECT_TRUE(bind_checked(fill(shape, "''")));
+  EXPECT_TRUE(bind_checked(fill(shape, "")));
+  const QuerySpec q = server_->bind(fill(shape, "O''Brien"));
+  ASSERT_EQ(q.template_slots().size(), 1u);
+  EXPECT_EQ(q.template_slots()[0].as_string(), "O'Brien");
+}
+
+TEST_F(ShapeCacheTest, BooleanLiterals) {
+  const std::string shape =
+      "SELECT name FROM Division WHERE city = 'LA' OR Did = $";
+  EXPECT_FALSE(bind_checked(fill(shape, "TRUE")));
+  EXPECT_TRUE(bind_checked(fill(shape, "FALSE")));
+  EXPECT_TRUE(bind_checked(fill(shape, "true")));
+  EXPECT_EQ(server_->shape_cache_stats().entries, 1u);
+}
+
+// Integer and double literals are different lexical types, so one
+// position holding each is two shapes, and each binds its own type.
+TEST_F(ShapeCacheTest, IntegerAndDoubleInOnePosition) {
+  const std::string shape = "SELECT name FROM Product WHERE Pid > $";
+  EXPECT_FALSE(bind_checked(fill(shape, "5")));
+  EXPECT_FALSE(bind_checked(fill(shape, "5.0")));
+  EXPECT_TRUE(bind_checked(fill(shape, "5.5")));
+  EXPECT_TRUE(bind_checked(fill(shape, "7")));
+  EXPECT_TRUE(bind_checked(fill(shape, "9007199254740993")));
+  EXPECT_EQ(server_->shape_cache_stats().entries, 2u);
+  EXPECT_EQ(server_->bind(fill(shape, "7.0")).template_slots()[0].type(),
+            ValueType::kDouble);
+}
+
+TEST_F(ShapeCacheTest, KeywordCaseAndWhitespaceShareAShape) {
+  EXPECT_FALSE(bind_checked("SELECT name FROM Product WHERE Pid > 5"));
+  EXPECT_TRUE(bind_checked("select name from Product where Pid>6"));
+  EXPECT_TRUE(bind_checked("  Select\tname\nFROM   Product WhErE Pid >\n7 "));
+  EXPECT_EQ(server_->shape_cache_stats().entries, 1u);
+}
+
+// FROM and WHERE orders are different texts, so different shapes, but one
+// template: both shapes share one template-cache entry.
+TEST_F(ShapeCacheTest, ReordersAreTwoShapesOneTemplate) {
+  const std::string a =
+      "SELECT Customer.city, date FROM Order, Customer "
+      "WHERE quantity > $ AND Order.Cid = Customer.Cid";
+  const std::string b =
+      "SELECT Customer.city, date FROM Customer, Order "
+      "WHERE Customer.Cid = Order.Cid AND quantity > $";
+  for (const char* v : {"120", "150"}) {
+    for (const std::string& shape : {a, b}) {
+      bind_checked(fill(shape, v));
+      server_->serve(fill(shape, v));
+    }
+  }
+  EXPECT_EQ(server_->shape_cache_stats().entries, 2u);
+  EXPECT_EQ(server_->template_cache_stats().entries, 1u);
+}
+
+TEST_F(ShapeCacheTest, ErrorsAreNeverCached) {
+  for (int i = 0; i < 2; ++i) {
+    same_error<BindError>("SELECT bogus FROM Product WHERE Pid > 5");
+    same_error<CatalogError>("SELECT name FROM Nope WHERE Pid > 5");
+    same_error<ParseError>("SELECT name FROM Product WHERE Pid >");
+    same_error<ParseError>(
+        "SELECT name FROM Product WHERE Pid > 99999999999999999999");
+  }
+  const CacheStats stats = server_->shape_cache_stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+}
+
+TEST_F(ShapeCacheTest, EvictsAtCapacity) {
+  // An alias is part of the text, so each one is a shape.
+  const std::size_t n = MvServer::kShapeCacheCapacity + 5;
+  for (std::size_t i = 0; i < n; ++i) {
+    server_->bind("SELECT count(*) AS c" + std::to_string(i) +
+                  " FROM Product WHERE Pid > 5");
+  }
+  CacheStats stats = server_->shape_cache_stats();
+  EXPECT_EQ(stats.entries, MvServer::kShapeCacheCapacity);
+  EXPECT_EQ(stats.evictions, 5u);
+  EXPECT_EQ(stats.misses, n);
+  // The oldest went first; the newest is still there.
+  EXPECT_FALSE(bind_checked("SELECT count(*) AS c0 FROM Product WHERE Pid > 6"));
+  EXPECT_TRUE(bind_checked("SELECT count(*) AS c" + std::to_string(n - 1) +
+                           " FROM Product WHERE Pid > 6"));
+  stats = server_->shape_cache_stats();
+  EXPECT_EQ(stats.entries, MvServer::kShapeCacheCapacity);
+  EXPECT_EQ(stats.evictions, 6u);
+}
+
+// A hit records one serve.shape span where a miss records serve.parse and
+// serve.bind, and the serve/shape_cache/* counters follow the lookups.
+TEST_F(ShapeCacheTest, HitSpansAndCounters) {
+  set_trace_level(TraceLevel::kSpans);
+  MetricsRegistry::global().reset();
+  Tracer::global().clear();
+  const auto spans = [] {
+    std::map<std::string, int> count;
+    const Json events = Tracer::global().to_chrome_json().at("traceEvents");
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const Json& e = events.at(i);
+      if (e.at("ph").as_string() == "X" && e.at("cat").as_string() == "serve") {
+        ++count[e.at("name").as_string()];
+      }
+    }
+    return count;
+  };
+  server_->serve("SELECT name FROM Division WHERE city = 'LA'");
+  std::map<std::string, int> miss = spans();
+  server_->serve("SELECT name FROM Division WHERE city = 'SF'");
+  std::map<std::string, int> hit = spans();
+  const MetricsSnapshot metrics = MetricsRegistry::global().snapshot();
+  set_trace_level(std::nullopt);
+
+  EXPECT_EQ(miss["parse"], 1);
+  EXPECT_EQ(miss["shape"], 0);
+  EXPECT_EQ(hit["parse"], 1);
+  EXPECT_EQ(hit["shape"], 1);
+#ifndef MVD_OBS_DISABLED  // the MVD_TRACE_SPAN macro spans
+  EXPECT_EQ(miss["bind"], 1);
+  EXPECT_EQ(hit["bind"], 1);
+  EXPECT_EQ(hit["exec"], 2);
+#endif
+  EXPECT_EQ(metrics.metrics.at("serve/shape_cache/hits").value, 1);
+  EXPECT_EQ(metrics.metrics.at("serve/shape_cache/misses").value, 1);
+  EXPECT_EQ(metrics.metrics.at("serve/shape_cache/entries").value, 1);
 }
 
 // serve_covered's traffic over the design it serves (the Yang heuristic's
@@ -1008,7 +1277,7 @@ TEST(TemplateCacheHitRateTest, ServeCoveredLiteralsHit) {
            city(rng.uniform_int(0, 49)) + "'";
   };
   for (int i = 0; i < 200; ++i) server.serve(request());
-  const TemplateCacheStats warm = server.template_cache_stats();
+  const CacheStats warm = server.template_cache_stats();
   const int n = 2'000;
   for (int i = 0; i < n; ++i) {
     const std::string sql = request();
@@ -1180,12 +1449,90 @@ TEST(MvserveTsanTest, TemplateCacheUnderConcurrentServes) {
 
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(served.load(), 0);
-  const TemplateCacheStats stats = server.template_cache_stats();
+  const CacheStats stats = server.template_cache_stats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.misses, 0u);
   for (const RewriteRecord& r : server.rewrite_log()) {
     EXPECT_TRUE(implies(r.query_pred, r.view_pred, r.joint)) << r.query;
   }
+}
+
+// Readers serve SQL text of a few shapes with fresh literals while a
+// writer refreshes, and bind fillers of distinct shapes, so shape entries
+// are filled, hit and evicted concurrently. Every answer must be the base
+// path's on the reader's pinned snapshot, and every instantiated spec
+// parse_adhoc's.
+TEST(MvserveTsanTest, ShapeCacheUnderConcurrentServes) {
+  WarehouseDesigner designer = paper_designer();
+  const DesignResult design = forced_design(designer);
+  ServeOptions options;
+  options.mode = ExecMode::kVectorized;
+  MvServer server(designer.catalog(), design,
+                  populate_paper_database(0.005, 37), options);
+  const std::vector<std::string> shapes = {
+      kQ4Shape,
+      "SELECT Customer.city, date FROM Order, Customer "
+      "WHERE quantity > 100 AND date > DATE '1996-07-$' "
+      "AND Order.Cid = Customer.Cid",
+      "SELECT Product.name FROM Product, Division "
+      "WHERE Product.Did = Division.Did AND Division.city = 'LA' "
+      "AND Product.Pid > $",
+      "SELECT name FROM Division WHERE city = 'city_$'"};
+  // Together the readers bind more distinct filler shapes than fit.
+  const int fillers = static_cast<int>(MvServer::kShapeCacheCapacity / 4) + 40;
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> served{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(200 + static_cast<std::uint64_t>(t));
+      int i = 0;
+      while (i < fillers || !done.load(std::memory_order_acquire)) {
+        const std::string& shape = shapes[static_cast<std::size_t>(i) %
+                                          shapes.size()];
+        const std::string sql =
+            fill(shape, std::to_string(rng.uniform_int(10, 28)) +
+                            (shape == shapes[0] ? "0" : ""));
+        const auto snap = server.snapshot();
+        const QuerySpec q = server.bind(sql);
+        const QuerySpec ref = parse_adhoc(server.catalog(), sql);
+        const ServeResult r = server.serve_on(snap, q);
+        if (!spec_mismatch(q, ref).empty() ||
+            !same_bag(r.table,
+                      server.serve_on(snap, ref, ServePath::kBaseOnly).table)) {
+          mismatches.fetch_add(1);
+        }
+        served.fetch_add(1);
+        const std::string filler = "SELECT count(*) AS f" + std::to_string(t) +
+                                   "_" + std::to_string(i) +
+                                   " FROM Product WHERE Pid > " +
+                                   std::to_string(rng.uniform_int(0, 99));
+        if (!spec_mismatch(server.bind(filler),
+                           parse_adhoc(server.catalog(), filler))
+                 .empty()) {
+          mismatches.fetch_add(1);
+        }
+        ++i;
+      }
+    });
+  }
+  Rng rng(78);
+  for (int round = 0; round < 6; ++round) {
+    server.update_and_refresh(round % 2 == 0 ? "Order" : "Division", {}, rng,
+                              round % 2 == 0 ? RefreshMode::kIncremental
+                                             : RefreshMode::kRecompute);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(served.load(), 0);
+  const CacheStats stats = server.shape_cache_stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.entries, MvServer::kShapeCacheCapacity);
 }
 
 }  // namespace

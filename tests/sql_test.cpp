@@ -1,6 +1,9 @@
 // Tests for src/sql: lexer and parser.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "src/common/error.hpp"
 #include "src/sql/lexer.hpp"
 #include "src/sql/parser.hpp"
@@ -49,6 +52,24 @@ TEST(LexerTest, IntegerVsFloat) {
   const auto tokens = tokenize("1.x");
   EXPECT_TRUE(tokens[0].is_integer);
   EXPECT_TRUE(tokens[1].is_symbol("."));
+}
+
+TEST(LexerTest, ShapeReplacesLiteralsByLexicalType) {
+  EXPECT_EQ(lex("SELECT name FROM T WHERE x >= 1.5 AND y = 'it''s' OR "
+                "d > DATE '1996-07-01' AND b = TRUE AND n <> 42")
+                .shape,
+            "SELECT name FROM T WHERE x >= ?d AND y = ?s OR d > ?D AND "
+            "b = ?b AND n <> ?i");
+  // Keyword case and whitespace do not change a shape; identifiers do.
+  EXPECT_EQ(lex("select a\nFROM  T where a>1").shape,
+            lex("SELECT a FROM T WHERE a > 2").shape);
+  EXPECT_NE(lex("SELECT a FROM T").shape, lex("SELECT A FROM T").shape);
+  // "date" before a string is the DATE prefix in any case; alone it is a
+  // column.
+  EXPECT_EQ(lex("d > date '1996-07-01'").shape, "d > ?D");
+  EXPECT_EQ(lex("date > 1").shape, "date > ?i");
+  // Tokens stay separated, so adjacent identifiers cannot merge.
+  EXPECT_NE(lex("ab c").shape, lex("a bc").shape);
 }
 
 TEST(ParserTest, BasicQueryShape) {
@@ -164,6 +185,47 @@ TEST(ParserTest, SyntaxErrorsCarryOffsets) {
   EXPECT_THROW(parse_query("SELECT a FROM T extra"), ParseError);
   EXPECT_THROW(parse_predicate("a ="), ParseError);
   EXPECT_THROW(parse_predicate("(a = 1"), ParseError);
+}
+
+/// The literal `sql`'s WHERE clause compares against.
+Value where_literal(const std::string& sql) {
+  const ParsedQuery q = parse_query(sql);
+  const auto& c = static_cast<const ComparisonExpr&>(*q.where);
+  return static_cast<const LiteralExpr&>(*c.rhs()).value();
+}
+
+// Integers are read exactly into int64, never through a double.
+TEST(SqlTest, IntegerLiteralsAreExact) {
+  const Value two53_plus_1 =
+      where_literal("SELECT name FROM Product WHERE Pid = 9007199254740993");
+  ASSERT_EQ(two53_plus_1.type(), ValueType::kInt64);
+  EXPECT_EQ(two53_plus_1.as_int64(), std::int64_t{9007199254740993});
+
+  const Value max =
+      where_literal("SELECT name FROM Product WHERE Pid = 9223372036854775807");
+  ASSERT_EQ(max.type(), ValueType::kInt64);
+  EXPECT_EQ(max.as_int64(), std::numeric_limits<std::int64_t>::max());
+
+  const auto tokens = tokenize("9007199254740993");
+  EXPECT_TRUE(tokens[0].is_integer);
+  EXPECT_EQ(tokens[0].integer, std::int64_t{9007199254740993});
+}
+
+TEST(SqlTest, OutOfRangeIntegerLiteralThrowsWithItsOffset) {
+  const std::string sql =
+      "SELECT name FROM Product WHERE Pid = 99999999999999999999";
+  try {
+    parse_query(sql);
+    FAIL() << "a 20-digit integer parsed";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "at offset " + std::to_string(sql.find("9999"))),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(tokenize("9223372036854775808"), ParseError);
+  // A double of that magnitude is still a double.
+  EXPECT_FALSE(tokenize("99999999999999999999.5")[0].is_integer);
 }
 
 TEST(ParseAndBindTest, ProducesBoundSpec) {

@@ -114,7 +114,7 @@ std::string check_serve(MvServer& server, const std::string& sql,
                         bool& hit) {
   try {
     const auto snap = server.snapshot();
-    const QuerySpec q = parse_adhoc(server.catalog(), sql);
+    const QuerySpec q = server.bind(sql);
     const std::uint64_t hits = server.template_cache_stats().hits;
     hit_out = server.serve_on(snap, q);
     hit = server.template_cache_stats().hits > hits;
@@ -206,14 +206,17 @@ int selftest() {
       report(order + " " + c->name,
              check_serve(fresh, c->sql, c->expect_rewrite, r, hit));
     }
-    const TemplateCacheStats stats = fresh.template_cache_stats();
+    const CacheStats stats = fresh.template_cache_stats();
     std::cout << order << ": " << stats.hits << " hits, " << stats.misses
               << " misses\n";
   }
 
-  const TemplateCacheStats stats = server.template_cache_stats();
-  std::cout << "template cache: " << stats.hits << " hits, " << stats.misses
-            << " misses, " << stats.entries << " entries\n";
+  for (const auto& [name, stats] :
+       {std::pair{"template cache", server.template_cache_stats()},
+        std::pair{"shape cache", server.shape_cache_stats()}}) {
+    std::cout << name << ": " << stats.hits << " hits, " << stats.misses
+              << " misses, " << stats.entries << " entries\n";
+  }
   std::cout << (failures == 0
                     ? "self-test passed"
                     : "self-test FAILED (" + std::to_string(failures) +

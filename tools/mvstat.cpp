@@ -8,7 +8,8 @@
 //
 //   mvstat --live            drive the built-in demo traffic over the
 //                            paper warehouse, then render its observatory
-//                            and the server's template-cache counters
+//                            and the server's template- and shape-cache
+//                            counters
 //   mvstat --journal FILE    load a JSONL journal (MVD_JOURNAL sink),
 //                            replay it, render the reconstruction
 //   mvstat --json            machine-readable output instead of tables
@@ -85,6 +86,9 @@ void drive_demo(MvServer& server) {
       "SELECT Customer.city, date FROM Order, Customer "
       "WHERE quantity > 100 AND date > DATE '1996-07-01' "
       "AND Order.Cid = Customer.Cid",
+      "SELECT Customer.city, date FROM Order, Customer "
+      "WHERE quantity > 120 AND date > DATE '1996-08-01' "
+      "AND Order.Cid = Customer.Cid",  // the same shape: a shape-cache hit
       "SELECT name FROM Division WHERE city = 'LA'",
   };
   for (const std::string& sql : adhoc) server.serve(sql);
@@ -207,9 +211,9 @@ void render_text(const WorkloadStats& stats, std::size_t top_n) {
   }
 }
 
-/// The live server's template-cache counters; a journal does not carry
-/// them, so only --live reports them.
-Json template_cache_json(const TemplateCacheStats& cache) {
+/// A live server's cache counters; a journal does not carry them, so
+/// only --live reports them.
+Json cache_json(const CacheStats& cache) {
   Json out = Json::object();
   out.set("hits", Json::number(static_cast<double>(cache.hits)));
   out.set("misses", Json::number(static_cast<double>(cache.misses)));
@@ -218,8 +222,14 @@ Json template_cache_json(const TemplateCacheStats& cache) {
   return out;
 }
 
-void render_json(const WorkloadStats& stats,
-                 const std::optional<TemplateCacheStats>& cache = {}) {
+std::string cache_text(const std::string& name, const CacheStats& cache) {
+  return "\n== " + name + "\nhits: " + std::to_string(cache.hits) +
+         "  misses: " + std::to_string(cache.misses) +
+         "  evictions: " + std::to_string(cache.evictions) +
+         "  entries: " + std::to_string(cache.entries) + "\n";
+}
+
+void render_json(const WorkloadStats& stats, const MvServer* live = nullptr) {
   Json doc = Json::object();
   doc.set("workload", stats.to_json());
   doc.set("drift", compute_drift(stats).to_json());
@@ -234,7 +244,10 @@ void render_json(const WorkloadStats& stats,
                          serve_latency_bounds(), stats.latency_counts,
                          stats.latency_count, 0.99)));
   doc.set("latency_percentiles", std::move(latency));
-  if (cache.has_value()) doc.set("template_cache", template_cache_json(*cache));
+  if (live != nullptr) {
+    doc.set("template_cache", cache_json(live->template_cache_stats()));
+    doc.set("shape_cache", cache_json(live->shape_cache_stats()));
+  }
   std::cout << doc.dump(2) << "\n";
 }
 
@@ -246,15 +259,12 @@ int run_live(double scale, bool json, std::size_t top_n) {
   }
   drive_demo(server);
   const WorkloadStats stats = server.observatory()->stats();
-  const TemplateCacheStats cache = server.template_cache_stats();
   if (json) {
-    render_json(stats, cache);
+    render_json(stats, &server);
   } else {
     render_text(stats, top_n);
-    std::cout << "\n== template cache\n"
-              << "hits: " << cache.hits << "  misses: " << cache.misses
-              << "  evictions: " << cache.evictions
-              << "  entries: " << cache.entries << "\n";
+    std::cout << cache_text("template cache", server.template_cache_stats())
+              << cache_text("shape cache", server.shape_cache_stats());
   }
   return 0;
 }
