@@ -217,8 +217,8 @@ double CostModel::selectivity(const ExprPtr& predicate,
   return 1.0;
 }
 
-NodeEstimate CostModel::estimate_select(const SelectOp& op) const {
-  NodeEstimate est = estimate(op.children()[0]);
+NodeEstimate CostModel::estimate_select(const SelectOp& op,
+                                        NodeEstimate est) const {
   const double s = selectivity(op.predicate(), est);
   est.rows *= s;
   est.selection_factor *= s;
@@ -246,8 +246,8 @@ NodeEstimate CostModel::estimate_select(const SelectOp& op) const {
   return est;
 }
 
-NodeEstimate CostModel::estimate_project(const ProjectOp& op) const {
-  NodeEstimate est = estimate(op.children()[0]);
+NodeEstimate CostModel::estimate_project(const ProjectOp& op,
+                                         NodeEstimate est) const {
   // Duplicate elimination is not modeled (SQL bag semantics); width shrinks.
   double width = 0;
   for (const Attribute& a : op.output_schema().attributes()) {
@@ -272,10 +272,9 @@ NodeEstimate CostModel::estimate_project(const ProjectOp& op) const {
   return est;
 }
 
-NodeEstimate CostModel::estimate_join(const JoinOp& op) const {
-  const NodeEstimate left = estimate(op.left());
-  const NodeEstimate right = estimate(op.right());
-
+NodeEstimate CostModel::estimate_join(const JoinOp& op,
+                                      const NodeEstimate& left,
+                                      const NodeEstimate& right) const {
   NodeEstimate est;
   est.bases = left.bases;
   est.bases.insert(right.bases.begin(), right.bases.end());
@@ -332,8 +331,8 @@ NodeEstimate CostModel::estimate_join(const JoinOp& op) const {
   return est;
 }
 
-NodeEstimate CostModel::estimate_aggregate(const AggregateOp& op) const {
-  const NodeEstimate in = estimate(op.children()[0]);
+NodeEstimate CostModel::estimate_aggregate(const AggregateOp& op,
+                                           const NodeEstimate& in) const {
   NodeEstimate est;
   est.bases = in.bases;
   est.selection_factor = in.selection_factor;
@@ -362,63 +361,97 @@ NodeEstimate CostModel::estimate_aggregate(const AggregateOp& op) const {
   return est;
 }
 
-NodeEstimate CostModel::estimate(const PlanPtr& plan) const {
-  MVD_ASSERT(plan != nullptr);
-  switch (plan->kind()) {
+NodeEstimate CostModel::estimate(
+    const LogicalOp& plan, std::span<const NodeEstimate* const> inputs) const {
+  MVD_ASSERT(inputs.size() == plan.children().size());
+  switch (plan.kind()) {
     case OpKind::kScan:
-      return estimate_scan(static_cast<const ScanOp&>(*plan));
+      return estimate_scan(static_cast<const ScanOp&>(plan));
     case OpKind::kSelect:
-      return estimate_select(static_cast<const SelectOp&>(*plan));
+      return estimate_select(static_cast<const SelectOp&>(plan), *inputs[0]);
     case OpKind::kProject:
-      return estimate_project(static_cast<const ProjectOp&>(*plan));
+      return estimate_project(static_cast<const ProjectOp&>(plan),
+                              *inputs[0]);
     case OpKind::kJoin:
-      return estimate_join(static_cast<const JoinOp&>(*plan));
+      return estimate_join(static_cast<const JoinOp&>(plan), *inputs[0],
+                           *inputs[1]);
     case OpKind::kAggregate:
-      return estimate_aggregate(static_cast<const AggregateOp&>(*plan));
+      return estimate_aggregate(static_cast<const AggregateOp&>(plan),
+                                *inputs[0]);
   }
   MVD_ASSERT(false);
   return {};
 }
 
-double CostModel::op_cost(const PlanPtr& plan) const {
-  MVD_ASSERT(plan != nullptr);
-  switch (plan->kind()) {
+double CostModel::op_cost(const LogicalOp& plan,
+                          std::span<const NodeEstimate* const> inputs) const {
+  MVD_ASSERT(inputs.size() == plan.children().size());
+  switch (plan.kind()) {
     case OpKind::kScan:
       return 0;
-    case OpKind::kSelect: {
-      const auto& s = static_cast<const SelectOp&>(*plan);
-      const NodeEstimate in = estimate(plan->children()[0]);
-      return scan_op_cost(in.blocks, is_pure_equality(s.predicate()));
-    }
-    case OpKind::kProject: {
-      const NodeEstimate in = estimate(plan->children()[0]);
-      return scan_op_cost(in.blocks, /*pure_equality=*/false);
-    }
-    case OpKind::kJoin: {
-      const auto& j = static_cast<const JoinOp&>(*plan);
-      const NodeEstimate l = estimate(j.left());
-      const NodeEstimate r = estimate(j.right());
-      return join_op_cost(l.blocks, r.blocks);
-    }
-    case OpKind::kAggregate: {
+    case OpKind::kSelect:
+      return scan_op_cost(
+          inputs[0]->blocks,
+          is_pure_equality(static_cast<const SelectOp&>(plan).predicate()));
+    case OpKind::kProject:
+      return scan_op_cost(inputs[0]->blocks, /*pure_equality=*/false);
+    case OpKind::kJoin:
+      return join_op_cost(inputs[0]->blocks, inputs[1]->blocks);
+    case OpKind::kAggregate:
       // Hash aggregation: one scan of the input.
-      const NodeEstimate in = estimate(plan->children()[0]);
-      return scan_op_cost(in.blocks, /*pure_equality=*/false);
-    }
+      return scan_op_cost(inputs[0]->blocks, /*pure_equality=*/false);
   }
   MVD_ASSERT(false);
   return 0;
 }
 
-double CostModel::full_cost(const PlanPtr& plan) const {
+namespace {
+
+// Every operator has at most two inputs (a join's).
+constexpr std::size_t kMaxInputs = 2;
+
+}  // namespace
+
+NodeEstimate CostModel::estimate(const PlanPtr& plan) const {
+  NodeEstimate est;
+  full_cost(plan, &est);
+  return est;
+}
+
+double CostModel::op_cost(const PlanPtr& plan) const {
   MVD_ASSERT(plan != nullptr);
+  const std::vector<PlanPtr>& children = plan->children();
+  MVD_ASSERT(children.size() <= kMaxInputs);
+  NodeEstimate in[kMaxInputs];
+  const NodeEstimate* inputs[kMaxInputs] = {&in[0], &in[1]};
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    in[i] = estimate(children[i]);
+  }
+  return op_cost(*plan, {inputs, children.size()});
+}
+
+double CostModel::full_cost(const PlanPtr& plan, NodeEstimate* out) const {
+  MVD_ASSERT(plan != nullptr);
+  const std::vector<PlanPtr>& children = plan->children();
+  MVD_ASSERT(children.size() <= kMaxInputs);
+  NodeEstimate in[kMaxInputs];
+  const NodeEstimate* inputs[kMaxInputs] = {&in[0], &in[1]};
+  double child_cost[kMaxInputs] = {0, 0};
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    child_cost[i] = full_cost(children[i], &in[i]);
+  }
+  const std::span<const NodeEstimate* const> span(inputs, children.size());
   if (plan->kind() == OpKind::kScan) {
-    return estimate(plan).blocks;  // a bare scan reads the relation
+    NodeEstimate est = estimate(*plan, span);
+    const double blocks = est.blocks;  // a bare scan reads the relation
+    if (out != nullptr) *out = std::move(est);
+    return blocks;
   }
-  double total = op_cost(plan);
-  for (const PlanPtr& c : plan->children()) {
-    if (c->kind() != OpKind::kScan) total += full_cost(c);
+  double total = op_cost(*plan, span);
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    if (children[i]->kind() != OpKind::kScan) total += child_cost[i];
   }
+  if (out != nullptr) *out = estimate(*plan, span);
   return total;
 }
 

@@ -18,6 +18,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 
 #include "src/algebra/aggregate.hpp"
@@ -89,8 +90,18 @@ class CostModel {
   const Catalog& catalog() const { return *catalog_; }
   const CostModelConfig& config() const { return config_; }
 
-  /// Estimated result size/stats of `plan`.
+  /// Estimated result size/stats of `plan`, re-derived from its scans:
+  /// the node estimate below applied to every node of the tree. This is
+  /// the reference that stored estimates are checked against (mvlint's
+  /// annotation/estimate-consistent rule).
   NodeEstimate estimate(const PlanPtr& plan) const;
+
+  /// Estimate of the node `plan` from its direct children's estimates:
+  /// `inputs[i]` estimates plan.children()[i] (no inputs for a scan).
+  /// Callers that keep their children's estimates (MvppGraph::annotate,
+  /// the optimizer's join-order search) estimate each node once this way.
+  NodeEstimate estimate(const LogicalOp& plan,
+                        std::span<const NodeEstimate* const> inputs) const;
 
   /// Cost of producing `plan`'s result from its direct inputs (inputs
   /// assumed available as scannable relations; their production is not
@@ -98,10 +109,15 @@ class CostModel {
   /// to the operator consuming it.
   double op_cost(const PlanPtr& plan) const;
 
+  /// op_cost of the node `plan` from its children's estimates (as above).
+  double op_cost(const LogicalOp& plan,
+                 std::span<const NodeEstimate* const> inputs) const;
+
   /// Total cost of computing `plan` from base relations: sum of op_cost
   /// over the subtree. For a bare scan this is the relation's blocks.
-  /// This is the paper's Ca(v).
-  double full_cost(const PlanPtr& plan) const;
+  /// This is the paper's Ca(v). One bottom-up pass estimates every node
+  /// once; `out`, when given, receives the estimate of `plan` itself.
+  double full_cost(const PlanPtr& plan, NodeEstimate* out = nullptr) const;
 
   /// Selectivity in [0, 1] of `predicate` against rows described by
   /// `input`.
@@ -121,10 +137,12 @@ class CostModel {
 
  private:
   NodeEstimate estimate_scan(const ScanOp& scan) const;
-  NodeEstimate estimate_select(const SelectOp& op) const;
-  NodeEstimate estimate_project(const ProjectOp& op) const;
-  NodeEstimate estimate_join(const JoinOp& op) const;
-  NodeEstimate estimate_aggregate(const AggregateOp& op) const;
+  NodeEstimate estimate_select(const SelectOp& op, NodeEstimate est) const;
+  NodeEstimate estimate_project(const ProjectOp& op, NodeEstimate est) const;
+  NodeEstimate estimate_join(const JoinOp& op, const NodeEstimate& left,
+                             const NodeEstimate& right) const;
+  NodeEstimate estimate_aggregate(const AggregateOp& op,
+                                  const NodeEstimate& in) const;
 
   double comparison_selectivity(const ComparisonExpr& cmp,
                                 const NodeEstimate& input) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <sstream>
 #include <unordered_map>
 
 #include "src/algebra/eval.hpp"
@@ -391,10 +392,19 @@ Executor::Rows Executor::exec_aggregate(const AggregateOp& op, const Rows& in,
 bool same_bag(const Table& a, const Table& b) {
   if (a.schema().size() != b.schema().size()) return false;
   if (a.row_count() != b.row_count()) return false;
+  // Doubles compare at the stream's 6 significant digits, which absorbs
+  // the last-bit differences of summing in another order (the engines
+  // aggregate in different orders); every other value by its text.
   auto key = [](const Tuple& t) {
     std::string k;
     for (const Value& v : t) {
-      k += v.to_string();
+      if (v.type() == ValueType::kDouble) {
+        std::ostringstream os;
+        os << v.as_double();
+        k += os.str();
+      } else {
+        k += v.to_string();
+      }
       k += '\x1f';
     }
     return k;

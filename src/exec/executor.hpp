@@ -160,7 +160,8 @@ class Executor {
 };
 
 /// Convenience: bag-equality of two tables (same schema arity, same
-/// multiset of tuples, order-insensitive). Used by plan-equivalence tests.
+/// multiset of tuples, order-insensitive; doubles equal at 6 significant
+/// digits). Used by plan-equivalence tests.
 bool same_bag(const Table& a, const Table& b);
 
 }  // namespace mvd

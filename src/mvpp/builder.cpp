@@ -271,11 +271,31 @@ LeafPlan plan_leaf(const std::string& relation,
 
 }  // namespace
 
+MvppBuilder::JoinOrders MvppBuilder::join_orders(
+    const std::vector<QuerySpec>& queries) const {
+  JoinOrders orders;
+  orders.reserve(queries.size());
+  for (const QuerySpec& q : queries) {
+    orders.push_back(optimizer_->optimal_join_order(q));
+  }
+  if (counters_enabled()) {
+    MetricsRegistry::global().counter("mvpp/build/join_orders")
+        .add(static_cast<double>(queries.size()));
+  }
+  return orders;
+}
+
 std::vector<std::size_t> MvppBuilder::initial_order(
     const std::vector<QuerySpec>& queries) const {
+  return initial_order(queries, join_orders(queries));
+}
+
+std::vector<std::size_t> MvppBuilder::initial_order(
+    const std::vector<QuerySpec>& queries,
+    const JoinOrders& join_orders) const {
   std::vector<double> score(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const PlanPtr plan = optimizer_->optimize(queries[i]);
+    const PlanPtr plan = optimizer_->optimize(queries[i], join_orders[i]);
     score[i] = queries[i].frequency() *
                optimizer_->cost_model().full_cost(plan);
   }
@@ -300,6 +320,12 @@ MvppBuildResult MvppBuilder::build(const std::vector<QuerySpec>& queries,
       throw PlanError("merge order must be a permutation of the query indices");
     }
   }
+  return build(queries, order, join_orders(queries));
+}
+
+MvppBuildResult MvppBuilder::build(const std::vector<QuerySpec>& queries,
+                                   const std::vector<std::size_t>& order,
+                                   const JoinOrders& join_orders) const {
   TraceSpan build_span("mvpp", "build");
 
   const Catalog& catalog = optimizer_->cost_model().catalog();
@@ -310,9 +336,7 @@ MvppBuildResult MvppBuilder::build(const std::vector<QuerySpec>& queries,
   MvppBuildResult result;
   for (std::size_t idx : order) {
     const QuerySpec& q = queries[idx];
-    const std::vector<std::string> join_order =
-        optimizer_->optimal_join_order(q);
-    query_top[q.name()] = merge.integrate(q, join_order);
+    query_top[q.name()] = merge.integrate(q, join_orders[idx]);
     result.merge_order.push_back(q.name());
   }
 
@@ -414,7 +438,10 @@ std::vector<MvppBuildResult> MvppBuilder::build_all_rotations(
     MetricsRegistry::global().counter("mvpp/build/rotations")
         .add(static_cast<double>(queries.size()));
   }
-  std::vector<std::size_t> order = initial_order(queries);
+  // One join-order search per query; the initial ordering and every
+  // rotation's merge read these.
+  const JoinOrders searched = join_orders(queries);
+  std::vector<std::size_t> order = initial_order(queries, searched);
   std::vector<std::vector<std::size_t>> orders;
   orders.reserve(queries.size());
   for (std::size_t k = 0; k < queries.size(); ++k) {
@@ -426,7 +453,7 @@ std::vector<MvppBuildResult> MvppBuilder::build_all_rotations(
   // their rotation's slot — identical output to the serial loop.
   std::vector<MvppBuildResult> out(orders.size());
   parallel_for_each_index(orders.size(), threads, [&](std::size_t i) {
-    out[i] = build(queries, orders[i]);
+    out[i] = build(queries, orders[i], searched);
   });
   return out;
 }

@@ -16,7 +16,10 @@
 // Because the merge result depends on the order in which plans are
 // incorporated, the algorithm produces k MVPPs for k queries by rotating
 // the fq·Ca-descending list (step 4.5); choose_best_mvpp() runs a
-// selection algorithm on each and keeps the cheapest.
+// selection algorithm on each and keeps the cheapest. All k rotations
+// merge the same k individual plans, so build_all_rotations() searches
+// each query's join order once and every rotation (and the initial
+// ordering) reads those orders.
 #pragma once
 
 #include <functional>
@@ -58,6 +61,16 @@ class MvppBuilder {
   const Optimizer& optimizer() const { return *optimizer_; }
 
  private:
+  using JoinOrders = std::vector<std::vector<std::string>>;
+
+  /// Each query's optimal join order (one search per query).
+  JoinOrders join_orders(const std::vector<QuerySpec>& queries) const;
+  std::vector<std::size_t> initial_order(const std::vector<QuerySpec>& queries,
+                                         const JoinOrders& join_orders) const;
+  MvppBuildResult build(const std::vector<QuerySpec>& queries,
+                        const std::vector<std::size_t>& order,
+                        const JoinOrders& join_orders) const;
+
   const Optimizer* optimizer_;
 };
 

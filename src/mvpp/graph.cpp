@@ -8,6 +8,7 @@
 #include "src/common/strings.hpp"
 #include "src/common/units.hpp"
 #include "src/lint/lint.hpp"
+#include "src/obs/metrics.hpp"
 
 namespace mvd {
 
@@ -283,50 +284,67 @@ void MvppGraph::annotate(const CostModel& cost_model) {
     }
   }
 
+  // Nodes are topological, so each node is estimated once, from its
+  // children's stored estimates.
+  std::vector<NodeEstimate> estimates(nodes_.size());
+  std::size_t estimated = 0;
   for (MvppNode& n : nodes_) {
+    const auto child = [&](std::size_t i) -> MvppNode& {
+      return nodes_[static_cast<std::size_t>(n.children[i])];
+    };
     switch (n.kind) {
       case MvppNodeKind::kBase:
         n.expr = make_scan(cost_model.catalog(), n.relation);
         break;
       case MvppNodeKind::kSelect:
-        n.expr = make_select(nodes_[static_cast<std::size_t>(n.children[0])].expr,
-                             n.predicate);
+        n.expr = make_select(child(0).expr, n.predicate);
         break;
       case MvppNodeKind::kProject:
-        n.expr = make_project(
-            nodes_[static_cast<std::size_t>(n.children[0])].expr, n.columns);
+        n.expr = make_project(child(0).expr, n.columns);
         break;
       case MvppNodeKind::kJoin:
-        n.expr = make_join(nodes_[static_cast<std::size_t>(n.children[0])].expr,
-                           nodes_[static_cast<std::size_t>(n.children[1])].expr,
-                           n.predicate);
+        n.expr = make_join(child(0).expr, child(1).expr, n.predicate);
         break;
       case MvppNodeKind::kAggregate:
-        n.expr = make_aggregate(
-            nodes_[static_cast<std::size_t>(n.children[0])].expr, n.columns,
-            n.aggregates);
+        n.expr = make_aggregate(child(0).expr, n.columns, n.aggregates);
         break;
-      case MvppNodeKind::kQuery:
-        n.expr = nodes_[static_cast<std::size_t>(n.children[0])].expr;
-        break;
+      case MvppNodeKind::kQuery: {
+        // A root is its result node's plan: same estimate, same Ca.
+        const MvppNode& result = child(0);
+        n.expr = result.expr;
+        n.rows = result.rows;
+        n.blocks = result.blocks;
+        n.op_cost = 0;
+        n.full_cost = result.full_cost;
+        continue;
+      }
     }
-    const NodeEstimate est = cost_model.estimate(n.expr);
+    MVD_ASSERT(n.children.size() <= 2);
+    const NodeEstimate* inputs[2] = {nullptr, nullptr};
+    for (std::size_t i = 0; i < n.children.size(); ++i) {
+      inputs[i] = &estimates[static_cast<std::size_t>(n.children[i])];
+    }
+    const std::span<const NodeEstimate* const> in(inputs, n.children.size());
+    NodeEstimate& est = estimates[static_cast<std::size_t>(n.id)];
+    est = cost_model.estimate(*n.expr, in);
+    ++estimated;
     n.rows = est.rows;
     n.blocks = est.blocks;
-    if (n.kind == MvppNodeKind::kQuery) {
-      n.op_cost = 0;
-      n.full_cost = nodes_[static_cast<std::size_t>(n.children[0])].full_cost;
-    } else if (n.kind == MvppNodeKind::kBase) {
+    if (n.kind == MvppNodeKind::kBase) {
       n.op_cost = 0;
       n.full_cost = 0;  // leaves: Ca = 0 per the paper's definition
     } else {
-      n.op_cost = cost_model.op_cost(n.expr);
+      n.op_cost = cost_model.op_cost(*n.expr, in);
       double total = n.op_cost;
-      for (NodeId c : n.children) {
-        total += nodes_[static_cast<std::size_t>(c)].full_cost;
+      for (std::size_t i = 0; i < n.children.size(); ++i) {
+        total += child(i).full_cost;
       }
       n.full_cost = total;
     }
+  }
+  if (counters_enabled()) {
+    MetricsRegistry::global().counter("cost/node_estimates")
+        .add(static_cast<double>(estimated));
   }
   annotated_ = true;
   validate();

@@ -1,6 +1,5 @@
 #include "src/mvpp/serialize.hpp"
 
-#include <charconv>
 #include <cstdio>
 
 #include "src/common/assert.hpp"
@@ -17,13 +16,8 @@ std::string value_to_sql(const Value& v) {
   switch (v.type()) {
     case ValueType::kInt64:
       return std::to_string(v.as_int64());
-    case ValueType::kDouble: {
-      char buf[32];
-      const auto [end, ec] = std::to_chars(buf, buf + sizeof buf,
-                                           v.as_double());
-      MVD_ASSERT(ec == std::errc());
-      return std::string(buf, end);
-    }
+    case ValueType::kDouble:
+      return v.to_string();  // exact, and a literal the lexer reads back
     case ValueType::kString: {
       std::string out = "'";
       for (char c : v.as_string()) {

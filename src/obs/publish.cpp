@@ -104,4 +104,11 @@ void publish_cache_store(const std::string& cache, bool evicted,
       .set(static_cast<double>(entries));
 }
 
+void publish_cache_oversize(const std::string& cache) {
+  if (!counters_enabled()) return;
+  MetricsRegistry::global()
+      .counter(str_cat("serve/", cache, "/oversize"))
+      .increment();
+}
+
 }  // namespace mvd

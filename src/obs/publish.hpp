@@ -65,4 +65,8 @@ void publish_cache_lookup(const std::string& cache, bool hit);
 void publish_cache_store(const std::string& cache, bool evicted,
                          std::size_t entries);
 
+/// Publish one store the mvserve cache `cache` refused for its key's
+/// length: "serve/<cache>/oversize".
+void publish_cache_oversize(const std::string& cache);
+
 }  // namespace mvd

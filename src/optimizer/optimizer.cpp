@@ -9,6 +9,8 @@
 #include "src/check/implication.hpp"
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 
 namespace mvd {
 
@@ -101,93 +103,168 @@ PlanPtr Optimizer::build_plan(const QuerySpec& spec,
   return apply_query_output(std::move(plan), spec);
 }
 
-std::vector<std::string> Optimizer::optimal_join_order(
-    const QuerySpec& spec) const {
+namespace {
+
+// Nodes of a relation unit: a scan under at most a select and a project.
+std::size_t chain_length(const PlanPtr& plan) {
+  std::size_t nodes = 1;
+  for (const LogicalOp* p = plan.get(); !p->children().empty();
+       p = p->children()[0].get()) {
+    ++nodes;
+  }
+  return nodes;
+}
+
+}  // namespace
+
+JoinOrder Optimizer::best_join_order(const QuerySpec& spec) const {
+  MVD_TRACE_SPAN("optimizer", "join-order");
   const std::vector<std::string>& rels = spec.relations();
   const std::size_t n = rels.size();
-  if (n == 1) return rels;
   if (n > 20) throw PlanError("too many relations for subset-DP join search");
 
   const PlanPlacement pushed{true, true};
-
-  // Adjacency over relation indices.
-  std::vector<std::uint32_t> adjacent(n, 0);
   auto index_of = [&](const std::string& r) {
     return static_cast<std::size_t>(
         std::find(rels.begin(), rels.end(), r) - rels.begin());
   };
+
+  // The best left-deep prefix over each relation subset: its Ca, the
+  // subset it extends and the relation it joins last. Its plan and
+  // estimate are built when the search first extends it; a single
+  // relation's prefix is its unit.
+  struct Prefix {
+    double cost = std::numeric_limits<double>::infinity();
+    std::size_t prev = 0;
+    std::size_t last = 0;
+    PlanPtr plan;
+    NodeEstimate estimate;
+  };
+  std::vector<Prefix> dp(std::size_t{1} << n);
+  std::size_t estimated = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    Prefix& unit = dp[std::size_t{1} << r];
+    unit.last = r;
+    unit.plan = relation_unit(spec, rels[r], pushed);
+    // Cost of the unit alone: producing its (selected/projected) result.
+    unit.cost = cost_model_->full_cost(unit.plan, &unit.estimate);
+    estimated += chain_length(unit.plan);
+  }
+
+  // Join conjuncts as relation-index pairs, in the query's order, and the
+  // adjacency they induce.
+  struct Link {
+    std::size_t left;
+    std::size_t right;
+    ExprPtr expr;
+  };
+  std::vector<Link> links;
+  std::vector<std::uint32_t> adjacent(n, 0);
   for (const JoinPredicate& j : spec.joins()) {
     const std::size_t a = index_of(j.left_relation());
     const std::size_t b = index_of(j.right_relation());
+    links.push_back({a, b, j.expr()});
     adjacent[a] |= 1u << b;
     adjacent[b] |= 1u << a;
   }
 
-  struct State {
-    double cost = std::numeric_limits<double>::infinity();
-    std::vector<std::string> order;
+  // Joins dp[mask] to its last relation's unit: the conjuncts linking that
+  // relation to the prefix it extends, in the query's order.
+  auto materialize = [&](std::size_t mask) {
+    Prefix& s = dp[mask];
+    const Prefix& prefix = dp[s.prev];
+    const Prefix& unit = dp[std::size_t{1} << s.last];
+    std::vector<ExprPtr> preds;
+    for (const Link& l : links) {
+      if ((l.left == s.last && (s.prev >> l.right & 1)) ||
+          (l.right == s.last && (s.prev >> l.left & 1))) {
+        preds.push_back(l.expr);
+      }
+    }
+    ExprPtr joined = preds.empty() ? lit(Value::boolean(true))
+                                   : conj(std::move(preds));
+    s.plan = make_join(prefix.plan, unit.plan, joined);
+    const NodeEstimate* inputs[] = {&prefix.estimate, &unit.estimate};
+    s.estimate = cost_model_->estimate(*s.plan, inputs);
+    ++estimated;
   };
-  std::vector<State> dp(std::size_t{1} << n);
-
-  for (std::size_t r = 0; r < n; ++r) {
-    State& s = dp[std::size_t{1} << r];
-    s.order = {rels[r]};
-    // Cost of the unit alone: producing its (selected/projected) result.
-    s.cost = cost_model_->full_cost(relation_unit(spec, rels[r], pushed));
-  }
 
   const std::size_t full = (std::size_t{1} << n) - 1;
-  for (std::size_t mask = 1; mask <= full; ++mask) {
-    if (!std::isfinite(dp[mask].cost)) continue;
-    if (mask == full) break;
-    // Which relations may extend this set?
-    std::uint32_t frontier = 0;
-    for (std::size_t r = 0; r < n; ++r) {
-      if (mask & (std::size_t{1} << r)) frontier |= adjacent[r];
-    }
-    frontier &= ~static_cast<std::uint32_t>(mask);
-    const bool use_connected = config_.connected_subsets_only && frontier != 0;
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::size_t bit = std::size_t{1} << r;
-      if (mask & bit) continue;
-      if (use_connected && !(frontier & bit)) continue;
-      std::vector<std::string> order = dp[mask].order;
-      order.push_back(rels[r]);
-      // Score the prefix: cost of the partial left-deep join tree
-      // (build_plan requires all relations, so construct the prefix here).
-      std::vector<JoinPredicate> remaining = spec.joins();
-      std::set<std::string> placed{order.front()};
-      PlanPtr plan = relation_unit(spec, order.front(), pushed);
-      for (std::size_t i = 1; i < order.size(); ++i) {
-        PlanPtr right = relation_unit(spec, order[i], pushed);
-        std::vector<ExprPtr> preds =
-            take_applicable_joins(remaining, placed, order[i]);
-        ExprPtr joined = preds.empty() ? lit(Value::boolean(true))
-                                       : conj(std::move(preds));
-        plan = make_join(std::move(plan), std::move(right), joined);
-        placed.insert(order[i]);
+  auto search = [&](bool connected_only) {
+    for (std::size_t mask = 1; mask <= full; ++mask) {
+      if (!std::isfinite(dp[mask].cost)) continue;
+      if (mask == full) break;
+      if (dp[mask].plan == nullptr) materialize(mask);
+      const Prefix& s = dp[mask];
+      // Which relations may extend this set?
+      std::uint32_t frontier = 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        if (mask & (std::size_t{1} << r)) frontier |= adjacent[r];
       }
-      const double cost = cost_model_->full_cost(plan);
-      State& next = dp[mask | bit];
-      if (cost < next.cost) {
-        next.cost = cost;
-        next.order = std::move(order);
+      frontier &= ~static_cast<std::uint32_t>(mask);
+      const bool use_connected = connected_only && frontier != 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t bit = std::size_t{1} << r;
+        if (mask & bit) continue;
+        if (use_connected && !(frontier & bit)) continue;
+        // Ca of the prefix joined to r's unit, summed as full_cost sums
+        // it: the join, then each input that is not a bare scan.
+        const Prefix& unit = dp[bit];
+        double cost =
+            cost_model_->join_op_cost(s.estimate.blocks, unit.estimate.blocks);
+        if (s.plan->kind() != OpKind::kScan) cost += s.cost;
+        if (unit.plan->kind() != OpKind::kScan) cost += unit.cost;
+        Prefix& next = dp[mask | bit];
+        if (cost < next.cost) {
+          next.cost = cost;
+          next.prev = mask;
+          next.last = r;
+        }
       }
     }
-  }
+    return std::isfinite(dp[full].cost);
+  };
 
-  if (!std::isfinite(dp[full].cost)) {
-    // Disconnected graph with connected_subsets_only pruning every path:
-    // rerun allowing cross joins.
-    Optimizer relaxed(*cost_model_, OptimizerConfig{false});
-    return relaxed.optimal_join_order(spec);
+  // The pruned search lets a finished component take any relation, so a
+  // disconnected join graph gets cross joins; a search that still
+  // reaches no full order runs again without the pruning.
+  bool found = search(config_.connected_subsets_only);
+  if (!found && config_.connected_subsets_only && n > 1) {
+    for (std::size_t mask = 1; mask <= full; ++mask) {
+      if ((mask & (mask - 1)) != 0) dp[mask] = Prefix{};
+    }
+    found = search(false);
   }
-  return dp[full].order;
+  if (counters_enabled()) {
+    MetricsRegistry::global().counter("cost/node_estimates")
+        .add(static_cast<double>(estimated));
+  }
+  if (!found) {
+    throw PlanError("no finite-cost join order for query '" + spec.name() +
+                    "'");
+  }
+  JoinOrder best;
+  best.cost = dp[full].cost;
+  for (std::size_t mask = full; mask != 0; mask = dp[mask].prev) {
+    best.relations.push_back(rels[dp[mask].last]);
+  }
+  std::reverse(best.relations.begin(), best.relations.end());
+  return best;
+}
+
+std::vector<std::string> Optimizer::optimal_join_order(
+    const QuerySpec& spec) const {
+  return best_join_order(spec).relations;
 }
 
 PlanPtr Optimizer::optimize(const QuerySpec& spec) const {
+  return optimize(spec, optimal_join_order(spec));
+}
+
+PlanPtr Optimizer::optimize(const QuerySpec& spec,
+                            const std::vector<std::string>& order) const {
   return simplify_plan_predicates(
-      build_plan(spec, optimal_join_order(spec), PlanPlacement{true, true}));
+      build_plan(spec, order, PlanPlacement{true, true}));
 }
 
 PlanPtr Optimizer::optimize_pushed_up(const QuerySpec& spec) const {

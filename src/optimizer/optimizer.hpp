@@ -33,6 +33,15 @@ struct OptimizerConfig {
   bool connected_subsets_only = true;
 };
 
+/// A join order and the full_cost of its left-deep join pattern: each
+/// relation's unit with selections and projections pushed down, join
+/// conjuncts applied as soon as both sides are present, nothing above the
+/// last join. This is the quantity the join-order search minimizes.
+struct JoinOrder {
+  std::vector<std::string> relations;
+  double cost = 0;
+};
+
 class Optimizer {
  public:
   Optimizer(const CostModel& cost_model, OptimizerConfig config = {});
@@ -48,11 +57,23 @@ class Optimizer {
                      const std::vector<std::string>& order,
                      const PlanPlacement& placement) const;
 
-  /// Best left-deep join order by subset DP under full_cost().
+  /// Best left-deep join order by subset DP under full_cost(). Each
+  /// relation's unit is built and priced once, and each prefix the search
+  /// extends is joined and estimated once, from its own prefix's estimate.
+  /// Ties keep the first order found (masks ascending, relations in FROM
+  /// order). A disconnected join graph gets cross joins.
+  JoinOrder best_join_order(const QuerySpec& spec) const;
+
+  /// best_join_order(spec).relations.
   std::vector<std::string> optimal_join_order(const QuerySpec& spec) const;
 
-  /// optimal_join_order + build_plan with everything pushed down.
+  /// optimal_join_order + optimize(spec, order).
   PlanPtr optimize(const QuerySpec& spec) const;
+
+  /// build_plan over `order` with everything pushed down, predicates
+  /// simplified: the individual optimal plan once `order` is known.
+  PlanPtr optimize(const QuerySpec& spec,
+                   const std::vector<std::string>& order) const;
 
   /// The same optimal order built with selections/projections held above
   /// the join pattern — the paper's step-2 "pushed-up" individual plan.

@@ -1,13 +1,17 @@
 // BoundedCache — the serving layer's caches (template decisions, bound
 // query shapes): a map from text keys to shared immutable values with a
-// constant capacity.
+// constant capacity and a constant key length.
 //
 // Lookups take a shared lock, so concurrent readers do not serialize;
 // stores take it exclusively. Entries are kept oldest first: storing a
 // key, new or present, makes its entry the newest, and a store beyond
-// the capacity evicts the oldest entry. Hits, misses and evictions are
-// counted here and published under "serve/<name>/..." (hits, misses,
-// evictions, and the entries gauge) when counters are on.
+// the capacity evicts the oldest entry. A key longer than
+// kMaxCacheKeyBytes is never stored: an entry holds tens of times its
+// key's bytes (a bound shape keeps its query's expression trees and
+// identity texts), so the key bound is what bounds the cache's memory.
+// Hits, misses, evictions and refused stores are counted here and
+// published under "serve/<name>/..." (hits, misses, evictions, oversize,
+// and the entries gauge) when counters are on.
 #pragma once
 
 #include <atomic>
@@ -24,11 +28,16 @@
 
 namespace mvd {
 
+/// Longest key a BoundedCache stores, in bytes. Request texts run to a few
+/// hundred bytes; a key past this is a request served uncached.
+inline constexpr std::size_t kMaxCacheKeyBytes = 4096;
+
 /// A cache's counters since construction, and its current size.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
+  std::uint64_t oversize = 0;  // stores refused for their key's length
   std::size_t entries = 0;
 };
 
@@ -67,7 +76,14 @@ class BoundedCache {
 
   /// Store `value` under `key`, replacing any value there; the entry
   /// becomes the newest. At capacity a new key evicts the oldest entry.
+  /// A key longer than kMaxCacheKeyBytes is refused and counted; the cache
+  /// does not change.
   void store(std::string key, std::shared_ptr<const V> value) {
+    if (key.size() > kMaxCacheKeyBytes) {
+      oversize_.fetch_add(1, std::memory_order_relaxed);
+      publish_cache_oversize(name_);
+      return;
+    }
     std::shared_ptr<const V> evicted;  // released after the lock
     std::unique_lock<std::shared_mutex> lock(mutex_);
     const auto [it, inserted] = index_.try_emplace(std::move(key));
@@ -99,6 +115,7 @@ class BoundedCache {
     stats.hits = hits_.load(std::memory_order_relaxed);
     stats.misses = misses_.load(std::memory_order_relaxed);
     stats.evictions = evictions_.load(std::memory_order_relaxed);
+    stats.oversize = oversize_.load(std::memory_order_relaxed);
     std::shared_lock<std::shared_mutex> lock(mutex_);
     stats.entries = index_.size();
     return stats;
@@ -120,6 +137,7 @@ class BoundedCache {
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
+  std::atomic<std::uint64_t> oversize_{0};
 };
 
 }  // namespace mvd

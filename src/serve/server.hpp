@@ -42,7 +42,8 @@
 // View definitions never change, so a refresh that leaves every view
 // VALID again finds its entries still keyed, and no publish invalidates
 // anything. The cache holds kTemplateCacheCapacity entries and evicts the
-// oldest beyond that.
+// oldest beyond that; a template whose key is longer than
+// kMaxCacheKeyBytes is matched on every request, never stored.
 //
 // Serving SQL text by shape: serve(sql) lexes the text once into tokens
 // and a shape — the token sequence with every literal replaced by its
@@ -54,7 +55,9 @@
 // its selection literals are the request's literals in text order (the
 // proof that substitution by position is exact). Errors are never
 // stored: a bad request throws on every serve. The cache holds
-// kShapeCacheCapacity entries and evicts the oldest beyond that.
+// kShapeCacheCapacity entries and evicts the oldest beyond that; a shape
+// longer than kMaxCacheKeyBytes is parsed and bound on every
+// request, never stored.
 #pragma once
 
 #include <cstdint>

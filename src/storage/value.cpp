@@ -1,7 +1,7 @@
 #include "src/storage/value.hpp"
 
 #include <bit>
-#include <sstream>
+#include <charconv>
 
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
@@ -115,15 +115,22 @@ std::size_t Value::hash() const {
 }
 
 std::string Value::to_string() const {
-  // Only doubles need the stream's formatting; the rest are built directly
-  // (expression texts and fingerprints render literals on every bind).
+  // Built directly: expression texts and fingerprints render literals on
+  // every bind.
   switch (type_) {
     case ValueType::kInt64:
       return std::to_string(std::get<std::int64_t>(data_));
     case ValueType::kDouble: {
-      std::ostringstream os;
-      os << std::get<double>(data_);
-      return os.str();
+      // The shortest text that reads back as the same double, so two
+      // distinct literals never render (and sort, and dedup) as one. Fixed
+      // notation keeps the text a literal the SQL lexer reads; the widest
+      // case is the smallest subnormal, 0. and 324 fraction digits.
+      char buf[400];
+      const auto [end, ec] = std::to_chars(buf, buf + sizeof buf,
+                                           std::get<double>(data_),
+                                           std::chars_format::fixed);
+      MVD_ASSERT(ec == std::errc());
+      return std::string(buf, end);
     }
     case ValueType::kString:
       return '\'' + std::get<std::string>(data_) + '\'';

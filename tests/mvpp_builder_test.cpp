@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "src/common/error.hpp"
+#include "src/lint/lint.hpp"
 #include "src/mvpp/builder.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/sql/parser.hpp"
+#include "src/warehouse/designer.hpp"
 #include "src/workload/generator.hpp"
 #include "src/workload/paper_example.hpp"
 
@@ -216,6 +220,57 @@ TEST_F(BuilderTest, GeneratedWorkloadsBuildAndValidate) {
       EXPECT_EQ(r.graph.query_ids().size(), queries.size());
     }
   }
+}
+
+// The design op prices each plan once. One design() of k queries runs k
+// join-order searches (one per query, shared by the initial ordering and
+// all k rotations, where each rotation used to search every query again:
+// k(k+1)), and annotating a graph estimates each plan node once (a query
+// root reuses its result node's estimate). The lint hook stays off: its
+// estimate-consistent rule re-estimates every node from scratch.
+TEST(MvppBuilderTest, OneSearchPerQueryOneEstimatePerNode) {
+  set_lint_hook_level(LintHookLevel::kOff);
+  set_trace_level(TraceLevel::kSpans);
+  MetricsRegistry::global().reset();
+  Tracer::global().clear();
+  const PaperExample example = make_paper_example();
+  DesignerOptions options;
+  options.cost = paper_cost_config();
+  WarehouseDesigner designer(example.catalog, options);
+  for (const QuerySpec& q : example.queries) designer.add_query(q);
+  const DesignResult design = designer.design();
+  const double searches = MetricsRegistry::global()
+                              .snapshot()
+                              .metrics.at("mvpp/build/join_orders")
+                              .value;
+  int search_spans = 0;
+  const Json events = Tracer::global().to_chrome_json().at("traceEvents");
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Json& e = events.at(i);
+    if (e.at("ph").as_string() == "X" &&
+        e.at("cat").as_string() == "optimizer" &&
+        e.at("name").as_string() == "join-order") {
+      ++search_spans;
+    }
+  }
+
+  MvppGraph graph = design.graph();
+  MetricsRegistry::global().reset();
+  graph.annotate(CostModel(example.catalog, paper_cost_config()));
+  const double estimates = MetricsRegistry::global()
+                               .snapshot()
+                               .metrics.at("cost/node_estimates")
+                               .value;
+  set_trace_level(std::nullopt);
+  set_lint_hook_level(std::nullopt);
+
+  const std::size_t k = example.queries.size();
+  EXPECT_EQ(searches, static_cast<double>(k));
+#ifndef MVD_OBS_DISABLED  // the MVD_TRACE_SPAN macro spans
+  EXPECT_EQ(search_spans, static_cast<int>(k));
+#endif
+  EXPECT_EQ(estimates,
+            static_cast<double>(graph.size() - graph.query_ids().size()));
 }
 
 }  // namespace

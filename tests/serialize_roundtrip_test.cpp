@@ -71,6 +71,9 @@ TEST(ExprToSqlTest, RoundTripsThroughTheParser) {
       disj({eq(col("city"), lit_str("LA")), eq(col("city"), lit_str("SF"))}),
       neg(eq(col("x"), lit_str("it's"))),
       cmp(CompareOp::kNe, col("x"), lit_i64(7)),
+      // Doubles whose shortest text would be scientific.
+      gt(col("Fact.amount"), lit_real(0.00001)),
+      lt(col("Fact.amount"), lit_real(2.5e-7)),
   };
   for (const ExprPtr& e : cases) {
     const std::string sql = expr_to_sql(e);

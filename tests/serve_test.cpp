@@ -22,6 +22,7 @@
 #include "src/lint/registry.hpp"
 #include "src/obs/trace.hpp"
 #include "src/serve/server.hpp"
+#include "src/sql/lexer.hpp"
 #include "src/sql/parser.hpp"
 #include "src/warehouse/designer.hpp"
 #include "src/workload/paper_example.hpp"
@@ -1063,6 +1064,22 @@ TEST_F(ShapeCacheTest, LiteralDependentOrderAndDedup) {
   }
 }
 
+// Double literals that differ past the sixth digit are two conjuncts on
+// the shape path as on parse_adhoc's, and order and dedup follow them.
+TEST_F(ShapeCacheTest, CloseDoubleLiterals) {
+  const std::string shape =
+      "SELECT name FROM Product WHERE Pid > $ AND Pid > 1234567.9";
+  EXPECT_FALSE(bind_checked(fill(shape, "1234567.8")));
+  for (const char* v : {"1234567.85", "1234567.95", "1234567.9"}) {
+    EXPECT_TRUE(bind_checked(fill(shape, v))) << v;
+  }
+  const auto conjuncts = [&](const char* v) {
+    return server_->bind(fill(shape, v)).canonical_conjuncts().size();
+  };
+  EXPECT_EQ(conjuncts("1234567.8"), 2u);
+  EXPECT_EQ(conjuncts("1234567.9"), 1u);  // one conjunct written twice
+}
+
 TEST_F(ShapeCacheTest, DateLiterals) {
   const std::string shape =
       "SELECT Customer.city, date FROM Order, Customer "
@@ -1180,6 +1197,60 @@ TEST_F(ShapeCacheTest, EvictsAtCapacity) {
   stats = server_->shape_cache_stats();
   EXPECT_EQ(stats.entries, MvServer::kShapeCacheCapacity);
   EXPECT_EQ(stats.evictions, 6u);
+}
+
+// A key longer than kMaxCacheKeyBytes is never stored: long shapes are
+// parsed, bound and matched on every request, leave both caches empty,
+// count as oversize, and answer as the base tables do. A shape just under
+// the bound is stored and hit as usual.
+TEST_F(ShapeCacheTest, OversizeKeysAreServedUncached) {
+  // One shape per term count: an OR of `terms` equalities on Pid.
+  const auto long_sql = [](std::size_t terms, int first) {
+    std::string sql =
+        "SELECT name FROM Product WHERE Pid = " + std::to_string(first);
+    for (std::size_t i = 1; i < terms; ++i) {
+      sql += " OR Pid = " + std::to_string(first + static_cast<int>(i));
+    }
+    return sql;
+  };
+  set_trace_level(TraceLevel::kCounters);
+  MetricsRegistry::global().reset();
+  std::size_t served = 0;
+  for (std::size_t terms = 400; terms < 405; ++terms) {
+    const std::string sql = long_sql(terms, static_cast<int>(terms));
+    ASSERT_GT(lex(sql).shape.size(), kMaxCacheKeyBytes);
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const ServeResult got = server_->serve(sql);
+      const ServeResult base = server_->serve(
+          parse_adhoc(server_->catalog(), sql), ServePath::kBaseOnly);
+      EXPECT_TRUE(same_bag(got.table, base.table)) << terms;
+      ++served;
+    }
+  }
+  const CacheStats shapes = server_->shape_cache_stats();
+  const CacheStats templates = server_->template_cache_stats();
+  const MetricsSnapshot metrics = MetricsRegistry::global().snapshot();
+  set_trace_level(std::nullopt);
+  EXPECT_EQ(shapes.entries, 0u);
+  EXPECT_EQ(shapes.hits, 0u);
+  EXPECT_EQ(shapes.oversize, served);
+  EXPECT_EQ(templates.entries, 0u);
+  EXPECT_EQ(templates.oversize, served);
+  EXPECT_EQ(metrics.metrics.at("serve/shape_cache/oversize").value,
+            static_cast<double>(served));
+  EXPECT_EQ(metrics.metrics.at("serve/template_cache/oversize").value,
+            static_cast<double>(served));
+
+  // The longest shape under the bound is stored, and hit with new literals.
+  std::size_t terms = 1;
+  while (lex(long_sql(terms + 1, 0)).shape.size() <= kMaxCacheKeyBytes) {
+    ++terms;
+  }
+  ASSERT_GT(lex(long_sql(terms, 0)).shape.size() + 16, kMaxCacheKeyBytes);
+  EXPECT_FALSE(bind_checked(long_sql(terms, 0)));
+  EXPECT_TRUE(bind_checked(long_sql(terms, 1000)));
+  EXPECT_EQ(server_->shape_cache_stats().entries, 1u);
+  EXPECT_EQ(server_->shape_cache_stats().oversize, served);
 }
 
 // A hit records one serve.shape span where a miss records serve.parse and

@@ -228,6 +228,32 @@ TEST(SqlTest, OutOfRangeIntegerLiteralThrowsWithItsOffset) {
   EXPECT_FALSE(tokenize("99999999999999999999.5")[0].is_integer);
 }
 
+// Doubles render as the shortest text that reads back as the same value,
+// so two literals that differ past the sixth digit stay two conjuncts with
+// two texts, and the query's identity differs from either alone.
+TEST(SqlTest, CloseDoubleLiteralsKeepTheirOwnIdentity) {
+  const Catalog catalog = make_paper_catalog();
+  const QuerySpec both = parse_adhoc(
+      catalog,
+      "SELECT name FROM Product WHERE Pid > 1234567.8 AND Pid > 1234567.9");
+  ASSERT_EQ(both.canonical_conjuncts().size(), 2u);
+  EXPECT_NE(both.fingerprint().find("(Product.Pid > 1234567.8)"),
+            std::string::npos)
+      << both.fingerprint();
+  EXPECT_NE(both.fingerprint().find("(Product.Pid > 1234567.9)"),
+            std::string::npos)
+      << both.fingerprint();
+  for (const char* one :
+       {"SELECT name FROM Product WHERE Pid > 1234567.8",
+        "SELECT name FROM Product WHERE Pid > 1234567.9"}) {
+    EXPECT_NE(parse_adhoc(catalog, one).fingerprint(), both.fingerprint())
+        << one;
+  }
+  EXPECT_EQ(Value::real(0.1).to_string(), "0.1");
+  EXPECT_EQ(Value::real(1e20).to_string(), "100000000000000000000");
+  EXPECT_EQ(Value::real(-2.5e-7).to_string(), "-0.00000025");
+}
+
 TEST(ParseAndBindTest, ProducesBoundSpec) {
   const Catalog catalog = make_paper_catalog();
   const QuerySpec q = parse_and_bind(

@@ -218,6 +218,7 @@ Json cache_json(const CacheStats& cache) {
   out.set("hits", Json::number(static_cast<double>(cache.hits)));
   out.set("misses", Json::number(static_cast<double>(cache.misses)));
   out.set("evictions", Json::number(static_cast<double>(cache.evictions)));
+  out.set("oversize", Json::number(static_cast<double>(cache.oversize)));
   out.set("entries", Json::number(cache.entries));
   return out;
 }
@@ -226,6 +227,7 @@ std::string cache_text(const std::string& name, const CacheStats& cache) {
   return "\n== " + name + "\nhits: " + std::to_string(cache.hits) +
          "  misses: " + std::to_string(cache.misses) +
          "  evictions: " + std::to_string(cache.evictions) +
+         "  oversize: " + std::to_string(cache.oversize) +
          "  entries: " + std::to_string(cache.entries) + "\n";
 }
 
