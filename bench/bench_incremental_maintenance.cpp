@@ -6,8 +6,11 @@
 // through the incremental delta driver, once by recomputing every
 // refresh plan — measuring wall time and the engines' block accounting
 // for both, checking the two warehouses stay bag-identical, and
-// reporting the crossover fraction where recomputation catches up.
-// Everything is written to BENCH_maintenance.json.
+// reporting the crossover fraction where recomputation catches up. The
+// incremental refresh is timed on the row engine and on the vectorized
+// engine at one thread (the one MvServer and mvbench refresh on); the
+// bench exits nonzero if their block counts differ. Everything is written
+// to BENCH_maintenance.json.
 //
 // `--smoke` shrinks the dataset and repetitions for CI.
 #include <chrono>
@@ -105,12 +108,13 @@ int main(int argc, char** argv) {
   report.set("workload", workload);
 
   const std::vector<double> fractions = {0.001, 0.005, 0.01, 0.05, 0.1, 0.5};
-  TextTable table({"update fraction", "incremental", "recompute", "speedup",
-                   "inc blocks", "rec blocks"},
+  TextTable table({"update fraction", "incremental row", "incremental vec@1",
+                   "recompute", "speedup", "inc blocks", "rec blocks"},
                   {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight});
+                   Align::kRight, Align::kRight, Align::kRight});
   Json sweep = Json::array();
   bool all_agree = true;
+  bool engines_agree = true;
   double crossover = -1;  // first swept fraction where incremental loses
 
   for (std::size_t i = 0; i < fractions.size(); ++i) {
@@ -127,19 +131,23 @@ int main(int argc, char** argv) {
     apply_update_batch(updated, "Fact", opts, rng, &batch);
 
     // Starting state for a refresh: post-update bases, pre-update views.
-    const Timed inc = best_run(reps, [&] {
-      Database run_db = private_copy(updated);
-      Timed t;
-      ExecStats stats;
-      const auto t0 = std::chrono::steady_clock::now();
-      t.report = incremental_refresh(g, m, run_db, batch, &stats,
-                                     ExecMode::kRow, 1);
-      t.secs = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-      t.blocks = stats.blocks_read;
-      return t;
-    });
+    const auto incremental = [&](ExecMode mode) {
+      return best_run(reps, [&] {
+        Database run_db = private_copy(updated);
+        Timed t;
+        ExecStats stats;
+        const auto t0 = std::chrono::steady_clock::now();
+        t.report = incremental_refresh(g, m, run_db, batch, &stats, mode, 1);
+        t.secs = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+        t.blocks = stats.blocks_read;
+        return t;
+      });
+    };
+    const Timed inc = incremental(ExecMode::kRow);
+    const Timed inc_vec = incremental(ExecMode::kVectorized);
+    engines_agree = engines_agree && inc.blocks == inc_vec.blocks;
     const Timed rec = best_run(reps, [&] {
       Database run_db = private_copy(updated);
       Timed t;
@@ -171,10 +179,14 @@ int main(int argc, char** argv) {
     Json j = Json::object();
     j.set("update_fraction", Json::number(fraction));
     j.set("delta_rows", Json::number(batch.at("Fact").row_count()));
-    j.set("incremental_secs", Json::number(inc.secs));
+    Json inc_secs = Json::object();
+    inc_secs.set("row", Json::number(inc.secs));
+    inc_secs.set("vec@1", Json::number(inc_vec.secs));
+    j.set("incremental_secs", std::move(inc_secs));
     j.set("recompute_secs", Json::number(rec.secs));
     j.set("speedup", Json::number(speedup));
     j.set("incremental_blocks", Json::number(inc.blocks));
+    j.set("incremental_vec_blocks", Json::number(inc_vec.blocks));
     j.set("recompute_blocks", Json::number(rec.blocks));
     j.set("block_ratio", Json::number(rec.blocks / inc.blocks));
     j.set("group_applied", Json::number(
@@ -186,17 +198,21 @@ int main(int argc, char** argv) {
     sweep.push_back(std::move(j));
     table.add_row({format_fixed(fraction, 3),
                    format_fixed(inc.secs * 1e3, 1) + " ms",
+                   format_fixed(inc_vec.secs * 1e3, 1) + " ms",
                    format_fixed(rec.secs * 1e3, 1) + " ms",
                    format_fixed(speedup, 2) + "x",
                    format_fixed(inc.blocks, 0), format_fixed(rec.blocks, 0)});
   }
   report.set("sweep", std::move(sweep));
   report.set("all_same_bag", Json::boolean(all_agree));
+  report.set("engines_same_blocks", Json::boolean(engines_agree));
   report.set("crossover_fraction",
              crossover < 0 ? Json::null() : Json::number(crossover));
 
   std::cout << table.render() << '\n'
-            << "results agree: " << (all_agree ? "yes" : "NO") << '\n';
+            << "results agree: " << (all_agree ? "yes" : "NO") << '\n'
+            << "row and vec@1 incremental blocks agree: "
+            << (engines_agree ? "yes" : "NO") << '\n';
   if (crossover >= 0) {
     std::cout << "crossover: incremental loses from update fraction "
               << format_fixed(crossover, 3) << '\n';
@@ -207,5 +223,5 @@ int main(int argc, char** argv) {
   std::ofstream out("BENCH_maintenance.json");
   out << report.dump(2) << '\n';
   std::cout << "wrote BENCH_maintenance.json\n";
-  return all_agree ? 0 : 1;
+  return all_agree && engines_agree ? 0 : 1;
 }

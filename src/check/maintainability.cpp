@@ -99,9 +99,9 @@ bool touched(const PlanPtr& plan, const DeltaSet& deltas) {
   return false;
 }
 
-/// Does any touched scan leaf carry deletes after compaction? (delta_scan
-/// compacts each leaf delta, so an insert-only compacted frontier feeds
-/// insert-only deltas into the whole propagation.)
+/// Does any touched scan leaf carry deletes after compaction? (The refresh
+/// frontier holds compacted deltas, so an insert-only compacted frontier
+/// feeds insert-only deltas into the whole propagation.)
 bool leaf_deletes(const PlanPtr& plan, const DeltaSet& deltas) {
   if (plan->kind() == OpKind::kScan) {
     const auto it = deltas.find(static_cast<const ScanOp&>(*plan).relation());

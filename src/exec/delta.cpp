@@ -7,6 +7,7 @@
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
 #include "src/exec/exec_internal.hpp"
+#include "src/obs/metrics.hpp"
 
 namespace mvd {
 
@@ -91,7 +92,7 @@ void join_delta_with_delta(const DeltaTable& l, const DeltaTable& r,
 
 DeltaPropagator::DeltaPropagator(const Database& db, const DeltaSet& deltas,
                                  ExecMode mode, std::size_t threads)
-    : deltas_(&deltas), exec_(db, mode, threads) {}
+    : db_(&db), deltas_(&deltas), exec_(db, mode, threads) {}
 
 std::optional<DeltaTable> DeltaPropagator::propagate(const PlanPtr& plan,
                                                      ExecStats* stats) {
@@ -101,8 +102,7 @@ std::optional<DeltaTable> DeltaPropagator::propagate(const PlanPtr& plan,
 
 bool DeltaPropagator::touches(const PlanPtr& plan) const {
   if (plan->kind() == OpKind::kScan) {
-    const auto it = deltas_->find(static_cast<const ScanOp&>(*plan).relation());
-    return it != deltas_->end() && !it->second.empty();
+    return deltas_->contains(static_cast<const ScanOp&>(*plan).relation());
   }
   for (const PlanPtr& child : plan->children()) {
     if (touches(child)) return true;
@@ -112,9 +112,38 @@ bool DeltaPropagator::touches(const PlanPtr& plan) const {
 
 const Table& DeltaPropagator::full(const PlanPtr& plan, ExecStats* stats) {
   if (const auto it = full_memo_.find(plan.get()); it != full_memo_.end()) {
-    return it->second;
+    return *it->second;
   }
-  return full_memo_.emplace(plan.get(), exec_.run(plan, stats)).first->second;
+  std::shared_ptr<const Table> side;
+  if (plan->kind() == OpKind::kScan) {
+    // Read the stored rows in place; the probe indexes them by the plan's
+    // schema. Charged as the engine's scan: its blocks and rows, one batch
+    // on the row engine or one per morsel on vec, and its rows_out.
+    const Table& stored =
+        db_->table(static_cast<const ScanOp&>(*plan).relation());
+    Table::check_rebind(plan->output_schema(), stored.schema());
+    if (stats != nullptr) {
+      const std::size_t rows = stored.row_count();
+      stats->blocks_read += stored.blocks();
+      stats->rows_scanned += static_cast<double>(rows);
+      stats->batches += exec_.mode() == ExecMode::kVectorized
+                            ? static_cast<double>(morsel_count(rows))
+                            : 1;
+      stats->rows_out[plan->label()] = static_cast<double>(rows);
+    }
+    side = std::shared_ptr<const Table>(std::shared_ptr<const Table>{},
+                                        &stored);
+  } else {
+    side = std::make_shared<const Table>(exec_.run(plan, stats));
+  }
+  if (counters_enabled()) {
+    MetricsRegistry::global()
+        .counter(plan->kind() == OpKind::kScan
+                     ? "maintenance/refresh/full_sides_in_place"
+                     : "maintenance/refresh/full_sides_executed")
+        .increment();
+  }
+  return *full_memo_.emplace(plan.get(), std::move(side)).first->second;
 }
 
 std::optional<DeltaTable> DeltaPropagator::run(const PlanPtr& plan,
@@ -159,17 +188,14 @@ std::optional<DeltaTable> DeltaPropagator::run(const PlanPtr& plan,
 DeltaTable DeltaPropagator::delta_scan(const ScanOp& op,
                                        ExecStats* stats) const {
   const auto it = deltas_->find(op.relation());
-  if (it == deltas_->end() || it->second.empty()) {
-    return DeltaTable(op.output_schema());
-  }
-  DeltaTable delta = it->second.compacted();
-  if (delta.schema().size() != op.output_schema().size()) {
+  if (it == deltas_->end()) return DeltaTable(op.output_schema());
+  if (it->second.schema().size() != op.output_schema().size()) {
     throw ExecError("delta of '" + op.relation() +
                     "' does not match the scan schema");
   }
-  if (!(delta.schema() == op.output_schema())) {
-    delta = DeltaTable::rebind(op.output_schema(), delta);
-  }
+  DeltaTable delta = it->second.schema() == op.output_schema()
+                         ? it->second
+                         : DeltaTable::rebind(op.output_schema(), it->second);
   if (stats != nullptr) {
     stats->blocks_read += delta.blocks();
     stats->rows_scanned += static_cast<double>(delta.row_count());

@@ -329,7 +329,7 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
     result.view_delta.add_insert(row);
     result.next.append(std::move(row));
   }
-  result.view_delta = result.view_delta.compacted();
+  result.view_delta = std::move(result.view_delta).compacted();
   return result;
 }
 
@@ -388,10 +388,16 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
     span.arg("blocks_read", e.blocks_read);
     span.arg("stored_rows", e.stored_rows);
   };
-  // Deltas pending at the frontier: base-relation deltas plus, as views
-  // refresh, each view's own delta under its node name (the same names
-  // refresh_plan gives its scan leaves).
-  DeltaSet frontier = base_deltas;
+  // Deltas pending at the frontier, one entry per changed leaf: each base
+  // relation whose batch captured rows plus, as views refresh, each view
+  // with a non-empty delta under its node name (the same names
+  // refresh_plan gives its scan leaves). Each is compacted once, here or
+  // as its view produces it; an entry whose rows all cancelled still marks
+  // its leaf changed.
+  DeltaSet frontier;
+  for (const auto& [relation, delta] : base_deltas) {
+    if (!delta.empty()) frontier.emplace(relation, delta.compacted());
+  }
   for (NodeId v : m) {
     const std::string& name = graph.node(v).name;
     TraceSpan view_span("maintenance", "refresh-view");
@@ -434,7 +440,7 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
       const auto& agg = static_cast<const AggregateOp&>(*plan);
       auto child_delta = prop.propagate(plan->children()[0], &local);
       if (child_delta.has_value()) {
-        const DeltaTable compact = child_delta->compacted();
+        const DeltaTable compact = std::move(*child_delta).compacted();
         const Table& stored = db.table(name);
         if (compact.empty()) {
           view_delta.emplace(stored.schema(), stored.blocking_factor());
@@ -453,7 +459,7 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
     } else {
       auto delta = prop.propagate(plan, &local);
       if (delta.has_value()) {
-        const DeltaTable compact = delta->compacted();
+        DeltaTable compact = std::move(*delta).compacted();
         const Table& stored = db.table(name);
         // Applying charges the delta; a batch with deletes additionally
         // rewrites the stored table.
@@ -463,9 +469,9 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
           local.rows_scanned += static_cast<double>(stored.row_count());
         }
         db.apply_delta(name, compact);
-        view_delta = compact;
         entry.path = RefreshPath::kApplied;
         entry.delta_rows = static_cast<double>(compact.row_count());
+        view_delta = std::move(compact);
       }
     }
 
@@ -482,11 +488,9 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
       entry.path = RefreshPath::kRecomputed;
     }
 
-    if (view_delta.has_value()) {
-      if (!view_delta->empty()) {
-        charge_exchange(db, name, *view_delta, feeds_global,
-                        feeds_partitioned, stats);
-      }
+    if (view_delta.has_value() && !view_delta->empty()) {
+      charge_exchange(db, name, *view_delta, feeds_global, feeds_partitioned,
+                      stats);
       frontier.insert_or_assign(name, std::move(*view_delta));
     }
     entry.stored_rows = static_cast<double>(db.table(name).row_count());

@@ -36,6 +36,18 @@ std::string_view keyword(std::string_view word) {
   return {};
 }
 
+/// Whether the next token stands where an operand is expected: nothing
+/// before it, or a token that cannot end an operand (not a number,
+/// identifier, string or closing parenthesis). `tokens` ends with the
+/// token being lexed.
+bool operand_expected(const std::vector<Token>& tokens) {
+  if (tokens.size() < 2) return true;
+  const Token& prev = tokens[tokens.size() - 2];
+  return prev.kind != TokenKind::kNumber &&
+         prev.kind != TokenKind::kIdentifier &&
+         prev.kind != TokenKind::kString && !prev.is_symbol(")");
+}
+
 }  // namespace
 
 bool is_date_text(const std::vector<Token>& tokens, std::size_t i) {
@@ -85,8 +97,10 @@ Lexed lex(const std::string& sql) {
         tok.text = word;
         emit(word);
       }
-    } else if (is_digit(c)) {
+    } else if (is_digit(c) || (c == '-' && is_digit(peek(1)) &&
+                               operand_expected(tokens))) {
       const std::size_t start = i;
+      if (c == '-') ++i;  // a negative literal's sign
       bool dot = false;
       while (i < n && (is_digit(sql[i]) ||
                        (!dot && sql[i] == '.' && is_digit(peek(1))))) {

@@ -11,7 +11,7 @@ namespace mvd {
 enum class TokenKind {
   kIdentifier,  // Product, Div.city   (qualification handled by the parser)
   kKeyword,     // SELECT FROM WHERE AND OR NOT TRUE FALSE GROUP BY AS
-  kNumber,      // 42, 3.5
+  kNumber,      // 42, 3.5, -7 (signed only where an operand is expected)
   kString,      // 'LA' with '' escaping
   kSymbol,      // , . ( ) = <> != < <= > >= *
   kEnd,

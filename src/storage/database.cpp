@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/common/error.hpp"
+#include "src/obs/metrics.hpp"
 
 namespace mvd {
 
@@ -177,7 +178,15 @@ const Database::Entry& Database::entry(const std::string& name) const {
 
 // Only entries own tables, so use_count() == 1 means no copy shares it.
 Table& Database::writable(Entry& e) {
-  if (e.table.use_count() != 1) e.table = std::make_shared<Table>(*e.table);
+  if (e.table.use_count() != 1) {
+    e.table = std::make_shared<Table>(*e.table);
+    if (counters_enabled()) {
+      MetricsRegistry& reg = MetricsRegistry::global();
+      reg.counter("storage/cow/clones").increment();
+      reg.counter("storage/cow/rows_cloned")
+          .add(static_cast<double>(e.table->row_count()));
+    }
+  }
   return *e.table;
 }
 

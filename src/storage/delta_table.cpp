@@ -1,8 +1,8 @@
 #include "src/storage/delta_table.hpp"
 
 #include <cstdint>
-#include <cstring>
 #include <unordered_map>
+#include <utility>
 
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
@@ -11,99 +11,57 @@ namespace mvd {
 
 namespace {
 
-// Lossless tuple encoding for bag matching: numerics by their double bit
-// pattern (so values that compare equal across kInt64/kDate/kDouble also
-// key equal, mirroring Value::operator==; zeros normalized so -0.0 and
-// +0.0 share a key), strings length-prefixed, bools one byte.
-void append_value_key(std::string& key, const Value& v) {
-  switch (v.type()) {
-    case ValueType::kInt64:
-    case ValueType::kDate:
-    case ValueType::kDouble: {
-      double d = v.as_double();
-      if (d == 0) d = 0;  // collapse -0.0
-      char bits[sizeof(double)];
-      std::memcpy(bits, &d, sizeof(double));
-      key += 'n';
-      key.append(bits, sizeof(double));
-      return;
+/// Pairs the rows of a `plus` bag against a `minus` bag under
+/// tuples_equivalent: per equivalence class, the first (plus − minus)
+/// `plus` rows of a class with more plus rows are inserted, the first
+/// (minus − plus) `minus` rows of one with more minus rows deleted, each
+/// bag in its own order. Classes are found by tuple_hash and verified by
+/// value, so no row is encoded.
+DeltaTable pair_off(const Table& plus, const Table& minus, Schema schema,
+                    double blocking_factor) {
+  std::unordered_multimap<std::uint64_t, std::uint32_t> classes;  // by hash
+  std::vector<const Tuple*> exemplar;  // class → its first row
+  std::vector<std::int64_t> balance;   // class → plus rows − minus rows
+  classes.reserve(plus.row_count() + minus.row_count());
+  const auto class_of = [&](const Tuple& t) {
+    const std::uint64_t h = tuple_hash(t);
+    const auto [lo, hi] = classes.equal_range(h);
+    for (auto it = lo; it != hi; ++it) {
+      if (tuples_equivalent(*exemplar[it->second], t)) return it->second;
     }
-    case ValueType::kString: {
-      const auto len = static_cast<std::uint32_t>(v.as_string().size());
-      char bits[sizeof(len)];
-      std::memcpy(bits, &len, sizeof(len));
-      key += 's';
-      key.append(bits, sizeof(len));
-      key += v.as_string();
-      return;
-    }
-    case ValueType::kBool:
-      key += 'b';
-      key += v.as_bool() ? '\1' : '\0';
-      return;
-  }
-  MVD_ASSERT(false);
-}
-
-std::string tuple_key(const Tuple& t) {
-  std::string key;
-  for (const Value& v : t) append_value_key(key, v);
-  return key;
-}
-
-// Allocation-free 64-bit tuple hash with the same equivalence as
-// tuple_key (numerics by normalized double bits, so kInt64 1 and kDouble
-// 1.0 hash equal). Collisions are resolved by tuples_match, so this only
-// needs to be consistent, not perfect.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
-
-std::uint64_t tuple_hash(const Tuple& t) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const Value& v : t) {
-    switch (v.type()) {
-      case ValueType::kInt64:
-      case ValueType::kDate:
-      case ValueType::kDouble: {
-        double d = v.as_double();
-        if (d == 0) d = 0;  // collapse -0.0
-        std::uint64_t bits;
-        std::memcpy(&bits, &d, sizeof(bits));
-        h = mix(h, bits);
-        break;
-      }
-      case ValueType::kString:
-        h = mix(h, std::hash<std::string>{}(v.as_string()));
-        break;
-      case ValueType::kBool:
-        h = mix(h, v.as_bool() ? 2 : 3);
-        break;
-    }
-  }
-  return h;
-}
-
-bool values_match(const Value& a, const Value& b) {
-  const auto numeric = [](ValueType t) {
-    return t == ValueType::kInt64 || t == ValueType::kDate ||
-           t == ValueType::kDouble;
+    const auto c = static_cast<std::uint32_t>(exemplar.size());
+    classes.emplace(h, c);
+    exemplar.push_back(&t);
+    balance.push_back(0);
+    return c;
   };
-  if (numeric(a.type()) && numeric(b.type())) {
-    return a.as_double() == b.as_double();
+  std::vector<std::uint32_t> plus_class, minus_class;
+  plus_class.reserve(plus.row_count());
+  minus_class.reserve(minus.row_count());
+  for (const Tuple& t : plus.rows()) {
+    plus_class.push_back(class_of(t));
+    ++balance[plus_class.back()];
   }
-  if (a.type() != b.type()) return false;
-  if (a.type() == ValueType::kString) return a.as_string() == b.as_string();
-  return a.as_bool() == b.as_bool();
-}
-
-bool tuples_match(const Tuple& a, const Tuple& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!values_match(a[i], b[i])) return false;
+  for (const Tuple& t : minus.rows()) {
+    minus_class.push_back(class_of(t));
+    --balance[minus_class.back()];
   }
-  return true;
+  DeltaTable out(std::move(schema), blocking_factor);
+  for (std::size_t i = 0; i < plus.row_count(); ++i) {
+    std::int64_t& b = balance[plus_class[i]];
+    if (b > 0) {
+      out.add_insert(plus.row(i));
+      --b;
+    }
+  }
+  for (std::size_t i = 0; i < minus.row_count(); ++i) {
+    std::int64_t& b = balance[minus_class[i]];
+    if (b < 0) {
+      out.add_delete(minus.row(i));
+      ++b;
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -112,55 +70,23 @@ DeltaTable::DeltaTable(Schema schema, double blocking_factor)
     : inserts_(schema, blocking_factor),
       deletes_(std::move(schema), blocking_factor) {}
 
-DeltaTable DeltaTable::compacted() const {
-  // Pair off equal tuples across the two bags.
-  std::unordered_map<std::string, std::int64_t> balance;
-  for (const Tuple& t : inserts_.rows()) balance[tuple_key(t)] += 1;
-  for (const Tuple& t : deletes_.rows()) balance[tuple_key(t)] -= 1;
-  DeltaTable out(schema(), blocking_factor());
-  std::unordered_map<std::string, std::int64_t> remaining = balance;
-  for (const Tuple& t : inserts_.rows()) {
-    auto& r = remaining[tuple_key(t)];
-    if (r > 0) {
-      out.add_insert(t);
-      --r;
-    }
+DeltaTable DeltaTable::compacted() const& {
+  if (inserts_.row_count() == 0 || deletes_.row_count() == 0) return *this;
+  return pair_off(inserts_, deletes_, schema(), blocking_factor());
+}
+
+DeltaTable DeltaTable::compacted() && {
+  if (inserts_.row_count() == 0 || deletes_.row_count() == 0) {
+    return std::move(*this);
   }
-  for (const Tuple& t : deletes_.rows()) {
-    auto& r = remaining[tuple_key(t)];
-    if (r < 0) {
-      out.add_delete(t);
-      ++r;
-    }
-  }
-  return out;
+  return pair_off(inserts_, deletes_, schema(), blocking_factor());
 }
 
 DeltaTable DeltaTable::diff(const Table& before, const Table& after) {
   if (before.schema().size() != after.schema().size()) {
     throw ExecError("delta diff over tables of different arity");
   }
-  std::unordered_map<std::string, std::int64_t> balance;
-  balance.reserve(after.row_count());
-  for (const Tuple& t : after.rows()) balance[tuple_key(t)] += 1;
-  for (const Tuple& t : before.rows()) balance[tuple_key(t)] -= 1;
-  DeltaTable out(after.schema(), after.blocking_factor());
-  std::unordered_map<std::string, std::int64_t> remaining = balance;
-  for (const Tuple& t : after.rows()) {
-    auto& r = remaining[tuple_key(t)];
-    if (r > 0) {
-      out.add_insert(t);
-      --r;
-    }
-  }
-  for (const Tuple& t : before.rows()) {
-    auto& r = remaining[tuple_key(t)];
-    if (r < 0) {
-      out.add_delete(t);
-      ++r;
-    }
-  }
-  return out;
+  return pair_off(after, before, after.schema(), after.blocking_factor());
 }
 
 DeltaTable DeltaTable::rebind(Schema schema, const DeltaTable& src) {
@@ -180,21 +106,35 @@ void apply_delta(Table& stored, const DeltaTable& delta) {
     for (const Tuple& t : delta.inserts().rows()) stored.append(t);
     return;
   }
-  // Hash-bucketed pending deletes (exemplar tuple + multiplicity), probed
-  // with an allocation-free hash per stored row and verified by value, so
-  // a small batch against a large view costs one cheap scan instead of a
-  // keyed rebuild. Matched rows are swap-removed in descending order.
+  // Pending deletes bucketed by hash (exemplar tuple + multiplicity). The
+  // stored table keeps its row hashes, so finding the victims is one pass
+  // over those hashes behind a bit filter of the pending ones; a hit is
+  // verified by value. Each pending delete takes the first equivalent
+  // stored rows in order; matched rows are swap-removed in descending
+  // order.
   struct Bucket {
     const Tuple* exemplar;
     std::int64_t remaining;
   };
+  const std::size_t n_deletes = delta.deletes().row_count();
   std::unordered_map<std::uint64_t, std::vector<Bucket>> pending;
-  pending.reserve(delta.deletes().row_count());
+  pending.reserve(n_deletes);
+  // At least 8 filter bits per pending delete, a power of two; a hash
+  // picks its bit by its top bits after a Fibonacci multiply.
+  unsigned filter_log2 = 6;
+  while ((std::size_t{1} << filter_log2) < 8 * n_deletes) ++filter_log2;
+  std::vector<std::uint64_t> filter((std::size_t{1} << filter_log2) / 64, 0);
+  const auto filter_bit = [filter_log2](std::uint64_t h) {
+    return (h * 0x9e3779b97f4a7c15ull) >> (64 - filter_log2);
+  };
   for (const Tuple& t : delta.deletes().rows()) {
-    std::vector<Bucket>& bucket = pending[tuple_hash(t)];
+    const std::uint64_t h = tuple_hash(t);
+    const std::uint64_t bit = filter_bit(h);
+    filter[bit / 64] |= std::uint64_t{1} << (bit % 64);
+    std::vector<Bucket>& bucket = pending[h];
     bool found = false;
     for (Bucket& b : bucket) {
-      if (tuples_match(*b.exemplar, t)) {
+      if (tuples_equivalent(*b.exemplar, t)) {
         ++b.remaining;
         found = true;
         break;
@@ -202,25 +142,24 @@ void apply_delta(Table& stored, const DeltaTable& delta) {
     }
     if (!found) bucket.push_back({&t, 1});
   }
-  std::int64_t unmatched =
-      static_cast<std::int64_t>(delta.deletes().row_count());
+  stored.keep_hashes();
+  const std::vector<std::uint64_t>& hashes = stored.row_hashes();
+  auto unmatched = static_cast<std::int64_t>(n_deletes);
   std::vector<std::size_t> doomed;
-  doomed.reserve(delta.deletes().row_count());
-  std::size_t idx = 0;
-  for (const Tuple& t : stored.rows()) {
-    const auto it = pending.find(tuple_hash(t));
-    if (it != pending.end()) {
-      for (Bucket& b : it->second) {
-        if (b.remaining > 0 && tuples_match(*b.exemplar, t)) {
-          --b.remaining;
-          --unmatched;
-          doomed.push_back(idx);
-          break;
-        }
+  doomed.reserve(n_deletes);
+  for (std::size_t idx = 0; idx < hashes.size() && unmatched > 0; ++idx) {
+    const std::uint64_t bit = filter_bit(hashes[idx]);
+    if ((filter[bit / 64] >> (bit % 64) & 1) == 0) continue;
+    const auto it = pending.find(hashes[idx]);
+    if (it == pending.end()) continue;
+    for (Bucket& b : it->second) {
+      if (b.remaining > 0 && tuples_equivalent(*b.exemplar, stored.row(idx))) {
+        --b.remaining;
+        --unmatched;
+        doomed.push_back(idx);
+        break;
       }
-      if (unmatched == 0) break;
     }
-    ++idx;
   }
   if (unmatched != 0) {
     throw ExecError(

@@ -38,13 +38,18 @@ class DeltaTable {
   /// Combined size in blocks (insert blocks + delete blocks).
   double blocks() const { return inserts_.blocks() + deletes_.blocks(); }
 
-  /// Copy with matched insert/delete pairs cancelled (bag semantics).
-  /// An update stream that rewrites a row to itself produces such pairs;
-  /// cancelling them before propagation avoids amplifying no-op work.
-  DeltaTable compacted() const;
+  /// Copy with matched insert/delete pairs cancelled (bag semantics,
+  /// rows paired under tuples_equivalent; surviving rows keep their
+  /// order). An update stream that rewrites a row to itself produces such
+  /// pairs; cancelling them before propagation avoids amplifying no-op
+  /// work. A delta with an empty bag has nothing to pair and comes back
+  /// unchanged (moved, from an rvalue).
+  DeltaTable compacted() const&;
+  DeltaTable compacted() &&;
 
   /// The bag difference `after − before` (schemas must have equal arity;
-  /// tuples compare by value, so an int64 1 matches a double 1.0).
+  /// rows pair under tuples_equivalent, so an int64 1 matches a double
+  /// 1.0).
   static DeltaTable diff(const Table& before, const Table& after);
 
   /// Both sides copied under a new (e.g. qualified) schema via
@@ -58,12 +63,16 @@ class DeltaTable {
 
 /// The named deltas of one update round, keyed like Database tables (base
 /// relations under their catalog names, refreshed views under their MVPP
-/// node names). A missing or empty entry means "unchanged".
+/// node names). A missing or empty entry means "unchanged" (a refresh
+/// frontier is stricter; see DeltaPropagator).
 using DeltaSet = std::map<std::string, DeltaTable>;
 
-/// Apply `delta` to `stored` in place: bag-subtract the deletes, append
-/// the inserts. Throws ExecError when a delete has no matching stored row
-/// (the stored view disagrees with the state the delta was derived from).
+/// Apply `delta` to `stored` in place: bag-subtract the deletes (each
+/// takes the first stored rows equivalent to it under tuples_equivalent),
+/// append the inserts. A delete-bearing delta makes `stored` keep its row
+/// hashes (Table::keep_hashes). Throws ExecError when a delete has no
+/// matching stored row (the stored view disagrees with the state the
+/// delta was derived from).
 void apply_delta(Table& stored, const DeltaTable& delta);
 
 }  // namespace mvd

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <unordered_set>
 
 #include "src/common/assert.hpp"
@@ -9,6 +10,60 @@
 #include "src/common/text_table.hpp"
 
 namespace mvd {
+
+namespace {
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  return h;
+}
+
+std::uint64_t numeric_bits(const Value& v) {
+  double d = v.as_double();
+  if (d == 0) d = 0;  // collapse -0.0
+  std::uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+bool values_equivalent(const Value& a, const Value& b) {
+  if (is_numeric(a.type()) && is_numeric(b.type())) {
+    return numeric_bits(a) == numeric_bits(b);
+  }
+  if (a.type() != b.type()) return false;
+  if (a.type() == ValueType::kString) return a.as_string() == b.as_string();
+  return a.as_bool() == b.as_bool();
+}
+
+}  // namespace
+
+std::uint64_t tuple_hash(const Tuple& t) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const Value& v : t) {
+    switch (v.type()) {
+      case ValueType::kInt64:
+      case ValueType::kDate:
+      case ValueType::kDouble:
+        h = mix(h, numeric_bits(v));
+        break;
+      case ValueType::kString:
+        h = mix(h, std::hash<std::string>{}(v.as_string()));
+        break;
+      case ValueType::kBool:
+        h = mix(h, v.as_bool() ? 2 : 3);
+        break;
+    }
+  }
+  return h;
+}
+
+bool tuples_equivalent(const Tuple& a, const Tuple& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!values_equivalent(a[i], b[i])) return false;
+  }
+  return true;
+}
 
 Table::Table(Schema schema, double blocking_factor)
     : schema_(std::move(schema)), blocking_factor_(blocking_factor) {
@@ -37,27 +92,31 @@ void Table::append(Tuple tuple) {
                       ", got " + to_string(tuple[i].type()));
     }
   }
+  if (keeps_hashes_) hashes_.push_back(tuple_hash(tuple));
   rows_.push_back(std::move(tuple));
 }
 
-Table Table::rebind(Schema schema, const Table& src, std::size_t begin,
-                    std::size_t end) {
-  if (schema.size() != src.schema().size()) {
+void Table::check_rebind(const Schema& schema, const Schema& stored) {
+  if (schema.size() != stored.size()) {
     throw ExecError("cannot rebind: schema arity " +
                     std::to_string(schema.size()) +
                     " does not match source arity " +
-                    std::to_string(src.schema().size()));
+                    std::to_string(stored.size()));
   }
   for (std::size_t i = 0; i < schema.size(); ++i) {
     // Declared-type compatibility transfers to the stored values: the
     // source already enforced compatibility against its own declaration.
-    if (!type_compatible(schema.at(i).type, src.schema().at(i).type)) {
+    if (!type_compatible(schema.at(i).type, stored.at(i).type)) {
       throw ExecError("cannot rebind " + schema.at(i).qualified() +
                       ": declared " + to_string(schema.at(i).type) +
-                      ", stored column is " +
-                      to_string(src.schema().at(i).type));
+                      ", stored column is " + to_string(stored.at(i).type));
     }
   }
+}
+
+Table Table::rebind(Schema schema, const Table& src, std::size_t begin,
+                    std::size_t end) {
+  check_rebind(schema, src.schema());
   end = std::min(end, src.rows_.size());
   MVD_ASSERT(begin <= end);
   Table out(std::move(schema), src.blocking_factor());
@@ -74,14 +133,17 @@ const Tuple& Table::row(std::size_t i) const {
 void Table::update_row(std::size_t i, Tuple tuple) {
   MVD_ASSERT_MSG(i < rows_.size(), "row " << i << " out of range");
   append(std::move(tuple));  // reuse the arity/type checks
-  rows_[i] = std::move(rows_.back());
-  rows_.pop_back();
+  remove_row(i);              // the new last row takes row i's place
 }
 
 void Table::remove_row(std::size_t i) {
   MVD_ASSERT_MSG(i < rows_.size(), "row " << i << " out of range");
   rows_[i] = std::move(rows_.back());
   rows_.pop_back();
+  if (keeps_hashes_) {
+    hashes_[i] = hashes_.back();
+    hashes_.pop_back();
+  }
 }
 
 void Table::permute(const std::vector<std::size_t>& order) {
@@ -90,6 +152,19 @@ void Table::permute(const std::vector<std::size_t>& order) {
   next.reserve(order.size());
   for (const std::size_t i : order) next.push_back(std::move(rows_[i]));
   rows_ = std::move(next);
+  if (keeps_hashes_) {
+    std::vector<std::uint64_t> hashes;
+    hashes.reserve(order.size());
+    for (const std::size_t i : order) hashes.push_back(hashes_[i]);
+    hashes_ = std::move(hashes);
+  }
+}
+
+void Table::keep_hashes() {
+  if (keeps_hashes_) return;
+  hashes_.reserve(rows_.size());
+  for (const Tuple& t : rows_) hashes_.push_back(tuple_hash(t));
+  keeps_hashes_ = true;
 }
 
 double Table::blocks_of(std::size_t rows, double blocking_factor) {

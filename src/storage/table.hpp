@@ -17,6 +17,16 @@ namespace mvd {
 
 using Tuple = std::vector<Value>;
 
+/// Allocation-free 64-bit tuple hash under delta matching's equivalence
+/// (tuples_equivalent): numerics by their double bit pattern with -0.0
+/// folded onto +0.0, so kInt64 1 and kDouble 1.0 hash equal.
+std::uint64_t tuple_hash(const Tuple& t);
+
+/// The equivalence delta matching pairs rows by: numerics by normalized
+/// double bits (kInt64 1 ≡ kDouble 1.0, -0.0 ≡ 0.0, a NaN matches a NaN
+/// with the same bits), strings and bools by value, kinds never across.
+bool tuples_equivalent(const Tuple& a, const Tuple& b);
+
 class Table {
  public:
   explicit Table(Schema schema, double blocking_factor = 10.0);
@@ -34,6 +44,9 @@ class Table {
   /// incompatibility.
   static Table rebind(Schema schema, const Table& src, std::size_t begin = 0,
                       std::size_t end = SIZE_MAX);
+  /// rebind's checks alone: throws the same ExecError rebind would when
+  /// rows stored under `stored` cannot be read under `schema`.
+  static void check_rebind(const Schema& schema, const Schema& stored);
 
   std::size_t row_count() const { return rows_.size(); }
   const Tuple& row(std::size_t i) const;
@@ -48,6 +61,17 @@ class Table {
   /// Reorder the rows so that row i is the old row order[i]; `order` must
   /// be a permutation of the row indices. Rows move, never copy.
   void permute(const std::vector<std::size_t>& order);
+
+  /// Start keeping one tuple_hash per row (hashing the current rows once;
+  /// a no-op when already kept). From then on append, update_row,
+  /// remove_row and permute keep the hashes in step, and copies carry
+  /// them. apply_delta calls it on the first delete-bearing delta, so a
+  /// table that never takes deletes never hashes.
+  void keep_hashes();
+  bool keeps_hashes() const { return keeps_hashes_; }
+  /// row_hashes()[i] == tuple_hash(row(i)) while keeps_hashes(); empty
+  /// otherwise.
+  const std::vector<std::uint64_t>& row_hashes() const { return hashes_; }
 
   /// Size in blocks: ceil(rows / blocking_factor), 0 when empty.
   double blocks() const { return blocks_of(rows_.size(), blocking_factor_); }
@@ -67,6 +91,8 @@ class Table {
   Schema schema_;
   double blocking_factor_;
   std::vector<Tuple> rows_;
+  bool keeps_hashes_ = false;
+  std::vector<std::uint64_t> hashes_;
 };
 
 }  // namespace mvd

@@ -9,77 +9,14 @@
 #include <string>
 #include <vector>
 
-#include "src/algebra/query_spec.hpp"
 #include "src/check/maintainability.hpp"
 #include "src/maintenance/refresh.hpp"
 #include "src/maintenance/update_stream.hpp"
 #include "src/mvpp/rewrite.hpp"
-#include "src/warehouse/designer.hpp"
-#include "src/workload/generator.hpp"
-#include "src/workload/paper_example.hpp"
+#include "tests/refresh_workloads.hpp"
 
 namespace mvd {
 namespace {
-
-struct Workload {
-  WarehouseDesigner designer;
-  DesignResult design;
-  Database db;
-  std::vector<std::string> update_relations;
-};
-
-Workload make_star_workload() {
-  StarSchemaOptions schema;
-  schema.dimensions = 3;
-  schema.fact_rows = 3'000;
-  schema.dimension_rows = 200;
-  schema.categories = 6;
-  Database db = populate_star_database(schema, 11);
-  Catalog catalog = catalog_from_database(db, schema.blocking_factor);
-  StarQueryOptions qopts;
-  qopts.count = 6;
-  qopts.max_dimensions = 2;
-  qopts.aggregation_probability = 0.5;  // exercise grouped delta apply
-  qopts.seed = 7;
-  WarehouseDesigner designer(catalog);
-  for (QuerySpec& q : generate_star_queries(catalog, schema, qopts)) {
-    designer.add_query(std::move(q));
-  }
-  DesignResult design = designer.design();
-  return {std::move(designer), std::move(design), std::move(db),
-          {"Fact", "Dim0", "Dim1"}};
-}
-
-Workload make_chain_workload() {
-  ChainSchemaOptions schema;
-  schema.length = 4;
-  schema.rows = 1'500;
-  Database db = populate_chain_database(schema, 13);
-  Catalog catalog = make_chain_catalog(schema);
-  ChainQueryOptions qopts;
-  qopts.count = 5;
-  qopts.seed = 3;
-  WarehouseDesigner designer(catalog);
-  for (QuerySpec& q : generate_chain_queries(catalog, schema, qopts)) {
-    designer.add_query(std::move(q));
-  }
-  DesignResult design = designer.design();
-  return {std::move(designer), std::move(design), std::move(db),
-          {"R0", "R1", "R2", "R3"}};
-}
-
-Workload make_paper_workload() {
-  DesignerOptions options;
-  options.cost = paper_cost_config();
-  WarehouseDesigner designer(make_paper_catalog(), options);
-  for (const QuerySpec& q : make_paper_example().queries) {
-    designer.add_query(q);
-  }
-  DesignResult design = designer.design();
-  return {std::move(designer), std::move(design),
-          populate_paper_database(0.02, 23),
-          {"Order", "Division", "Product", "Customer"}};
-}
 
 struct PathCounts {
   std::size_t skipped = 0;
@@ -142,8 +79,9 @@ void expect_predictions_agree(const MvppGraph& g, const MaterializedSet& m,
 /// recomputation — asserting bag-identity of every stored view and query
 /// answer after every round. Returns which refresh paths were taken so
 /// callers can assert the incremental machinery actually engaged.
-PathCounts run_differential(Workload w, ExecMode mode, std::size_t threads,
-                            std::size_t rounds, const UpdateStreamOptions& opts,
+PathCounts run_differential(RefreshWorkload w, ExecMode mode,
+                            std::size_t threads, std::size_t rounds,
+                            const UpdateStreamOptions& opts,
                             std::uint64_t seed) {
   const MvppGraph& g = w.design.graph();
   // Maintain the chosen set plus every query result node, so join views,
@@ -205,14 +143,6 @@ PathCounts run_differential(Workload w, ExecMode mode, std::size_t threads,
     EXPECT_TRUE(same_bag(expected, got)) << q.name();
   }
   return paths;
-}
-
-UpdateStreamOptions mixed_updates() {
-  UpdateStreamOptions opts;
-  opts.modify_fraction = 0.01;
-  opts.insert_fraction = 0.01;
-  opts.delete_fraction = 0.005;
-  return opts;
 }
 
 TEST(IncrementalRefreshPropertyTest, StarRowEngine) {

@@ -1,15 +1,17 @@
 // Tests for the observability subsystem (src/obs): registry semantics,
-// histogram bucket edges, the snapshot diff algebra, span nesting, and
-// the Chrome trace-event JSON shape. ObsTsanTest is additionally run
-// under ThreadSanitizer in CI.
+// histogram bucket edges, the snapshot diff algebra, span nesting, the
+// Chrome trace-event JSON shape, and the counters one refresh round
+// publishes. ObsTsanTest is additionally run under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/maintenance/refresh.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "tests/refresh_workloads.hpp"
 
 namespace mvd {
 namespace {
@@ -240,6 +242,52 @@ TEST(ObsTsanTest, ConcurrentRegistryAndTracerAreRaceFree) {
             static_cast<std::size_t>(kThreads * kIters));
   (void)tracer.to_chrome_json();
   tracer.clear();
+}
+
+// One incremental round on the paper warehouse while a copy still shares
+// every table: each view that applies a non-empty row delta clones its
+// table once (group-applied and recomputed views store a new table
+// instead), and each full side a join term probes is either a stored
+// table read in place or a plan the engine runs. In this round two views
+// apply rows (1,226 stored rows cloned between them); their join terms
+// probe two stored sides in place and run one computed side.
+TEST(ObsRefreshTest, OneRoundCountsClonesAndFullSides) {
+  RefreshWorkload w = make_paper_workload();
+  const MvppGraph& g = w.design.graph();
+  MaterializedSet& m = w.design.selection.materialized;
+  for (NodeId q : g.query_ids()) m.insert(g.node(q).children[0]);
+  for (NodeId v : m) deploy_view(g, v, m, w.db, ExecMode::kRow, 1);
+  Rng rng(107);
+  DeltaSet batch;
+  for (const char* relation : {"Order", "Product"}) {
+    apply_update_batch(w.db, relation, mixed_updates(), rng, &batch);
+  }
+  const Database held = w.db;
+
+  const ScopedTraceLevel counters(TraceLevel::kCounters);
+  const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+  const RefreshReport report =
+      incremental_refresh(g, m, w.db, batch, nullptr, ExecMode::kRow, 1);
+  const MetricsSnapshot round =
+      MetricsRegistry::global().snapshot().diff(before);
+  const auto count = [&](const char* name) {
+    return round.value_of(name).value_or(0);
+  };
+
+  double applied = 0;
+  double rows = 0;
+  for (const ViewRefresh& v : report.views) {
+    if (v.path != RefreshPath::kApplied || v.delta_rows == 0) continue;
+    applied += 1;
+    rows += static_cast<double>(held.table(v.view).row_count());
+  }
+  EXPECT_EQ(count("storage/cow/clones"), applied);
+  EXPECT_EQ(count("storage/cow/rows_cloned"), rows);
+  EXPECT_EQ(count("storage/cow/clones"), 2);
+  EXPECT_EQ(count("storage/cow/rows_cloned"), 1226);
+  EXPECT_EQ(count("maintenance/refresh/full_sides_in_place"), 2);
+  EXPECT_EQ(count("maintenance/refresh/full_sides_executed"), 1);
+  EXPECT_EQ(count("maintenance/refresh/rounds"), 1);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // overlaid) the same costs to the last bit.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "src/algebra/expr.hpp"
 #include "src/common/error.hpp"
 #include "src/lint/lint.hpp"
@@ -74,6 +77,11 @@ TEST(ExprToSqlTest, RoundTripsThroughTheParser) {
       // Doubles whose shortest text would be scientific.
       gt(col("Fact.amount"), lit_real(0.00001)),
       lt(col("Fact.amount"), lit_real(2.5e-7)),
+      // Negative literals (an MVPP predicate_sql may hold them).
+      gt(col("Order.quantity"), lit_i64(-5)),
+      lt(col("Fact.amount"), lit_real(-2.5e-7)),
+      eq(col("x"), lit_i64(std::numeric_limits<std::int64_t>::min())),
+      disj({lt(col("a"), lit_real(-2.5)), neg(eq(col("b"), lit_i64(-1)))}),
   };
   for (const ExprPtr& e : cases) {
     const std::string sql = expr_to_sql(e);

@@ -1140,6 +1140,24 @@ TEST_F(ShapeCacheTest, IntegerAndDoubleInOnePosition) {
             ValueType::kDouble);
 }
 
+// A negative literal is one literal of its lexical type, so it shares
+// the shape of its positive twin and a cached shape substitutes it.
+TEST_F(ShapeCacheTest, NegativeLiterals) {
+  const std::string shape = "SELECT name FROM Product WHERE Pid > $";
+  EXPECT_FALSE(bind_checked(fill(shape, "5")));
+  EXPECT_TRUE(bind_checked(fill(shape, "-5")));
+  EXPECT_TRUE(bind_checked(fill(shape, "-9223372036854775808")));
+  EXPECT_FALSE(bind_checked(fill(shape, "-2.5")));
+  EXPECT_TRUE(bind_checked(fill(shape, "2.5")));
+  EXPECT_EQ(server_->shape_cache_stats().entries, 2u);
+  EXPECT_EQ(server_->bind(fill(shape, "-7")).template_slots()[0].as_int64(),
+            -7);
+  const CacheStats before = server_->shape_cache_stats();
+  same_error<ParseError>(fill(shape, "0 - 5"));
+  same_error<ParseError>(fill(shape, "- 5"));
+  EXPECT_EQ(server_->shape_cache_stats().entries, before.entries);
+}
+
 TEST_F(ShapeCacheTest, KeywordCaseAndWhitespaceShareAShape) {
   EXPECT_FALSE(bind_checked("SELECT name FROM Product WHERE Pid > 5"));
   EXPECT_TRUE(bind_checked("select name from Product where Pid>6"));

@@ -228,6 +228,43 @@ TEST(SqlTest, OutOfRangeIntegerLiteralThrowsWithItsOffset) {
   EXPECT_FALSE(tokenize("99999999999999999999.5")[0].is_integer);
 }
 
+// A '-' right before a digit, where an operand is expected, is the sign of
+// a negative literal; anywhere else it is still no operator, so there is
+// no subtraction and no detached sign.
+TEST(SqlTest, NegativeLiterals) {
+  const Value neg = where_literal("SELECT name FROM Product WHERE Pid > -5");
+  ASSERT_EQ(neg.type(), ValueType::kInt64);
+  EXPECT_EQ(neg.as_int64(), -5);
+  const Value real =
+      where_literal("SELECT name FROM Product WHERE Pid > -2.5");
+  ASSERT_EQ(real.type(), ValueType::kDouble);
+  EXPECT_EQ(real.as_double(), -2.5);
+  const Value min = where_literal(
+      "SELECT name FROM Product WHERE Pid = -9223372036854775808");
+  ASSERT_EQ(min.type(), ValueType::kInt64);
+  EXPECT_EQ(min.as_int64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW(tokenize("-9223372036854775809"), ParseError);
+
+  EXPECT_EQ(lex("Pid > -5 AND (-2.5 < x OR y = -0)").shape,
+            "Pid > ?i AND ( ?d < x OR y = ?i )");
+  EXPECT_EQ(lex("a > -5").shape, lex("a > 5").shape);
+  for (const char* bad :
+       {"SELECT name FROM Product WHERE Pid > 0 - 5",
+        "SELECT name FROM Product WHERE Pid > - 5",
+        "SELECT name FROM Product WHERE Pid > 0 -5",
+        "SELECT name FROM Product WHERE Pid -5 > 0",
+        "SELECT name FROM Product WHERE (Pid) -5 > 0"}) {
+    EXPECT_THROW(parse_query(bad), ParseError) << bad;
+  }
+
+  // A spec holding negative literals renders SQL that reads back as it.
+  const Catalog catalog = make_paper_catalog();
+  const QuerySpec q = parse_adhoc(
+      catalog, "SELECT name FROM Product WHERE Pid > -5 AND Pid < -2.5");
+  const QuerySpec back = parse_adhoc(catalog, q.to_sql());
+  EXPECT_EQ(back.fingerprint(), q.fingerprint()) << q.to_sql();
+}
+
 // Doubles render as the shortest text that reads back as the same value,
 // so two literals that differ past the sixth digit stay two conjuncts with
 // two texts, and the query's identity differs from either alone.

@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/algebra/logical_plan.hpp"
 #include "src/common/error.hpp"
+#include "src/common/random.hpp"
+#include "src/common/strings.hpp"
 #include "src/exec/executor.hpp"
 #include "src/storage/database.hpp"
 #include "src/storage/table.hpp"
@@ -150,7 +156,7 @@ TEST(DatabaseTest, AddLookupDrop) {
 Table numbered(std::int64_t first, std::int64_t count) {
   Table t(two_col_schema(), 10.0);
   for (std::int64_t i = first; i < first + count; ++i) {
-    t.append({Value::int64(i), Value::string("r" + std::to_string(i))});
+    t.append({Value::int64(i), Value::string(str_cat("r", i))});
   }
   return t;
 }
@@ -304,6 +310,230 @@ TEST(DatabaseTest, VectorizedExecutorFollowsItsOwnDatabase) {
   const Table after = exec.run(scan);
   EXPECT_EQ(after.row_count(), 22u);
   EXPECT_TRUE(same_bag(after, a.table("T")));
+}
+
+// ---- Kept row hashes --------------------------------------------------
+
+void expect_hashes_kept(const Table& t) {
+  ASSERT_TRUE(t.keeps_hashes());
+  ASSERT_EQ(t.row_hashes().size(), t.row_count());
+  for (std::size_t i = 0; i < t.row_count(); ++i) {
+    EXPECT_EQ(t.row_hashes()[i], tuple_hash(t.row(i))) << "row " << i;
+  }
+}
+
+DeltaTable with_delete(std::int64_t id) {
+  DeltaTable d = inserts(500 + id, 2);
+  d.add_delete(numbered(id, 1).row(0));
+  return d;
+}
+
+TEST(TableTest, KeptHashesFollowEveryRowOperation) {
+  Table t = numbered(0, 10);
+  EXPECT_FALSE(t.keeps_hashes());
+  EXPECT_TRUE(t.row_hashes().empty());
+  t.keep_hashes();
+  expect_hashes_kept(t);
+  t.append({Value::int64(42), Value::string("x")});
+  expect_hashes_kept(t);
+  t.update_row(3, {Value::int64(43), Value::string("y")});
+  expect_hashes_kept(t);
+  t.remove_row(0);
+  expect_hashes_kept(t);
+  t.remove_row(t.row_count() - 1);
+  expect_hashes_kept(t);
+  std::vector<std::size_t> reversed(t.row_count());
+  for (std::size_t i = 0; i < reversed.size(); ++i) {
+    reversed[i] = reversed.size() - 1 - i;
+  }
+  t.permute(reversed);
+  expect_hashes_kept(t);
+  Table copy = t;
+  copy.append({Value::int64(44), Value::string("z")});
+  expect_hashes_kept(copy);
+  expect_hashes_kept(t);
+  EXPECT_EQ(copy.row_count(), t.row_count() + 1);
+}
+
+// Only a delete-bearing delta starts the hashes, on the writer's own
+// (possibly just cloned) table; a clone carries them, and the source a
+// clone was taken from is left as it was.
+TEST(DatabaseTest, DeletesKeepHashesOnTheWrittenTableOnly) {
+  Database a;
+  a.add_table("T", numbered(0, 20));
+  a.apply_delta("T", inserts(100, 3));
+  EXPECT_FALSE(a.table("T").keeps_hashes());
+
+  Database b = a;
+  b.apply_delta("T", with_delete(4));
+  expect_hashes_kept(b.table("T"));
+  EXPECT_FALSE(a.table("T").keeps_hashes());
+
+  Database c = b;  // shares b's hashed table until c writes
+  const std::vector<std::uint64_t> b_hashes = b.table("T").row_hashes();
+  c.apply_delta("T", with_delete(7));
+  expect_hashes_kept(c.table("T"));
+  EXPECT_EQ(b.table("T").row_hashes(), b_hashes);
+  c.apply_delta("T", inserts(300, 4));
+  expect_hashes_kept(c.table("T"));
+  c.partition("T", "id");  // re-orders the rows into bucket order
+  expect_hashes_kept(c.table("T"));
+  c.apply_delta("T", with_delete(9));
+  expect_hashes_kept(c.table("T"));
+  expect_hashes_kept(b.table("T"));
+}
+
+TEST(DeltaTableTest, ApplyMatchesAcrossNumericKindsZerosAndDuplicates) {
+  const Schema reals({{"k", ValueType::kDouble, "T"}});
+  const Schema ints({{"k", ValueType::kInt64, "T"}});
+  Table stored(reals);
+  for (const double k : {1.0, 2.0, 1.0, -0.0, 1.0}) {
+    stored.append({Value::real(k)});
+  }
+  DeltaTable delta(ints);
+  delta.add_delete({Value::int64(1)});
+  delta.add_delete({Value::int64(1)});
+  delta.add_delete({Value::int64(0)});
+  apply_delta(stored, delta);
+  // Each delete takes the first equivalent stored rows: rows 0 and 2 (the
+  // first two 1.0s) and row 3 (-0.0); swap-removal moves the last 1.0 up.
+  std::vector<double> left;
+  for (const Tuple& t : stored.rows()) left.push_back(t[0].as_double());
+  EXPECT_EQ(left, (std::vector<double>{1, 2}));
+  expect_hashes_kept(stored);
+
+  DeltaTable absent(ints);
+  absent.add_delete({Value::int64(5)});
+  EXPECT_THROW(apply_delta(stored, absent), ExecError);
+  DeltaTable too_many(ints);
+  too_many.add_delete({Value::int64(1)});
+  too_many.add_delete({Value::int64(1)});
+  EXPECT_THROW(apply_delta(stored, too_many), ExecError);
+}
+
+// ---- Delta pairing against the string-key reference --------------------
+
+// The pairing compacted() and diff() used before they paired rows by hash:
+// every row encoded as a string key (numerics by normalized double bits,
+// strings length-prefixed, bools as one byte), balanced in a map. Kept
+// here as the reference the key-free pairing must match row for row.
+void append_value_key(std::string& key, const Value& v) {
+  switch (v.type()) {
+    case ValueType::kInt64:
+    case ValueType::kDate:
+    case ValueType::kDouble: {
+      double d = v.as_double();
+      if (d == 0) d = 0;
+      char bits[sizeof(double)];
+      std::memcpy(bits, &d, sizeof(double));
+      key += 'n';
+      key.append(bits, sizeof(double));
+      return;
+    }
+    case ValueType::kString: {
+      const auto len = static_cast<std::uint32_t>(v.as_string().size());
+      char bits[sizeof(len)];
+      std::memcpy(bits, &len, sizeof(len));
+      key += 's';
+      key.append(bits, sizeof(len));
+      key += v.as_string();
+      return;
+    }
+    case ValueType::kBool:
+      key += 'b';
+      key += v.as_bool() ? '\1' : '\0';
+      return;
+  }
+}
+
+std::string tuple_key(const Tuple& t) {
+  std::string key;
+  for (const Value& v : t) append_value_key(key, v);
+  return key;
+}
+
+DeltaTable reference_pair(const Table& plus, const Table& minus,
+                          const Schema& schema) {
+  std::unordered_map<std::string, std::int64_t> remaining;
+  for (const Tuple& t : plus.rows()) remaining[tuple_key(t)] += 1;
+  for (const Tuple& t : minus.rows()) remaining[tuple_key(t)] -= 1;
+  DeltaTable out(schema, plus.blocking_factor());
+  for (const Tuple& t : plus.rows()) {
+    auto& r = remaining[tuple_key(t)];
+    if (r > 0) {
+      out.add_insert(t);
+      --r;
+    }
+  }
+  for (const Tuple& t : minus.rows()) {
+    auto& r = remaining[tuple_key(t)];
+    if (r < 0) {
+      out.add_delete(t);
+      ++r;
+    }
+  }
+  return out;
+}
+
+/// Same rows in the same order, each value of the same type and bits.
+void expect_identical_rows(const Table& got, const Table& want) {
+  ASSERT_EQ(got.row_count(), want.row_count());
+  for (std::size_t i = 0; i < got.row_count(); ++i) {
+    ASSERT_EQ(got.row(i).size(), want.row(i).size());
+    for (std::size_t c = 0; c < got.row(i).size(); ++c) {
+      EXPECT_TRUE(got.row(i)[c].identical(want.row(i)[c]))
+          << "row " << i << " column " << c << ": "
+          << got.row(i)[c].to_string() << " vs " << want.row(i)[c].to_string();
+    }
+  }
+}
+
+/// A random row over small domains, so bags hold duplicates: an integral
+/// key stored as int64 or date, a double from {±0.0, 1.0, 2.5, two NaNs}
+/// and a short string.
+Tuple random_row(Rng& rng) {
+  const std::int64_t k = rng.uniform_int(0, 3);
+  Value key = rng.uniform_int(0, 1) == 0 ? Value::int64(k) : Value::date(k);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t bits;
+  std::memcpy(&bits, &nan, sizeof(nan));
+  bits ^= 1;
+  double other_nan;
+  std::memcpy(&other_nan, &bits, sizeof(other_nan));
+  const double reals[] = {0.0, -0.0, 1.0, 2.5, nan, other_nan};
+  return {std::move(key), Value::real(reals[rng.uniform_int(0, 5)]),
+          Value::string(rng.uniform_int(0, 1) == 0 ? "a" : "b")};
+}
+
+TEST(DeltaTableTest, KeyFreePairingMatchesTheStringKeyReference) {
+  const Schema schema({{"k", ValueType::kInt64, "T"},
+                       {"x", ValueType::kDouble, "T"},
+                       {"s", ValueType::kString, "T"}});
+  Rng rng(2024);
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    Table plus(schema);
+    Table minus(schema);
+    for (std::int64_t i = rng.uniform_int(0, 40); i > 0; --i) {
+      plus.append(random_row(rng));
+    }
+    for (std::int64_t i = rng.uniform_int(0, 40); i > 0; --i) {
+      minus.append(random_row(rng));
+    }
+    DeltaTable delta(schema);
+    for (const Tuple& t : plus.rows()) delta.add_insert(t);
+    for (const Tuple& t : minus.rows()) delta.add_delete(t);
+
+    const DeltaTable want = reference_pair(plus, minus, schema);
+    for (const DeltaTable& got :
+         {delta.compacted(), DeltaTable(delta).compacted()}) {
+      expect_identical_rows(got.inserts(), want.inserts());
+      expect_identical_rows(got.deletes(), want.deletes());
+    }
+    const DeltaTable got_diff = DeltaTable::diff(minus, plus);
+    expect_identical_rows(got_diff.inserts(), want.inserts());
+    expect_identical_rows(got_diff.deletes(), want.deletes());
+  }
 }
 
 }  // namespace

@@ -277,6 +277,18 @@ int profile_paper(double scale, std::size_t shards,
     std::cout << doc.dump(2) << "\n";
   } else {
     print_phase_table(rows);
+    const MetricsSnapshot& refreshed = rows.back().delta;  // the refresh
+    std::cout << "\nrefresh: full sides "
+              << format_blocks(counter_of(
+                     refreshed, "maintenance/refresh/full_sides_in_place"))
+              << " read in place, "
+              << format_blocks(counter_of(
+                     refreshed, "maintenance/refresh/full_sides_executed"))
+              << " executed; copy-on-write clones "
+              << format_blocks(counter_of(refreshed, "storage/cow/clones"))
+              << " ("
+              << format_blocks(counter_of(refreshed, "storage/cow/rows_cloned"))
+              << " rows)\n";
     const auto lat = final_snap.metrics.find("designer/answer/latency_ms");
     if (lat != final_snap.metrics.end() && lat->second.count > 0) {
       std::cout << "\nanswer latency: p50 "
