@@ -61,6 +61,14 @@ std::shared_ptr<const CompiledExpr::Node> CompiledExpr::compile(
   return node;
 }
 
+void CompiledExpr::add_columns(ColumnSet& out) const {
+  const auto walk = [&out](const auto& self, const Node& n) -> void {
+    if (n.kind == ExprKind::kColumn) out.add(n.column_index);
+    for (const auto& c : n.children) self(self, *c);
+  };
+  walk(walk, *root_);
+}
+
 Value CompiledExpr::eval_node(const Node& node, const Tuple& tuple) {
   switch (node.kind) {
     case ExprKind::kColumn:

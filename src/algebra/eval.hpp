@@ -15,6 +15,7 @@
 
 namespace mvd {
 
+class ColumnSet;
 class ColumnTable;
 
 class CompiledExpr {
@@ -49,6 +50,9 @@ class CompiledExpr {
                            const std::vector<std::size_t>& col_map,
                            std::uint32_t lo, std::uint32_t hi,
                            std::uint32_t* out) const;
+
+  /// Add the bound-schema indices of every column the expression reads.
+  void add_columns(ColumnSet& out) const;
 
   /// Evaluate over one physical row of a ColumnTable (the generic
   /// fallback used by batch operators without a typed loop).

@@ -66,12 +66,7 @@ std::size_t default_exec_threads() {
 }
 
 Executor::Executor(const Database& db, ExecMode mode, std::size_t threads)
-    : db_(&db),
-      mode_(mode),
-      threads_(threads),
-      column_cache_(mode != ExecMode::kRow
-                        ? std::make_shared<ColumnTableCache>()
-                        : nullptr) {}
+    : db_(&db), mode_(mode), threads_(threads) {}
 
 Executor::Executor(std::shared_ptr<const Database> db, ExecMode mode,
                    std::size_t threads)
@@ -103,7 +98,7 @@ Table Executor::run(const PlanPtr& plan, ExecStats* stats,
                  mode_ == ExecMode::kVectorized ? "vec-run" : "row-run");
   Table out = [&] {
     if (mode_ == ExecMode::kVectorized) {
-      return run_vectorized(*db_, plan, s, threads_, *column_cache_, scope);
+      return run_vectorized(*db_, plan, s, threads_, scope);
     }
     RunContext ctx;
     ctx.scope = scope;

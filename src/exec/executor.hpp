@@ -84,8 +84,6 @@ struct RunScope {
   const Table* given = nullptr;
 };
 
-class ColumnTableCache;
-
 class Executor {
  public:
   explicit Executor(const Database& db, ExecMode mode = default_exec_mode(),
@@ -105,7 +103,7 @@ class Executor {
   /// Execute `plan`. Scan nodes resolve by relation name in the database
   /// (base tables and stored views alike). Throws ExecError for unknown
   /// relations, BindError for predicate binding failures. Concurrent
-  /// calls on one executor are safe (they share its column cache).
+  /// calls on one executor, or on executors sharing tables, are safe.
   Table run(const PlanPtr& plan, ExecStats* stats = nullptr,
             const RunScope* scope = nullptr) const;
 
@@ -154,9 +152,6 @@ class Executor {
   std::shared_ptr<const Database> pinned_;
   ExecMode mode_;
   std::size_t threads_;
-  /// Columnar conversions, shared across runs of this Executor (filled
-  /// lazily, vectorized mode only).
-  std::shared_ptr<ColumnTableCache> column_cache_;
 };
 
 /// Convenience: bag-equality of two tables (same schema arity, same

@@ -90,8 +90,9 @@ void record_shard_rows(const Database& db, const std::string& name,
                        ExecStats* stats);
 
 /// Executes plans against a partitioned Database through one inner
-/// Executor (its columnar conversions are cached across runs and shared
-/// by the bucket runs). Gathers are charged to the database's exchange
+/// Executor. Its bucket runs scan one columnar form per table (kept by
+/// the table, src/storage/table.hpp): the first run to read a column
+/// converts it for all. Gathers are charged to the database's exchange
 /// log, so concurrent run() calls need distinct databases.
 class ShardedExecutor {
  public:

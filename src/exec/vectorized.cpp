@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -14,28 +16,17 @@
 #include "src/common/parallel.hpp"
 #include "src/exec/exec_internal.hpp"
 #include "src/obs/trace.hpp"
+#include "src/storage/column_table.hpp"
 
 namespace mvd {
-
-std::shared_ptr<const ColumnTable> ColumnTableCache::get(
-    const Table& table, std::uint64_t version) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = cache_.find(&table);
-  if (it != cache_.end() && it->second.version == version) {
-    return it->second.data;
-  }
-  auto data =
-      std::make_shared<const ColumnTable>(ColumnTable::from_table(table));
-  cache_[&table] = {version, data};
-  return data;
-}
 
 namespace {
 
 /// A batch-operator result: shared columnar data viewed through a
 /// selection vector of physical row ids (order-significant) and a
 /// logical-to-physical column map. Scan/select/project never copy cell
-/// data; join and aggregate compact into fresh ColumnTables.
+/// data; join and aggregate compact into fresh ColumnTables. Only the
+/// columns the result's readers use are filled.
 struct VecRel {
   std::shared_ptr<const ColumnTable> data;
   bool identity = false;           // the dense physical rows [lo, hi)
@@ -43,7 +34,7 @@ struct VecRel {
   std::size_t hi = 0;
   std::vector<std::uint32_t> sel;  // used when !identity
   std::vector<std::size_t> cols;   // logical col -> physical col
-  Schema schema;                   // logical schema of this result
+  const Schema* schema = nullptr;  // logical schema (the plan's or given's)
   double blocking_factor = 10.0;
 
   std::size_t active_rows() const { return identity ? hi - lo : sel.size(); }
@@ -57,15 +48,15 @@ struct VecRel {
 };
 
 /// A result viewing every row of `data` under `schema`, in order.
-VecRel identity_rel(std::shared_ptr<const ColumnTable> data, Schema schema,
-                    double blocking_factor) {
+VecRel identity_rel(std::shared_ptr<const ColumnTable> data,
+                    const Schema& schema, double blocking_factor) {
   VecRel r;
   r.data = std::move(data);
   r.identity = true;
   r.hi = r.data->row_count();
   r.cols.resize(schema.size());
   std::iota(r.cols.begin(), r.cols.end(), std::size_t{0});
-  r.schema = std::move(schema);
+  r.schema = &schema;
   r.blocking_factor = blocking_factor;
   return r;
 }
@@ -465,22 +456,35 @@ bool packed_aggregate_ok(const AggregateOp& op, const ColumnTable& data,
   return true;
 }
 
+/// One plan node's run. Before the run, the column pass resolves the
+/// operator's column references against its children's result schemas
+/// (the operator reuses them) and works out which of the node's output
+/// columns its readers use; the run then fills `result`.
+struct NodeRun {
+  const Schema* schema = nullptr;  // the result's schema; set once resolved
+  const Table* table = nullptr;    // scan: the stored table
+  /// select: the predicate; join: the residual (hash path) or the whole
+  /// predicate (nested loop)
+  std::optional<CompiledExpr> pred;
+  JoinSplit split;  // join
+  /// project: input column per output column; aggregate: group columns,
+  /// then aggregate inputs (SIZE_MAX for COUNT(*))
+  std::vector<std::size_t> cols;
+  ColumnSet need;  // output columns the node's readers use
+  bool wanted = false;
+  std::optional<VecRel> result;
+};
+
 class VectorizedEngine {
  public:
   VectorizedEngine(const Database& db, ExecStats* stats, std::size_t threads,
-                   ColumnTableCache& cache, const RunScope* scope)
-      : db_(&db), stats_(stats), threads_(threads), cache_(&cache),
-        scope_(scope) {}
+                   const RunScope* scope)
+      : db_(&db), stats_(stats), threads_(threads), scope_(scope) {}
 
   Table run(const PlanPtr& plan) {
     MVD_ASSERT(plan != nullptr);
-    if (scope_ != nullptr && scope_->given_node != nullptr) {
-      const Table& given = *scope_->given;
-      memo_.emplace(scope_->given_node,
-                    identity_rel(std::make_shared<const ColumnTable>(
-                                     ColumnTable::from_table(given)),
-                                 given.schema(), given.blocking_factor()));
-    }
+    resolve(plan);
+    want(plan, ColumnSet::all());  // the sink reads every root column
     Table out = sink(node(plan));
     if (counters_enabled() && stats_ != nullptr) {
       publish_op_tallies("vec", op_blocks_, op_rows_);
@@ -489,9 +493,143 @@ class VectorizedEngine {
   }
 
  private:
+  /// True for the node a RunScope replaces by its given table.
+  bool given(const PlanPtr& plan) const {
+    return scope_ != nullptr && scope_->given_node == plan.get();
+  }
+
+  /// The column pass, bottom-up: resolve each node once, children first
+  /// (so errors surface in the order execution would raise them).
+  NodeRun& resolve(const PlanPtr& plan) {
+    NodeRun& st = nodes_[plan.get()];
+    if (st.schema != nullptr) return st;
+    if (given(plan)) {
+      st.schema = &scope_->given->schema();
+      return st;
+    }
+    const std::vector<PlanPtr>& kids = plan->children();
+    const Schema* in = kids.empty() ? nullptr : resolve(kids[0]).schema;
+    switch (plan->kind()) {
+      case OpKind::kScan: {
+        const auto& op = static_cast<const ScanOp&>(*plan);
+        const Table& src = db_->table(op.relation());
+        const Schema& os = op.output_schema();
+        bool fits = src.schema().size() == os.size();
+        for (std::size_t c = 0; fits && c < os.size(); ++c) {
+          fits = column_kind(os.at(c).type) ==
+                 column_kind(src.schema().at(c).type);
+        }
+        if (!fits) {
+          throw ExecError("stored table '" + op.relation() +
+                          "' does not match the scan schema");
+        }
+        st.table = &src;
+        st.schema = &os;
+        break;
+      }
+      case OpKind::kSelect:
+        st.pred.emplace(static_cast<const SelectOp&>(*plan).predicate(), *in);
+        st.schema = in;
+        break;
+      case OpKind::kProject:
+        for (const std::string& c :
+             static_cast<const ProjectOp&>(*plan).columns()) {
+          st.cols.push_back(in->index_of(c));
+        }
+        st.schema = &plan->output_schema();
+        break;
+      case OpKind::kJoin: {
+        const auto& op = static_cast<const JoinOp&>(*plan);
+        st.split = split_join_predicate(op, *in, *resolve(kids[1]).schema);
+        if (st.split.equi.empty()) {
+          st.pred.emplace(op.predicate(), op.output_schema());
+        } else if (!st.split.residual.empty()) {
+          std::vector<ExprPtr> preds = st.split.residual;
+          st.pred.emplace(conj(std::move(preds)), op.output_schema());
+        }
+        st.schema = &op.output_schema();
+        break;
+      }
+      case OpKind::kAggregate: {
+        const auto& op = static_cast<const AggregateOp&>(*plan);
+        for (const std::string& g : op.group_by()) {
+          st.cols.push_back(in->index_of(g));
+        }
+        for (const AggSpec& a : op.aggregates()) {
+          st.cols.push_back(a.column.empty() ? SIZE_MAX
+                                             : in->index_of(a.column));
+        }
+        st.schema = &op.output_schema();
+        break;
+      }
+    }
+    return st;
+  }
+
+  /// The column pass, top-down: a reader of `plan` uses its output
+  /// columns `cols`; pass on the columns the node then reads of its
+  /// children. A node is revisited only when its set grows, so a shared
+  /// node ends with the union of its readers' columns.
+  void want(const PlanPtr& plan, const ColumnSet& cols) {
+    NodeRun& st = nodes_.at(plan.get());
+    if (!st.need.merge(cols) && st.wanted) return;
+    st.wanted = true;
+    if (given(plan)) return;
+    const std::vector<PlanPtr>& kids = plan->children();
+    ColumnSet in;
+    switch (plan->kind()) {
+      case OpKind::kScan:
+        return;
+      case OpKind::kSelect:
+        in = st.need;
+        st.pred->add_columns(in);
+        break;
+      case OpKind::kProject:
+        for (std::size_t i = 0; i < st.cols.size(); ++i) {
+          if (st.need.contains(i)) in.add(st.cols[i]);
+        }
+        break;
+      case OpKind::kJoin: {
+        ColumnSet reads = st.need;  // joint columns read off the inputs
+        if (st.pred.has_value() && st.split.equi.empty()) {
+          st.pred->add_columns(reads);  // the nested loop's, per input pair
+        } else if (st.pred.has_value()) {
+          st.pred->add_columns(st.need);  // the residual, over the output
+          reads = st.need;
+        }
+        const std::size_t nl = nodes_.at(kids[0].get()).schema->size();
+        ColumnSet right;
+        for (std::size_t c = 0; c < st.schema->size(); ++c) {
+          if (!reads.contains(c)) continue;
+          if (c < nl) {
+            in.add(c);
+          } else {
+            right.add(c - nl);
+          }
+        }
+        for (const auto& [li, ri] : st.split.equi) {
+          in.add(li);
+          right.add(ri);
+        }
+        want(kids[1], right);
+        break;
+      }
+      case OpKind::kAggregate:
+        for (const std::size_t c : st.cols) {
+          if (c != SIZE_MAX) in.add(c);
+        }
+        break;
+    }
+    want(kids[0], in);
+  }
+
   const VecRel& node(const PlanPtr& plan) {
-    if (auto it = memo_.find(plan.get()); it != memo_.end()) {
-      return it->second;
+    NodeRun& st = nodes_.at(plan.get());
+    if (st.result.has_value()) return *st.result;
+    if (given(plan)) {
+      const Table& given = *scope_->given;
+      return st.result.emplace(identity_rel(
+          given.columnar(st.need), given.schema(), given.blocking_factor()));
     }
     // Children first, so the operator's span and per-op tallies cover its
     // own work only.
@@ -507,19 +645,19 @@ class VectorizedEngine {
     VecRel result;
     switch (plan->kind()) {
       case OpKind::kScan:
-        result = scan(static_cast<const ScanOp&>(*plan));
+        result = scan(static_cast<const ScanOp&>(*plan), st);
         break;
       case OpKind::kSelect:
-        result = select(static_cast<const SelectOp&>(*plan), *in[0]);
+        result = select(st, *in[0]);
         break;
       case OpKind::kProject:
-        result = project(static_cast<const ProjectOp&>(*plan), *in[0]);
+        result = project(st, *in[0]);
         break;
       case OpKind::kJoin:
-        result = join(static_cast<const JoinOp&>(*plan), *in[0], *in[1]);
+        result = join(static_cast<const JoinOp&>(*plan), st, *in[0], *in[1]);
         break;
       case OpKind::kAggregate:
-        result = aggregate(static_cast<const AggregateOp&>(*plan), *in[0]);
+        result = aggregate(static_cast<const AggregateOp&>(*plan), st, *in[0]);
         break;
     }
     if (stats_ != nullptr) {
@@ -538,7 +676,7 @@ class VectorizedEngine {
         span.arg("morsels", stats_->batches - batches0);
       }
     }
-    return memo_.emplace(plan.get(), std::move(result)).first->second;
+    return st.result.emplace(std::move(result));
   }
 
   /// Charge one operator input of `rows` active rows: its blocks, its
@@ -550,26 +688,17 @@ class VectorizedEngine {
     stats_->batches += static_cast<double>(morsel_count(in.active_rows()));
   }
 
-  VecRel scan(const ScanOp& op) {
-    const Table& src = db_->table(op.relation());
-    if (src.schema().size() != op.output_schema().size()) {
-      throw ExecError("stored table '" + op.relation() +
-                      "' does not match the scan schema");
-    }
-    // Rebinding to the plan's (qualified) schema is free: only the
-    // logical schema changes, the arrays are shared.
-    VecRel r = identity_rel(cache_->get(src, db_->version(op.relation())),
-                            op.output_schema(), src.blocking_factor());
+  /// Rebinding to the plan's (qualified) schema is free: only the logical
+  /// schema changes, the stored table's columnar form is shared, with the
+  /// columns the plan reads filled.
+  VecRel scan(const ScanOp& op, const NodeRun& st) {
+    const Table& src = *st.table;
+    VecRel r =
+        identity_rel(src.columnar(st.need), *st.schema, src.blocking_factor());
     // A bucket-scoped run reads only the bucket's row range.
     if (scope_ != nullptr && scope_->relation == op.relation()) {
       r.lo = scope_->begin;
       r.hi = scope_->end;
-    }
-    for (std::size_t c = 0; c < src.schema().size(); ++c) {
-      if (column_kind(op.output_schema().at(c).type) != r.data->kind(c)) {
-        throw ExecError("stored table '" + op.relation() +
-                        "' does not match the scan schema");
-      }
     }
     charge_input(r);
     return r;
@@ -617,12 +746,11 @@ class VectorizedEngine {
     return sel;
   }
 
-  VecRel select(const SelectOp& op, const VecRel& in) {
-    const CompiledExpr pred(op.predicate(), in.schema);
+  VecRel select(const NodeRun& st, const VecRel& in) {
     VecRel r;
     r.data = in.data;
     r.identity = false;
-    r.sel = filter_rows(in, pred);
+    r.sel = filter_rows(in, *st.pred);
     r.cols = in.cols;
     r.schema = in.schema;
     r.blocking_factor = in.blocking_factor;
@@ -630,7 +758,7 @@ class VectorizedEngine {
     return r;
   }
 
-  VecRel project(const ProjectOp& op, const VecRel& in) {
+  VecRel project(const NodeRun& st, const VecRel& in) {
     // Pure column remap: no data movement, no row movement.
     VecRel r;
     r.data = in.data;
@@ -638,27 +766,27 @@ class VectorizedEngine {
     r.lo = in.lo;
     r.hi = in.hi;
     r.sel = in.sel;
-    r.schema = op.output_schema();
+    r.schema = st.schema;
     r.blocking_factor = in.blocking_factor;
-    r.cols.reserve(op.columns().size());
-    for (const std::string& c : op.columns()) {
-      r.cols.push_back(in.cols[in.schema.index_of(c)]);
-    }
+    r.cols.reserve(st.cols.size());
+    for (const std::size_t c : st.cols) r.cols.push_back(in.cols[c]);
     return r;
   }
 
   /// Compact matched (left, right) physical row pairs into a fresh
-  /// ColumnTable under the join's output schema, gathering column by
-  /// column (columns are independent, so the gather parallelizes without
-  /// affecting the output).
-  VecRel gather_join(const JoinOp& op, const VecRel& left, const VecRel& right,
+  /// ColumnTable under the join's output schema, gathering the columns
+  /// in `need` column by column (columns are independent, so the gather
+  /// parallelizes without affecting the output).
+  VecRel gather_join(const JoinOp& op, const ColumnSet& need,
+                     const VecRel& left, const VecRel& right,
                      const std::vector<std::uint32_t>& lrows,
                      const std::vector<std::uint32_t>& rrows) {
     auto data = std::make_shared<ColumnTable>(op.output_schema(),
-                                              left.blocking_factor);
-    const std::size_t nl = left.schema.size();
-    const std::size_t total_cols = nl + right.schema.size();
+                                              left.blocking_factor, need);
+    const std::size_t nl = left.schema->size();
+    const std::size_t total_cols = nl + right.schema->size();
     parallel_for_each_index(total_cols, threads_, [&](std::size_t c) {
+      if (!need.contains(c)) return;
       WorkerProbe wp("join-gather");
       if (c < nl) {
         data->append_gather(c, *left.data, left.cols[c], lrows.data(),
@@ -738,18 +866,17 @@ class VectorizedEngine {
     return out;
   }
 
-  VecRel join(const JoinOp& op, const VecRel& left, const VecRel& right) {
-    const JoinSplit split =
-        split_join_predicate(op, left.schema, right.schema);
+  VecRel join(const JoinOp& op, const NodeRun& st, const VecRel& left,
+              const VecRel& right) {
     std::vector<std::uint32_t> lrows, rrows;
 
-    if (!split.equi.empty()) {
+    if (!st.split.equi.empty()) {
       // Build on the smaller side, probe with the larger.
       const bool build_right = right.active_rows() <= left.active_rows();
       const VecRel& build = build_right ? right : left;
       const VecRel& probe = build_right ? left : right;
       std::vector<std::size_t> build_keys, probe_keys;  // physical cols
-      for (const auto& [li, ri] : split.equi) {
+      for (const auto& [li, ri] : st.split.equi) {
         build_keys.push_back(build_right ? right.cols[ri] : left.cols[li]);
         probe_keys.push_back(build_right ? left.cols[li] : right.cols[ri]);
       }
@@ -773,31 +900,35 @@ class VectorizedEngine {
                           : std::move(pairs.probe_rows);
       charge_input(left);
       charge_input(right);
-      VecRel out = gather_join(op, left, right, lrows, rrows);
-      if (!split.residual.empty()) {
-        std::vector<ExprPtr> preds = split.residual;
-        const CompiledExpr residual(conj(std::move(preds)), out.schema);
-        out.sel = filter_rows(out, residual);
+      VecRel out = gather_join(op, st.need, left, right, lrows, rrows);
+      if (st.pred.has_value()) {
+        out.sel = filter_rows(out, *st.pred);
         out.identity = false;
       }
       return out;
     }
 
     // Nested loop (cross product or theta join): the rare fallback, kept
-    // row-at-a-time — it is O(n*m) regardless of layout.
-    const Schema joint = op.output_schema();
-    const CompiledExpr pred(op.predicate(), joint);
-    const std::size_t nl = left.schema.size();
+    // row-at-a-time — it is O(n*m) regardless of layout. Only the cells
+    // the predicate reads are set in the joined tuple.
+    const CompiledExpr& pred = *st.pred;
+    ColumnSet reads;
+    pred.add_columns(reads);
+    const std::size_t nl = left.schema->size();
+    std::vector<std::size_t> lreads, rreads;
+    for (std::size_t c = 0; c < st.schema->size(); ++c) {
+      if (reads.contains(c)) (c < nl ? lreads : rreads).push_back(c);
+    }
+    Tuple joined(st.schema->size());
     for (std::size_t i = 0; i < left.active_rows(); ++i) {
       const std::uint32_t lr = left.physical(i);
-      Tuple joined(joint.size());
-      for (std::size_t c = 0; c < nl; ++c) {
+      for (const std::size_t c : lreads) {
         joined[c] = left.data->value_at(lr, left.cols[c]);
       }
       for (std::size_t j = 0; j < right.active_rows(); ++j) {
         const std::uint32_t rr = right.physical(j);
-        for (std::size_t c = 0; c < right.schema.size(); ++c) {
-          joined[nl + c] = right.data->value_at(rr, right.cols[c]);
+        for (const std::size_t c : rreads) {
+          joined[c] = right.data->value_at(rr, right.cols[c - nl]);
         }
         if (pred.matches(joined)) {
           lrows.push_back(lr);
@@ -814,7 +945,7 @@ class VectorizedEngine {
           static_cast<double>(left.active_rows() + right.active_rows());
       stats_->batches += 1;
     }
-    return gather_join(op, left, right, lrows, rrows);
+    return gather_join(op, st.need, left, right, lrows, rrows);
   }
 
   /// Hash aggregation shared by both group-key encodings: a single pass
@@ -897,16 +1028,17 @@ class VectorizedEngine {
     return identity_rel(std::move(out), os, in.blocking_factor);
   }
 
-  VecRel aggregate(const AggregateOp& op, const VecRel& in) {
+  VecRel aggregate(const AggregateOp& op, const NodeRun& st,
+                   const VecRel& in) {
+    const std::size_t ngc = op.group_by().size();
     std::vector<std::size_t> group_cols;
-    for (const std::string& g : op.group_by()) {
-      group_cols.push_back(in.cols[in.schema.index_of(g)]);
+    for (std::size_t k = 0; k < ngc; ++k) {
+      group_cols.push_back(in.cols[st.cols[k]]);
     }
     std::vector<std::size_t> agg_cols;  // SIZE_MAX for COUNT(*)
-    for (const AggSpec& a : op.aggregates()) {
-      agg_cols.push_back(a.column.empty()
-                             ? SIZE_MAX
-                             : in.cols[in.schema.index_of(a.column)]);
+    for (std::size_t k = ngc; k < st.cols.size(); ++k) {
+      agg_cols.push_back(st.cols[k] == SIZE_MAX ? SIZE_MAX
+                                                : in.cols[st.cols[k]]);
     }
     const ColumnTable& data = *in.data;
     const std::size_t width = agg_cols.size();
@@ -927,7 +1059,6 @@ class VectorizedEngine {
       for (const std::size_t c : agg_cols) {
         inputs.push_back(bind_num_col(data, c));
       }
-      const std::size_t ngc = group_cols.size();
       return emit_groups(
           op, in, group_cols,
           group_rows<PackedKey, GroupKeyMap, SumCount>(
@@ -978,7 +1109,7 @@ class VectorizedEngine {
 
   /// The only tuple materialization in the engine: the final sink.
   Table sink(const VecRel& r) {
-    Table out(r.schema, r.blocking_factor);
+    Table out(*r.schema, r.blocking_factor);
     const std::size_t n = r.active_rows();
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t pr = r.physical(i);
@@ -995,9 +1126,9 @@ class VectorizedEngine {
   const Database* db_;
   ExecStats* stats_;
   std::size_t threads_;
-  ColumnTableCache* cache_;
   const RunScope* scope_;
-  std::map<const LogicalOp*, VecRel> memo_;
+  /// Every node's run, shared DAG fragments once.
+  std::map<const LogicalOp*, NodeRun> nodes_;
   /// Per-operator work tallies (indexed by OpKind), flushed once at the
   /// end of run() under the same names as the row engine.
   double op_blocks_[kExecOpKinds] = {};
@@ -1007,9 +1138,8 @@ class VectorizedEngine {
 }  // namespace
 
 Table run_vectorized(const Database& db, const PlanPtr& plan, ExecStats* stats,
-                     std::size_t threads, ColumnTableCache& cache,
-                     const RunScope* scope) {
-  VectorizedEngine engine(db, stats, threads, cache, scope);
+                     std::size_t threads, const RunScope* scope) {
+  VectorizedEngine engine(db, stats, threads, scope);
   return engine.run(plan);
 }
 

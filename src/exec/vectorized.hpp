@@ -11,46 +11,23 @@
 // int64-vs-literal comparisons run as exact int64 loops, one or two
 // numeric join keys key the hash table exactly, and numeric-keyed
 // COUNT/SUM/AVG aggregates accumulate count/sum pairs under a packed
-// two-word key. See DESIGN.md §10.
+// two-word key. Before a run, a column pass works out which output columns
+// of each node its readers use; scans fill and joins gather only those.
+// See DESIGN.md §10.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-
 #include "src/exec/executor.hpp"
-#include "src/storage/column_table.hpp"
 
 namespace mvd {
-
-/// Memoized columnar conversions of stored tables, keyed by table
-/// identity. An entry is invalidated when the table's Database::version
-/// changes, so a database mutated between runs is re-read. Thread-safe:
-/// concurrent runs of one executor (the sharded executor's bucket runs)
-/// convert each table once and share the result.
-class ColumnTableCache {
- public:
-  std::shared_ptr<const ColumnTable> get(const Table& table,
-                                         std::uint64_t version);
-
- private:
-  struct Entry {
-    std::uint64_t version = 0;
-    std::shared_ptr<const ColumnTable> data;
-  };
-  std::mutex mutex_;
-  std::map<const Table*, Entry> cache_;
-};
 
 /// Execute `plan` with the batch engine. Semantics match the row engine:
 /// same bag of tuples, same ExecStats block accounting, same rows_out
 /// entries; only row order may differ between the two engines (and is
 /// itself deterministic per engine). `threads` is the morsel worker
 /// count (1 = serial, 0 = hardware auto); `scope` narrows the run as in
-/// Executor::run.
+/// Executor::run. Scans read the stored tables' kept columnar forms
+/// (Table::columnar), filling only the columns the plan reads.
 Table run_vectorized(const Database& db, const PlanPtr& plan, ExecStats* stats,
-                     std::size_t threads, ColumnTableCache& cache,
-                     const RunScope* scope = nullptr);
+                     std::size_t threads, const RunScope* scope = nullptr);
 
 }  // namespace mvd

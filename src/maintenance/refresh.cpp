@@ -411,8 +411,9 @@ RefreshReport incremental_refresh(const MvppGraph& graph,
     entry.id = v;
     entry.view = name;
     // A fresh propagator per view: earlier iterations replaced stored
-    // tables in the database, so memoized full sides (and the vectorized
-    // engine's columnar cache) must not carry over.
+    // tables in the database, so memoized full sides must not carry over.
+    // (The columnar forms scans read live with the tables, and a write
+    // drops them.)
     DeltaPropagator prop(db, frontier, mode, threads);
     if (!prop.touches(plan)) {
       entry.stored_rows = static_cast<double>(db.table(name).row_count());

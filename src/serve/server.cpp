@@ -50,8 +50,6 @@ MvServer::MvServer(Catalog catalog, DesignResult design, const Database& db,
   first->epoch = 0;
   first->db = std::make_shared<const Database>(std::move(deployed));
   first->registry = DeployedViewRegistry(graph, m, *first->db);
-  first->exec = std::make_shared<const Executor>(first->db, options_.mode,
-                                                 options_.threads);
   snapshot_ = std::move(first);
 
   if (options_.observe) {
@@ -128,14 +126,6 @@ ServeResult MvServer::serve(const QuerySpec& query, ServePath path) {
 }
 
 namespace {
-
-/// Views up to this many cells (rows x columns) keep their columnar form
-/// in the snapshot's executor. Small views answer requests by the
-/// thousand, and converting one per request dominated a covered serve;
-/// keeping large ones resident for a snapshot's life raised the design
-/// workload's peak RSS by up to 16% (its views hold 140k-380k cells, the
-/// paper warehouse's 26k at most).
-constexpr std::size_t kSnapshotColumnarCells = std::size_t{1} << 16;
 
 /// The template-cache key: which views are VALID, then the template.
 std::string template_key(const ServeSnapshot& snap, const QuerySpec& query) {
@@ -222,18 +212,11 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
 
   {
     MVD_TRACE_SPAN("serve", "exec");
-    const Executor* exec = snap->exec.get();
-    const auto small_view = [&] {
-      const Table& view = snap->db->table(out.view);
-      return view.row_count() * view.schema().size() <= kSnapshotColumnarCells;
-    };
-    std::optional<Executor> own;
-    if (!out.rewritten || exec == nullptr ||
-        &exec->database() != snap->db.get() || !small_view()) {
-      exec = &own.emplace(snap->db, options_.mode, options_.threads);
-    }
+    // `snap` pins the database for the run; the tables keep the columnar
+    // forms their scans fill, for every later serve sharing them.
+    const Executor exec(*snap->db, options_.mode, options_.threads);
     const auto t0 = std::chrono::steady_clock::now();
-    out.table = exec->run(plan, &out.stats);
+    out.table = exec.run(plan, &out.stats);
     const auto t1 = std::chrono::steady_clock::now();
     out.latency_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -281,8 +264,8 @@ std::uint64_t MvServer::begin_refresh() {
   std::lock_guard<std::mutex> writer(writer_mutex_);
   const std::shared_ptr<const ServeSnapshot> cur = snapshot();
 
-  // Content is unchanged, so the new snapshot shares the database and its
-  // executor; only the registry advances (STALE -> BUILDING).
+  // Content is unchanged, so the new snapshot shares the database; only
+  // the registry advances (STALE -> BUILDING).
   auto next = std::make_shared<ServeSnapshot>(*cur);
   next->epoch = cur->epoch + 1;
   for (const std::string& name : next->registry.pending()) {
@@ -347,8 +330,6 @@ std::uint64_t MvServer::write(const Batch* batch,
     }
   }
   next->db = std::make_shared<const Database>(std::move(staging));
-  next->exec = std::make_shared<const Executor>(next->db, options_.mode,
-                                                options_.threads);
   publish(next);
 
   if (observatory_ != nullptr && !events.empty()) {

@@ -12,10 +12,11 @@
 //     a shared const Database (base tables + stored views), and the view
 //     registry with each view's VALID / STALE / BUILDING status.
 //   * Readers pin the current snapshot (one shared_ptr copy under the
-//     snapshot mutex) and run entirely against it; the pinning Executor
-//     overload keeps the data alive even when the server swaps mid-query.
-//     Small views are scanned on the Executor the snapshot was published
-//     with, whose column cache converts each of them once per snapshot.
+//     snapshot mutex) and run entirely against it, so the data stays alive
+//     even when the server swaps mid-query. A vectorized scan reads the
+//     columnar form its table keeps (src/storage/table.hpp): each column
+//     a plan reads converts once per table version and serves every later
+//     request, on this snapshot and on every later one sharing the table.
 //   * Writers (ingest / refresh) are serialized by a writer mutex and
 //     share one routine: copy the current database, which shares every
 //     table (copy-on-write), so only the tables written get cloned; mutate
@@ -103,11 +104,6 @@ struct ServeSnapshot {
   std::uint64_t epoch = 0;
   std::shared_ptr<const Database> db;
   DeployedViewRegistry registry;
-  /// Runs view-answered serves of small views on `db`, so each such view
-  /// converts to columnar once per snapshot and the form dies with it.
-  /// Larger views, base-table fallbacks and snapshots assembled without
-  /// an executor over `db` run on a one-off executor.
-  std::shared_ptr<const Executor> exec;
 };
 
 struct ServeResult {

@@ -35,39 +35,52 @@ std::size_t ColumnTable::Column::size() const {
   return 0;
 }
 
-ColumnTable::ColumnTable(Schema schema, double blocking_factor)
+ColumnTable::ColumnTable(Schema schema, double blocking_factor,
+                         const ColumnSet& filled)
     : schema_(std::move(schema)), blocking_factor_(blocking_factor) {
   MVD_ASSERT(blocking_factor_ > 0);
   columns_.resize(schema_.size());
   for (std::size_t c = 0; c < schema_.size(); ++c) {
     columns_[c].kind = column_kind(schema_.at(c).type);
+    columns_[c].filled = filled.contains(c);
   }
 }
 
 ColumnTable ColumnTable::from_table(const Table& table) {
-  ColumnTable out(table.schema(), table.blocking_factor());
-  out.reserve(table.row_count());
-  for (std::size_t c = 0; c < out.columns_.size(); ++c) {
-    Column& col = out.columns_[c];
-    switch (col.kind) {
-      case ColumnKind::kInt64Col:
-        for (const Tuple& t : table.rows()) col.i64.push_back(t[c].as_int64());
-        break;
-      case ColumnKind::kDoubleCol:
-        for (const Tuple& t : table.rows()) col.f64.push_back(t[c].as_double());
-        break;
-      case ColumnKind::kStringCol:
-        for (const Tuple& t : table.rows()) col.str.push_back(t[c].as_string());
-        break;
-      case ColumnKind::kBoolCol:
-        for (const Tuple& t : table.rows()) {
-          col.b8.push_back(t[c].as_bool() ? 1 : 0);
-        }
-        break;
-    }
-  }
+  ColumnTable out = unfilled(table);
+  for (std::size_t c = 0; c < out.columns_.size(); ++c) out.fill(c, table);
+  return out;
+}
+
+ColumnTable ColumnTable::unfilled(const Table& table) {
+  ColumnTable out(table.schema(), table.blocking_factor(), ColumnSet{});
   out.row_count_ = table.row_count();
   return out;
+}
+
+void ColumnTable::fill(std::size_t col, const Table& table) {
+  Column& c = columns_[col];
+  MVD_ASSERT(!c.filled && table.row_count() == row_count_);
+  const std::vector<Tuple>& rows = table.rows();
+  switch (c.kind) {
+    case ColumnKind::kInt64Col:
+      c.i64.reserve(rows.size());
+      for (const Tuple& t : rows) c.i64.push_back(t[col].as_int64());
+      break;
+    case ColumnKind::kDoubleCol:
+      c.f64.reserve(rows.size());
+      for (const Tuple& t : rows) c.f64.push_back(t[col].as_double());
+      break;
+    case ColumnKind::kStringCol:
+      c.str.reserve(rows.size());
+      for (const Tuple& t : rows) c.str.push_back(t[col].as_string());
+      break;
+    case ColumnKind::kBoolCol:
+      c.b8.reserve(rows.size());
+      for (const Tuple& t : rows) c.b8.push_back(t[col].as_bool() ? 1 : 0);
+      break;
+  }
+  c.filled = true;
 }
 
 Table ColumnTable::to_table() const {
@@ -90,27 +103,32 @@ double ColumnTable::blocks() const {
 }
 
 const std::vector<std::int64_t>& ColumnTable::i64(std::size_t col) const {
-  MVD_ASSERT(columns_[col].kind == ColumnKind::kInt64Col);
+  MVD_ASSERT(columns_[col].kind == ColumnKind::kInt64Col &&
+             columns_[col].filled);
   return columns_[col].i64;
 }
 
 const std::vector<double>& ColumnTable::f64(std::size_t col) const {
-  MVD_ASSERT(columns_[col].kind == ColumnKind::kDoubleCol);
+  MVD_ASSERT(columns_[col].kind == ColumnKind::kDoubleCol &&
+             columns_[col].filled);
   return columns_[col].f64;
 }
 
 const std::vector<std::string>& ColumnTable::str(std::size_t col) const {
-  MVD_ASSERT(columns_[col].kind == ColumnKind::kStringCol);
+  MVD_ASSERT(columns_[col].kind == ColumnKind::kStringCol &&
+             columns_[col].filled);
   return columns_[col].str;
 }
 
 const std::vector<std::uint8_t>& ColumnTable::b8(std::size_t col) const {
-  MVD_ASSERT(columns_[col].kind == ColumnKind::kBoolCol);
+  MVD_ASSERT(columns_[col].kind == ColumnKind::kBoolCol &&
+             columns_[col].filled);
   return columns_[col].b8;
 }
 
 Value ColumnTable::value_at(std::size_t row, std::size_t col) const {
-  MVD_ASSERT(row < row_count_ && col < columns_.size());
+  MVD_ASSERT(row < row_count_ && col < columns_.size() &&
+             columns_[col].filled);
   const Column& c = columns_[col];
   switch (c.kind) {
     case ColumnKind::kInt64Col:
@@ -145,19 +163,9 @@ void ColumnTable::append_row(const Tuple& tuple) {
   ++row_count_;
 }
 
-void ColumnTable::reserve(std::size_t rows) {
-  for (Column& c : columns_) {
-    switch (c.kind) {
-      case ColumnKind::kInt64Col: c.i64.reserve(rows); break;
-      case ColumnKind::kDoubleCol: c.f64.reserve(rows); break;
-      case ColumnKind::kStringCol: c.str.reserve(rows); break;
-      case ColumnKind::kBoolCol: c.b8.reserve(rows); break;
-    }
-  }
-}
-
 void ColumnTable::append_value(std::size_t col, const Value& v) {
   Column& c = columns_[col];
+  MVD_ASSERT(c.filled);
   switch (c.kind) {
     case ColumnKind::kInt64Col: c.i64.push_back(v.as_int64()); break;
     case ColumnKind::kDoubleCol: c.f64.push_back(v.as_double()); break;
@@ -171,7 +179,7 @@ void ColumnTable::append_gather(std::size_t col, const ColumnTable& from,
                                 std::size_t n) {
   Column& dst = columns_[col];
   const Column& src = from.columns_[from_col];
-  MVD_ASSERT(dst.kind == src.kind);
+  MVD_ASSERT(dst.kind == src.kind && dst.filled && src.filled);
   switch (dst.kind) {
     case ColumnKind::kInt64Col:
       dst.i64.reserve(dst.i64.size() + n);
@@ -194,6 +202,7 @@ void ColumnTable::append_gather(std::size_t col, const ColumnTable& from,
 
 void ColumnTable::set_row_count(std::size_t rows) {
   for (const Column& c : columns_) {
+    if (!c.filled) continue;
     MVD_ASSERT_MSG(c.size() == rows, "column holds " << c.size()
                                                      << " cells, expected "
                                                      << rows);

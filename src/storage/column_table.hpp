@@ -8,14 +8,58 @@
 // accounting mirrors Table exactly (same blocking factor, same
 // ceil(rows / bf) formula) so estimated-vs-actual cost comparisons stay
 // meaningful in either engine.
+//
+// A column may be left unfilled: a Table's kept columnar form
+// (Table::columnar) converts only the columns scans read, and a join
+// gathers only the columns its readers use. Reading an unfilled column is
+// a programming error (asserted).
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <vector>
 
 #include "src/storage/table.hpp"
 
 namespace mvd {
+
+/// A set of column positions, kept inline (no allocation). Positions past
+/// kInline cannot be told apart: adding one makes the set hold every
+/// column, which over-approximates and so stays correct.
+class ColumnSet {
+ public:
+  static constexpr std::size_t kInline = 256;
+
+  /// Every column.
+  static ColumnSet all() {
+    ColumnSet s;
+    s.all_ = true;
+    return s;
+  }
+
+  void add(std::size_t col) {
+    if (col < kInline) {
+      bits_.set(col);
+    } else {
+      all_ = true;
+    }
+  }
+  bool contains(std::size_t col) const {
+    return all_ || (col < kInline && bits_.test(col));
+  }
+  /// Adds every member of `other`; false when that added nothing.
+  bool merge(const ColumnSet& other) {
+    if (all_) return false;
+    const bool grew = other.all_ || (other.bits_ & ~bits_).any();
+    all_ = other.all_;
+    bits_ |= other.bits_;
+    return grew;
+  }
+
+ private:
+  std::bitset<kInline> bits_;
+  bool all_ = false;
+};
 
 /// Physical storage class of a column. kDate shares kInt64Col: both are
 /// day counts, matching Table's append compatibility rule.
@@ -26,12 +70,25 @@ ColumnKind column_kind(ValueType type);
 
 class ColumnTable {
  public:
-  explicit ColumnTable(Schema schema, double blocking_factor = 10.0);
+  /// An empty table whose columns in `filled` are built by appends; the
+  /// others stay unfilled.
+  explicit ColumnTable(Schema schema, double blocking_factor = 10.0,
+                       const ColumnSet& filled = ColumnSet::all());
 
-  /// Columnar copy of `table` (same schema and blocking factor).
+  /// Columnar copy of every column of `table` (same schema and blocking
+  /// factor).
   static ColumnTable from_table(const Table& table);
 
-  /// Row-oriented copy (the sink conversion).
+  /// A form of `table` with its row count and no column filled yet;
+  /// fill() converts columns one at a time.
+  static ColumnTable unfilled(const Table& table);
+
+  /// Convert column `col` of `table`, the table this form was made from
+  /// (unchanged since). The column must be unfilled.
+  void fill(std::size_t col, const Table& table);
+
+  /// Row-oriented copy (the sink conversion); every column must be
+  /// filled.
   Table to_table() const;
 
   const Schema& schema() const { return schema_; }
@@ -43,9 +100,11 @@ class ColumnTable {
   double blocks() const;
 
   ColumnKind kind(std::size_t col) const { return columns_[col].kind; }
+  /// True when column `col` holds its cells.
+  bool filled(std::size_t col) const { return columns_[col].filled; }
 
-  // Typed column access. Calling the wrong accessor for a column's kind
-  // is a programming error (asserted).
+  // Typed column access. Calling the wrong accessor for a column's kind,
+  // or reading an unfilled column, is a programming error (asserted).
   const std::vector<std::int64_t>& i64(std::size_t col) const;
   const std::vector<double>& f64(std::size_t col) const;
   const std::vector<std::string>& str(std::size_t col) const;
@@ -55,26 +114,28 @@ class ColumnTable {
   /// kDate column yields kDate values even if appended as kInt64).
   Value value_at(std::size_t row, std::size_t col) const;
 
-  /// Append one tuple across all columns; same arity/type checks as
-  /// Table::append.
+  /// Append one tuple across all columns (every one must be filled); same
+  /// arity/type checks as Table::append.
   void append_row(const Tuple& tuple);
 
   // Column-at-a-time building (used by batch operators): append cells to
-  // individual columns — concurrently safe for *distinct* columns — then
-  // seal with set_row_count once every column holds the same count.
-  void reserve(std::size_t rows);
+  // individual filled columns — concurrently safe for *distinct* columns
+  // — then seal with set_row_count once every filled column holds the
+  // same count.
   void append_value(std::size_t col, const Value& v);
   /// Gather `n` cells of `from_col` at physical rows `rows[0..n)` onto
   /// the back of column `col`. Kinds must match.
   void append_gather(std::size_t col, const ColumnTable& from,
                      std::size_t from_col, const std::uint32_t* rows,
                      std::size_t n);
-  /// Seal column-wise building; asserts every column holds `rows` cells.
+  /// Seal column-wise building; asserts every filled column holds `rows`
+  /// cells.
   void set_row_count(std::size_t rows);
 
  private:
   struct Column {
     ColumnKind kind = ColumnKind::kInt64Col;
+    bool filled = true;
     std::vector<std::int64_t> i64;
     std::vector<double> f64;
     std::vector<std::string> str;

@@ -1,7 +1,6 @@
 #include "src/storage/database.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "src/common/error.hpp"
@@ -10,11 +9,6 @@
 namespace mvd {
 
 namespace {
-
-std::uint64_t next_version() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 // FNV-1a over the value's packed bytes. Numeric kinds pack as the double
 // bit pattern (mirroring the executor's packed group keys, so values that
@@ -61,8 +55,8 @@ void Database::add_table(const std::string& name, Table table) {
   if (tables_.contains(name)) {
     throw ExecError("duplicate table '" + name + "'");
   }
-  tables_.emplace(name, Entry{std::make_shared<Table>(std::move(table)),
-                              next_version(), {}, {}});
+  tables_.emplace(name,
+                  Entry{std::make_shared<Table>(std::move(table)), {}, {}});
 }
 
 void Database::put_table(const std::string& name, Table table) {
@@ -106,10 +100,6 @@ std::vector<std::string> Database::table_names() const {
   names.reserve(tables_.size());
   for (const auto& [n, _] : tables_) names.push_back(n);
   return names;
-}
-
-std::uint64_t Database::version(const std::string& name) const {
-  return entry(name).version;
 }
 
 void Database::set_shards(std::size_t shards) {
@@ -190,12 +180,10 @@ Table& Database::writable(Entry& e) {
   return *e.table;
 }
 
-// A new version for every change; a partitioned entry is additionally
-// re-ordered into bucket order by a stable counting sort (no row moves,
-// and no clone of a shared table, when it already is) and its offsets
-// recomputed.
+// A partitioned entry is re-ordered into bucket order by a stable counting
+// sort (no row moves, and no clone of a shared table, when it already is)
+// and its offsets recomputed.
 void Database::changed(Entry& e) {
-  e.version = next_version();
   if (e.key.empty()) return;
   const std::size_t k = e.table->schema().index_of(e.key);
   const std::size_t n = e.table->row_count();

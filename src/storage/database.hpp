@@ -68,12 +68,6 @@ class Database {
 
   std::vector<std::string> table_names() const;
 
-  /// Changes whenever the entry's table changes (add, put, apply_delta,
-  /// partition); copies that share the table share it. Lets column caches
-  /// keyed by table address tell a table written in place from the one
-  /// they converted (a cloned table has a new address).
-  std::uint64_t version(const std::string& name) const;
-
   // ---- Partition layout ------------------------------------------------
 
   /// Shard count in [1, kBuckets] (1 by default); shard s owns the
@@ -106,7 +100,6 @@ class Database {
  private:
   struct Entry {
     std::shared_ptr<Table> table;  // shared with every copy until written
-    std::uint64_t version = 0;
     std::string key;                   // partition key; empty = unpartitioned
     std::vector<std::size_t> offsets;  // kBuckets + 1 when partitioned
   };
@@ -115,8 +108,7 @@ class Database {
   const Entry& entry(const std::string& name) const;
   /// The entry's table, cloned first when another copy still shares it.
   static Table& writable(Entry& e);
-  /// An entry's table changed: give it a new version and restore its
-  /// layout.
+  /// An entry's table changed: restore its layout.
   static void changed(Entry& e);
 
   std::map<std::string, Entry> tables_;

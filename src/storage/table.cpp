@@ -8,6 +8,9 @@
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
 #include "src/common/text_table.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
+#include "src/storage/column_table.hpp"
 
 namespace mvd {
 
@@ -92,6 +95,7 @@ void Table::append(Tuple tuple) {
                       ", got " + to_string(tuple[i].type()));
     }
   }
+  drop_columnar();
   if (keeps_hashes_) hashes_.push_back(tuple_hash(tuple));
   rows_.push_back(std::move(tuple));
 }
@@ -138,6 +142,7 @@ void Table::update_row(std::size_t i, Tuple tuple) {
 
 void Table::remove_row(std::size_t i) {
   MVD_ASSERT_MSG(i < rows_.size(), "row " << i << " out of range");
+  drop_columnar();
   rows_[i] = std::move(rows_.back());
   rows_.pop_back();
   if (keeps_hashes_) {
@@ -148,6 +153,7 @@ void Table::remove_row(std::size_t i) {
 
 void Table::permute(const std::vector<std::size_t>& order) {
   MVD_ASSERT(order.size() == rows_.size());
+  drop_columnar();
   std::vector<Tuple> next;
   next.reserve(order.size());
   for (const std::size_t i : order) next.push_back(std::move(rows_[i]));
@@ -165,6 +171,46 @@ void Table::keep_hashes() {
   hashes_.reserve(rows_.size());
   for (const Tuple& t : rows_) hashes_.push_back(tuple_hash(t));
   keeps_hashes_ = true;
+}
+
+std::shared_ptr<const ColumnTable> Table::columnar(
+    const ColumnSet& need) const {
+  std::size_t converted = 0;
+  std::shared_ptr<const ColumnTable> out;
+  {
+    const std::lock_guard<std::mutex> lock(columnar_.mutex);
+    std::shared_ptr<ColumnTable>& form = columnar_.form;
+    if (form == nullptr) {
+      form = std::make_shared<ColumnTable>(ColumnTable::unfilled(*this));
+    }
+    for (std::size_t c = 0; c < schema_.size(); ++c) {
+      if (need.contains(c) && !form->filled(c)) ++converted;
+    }
+    if (converted > 0) {
+      TraceSpan span("storage", "columnar");
+      for (std::size_t c = 0; c < schema_.size(); ++c) {
+        if (need.contains(c) && !form->filled(c)) form->fill(c, *this);
+      }
+      if (span.active()) {
+        span.arg("columns", static_cast<double>(converted));
+        span.arg("cells", static_cast<double>(converted * rows_.size()));
+      }
+    }
+    out = form;
+  }
+  if (counters_enabled()) {
+    MetricsRegistry& reg = MetricsRegistry::global();
+    reg.counter("storage/columnar/scans").increment();
+    if (converted == 0) {
+      reg.counter("storage/columnar/warm_scans").increment();
+    } else {
+      reg.counter("storage/columnar/columns_converted")
+          .add(static_cast<double>(converted));
+      reg.counter("storage/columnar/cells_converted")
+          .add(static_cast<double>(converted * rows_.size()));
+    }
+  }
+  return out;
 }
 
 double Table::blocks_of(std::size_t rows, double blocking_factor) {

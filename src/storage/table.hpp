@@ -3,9 +3,18 @@
 // The executor runs against Tables; the cost model reasons in blocks, so a
 // Table reports its size in blocks using the same blocking factor the
 // catalog uses, making estimated-vs-actual comparisons meaningful.
+//
+// A Table also keeps the columnar form the vectorized engine scans
+// (columnar()), filled one column at a time: the first scan that reads a
+// column converts it, and every later scan of the same table reuses it —
+// from any executor, and from any Database copy sharing the table. Every
+// mutator drops the form, and copies and moves start without one, so a
+// column converts at most once per table version.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,6 +35,9 @@ std::uint64_t tuple_hash(const Tuple& t);
 /// double bits (kInt64 1 ≡ kDouble 1.0, -0.0 ≡ 0.0, a NaN matches a NaN
 /// with the same bits), strings and bools by value, kinds never across.
 bool tuples_equivalent(const Tuple& a, const Tuple& b);
+
+class ColumnSet;
+class ColumnTable;
 
 class Table {
  public:
@@ -87,12 +99,44 @@ class Table {
   /// First `limit` rows rendered as an aligned table (for examples/demos).
   std::string preview(std::size_t limit = 10) const;
 
+  /// The kept columnar form with at least the columns in `need` filled,
+  /// converting (under the table's lock) those not yet filled. Safe to
+  /// call from several threads at once, as reading is; the form stays
+  /// valid for its holders after the table changes. Publishes the
+  /// storage/columnar/* counters and a storage.columnar span per fill.
+  std::shared_ptr<const ColumnTable> columnar(const ColumnSet& need) const;
+
  private:
+  /// The kept form and the lock columnar() fills it under (mutators need
+  /// exclusive access to the table anyway). It is no part of the table's
+  /// value: a copy or a move of the table starts without a form, a moved-
+  /// from table loses its own, and assignment drops the target's.
+  struct Columnar {
+    Columnar() = default;
+    Columnar(const Columnar&) {}
+    Columnar(Columnar&& other) noexcept { other.form.reset(); }
+    Columnar& operator=(const Columnar&) {
+      form.reset();
+      return *this;
+    }
+    Columnar& operator=(Columnar&& other) noexcept {
+      form.reset();
+      other.form.reset();
+      return *this;
+    }
+    std::mutex mutex;
+    std::shared_ptr<ColumnTable> form;
+  };
+
+  /// Every mutator calls it first: the rows are about to change.
+  void drop_columnar() { columnar_.form.reset(); }
+
   Schema schema_;
   double blocking_factor_;
   std::vector<Tuple> rows_;
   bool keeps_hashes_ = false;
   std::vector<std::uint64_t> hashes_;
+  mutable Columnar columnar_;
 };
 
 }  // namespace mvd

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "src/algebra/eval.hpp"
+#include "src/common/assert.hpp"
 #include "src/common/error.hpp"
 #include "src/storage/column_table.hpp"
 
@@ -87,6 +88,58 @@ TEST(ColumnTableTest, AppendGatherCopiesSelectedRows) {
   EXPECT_EQ(dst.i64(0)[0], 9);
   EXPECT_EQ(dst.str(1)[1], "n0");
   EXPECT_DOUBLE_EQ(dst.f64(2)[2], 2.0);
+}
+
+TEST(ColumnTableTest, UnfilledFormFillsOneColumnAtATime) {
+  const Table t = mixed_table();
+  ColumnTable form = ColumnTable::unfilled(t);
+  EXPECT_EQ(form.row_count(), t.row_count());
+  for (std::size_t c = 0; c < 5; ++c) EXPECT_FALSE(form.filled(c)) << c;
+  form.fill(2, t);
+  EXPECT_TRUE(form.filled(2));
+  EXPECT_FALSE(form.filled(0));
+  EXPECT_DOUBLE_EQ(form.f64(2)[5], 2.5);
+  EXPECT_EQ(form.kind(0), ColumnKind::kInt64Col);
+  EXPECT_THROW((void)form.i64(0), AssertionError);
+  EXPECT_THROW((void)form.value_at(0, 1), AssertionError);
+  EXPECT_THROW(form.fill(2, t), AssertionError);
+}
+
+TEST(ColumnTableTest, GatherBuildsOnlyTheFilledColumns) {
+  const ColumnTable src = ColumnTable::from_table(mixed_table());
+  ColumnSet keep;
+  keep.add(1);
+  keep.add(4);
+  ColumnTable dst(mixed_schema(), 4.0, keep);
+  const std::vector<std::uint32_t> rows = {9, 0, 4};
+  for (const std::size_t c : {1, 4}) {
+    dst.append_gather(c, src, c, rows.data(), rows.size());
+  }
+  dst.set_row_count(rows.size());
+  EXPECT_FALSE(dst.filled(0));
+  EXPECT_TRUE(dst.filled(1));
+  EXPECT_EQ(dst.str(1)[2], "n4");
+  EXPECT_EQ(dst.value_at(0, 4).type(), ValueType::kDate);
+  EXPECT_THROW(dst.append_gather(0, src, 0, rows.data(), rows.size()),
+               AssertionError);
+}
+
+TEST(ColumnTableTest, ColumnSetPastItsInlineRangeHoldsEveryColumn) {
+  ColumnSet s;
+  EXPECT_FALSE(s.contains(0));
+  s.add(3);
+  EXPECT_TRUE(s.contains(3));
+  EXPECT_FALSE(s.contains(4));
+  ColumnSet t;
+  t.add(3);
+  EXPECT_FALSE(s.merge(t));
+  t.add(200);
+  EXPECT_TRUE(s.merge(t));
+  EXPECT_TRUE(s.contains(200));
+  s.add(ColumnSet::kInline);
+  EXPECT_TRUE(s.contains(7));
+  EXPECT_TRUE(s.contains(ColumnSet::kInline + 9));
+  EXPECT_FALSE(s.merge(ColumnSet::all()));
 }
 
 TEST(ColumnTableTest, FilterBatchMatchesRowWisePredicate) {

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <random>
+#include <thread>
 
 #include "src/algebra/query_spec.hpp"
 #include "src/check/check.hpp"
@@ -14,6 +17,8 @@
 #include "src/exec/sharded.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/optimizer/optimizer.hpp"
+#include "src/storage/column_table.hpp"
+#include "src/storage/delta_table.hpp"
 #include "src/workload/generator.hpp"
 
 namespace mvd {
@@ -134,6 +139,57 @@ void expect_sharded_agree(const Database& db, const PlanPtr& plan,
       }
     }
   }
+}
+
+/// A copy of `db` whose tables are fresh copies, so none keeps a columnar
+/// form yet.
+Database cold_copy(const Database& db) {
+  Database out;
+  for (const std::string& n : db.table_names()) {
+    out.add_table(n, Table(db.table(n)));
+  }
+  return out;
+}
+
+/// expect_engines_agree with the tables' columnar forms cold, then warm:
+/// vec@1 and vec@4 on fresh copies of `db` (nothing filled), then both
+/// again on the filled copy, must return identical rows and ExecStats.
+void expect_agree_cold_and_warm(const Database& db, const PlanPtr& plan) {
+  SCOPED_TRACE(plan_tree_string(plan));
+  const Database cold = cold_copy(db);
+  ExecStats first_stats;
+  const Table first =
+      Executor(cold, ExecMode::kVectorized, 1).run(plan, &first_stats);
+  const Database cold4 = cold_copy(db);
+  ExecStats cold4_stats;
+  const Table t4 =
+      Executor(cold4, ExecMode::kVectorized, 4).run(plan, &cold4_stats);
+  expect_rows_identical(first, t4, "vec@1 vs vec@4, both cold");
+  expect_stats_identical(first_stats, cold4_stats, "vec@1 vs vec@4, cold");
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ExecStats warm_stats;
+    const Table warm =
+        Executor(cold, ExecMode::kVectorized, threads).run(plan, &warm_stats);
+    expect_rows_identical(first, warm, "vec cold vs warm");
+    expect_stats_identical(first_stats, warm_stats, "vec cold vs warm");
+  }
+  expect_engines_agree(cold, plan);
+}
+
+/// expect_sharded_agree, then the vectorized sharded run cold (a fresh
+/// layout over fresh tables) against the same run warm.
+void expect_sharded_agree_cold_and_warm(
+    const Database& db, const PlanPtr& plan,
+    const std::map<std::string, std::string>& keys) {
+  expect_sharded_agree(db, plan, keys);
+  SCOPED_TRACE(plan_tree_string(plan));
+  Database sdb = shard_database(cold_copy(db), 4, keys);
+  const ShardedExecutor exec(sdb, ExecMode::kVectorized, 4);
+  ExecStats cold_stats, warm_stats;
+  const Table cold = exec.run(plan, &cold_stats);
+  const Table warm = exec.run(plan, &warm_stats);
+  expect_rows_identical(cold, warm, "sharded vec cold vs warm");
+  expect_stats_identical(cold_stats, warm_stats, "sharded vec cold vs warm");
 }
 
 TEST(ExecEquivalenceTest, StarWorkloadCanonicalAndOptimizedPlans) {
@@ -265,6 +321,85 @@ TEST_F(ExecEquivalenceEdgeTest, MinMaxOnStringsAndDoubles) {
       {AggSpec{AggFn::kMin, "T.name", ""}, AggSpec{AggFn::kMax, "T.x", ""},
        AggSpec{AggFn::kSum, "T.x", ""}});
   expect_engines_agree(db_, plan);
+}
+
+// Plans whose readers use a subset of their input's columns: scans fill
+// and joins gather only those, so each must agree with the row engine and
+// be bit-identical with its forms cold and warm.
+TEST(ExecEquivalenceTest, ColumnSubsetsAgreeColdAndWarm) {
+  StarSchemaOptions schema;
+  schema.dimensions = 2;
+  schema.fact_rows = 5'000;  // three morsels of fact rows
+  schema.dimension_rows = 100;
+  const Database db = populate_star_database(schema, 17);
+  const Catalog catalog = catalog_from_database(db, 10.0);
+  const PlanPtr fact = make_scan(catalog, "Fact");
+  const PlanPtr dim0 = make_scan(catalog, "Dim0");
+  const PlanPtr dim1 = make_scan(catalog, "Dim1");
+  const PlanPtr hash =
+      make_join(fact, dim0, eq(col("Fact.d0"), col("Dim0.id")));
+  const PlanPtr residual = make_join(
+      fact, dim0,
+      conj({eq(col("Fact.d0"), col("Dim0.id")),
+            gt(col("Fact.measure"), col("Dim0.weight"))}));
+  const PlanPtr nested = make_join(
+      make_select(dim0, lt(col("Dim0.id"), lit_i64(12))),
+      make_select(dim1, lt(col("Dim1.id"), lit_i64(9))),
+      lt(col("Dim0.weight"), col("Dim1.weight")));
+  // One shared node, two parents reading different columns of it.
+  const PlanPtr shared =
+      make_select(fact, gt(col("Fact.measure"), lit_i64(100)));
+  const PlanPtr dag = make_project(
+      make_join(make_project(shared, {"Fact.fid", "Fact.d0"}),
+                make_aggregate(shared, {"Fact.d1"},
+                               {AggSpec{AggFn::kSum, "Fact.amount", "total"}}),
+                eq(col("Fact.d0"), col("Fact.d1"))),
+      {"Fact.fid", "total"});
+
+  const std::vector<PlanPtr> plans = {
+      make_project(hash, {"Dim0.label", "Fact.amount"}),
+      make_aggregate(hash, {"Dim0.category"},
+                     {AggSpec{AggFn::kSum, "Fact.measure", "total"},
+                      AggSpec{AggFn::kCount, "", "n"}}),
+      make_project(residual, {"Fact.fid"}),
+      make_aggregate(residual, {}, {AggSpec{AggFn::kCount, "", "n"}}),
+      make_project(nested, {"Dim1.label"}),
+      make_aggregate(nested, {"Dim0.category"},
+                     {AggSpec{AggFn::kMax, "Dim1.label", "top"}}),
+      dag,
+  };
+  for (const PlanPtr& plan : plans) expect_agree_cold_and_warm(db, plan);
+}
+
+// The same over a Fact-partitioned layout: a projection above a join run
+// bucket by bucket (bucket-scoped scans), and a projection above a spine
+// aggregate, whose merged result the remainder reads as a given table.
+TEST(ShardedExecEquivalenceTest, ColumnSubsetsAgreeColdAndWarm) {
+  StarSchemaOptions schema;
+  schema.dimensions = 2;
+  schema.fact_rows = 3'000;
+  schema.dimension_rows = 100;
+  const Database db = populate_star_database(schema, 19);
+  const Catalog catalog = catalog_from_database(db, 10.0);
+  const std::map<std::string, std::string> keys{{"Fact", "d0"}};
+  const PlanPtr hash = make_join(make_scan(catalog, "Fact"),
+                                 make_scan(catalog, "Dim0"),
+                                 eq(col("Fact.d0"), col("Dim0.id")));
+
+  const PlanPtr bucketed = make_project(hash, {"Dim0.category", "Fact.amount"});
+  const PlanPtr given = make_project(
+      make_aggregate(hash, {"Dim0.category", "Dim0.label"},
+                     {AggSpec{AggFn::kSum, "Fact.amount", "total"},
+                      AggSpec{AggFn::kCount, "", "n"}}),
+      {"Dim0.label", "total"});
+  ASSERT_EQ(analyze_shard_plan(bucketed, shard_database(db, 4, keys))
+                .spine_aggregate,
+            nullptr);
+  ASSERT_NE(analyze_shard_plan(given, shard_database(db, 4, keys))
+                .spine_aggregate,
+            given.get());
+  expect_sharded_agree_cold_and_warm(db, bucketed, keys);
+  expect_sharded_agree_cold_and_warm(db, given, keys);
 }
 
 // Per-operator accounting parity through the metrics registry: with
@@ -587,10 +722,10 @@ TEST(ExecKernelTsanTest, IntKeyPipelineIsRaceFreeAndDeterministic) {
 }
 
 // Sharded counterpart for the CI TSan filter: shards execute on worker
-// threads as bucket-range runs of one shared executor — one database, one
-// column cache — with morsel parallelism inside each run, and partials
-// merge on the calling thread. 4 shards x 4 threads must match the 1 x 1
-// layout bit for bit.
+// threads as bucket-range runs of one shared executor over one database,
+// whose tables' columnar forms the first runs fill for all, with morsel
+// parallelism inside each run, and partials merge on the calling thread.
+// 4 shards x 4 threads must match the 1 x 1 layout bit for bit.
 TEST(DistributedExecTsanTest, ShardedPipelineIsRaceFreeAndDeterministic) {
   StarSchemaOptions schema;
   schema.dimensions = 2;
@@ -616,6 +751,106 @@ TEST(DistributedExecTsanTest, ShardedPipelineIsRaceFreeAndDeterministic) {
   ASSERT_EQ(a.row_count(), b.row_count());
   for (std::size_t i = 0; i < a.row_count(); ++i) {
     EXPECT_TRUE(a.row(i) == b.row(i));
+  }
+}
+
+// In the CI TSan filter: several readers first-touch overlapping column
+// subsets of one shared view, all at once, while a writer stages a copy
+// and writes the view there (a copy-on-write clone of the view the
+// readers are filling). Every reader's answer must equal its base plan's
+// (the same query over the view's definition, on the row engine), and the
+// writer must read its own staged rows.
+TEST(ColumnarTsanTest, ReadersFirstTouchColumnsWhileAWriterStagesACopy) {
+  StarSchemaOptions schema;
+  schema.dimensions = 2;
+  schema.fact_rows = 6'000;  // three morsels of fact rows
+  schema.dimension_rows = 100;
+  Database base = populate_star_database(schema, 23);
+  const Catalog catalog = catalog_from_database(base, 10.0);
+  const PlanPtr def = make_join(make_scan(catalog, "Fact"),
+                                make_scan(catalog, "Dim0"),
+                                eq(col("Fact.d0"), col("Dim0.id")));
+  base.add_table("V", Executor(base, ExecMode::kRow).run(def));
+  const PlanPtr view = make_named_scan("V", def->output_schema());
+
+  // Column subsets of V's nine: {category, measure}, {measure, d1},
+  // {weight, label, d1}, {label, amount}.
+  const std::vector<std::function<PlanPtr(const PlanPtr&)>> shapes = {
+      [](const PlanPtr& in) {
+        return make_aggregate(in, {"Dim0.category"},
+                              {AggSpec{AggFn::kSum, "Fact.measure", "total"}});
+      },
+      [](const PlanPtr& in) {
+        return make_aggregate(
+            make_select(in, gt(col("Fact.measure"), lit_i64(500))),
+            {"Fact.d1"}, {AggSpec{AggFn::kCount, "", "n"}});
+      },
+      [](const PlanPtr& in) {
+        return make_project(
+            make_select(in, lt(col("Dim0.weight"), lit_i64(50))),
+            {"Dim0.label", "Fact.d1"});
+      },
+      [](const PlanPtr& in) {
+        return make_aggregate(in, {"Dim0.label"},
+                              {AggSpec{AggFn::kSum, "Fact.amount", "total"}});
+      },
+  };
+  std::vector<PlanPtr> reads;
+  std::vector<Table> expected;
+  for (const auto& shape : shapes) {
+    reads.push_back(shape(view));
+    expected.push_back(Executor(base, ExecMode::kRow).run(shape(def)));
+  }
+
+  constexpr int kReaders = 4;
+  for (int round = 0; round < 3; ++round) {
+    const auto snap = std::make_shared<const Database>(cold_copy(base));
+    std::atomic<int> ready{0};
+    std::atomic<int> failures{0};
+    const auto start = [&] {
+      ready.fetch_add(1);
+      while (ready.load() < kReaders + 1) std::this_thread::yield();
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kReaders; ++t) {
+      threads.emplace_back([&, t] {
+        start();
+        const Executor exec(snap, ExecMode::kVectorized, 2);
+        for (std::size_t i = 0; i < reads.size(); ++i) {
+          const std::size_t k =
+              (static_cast<std::size_t>(t) + i) % reads.size();
+          if (!same_bag(exec.run(reads[k]), expected[k])) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      start();
+      Database staging = *snap;  // shares every table, V included
+      DeltaTable delta(snap->table("V").schema(), 10.0);
+      delta.add_insert(snap->table("V").row(0));
+      delta.add_delete(snap->table("V").row(1));
+      staging.apply_delta("V", delta);  // clones V, then writes the clone
+      const Table got =
+          Executor(staging, ExecMode::kVectorized, 2).run(reads[0]);
+      if (!same_bag(got, Executor(staging, ExecMode::kRow).run(reads[0]))) {
+        failures.fetch_add(1);
+      }
+    });
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0) << "round " << round;
+    // The readers filled six of V's nine columns, each once.
+    set_trace_level(TraceLevel::kCounters);
+    const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+    (void)snap->table("V").columnar(ColumnSet::all());
+    EXPECT_EQ(MetricsRegistry::global()
+                  .snapshot()
+                  .diff(before)
+                  .value_of("storage/columnar/columns_converted"),
+              3)
+        << "round " << round;
+    set_trace_level(std::nullopt);
   }
 }
 

@@ -1462,8 +1462,9 @@ TEST(MvserveTsanTest, ConcurrentServesShareOneSnapshotSafely) {
                   populate_paper_database(0.005, 47));
   const std::vector<QuerySpec> queries = designer.queries();
 
-  // Purely concurrent readers (no writer): per-serve executors must not
-  // share mutable state (the columnar cache is per-call).
+  // Purely concurrent readers (no writer): every serve's executor scans
+  // the columnar forms the snapshot's tables keep, so readers fill and
+  // read them concurrently.
   std::atomic<int> failures{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < 8; ++t) {

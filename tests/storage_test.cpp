@@ -12,11 +12,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/algebra/aggregate.hpp"
 #include "src/algebra/logical_plan.hpp"
 #include "src/common/error.hpp"
 #include "src/common/random.hpp"
 #include "src/common/strings.hpp"
 #include "src/exec/executor.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/storage/column_table.hpp"
 #include "src/storage/database.hpp"
 #include "src/storage/table.hpp"
 #include "src/storage/value.hpp"
@@ -187,7 +190,6 @@ TEST(DatabaseTest, CopySharesEveryTable) {
   const Database b = a;
   for (const std::string& n : a.table_names()) {
     EXPECT_EQ(&b.table(n), &a.table(n)) << n;
-    EXPECT_EQ(b.version(n), a.version(n)) << n;
   }
 }
 
@@ -291,10 +293,10 @@ TEST(DatabaseTest, PartitionedEntryWrittenOnACopyRebucketsOnlyTheCopy) {
   EXPECT_EQ(copy.bucket_rows("T", Database::kBuckets - 1).second, 50u);
 }
 
-// The vectorized engine caches columnar conversions by (table address,
-// version): a copy's write clones (new address), an owner's write bumps
-// the version, so an executor never serves another copy's rows or its
-// own stale ones.
+// The vectorized engine scans the columnar form each table keeps: a
+// copy's write clones the table (the clone starts without a form), and an
+// owner's write in place drops the form, so an executor never serves
+// another copy's rows or its own stale ones.
 TEST(DatabaseTest, VectorizedExecutorFollowsItsOwnDatabase) {
   Database a = three_tables();
   const Executor exec(a, ExecMode::kVectorized, 1);
@@ -310,6 +312,197 @@ TEST(DatabaseTest, VectorizedExecutorFollowsItsOwnDatabase) {
   const Table after = exec.run(scan);
   EXPECT_EQ(after.row_count(), 22u);
   EXPECT_TRUE(same_bag(after, a.table("T")));
+}
+
+// ---- The columnar form a table keeps ---------------------------------
+
+class ScopedCounters {
+ public:
+  ScopedCounters() { set_trace_level(TraceLevel::kCounters); }
+  ~ScopedCounters() { set_trace_level(std::nullopt); }
+  ScopedCounters(const ScopedCounters&) = delete;
+  ScopedCounters& operator=(const ScopedCounters&) = delete;
+};
+
+/// storage/columnar/* counter deltas of one call (counters must be on).
+std::map<std::string, double> columnar_counts(const std::function<void()>& fn) {
+  const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+  fn();
+  const MetricsSnapshot d = MetricsRegistry::global().snapshot().diff(before);
+  std::map<std::string, double> out;
+  for (const char* n : {"columns_converted", "cells_converted", "scans",
+                        "warm_scans"}) {
+    out[n] = d.value_of(str_cat("storage/columnar/", n)).value_or(0);
+  }
+  return out;
+}
+
+/// Fill every column of `t`'s form; returns how many were not filled yet.
+double fill_all(const Table& t) {
+  return columnar_counts([&] { (void)t.columnar(ColumnSet::all()); })
+      .at("columns_converted");
+}
+
+TEST(TableTest, EveryMutatorDropsTheColumnarForm) {
+  const ScopedCounters counters;
+  struct Mutator {
+    std::string name;
+    std::function<void(Table&)> apply;
+  };
+  const Table other = numbered(50, 3);
+  const std::vector<Mutator> mutators = {
+      {"append",
+       [](Table& t) { t.append({Value::int64(99), Value::string("x")}); }},
+      {"update_row",
+       [](Table& t) {
+         t.update_row(2, {Value::int64(98), Value::string("y")});
+       }},
+      {"remove_row", [](Table& t) { t.remove_row(0); }},
+      {"permute",
+       [](Table& t) {
+         std::vector<std::size_t> order(t.row_count());
+         for (std::size_t i = 0; i < order.size(); ++i) {
+           order[i] = order.size() - 1 - i;
+         }
+         t.permute(order);
+       }},
+      {"copy assignment", [&](Table& t) { t = other; }},
+      {"move assignment", [&](Table& t) { t = Table(other); }},
+  };
+  for (const Mutator& m : mutators) {
+    SCOPED_TRACE(m.name);
+    Table t = numbered(0, 10);
+    ASSERT_EQ(fill_all(t), 2);
+    ASSERT_EQ(fill_all(t), 0);
+    m.apply(t);
+    EXPECT_EQ(fill_all(t), 2);
+    // Refilled, the form holds the new rows.
+    const ColumnTable back = *t.columnar(ColumnSet::all());
+    ASSERT_EQ(back.row_count(), t.row_count());
+    for (std::size_t r = 0; r < t.row_count(); ++r) {
+      EXPECT_EQ(back.i64(0)[r], t.row(r)[0].as_int64()) << r;
+      EXPECT_EQ(back.str(1)[r], t.row(r)[1].as_string()) << r;
+    }
+  }
+  // Copies and moves start without a form; the source keeps its own.
+  Table t = numbered(0, 10);
+  fill_all(t);
+  const Table copy = t;
+  EXPECT_EQ(fill_all(t), 0);
+  EXPECT_EQ(fill_all(copy), 2);
+  Table moved = std::move(t);
+  EXPECT_EQ(fill_all(moved), 2);
+  // keep_hashes changes no row, so the form stays.
+  moved.keep_hashes();
+  EXPECT_EQ(fill_all(moved), 0);
+}
+
+// The Database writes that land on a table in place (no copy shares it)
+// drop its form too: put_table, apply_delta and partition's re-sort.
+TEST(DatabaseTest, InPlaceWritesDropTheColumnarForm) {
+  const ScopedCounters counters;
+  const std::vector<std::pair<std::string, std::function<void(Database&)>>>
+      writes = {
+          {"put_table",
+           [](Database& db) { db.put_table("T", numbered(0, 4)); }},
+          {"apply_delta",
+           [](Database& db) { db.apply_delta("T", inserts(100, 2)); }},
+          {"partition", [](Database& db) { db.partition("T", "id"); }},
+      };
+  for (const auto& [name, write] : writes) {
+    SCOPED_TRACE(name);
+    Database db = three_tables();
+    const Table* t = &db.table("T");
+    ASSERT_EQ(fill_all(*t), 2);
+    ASSERT_EQ(fill_all(db.table("U")), 2);
+    write(db);
+    ASSERT_EQ(&db.table("T"), t);  // written in place
+    EXPECT_EQ(fill_all(*t), 2);
+    EXPECT_EQ(fill_all(db.table("U")), 0);
+  }
+}
+
+// A copy-on-write clone written after a scan leaves the original's filled
+// columns in place: the original's next scan converts nothing and reads
+// the original rows, and the clone starts without a form.
+TEST(DatabaseTest, CloneWrittenAfterAScanKeepsTheOriginalsForm) {
+  const ScopedCounters counters;
+  Database a = three_tables();
+  const PlanPtr scan = make_named_scan("T", a.table("T").schema());
+  const Table before = Executor(a, ExecMode::kVectorized, 1).run(scan);
+
+  Database b = a;
+  b.apply_delta("T", inserts(100, 5));
+  ASSERT_NE(&b.table("T"), &a.table("T"));
+
+  Table again{Schema{}};
+  const auto counts = columnar_counts(
+      [&] { again = Executor(a, ExecMode::kVectorized, 4).run(scan); });
+  EXPECT_EQ(counts.at("columns_converted"), 0);
+  EXPECT_EQ(counts.at("warm_scans"), 1);
+  EXPECT_EQ(again.rows(), before.rows());
+  EXPECT_EQ(fill_all(b.table("T")), 2);
+  EXPECT_EQ(Executor(b, ExecMode::kVectorized, 1).run(scan).row_count(), 25u);
+}
+
+TEST(DatabaseTest, SecondScanOfAnUnwrittenTableFillsNothing) {
+  const ScopedCounters counters;
+  const Database db = three_tables();
+  const PlanPtr scan = make_named_scan("U", db.table("U").schema());
+  const auto cold = columnar_counts(
+      [&] { (void)Executor(db, ExecMode::kVectorized, 1).run(scan); });
+  EXPECT_EQ(cold.at("scans"), 1);
+  EXPECT_EQ(cold.at("warm_scans"), 0);
+  EXPECT_EQ(cold.at("columns_converted"), 2);
+  EXPECT_EQ(cold.at("cells_converted"), 10);
+  // Any executor, and any copy sharing the table, finds it filled.
+  const Database copy = db;
+  const auto warm = columnar_counts(
+      [&] { (void)Executor(copy, ExecMode::kVectorized, 4).run(scan); });
+  EXPECT_EQ(warm.at("scans"), 1);
+  EXPECT_EQ(warm.at("warm_scans"), 1);
+  EXPECT_EQ(warm.at("columns_converted"), 0);
+  EXPECT_EQ(warm.at("cells_converted"), 0);
+}
+
+TEST(DatabaseTest, ScanFillsOnlyTheColumnsItsPlanReads) {
+  const ScopedCounters counters;
+  const Schema wide({{"k", ValueType::kInt64, "W"},
+                     {"g", ValueType::kString, "W"},
+                     {"x", ValueType::kDouble, "W"},
+                     {"y", ValueType::kInt64, "W"},
+                     {"z", ValueType::kBool, "W"}});
+  Table w(wide, 10.0);
+  for (std::int64_t i = 0; i < 30; ++i) {
+    w.append({Value::int64(i), Value::string(str_cat("g", i % 4)),
+              Value::real(0.5 * static_cast<double>(i)), Value::int64(i * 7),
+              Value::boolean(i % 2 == 0)});
+  }
+  Database db;
+  db.add_table("W", std::move(w));
+  const PlanPtr scan = make_named_scan("W", wide);
+  // GROUP BY g, SUM(x) WHERE k > 3: reads k, g and x of five columns.
+  const PlanPtr grouped = make_aggregate(
+      make_select(scan, gt(col("W.k"), lit_i64(3))), {"W.g"},
+      {AggSpec{AggFn::kSum, "W.x", ""}});
+  const auto first = columnar_counts(
+      [&] { (void)Executor(db, ExecMode::kVectorized, 1).run(grouped); });
+  EXPECT_EQ(first.at("columns_converted"), 3);
+  EXPECT_EQ(first.at("cells_converted"), 90);
+  // COUNT(*) reads no column; projecting y reads one more.
+  const auto count = columnar_counts([&] {
+    (void)Executor(db, ExecMode::kVectorized, 1)
+        .run(make_aggregate(scan, {}, {AggSpec{AggFn::kCount, "", ""}}));
+  });
+  EXPECT_EQ(count.at("columns_converted"), 0);
+  EXPECT_EQ(count.at("warm_scans"), 1);
+  const auto project = columnar_counts([&] {
+    (void)Executor(db, ExecMode::kVectorized, 1)
+        .run(make_project(scan, {"W.y", "W.g"}));
+  });
+  EXPECT_EQ(project.at("columns_converted"), 1);
+  EXPECT_EQ(project.at("warm_scans"), 0);
+  EXPECT_EQ(fill_all(db.table("W")), 1);  // z alone was never read
 }
 
 // ---- Kept row hashes --------------------------------------------------

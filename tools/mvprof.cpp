@@ -18,7 +18,10 @@
 //                               MVD_EXEC_MODE, else row)
 //
 // Runs with full tracing on (MVD_TRACE=spans equivalent), prints a
-// phase-by-phase table of wall time and registry deltas, then writes
+// phase-by-phase table of wall time and registry deltas (among them the
+// vectorized scans' columnar conversions: columns and cells converted,
+// and scans that found every column they read already filled), then
+// writes
 //
 //   trace.json    Chrome trace-event document — load in chrome://tracing
 //                 or https://ui.perfetto.dev
@@ -95,22 +98,39 @@ double counter_of(const MetricsSnapshot& s, const std::string& name) {
   return s.value_of(name).value_or(0);
 }
 
+/// The vectorized scans' columnar conversions (src/storage/table.hpp):
+/// columns and cells converted, scans, and scans that found every column
+/// they read already filled.
+constexpr const char* kColumnarCounters[] = {
+    "columns_converted", "cells_converted", "scans", "warm_scans"};
+
+double columnar_of(const MetricsSnapshot& s, const char* name) {
+  return counter_of(s, std::string("storage/columnar/") + name);
+}
+
 void print_phase_table(const std::vector<PhaseRow>& rows) {
   TextTable table({"phase", "wall ms", "trace events", "blocks read",
-                   "rows scanned", "cost evals"},
+                   "rows scanned", "cost evals", "cols converted",
+                   "cells converted", "warm scans"},
                   {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight});
+                   Align::kRight, Align::kRight, Align::kRight, Align::kRight,
+                   Align::kRight});
   for (const PhaseRow& row : rows) {
     std::ostringstream ms;
     ms.setf(std::ios::fixed);
     ms.precision(2);
     ms << row.wall_ms;
+    const double scans = columnar_of(row.delta, "scans");
     table.add_row(
         {row.name, ms.str(), std::to_string(row.events),
          format_blocks(counter_of(row.delta, "exec/total/blocks_read")),
          format_blocks(counter_of(row.delta, "exec/total/rows_scanned")),
          format_blocks(
-             counter_of(row.delta, "selection/fast_eval/evaluations"))});
+             counter_of(row.delta, "selection/fast_eval/evaluations")),
+         format_blocks(columnar_of(row.delta, "columns_converted")),
+         format_blocks(columnar_of(row.delta, "cells_converted")),
+         format_blocks(columnar_of(row.delta, "warm_scans")) + " / " +
+             format_blocks(scans)});
   }
   std::cout << table.render();
 }
@@ -122,6 +142,11 @@ Json phases_to_json(const std::vector<PhaseRow>& rows) {
     p.set("phase", Json::string(row.name));
     p.set("wall_ms", Json::number(row.wall_ms));
     p.set("trace_events", Json::number(row.events));
+    Json columnar = Json::object();
+    for (const char* name : kColumnarCounters) {
+      columnar.set(name, Json::number(columnar_of(row.delta, name)));
+    }
+    p.set("columnar", std::move(columnar));
     p.set("metrics", row.delta.to_json().at("metrics"));
     arr.push_back(std::move(p));
   }
