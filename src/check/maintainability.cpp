@@ -1,61 +1,10 @@
 #include "src/check/maintainability.hpp"
 
-#include <optional>
-
 #include "src/exec/exec_internal.hpp"
 
 namespace mvd {
 
 namespace {
-
-/// The static half of try_group_apply's self-maintainability analysis
-/// (refresh.cpp), shared by the certifier and the path predictor.
-struct AggStatics {
-  std::optional<std::size_t> count_spec;  // first COUNT spec index
-  bool has_minmax = false;
-  bool avg_ok = true;  // every AVG has a COUNT and a same-column SUM
-  std::size_t n_groups = 0;
-};
-
-AggStatics agg_statics(const AggregateOp& op) {
-  AggStatics s;
-  s.n_groups = op.group_by().size();
-  const std::vector<AggSpec>& specs = op.aggregates();
-  for (std::size_t j = 0; j < specs.size(); ++j) {
-    if (specs[j].fn == AggFn::kCount) {
-      s.count_spec = j;
-      break;
-    }
-  }
-  for (const AggSpec& spec : specs) {
-    switch (spec.fn) {
-      case AggFn::kCount:
-      case AggFn::kSum:
-      case AggFn::kSumInt:
-        break;
-      case AggFn::kMin:
-      case AggFn::kMax:
-        s.has_minmax = true;
-        break;
-      case AggFn::kAvg: {
-        if (!s.count_spec.has_value()) {
-          s.avg_ok = false;
-          break;
-        }
-        bool found_sum = false;
-        for (const AggSpec& other : specs) {
-          if (other.fn == AggFn::kSum && other.column == spec.column) {
-            found_sum = true;
-            break;
-          }
-        }
-        if (!found_sum) s.avg_ok = false;
-        break;
-      }
-    }
-  }
-  return s;
-}
 
 /// Why the delta algebra cannot carry a delta through `plan`'s subtree
 /// (mirror of DeltaPropagator::run's nullopt sources that do not depend
@@ -185,6 +134,44 @@ std::string to_string(PredictedPath path) {
   return "?";
 }
 
+AggStatics agg_statics(const AggregateOp& op) {
+  AggStatics s;
+  s.n_groups = op.group_by().size();
+  const std::vector<AggSpec>& specs = op.aggregates();
+  s.avg_sum.assign(specs.size(), SIZE_MAX);
+  for (std::size_t j = 0; j < specs.size(); ++j) {
+    if (specs[j].fn == AggFn::kCount) {
+      s.count_spec = j;
+      break;
+    }
+  }
+  for (std::size_t j = 0; j < specs.size(); ++j) {
+    switch (specs[j].fn) {
+      case AggFn::kCount:
+      case AggFn::kSum:
+      case AggFn::kSumInt:
+        break;
+      case AggFn::kMin:
+      case AggFn::kMax:
+        s.has_minmax = true;
+        break;
+      case AggFn::kAvg:
+        for (std::size_t k = 0; k < specs.size(); ++k) {
+          if (specs[k].fn == AggFn::kSum &&
+              specs[k].column == specs[j].column) {
+            s.avg_sum[j] = k;
+            break;
+          }
+        }
+        if (!s.count_spec.has_value() || s.avg_sum[j] == SIZE_MAX) {
+          s.avg_ok = false;
+        }
+        break;
+    }
+  }
+  return s;
+}
+
 MaintCertificate certify_refresh_plan(const PlanPtr& plan) {
   MaintCertificate cert;
   if (plan->kind() != OpKind::kAggregate) {
@@ -297,8 +284,8 @@ RefreshPrediction predict_refresh_path(const PlanPtr& plan,
     // term's deletes cancel under compaction, so the aggregate sees an
     // insert-only batch — no delete-driven fallback can fire.
     if (s.n_groups == 0 && s.has_minmax) {
-      // try_group_apply still refuses when the stored global row is the
-      // empty-input placeholder (old COUNT == 0).
+      // maintain_aggregate_view still refuses when the stored global row
+      // is the empty-input placeholder (old COUNT == 0).
       bool stored_ok = false;
       if (db != nullptr && !view_name.empty() && db->has_table(view_name)) {
         const Table& stored = db->table(view_name);

@@ -1,7 +1,13 @@
 // Static self-maintainability certification of refresh plans — a mirror
 // of the runtime decisions in src/exec/delta.cpp (DeltaPropagator) and
-// src/maintenance/refresh.cpp (incremental_refresh / try_group_apply),
-// grounded in the Aziz/Batool self-maintenance analysis of PAPERS.md.
+// src/maintenance/refresh.cpp (incremental_refresh /
+// maintain_aggregate_view), grounded in the Aziz/Batool self-maintenance
+// analysis of PAPERS.md.
+//
+// An aggregate view's batch-independent facts are computed once, by
+// agg_statics(), which the certifier, the path predictor and the runtime
+// grouped apply all read; only the batch-dependent checks live at the
+// runtime.
 //
 // Two views of the same question:
 //   * certify_refresh_plan(plan) is batch-independent: can this plan ever
@@ -17,7 +23,10 @@
 //     "anything but skipped".
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/algebra/aggregate.hpp"
 #include "src/algebra/logical_plan.hpp"
@@ -44,6 +53,21 @@ enum class MaintVerdict {
 };
 
 std::string to_string(MaintVerdict verdict);
+
+/// The batch-independent half of an aggregate view's self-maintainability.
+struct AggStatics {
+  std::size_t n_groups = 0;
+  std::optional<std::size_t> count_spec;  // first COUNT spec index
+  bool has_minmax = false;
+  /// Every AVG has a COUNT and a same-column SUM: the stored average is a
+  /// rounded quotient, so it is rebuilt from the stored SUM and COUNT.
+  bool avg_ok = true;
+  /// Per spec, the index of the first same-column SUM behind an AVG
+  /// (SIZE_MAX for every other spec and for an AVG without one).
+  std::vector<std::size_t> avg_sum;
+};
+
+AggStatics agg_statics(const AggregateOp& op);
 
 struct MaintCertificate {
   MaintVerdict verdict = MaintVerdict::kSelfMaintainable;

@@ -203,10 +203,16 @@ struct Accumulator : SumCount {
     }
     const std::optional<Value>& v = fn == AggFn::kMin ? min : max;
     if (v.has_value()) return *v;
-    // Empty global group: a typed zero placeholder (SQL would say NULL;
-    // the engine has no nulls, documented limitation).
-    return output_type == ValueType::kString ? Value::string("")
-                                             : Value::int64(0);
+    // Empty global group: a zero of the column's type (SQL would say
+    // NULL; the engine has no nulls, documented limitation).
+    switch (output_type) {
+      case ValueType::kString: return Value::string("");
+      case ValueType::kDouble: return Value::real(0);
+      case ValueType::kDate: return Value::date(0);
+      case ValueType::kBool: return Value::boolean(false);
+      case ValueType::kInt64: break;
+    }
+    return Value::int64(0);
   }
 };
 

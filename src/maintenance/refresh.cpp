@@ -1,12 +1,12 @@
 #include "src/maintenance/refresh.hpp"
 
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "src/check/check.hpp"
+#include "src/check/maintainability.hpp"
 #include "src/common/error.hpp"
 #include "src/exec/exec_internal.hpp"
 #include "src/exec/sharded.hpp"
@@ -24,14 +24,6 @@ std::string to_string(RefreshMode mode) {
       return "incremental";
   }
   return "?";
-}
-
-RefreshMode default_refresh_mode() {
-  const char* env = std::getenv("MVD_REFRESH_MODE");
-  if (env == nullptr) return RefreshMode::kRecompute;
-  const std::string mode(env);
-  if (mode == "incremental" || mode == "inc") return RefreshMode::kIncremental;
-  return RefreshMode::kRecompute;
 }
 
 std::string to_string(RefreshPath path) {
@@ -98,7 +90,6 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
     const AggregateOp& op, const Table& stored,
     const DeltaTable& child_delta) {
   const Schema& is = child_delta.schema();
-  const std::size_t n_groups = op.group_by().size();
   const std::vector<AggSpec>& specs = op.aggregates();
 
   std::vector<std::size_t> group_idx;
@@ -108,41 +99,14 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
     agg_idx.push_back(a.column.empty() ? SIZE_MAX : is.index_of(a.column));
   }
 
-  // Static self-maintainability: a COUNT recovers group cardinality; an
-  // AVG additionally needs a same-column SUM (the stored average is a
-  // rounded quotient — multiplying it back would lose exactness).
-  std::optional<std::size_t> count_spec;
-  for (std::size_t j = 0; j < specs.size(); ++j) {
-    if (specs[j].fn == AggFn::kCount) {
-      count_spec = j;
-      break;
-    }
-  }
-  bool has_minmax = false;
-  std::vector<std::size_t> avg_source(specs.size(), SIZE_MAX);
-  for (std::size_t j = 0; j < specs.size(); ++j) {
-    switch (specs[j].fn) {
-      case AggFn::kCount:
-      case AggFn::kSum:
-      case AggFn::kSumInt:
-        break;
-      case AggFn::kMin:
-      case AggFn::kMax:
-        has_minmax = true;
-        break;
-      case AggFn::kAvg: {
-        if (!count_spec.has_value()) return std::nullopt;
-        for (std::size_t k = 0; k < specs.size(); ++k) {
-          if (specs[k].fn == AggFn::kSum && specs[k].column == specs[j].column) {
-            avg_source[j] = k;
-            break;
-          }
-        }
-        if (avg_source[j] == SIZE_MAX) return std::nullopt;
-        break;
-      }
-    }
-  }
+  // The batch-independent facts (src/check/maintainability): an AVG needs
+  // a COUNT and a same-column SUM to be rebuilt exactly.
+  const AggStatics statics = agg_statics(op);
+  if (!statics.avg_ok) return std::nullopt;
+  const std::size_t n_groups = statics.n_groups;
+  const std::optional<std::size_t>& count_spec = statics.count_spec;
+  const bool has_minmax = statics.has_minmax;
+  // A COUNT recovers group cardinality, so deletes need one.
   const bool has_deletes = child_delta.deletes().row_count() > 0;
   if (has_deletes && !count_spec.has_value()) return std::nullopt;
   // A global aggregate stores a placeholder row for the empty input;
@@ -288,8 +252,8 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
                                     std::llround(g.dsum[j])));
           break;
         case AggFn::kAvg: {
-          const double sum =
-              old[n_groups + avg_source[j]].as_double() + g.dsum[avg_source[j]];
+          const std::size_t k = statics.avg_sum[j];
+          const double sum = old[n_groups + k].as_double() + g.dsum[k];
           row[c] = Value::real(new_count > 0
                                    ? sum / static_cast<double>(new_count)
                                    : 0.0);

@@ -44,11 +44,6 @@ enum class RefreshMode {
 
 std::string to_string(RefreshMode mode);
 
-/// Mode selected by the MVD_REFRESH_MODE environment variable
-/// ("incremental"/"inc" or "recompute"); kRecompute when unset or
-/// unrecognized.
-RefreshMode default_refresh_mode();
-
 /// Which path one view took during a refresh round.
 enum class RefreshPath {
   kSkipped,       // no leaf of the refresh plan had a pending delta

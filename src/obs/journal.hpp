@@ -93,8 +93,8 @@ struct JournalEvent {
   /// how a deleted or reordered line is caught by the bit-for-bit check.
   std::uint64_t seq = 0;
   EventKind kind = EventKind::kServe;
-  /// ServeSnapshot epoch the action observed/produced (0 outside a
-  /// server, e.g. the designer's refresh path).
+  /// ServeSnapshot epoch the action observed/produced (0 for events
+  /// recorded outside a server, e.g. the declarations).
   std::uint64_t epoch = 0;
 
   // kOpen

@@ -2,7 +2,6 @@
 
 #include "src/common/strings.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/optimizer/view_rewrite.hpp"
 
 namespace mvd {
 
@@ -61,31 +60,6 @@ void publish_selection_ledger(const MvppEvaluator& eval,
     reg.gauge(str_cat("selection/ledger/view/", g.node(v).name))
         .set(eval.maintenance_cost(v, m));
   }
-}
-
-void publish_serve_result(bool rewritten, const std::string& view,
-                          double latency_ms, const std::string& engine,
-                          const RefusalList& refusals) {
-  if (!counters_enabled()) return;
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.counter("serve/queries").increment();
-  if (rewritten) {
-    reg.counter("serve/rewritten").increment();
-    reg.counter(str_cat("serve/view/", view, "/hits")).increment();
-  } else {
-    reg.counter("serve/fallback").increment();
-    for (const ServeRefusal& r : refusals) {
-      reg.counter(str_cat("serve/view/", r.view, "/refusals")).increment();
-      reg.counter(str_cat("serve/refusal/", refusal_code(r.reason)))
-          .increment();
-    }
-  }
-  if (!engine.empty()) {
-    reg.counter(str_cat("serve/engine/", engine, "/queries")).increment();
-  }
-  reg.histogram("serve/latency_ms",
-                {0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 500})
-      .observe(latency_ms);
 }
 
 void publish_cache_lookup(const std::string& cache, bool hit) {

@@ -1,20 +1,23 @@
 // Bridges from the repo's per-module stat structs into the global
-// MetricsRegistry. ExecStats, RefreshReport and the selection cost
-// ledger keep their existing types and call sites; these helpers are the
-// one place that maps them onto registry names, so metric naming stays
-// consistent across engines and tools.
+// MetricsRegistry. ExecStats, RefreshReport, the selection cost ledger
+// and mvserve's cache lookups keep their existing types and call sites;
+// these helpers are the one place that maps them onto registry names, so
+// metric naming stays consistent across engines and tools.
+//
+// Served traffic (serves, hits and fallbacks, per-view refusals, the
+// latency histogram) is not published here: the workload observatory
+// (src/obs/workload.hpp) is its one record, and it journals and replays
+// every tally.
 //
 // All publishers are no-ops unless counters_enabled() (MVD_TRACE set):
 // the cost when tracing is off is one relaxed atomic load.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "src/exec/executor.hpp"
 #include "src/maintenance/refresh.hpp"
 #include "src/mvpp/evaluation.hpp"
-#include "src/obs/journal.hpp"
 
 namespace mvd {
 
@@ -42,18 +45,6 @@ void publish_refresh_report(const RefreshReport& report);
 /// obs/metrics-consistent checks exactly this.
 void publish_selection_ledger(const MvppEvaluator& eval,
                               const MaterializedSet& m);
-
-/// Publish one mvserve answer under "serve/...": total query count,
-/// rewritten vs fallback split, per-view hit counters
-/// ("serve/view/<name>/hits"), an answer-latency histogram
-/// ("serve/latency_ms"), a per-engine query count
-/// ("serve/engine/<engine>/queries"), and — on a fallback — one
-/// "serve/view/<name>/refusals" counter per refusing view plus
-/// "serve/refusal/<code>" reason tallies (view_rewrite's refusal_code),
-/// so a miss is explainable per-view instead of a bare rewritten=false.
-void publish_serve_result(bool rewritten, const std::string& view,
-                          double latency_ms, const std::string& engine = "",
-                          const RefusalList& refusals = {});
 
 /// Publish one lookup in the mvserve cache `cache` ("template_cache",
 /// "shape_cache"): "serve/<cache>/hits" or ".../misses".

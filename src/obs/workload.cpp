@@ -8,7 +8,6 @@
 #include "src/algebra/query_spec.hpp"
 #include "src/common/hash.hpp"
 #include "src/common/strings.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/optimizer/view_rewrite.hpp"
 
 namespace mvd {
@@ -438,14 +437,6 @@ void WorkloadObservatory::apply_locked(const JournalEvent& e) {
 WorkloadStats WorkloadObservatory::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return state_;
-}
-
-void WorkloadObservatory::publish_gauges() const {
-  if (!counters_enabled()) return;
-  MetricsRegistry& reg = MetricsRegistry::global();
-  for (const auto& [name, value] : stats().to_gauges()) {
-    reg.gauge(name).set(value);
-  }
 }
 
 std::unique_ptr<WorkloadObservatory> replay_journal(

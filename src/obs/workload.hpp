@@ -108,8 +108,9 @@ struct RelationObservation {
                          const RelationObservation&) = default;
 };
 
-/// Fixed latency buckets shared with the "serve/latency_ms" registry
-/// histogram (upper edges in ms; one implicit overflow bucket).
+/// Fixed serve-latency buckets of the observatory's histogram (upper
+/// edges in ms; one implicit overflow bucket). mvstat reads percentiles
+/// off them; mvprof's answer-latency histogram uses them too.
 const std::vector<double>& serve_latency_bounds();
 
 /// An immutable copy of the observatory's whole state. to_gauges() is
@@ -204,10 +205,6 @@ class WorkloadObservatory {
 
   WorkloadStats stats() const;
   DriftReport drift() const { return compute_drift(stats()); }
-
-  /// Write every gauge of stats().to_gauges() into the global
-  /// MetricsRegistry (no-op unless counters_enabled()).
-  void publish_gauges() const;
 
  private:
   void apply_locked(const JournalEvent& event);

@@ -2,33 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <set>
 #include <utility>
 
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
 #include "src/mvpp/rewrite.hpp"
-#include "src/obs/publish.hpp"
 #include "src/obs/trace.hpp"
 
 namespace mvd {
-
-bool default_serve_rewrite() {
-  if (const char* env = std::getenv("MVD_SERVE_REWRITE")) {
-    const std::string f(env);
-    if (f == "0" || f == "false" || f == "off") return false;
-  }
-  return true;
-}
-
-bool default_serve_observe() {
-  if (const char* env = std::getenv("MVD_SERVE_OBSERVE")) {
-    const std::string f(env);
-    if (f == "0" || f == "false" || f == "off") return false;
-  }
-  return true;
-}
 
 MvServer::MvServer(Catalog catalog, DesignResult design, const Database& db,
                    ServeOptions options)
@@ -222,11 +204,8 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
         std::chrono::duration<double, std::milli>(t1 - t0).count();
   }
 
-  MVD_TRACE_SPAN("serve", "record");
-  publish_serve_result(out.rewritten, out.view, out.latency_ms, out.engine,
-                       out.refusals);
-
   if (observatory_ != nullptr) {
+    MVD_TRACE_SPAN("serve", "record");
     JournalEvent e;
     e.kind = EventKind::kServe;
     e.epoch = snap->epoch;
@@ -238,7 +217,7 @@ ServeResult MvServer::serve_on(const std::shared_ptr<const ServeSnapshot>& snap,
     e.latency_ms = out.latency_ms;
     e.refusals = out.refusals;
     if (!out.rewritten) {
-      // Stale coverage this fallback could have used: non-VALID matchable
+      // Stale coverage this fallback could have used: STALE matchable
       // views over exactly the query's relation set.
       const std::set<std::string> query_rels(query.relations().begin(),
                                              query.relations().end());
@@ -260,28 +239,8 @@ std::uint64_t MvServer::ingest(const std::string& relation,
   return write(&batch, std::nullopt);
 }
 
-std::uint64_t MvServer::begin_refresh() {
-  std::lock_guard<std::mutex> writer(writer_mutex_);
-  const std::shared_ptr<const ServeSnapshot> cur = snapshot();
-
-  // Content is unchanged, so the new snapshot shares the database; only
-  // the registry advances (STALE -> BUILDING).
-  auto next = std::make_shared<ServeSnapshot>(*cur);
-  next->epoch = cur->epoch + 1;
-  for (const std::string& name : next->registry.pending()) {
-    next->registry.set_status(name, ViewStatus::kBuilding);
-  }
-  publish(next);
-  return next->epoch;
-}
-
-std::uint64_t MvServer::finish_refresh(RefreshMode mode) {
-  return write(nullptr, mode);
-}
-
 std::uint64_t MvServer::refresh(RefreshMode mode) {
-  begin_refresh();
-  return finish_refresh(mode);
+  return write(nullptr, mode);
 }
 
 std::uint64_t MvServer::update_and_refresh(const std::string& relation,
@@ -332,12 +291,11 @@ std::uint64_t MvServer::write(const Batch* batch,
   next->db = std::make_shared<const Database>(std::move(staging));
   publish(next);
 
-  if (observatory_ != nullptr && !events.empty()) {
+  if (observatory_ != nullptr) {
     for (JournalEvent& e : events) {
       e.epoch = next->epoch;
       observatory_->record(std::move(e));
     }
-    observatory_->publish_gauges();
   }
   return next->epoch;
 }

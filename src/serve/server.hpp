@@ -10,28 +10,34 @@
 // style:
 //   * The server publishes an immutable ServeSnapshot: an epoch number,
 //     a shared const Database (base tables + stored views), and the view
-//     registry with each view's VALID / STALE / BUILDING status.
+//     registry with each view's VALID / STALE status.
 //   * Readers pin the current snapshot (one shared_ptr copy under the
 //     snapshot mutex) and run entirely against it, so the data stays alive
 //     even when the server swaps mid-query. A vectorized scan reads the
 //     columnar form its table keeps (src/storage/table.hpp): each column
 //     a plan reads converts once per table version and serves every later
 //     request, on this snapshot and on every later one sharing the table.
-//   * Writers (ingest / refresh) are serialized by a writer mutex and
-//     share one routine: copy the current database, which shares every
-//     table (copy-on-write), so only the tables written get cloned; mutate
-//     the copy; publish a new snapshot in one swap; journal. A reader
-//     therefore sees pre-state or post-state, never a mix.
+//   * Writers (ingest / refresh / update_and_refresh) are serialized by
+//     a writer mutex and share one routine: copy the current database,
+//     which shares every table (copy-on-write), so only the tables
+//     written get cloned; mutate the copy; publish a new snapshot in one
+//     swap; journal. Each write publishes exactly once, so a reader sees
+//     pre-state or post-state, never a mix.
 //   * ingest() applies an update batch to one base relation, captures its
 //     signed delta for later incremental refresh, and marks every view
 //     over that relation STALE — the matcher skips STALE views, so
 //     queries fall back to the (already updated) base tables of the same
 //     snapshot.
-//   * refresh() = begin_refresh() (publish STALE views as BUILDING) +
-//     finish_refresh() (rebuild them on the staging copy — incrementally
-//     from the captured deltas or by recompute — then publish them
-//     VALID). update_and_refresh() does batch + rebuild with one
-//     publish, for writers that must never expose an intermediate state.
+//   * refresh() rebuilds every STALE view on the staging copy —
+//     incrementally from the captured deltas or by recompute — and
+//     publishes them VALID. The rebuild never touches a published table,
+//     so the views stay STALE (and skipped) until that one publish.
+//     update_and_refresh() does batch + rebuild in one write, for writers
+//     that must never expose an intermediate state.
+//
+// Served traffic is recorded once, by the workload observatory
+// (src/obs/workload.hpp), which tallies, journals and replays it; the
+// metrics registry holds no copy of it.
 //
 // Serving by template: served traffic is a few query shapes with changing
 // literals, so view matching runs once per (template, set of VALID
@@ -79,19 +85,13 @@
 
 namespace mvd {
 
-/// Rewriting switch from MVD_SERVE_REWRITE: truthy/unset = on, falsy
-/// ("0"/"false"/"off") = every query takes the base-table path.
-bool default_serve_rewrite();
-
-/// Workload-observatory switch from MVD_SERVE_OBSERVE: truthy/unset =
-/// on, falsy = the server records nothing and journals nothing.
-bool default_serve_observe();
-
 struct ServeOptions {
   ExecMode mode = default_exec_mode();
   std::size_t threads = default_exec_threads();
-  bool rewrite = default_serve_rewrite();
-  bool observe = default_serve_observe();
+  /// Off: every query takes the base-table path.
+  bool rewrite = true;
+  /// Off: the server records nothing and journals nothing.
+  bool observe = true;
 };
 
 /// Which answer path serve() may take. kAuto tries the rewriter first;
@@ -181,16 +181,10 @@ class MvServer {
   std::uint64_t ingest(const std::string& relation,
                        const UpdateStreamOptions& options, Rng& rng);
 
-  /// Publish every non-VALID view as BUILDING (content unchanged).
-  std::uint64_t begin_refresh();
-
-  /// Rebuild every non-VALID view on a staging copy (kIncremental
-  /// consumes the captured deltas, kRecompute re-runs refresh plans),
-  /// publish them VALID. Returns the new epoch.
-  std::uint64_t finish_refresh(RefreshMode mode = default_refresh_mode());
-
-  /// begin + finish (two publishes; queries between them fall back).
-  std::uint64_t refresh(RefreshMode mode = default_refresh_mode());
+  /// Rebuild every STALE view on a staging copy (kIncremental consumes
+  /// the captured deltas, kRecompute re-runs refresh plans), publish them
+  /// VALID. Returns the new epoch.
+  std::uint64_t refresh(RefreshMode mode = RefreshMode::kRecompute);
 
   /// Batch + rebuild with a single publish: readers see the old state or
   /// the fully refreshed one, never the gap. The writer loop of the
@@ -198,7 +192,7 @@ class MvServer {
   std::uint64_t update_and_refresh(const std::string& relation,
                                    const UpdateStreamOptions& options,
                                    Rng& rng,
-                                   RefreshMode mode = default_refresh_mode());
+                                   RefreshMode mode = RefreshMode::kRecompute);
 
   // ---- Introspection ----
 
@@ -238,9 +232,9 @@ class MvServer {
   void publish(std::shared_ptr<const ServeSnapshot> next);
   /// bind(), sharing a miss's spec with the shape entry it becomes.
   std::shared_ptr<const QuerySpec> bind_shared(const std::string& sql) const;
-  /// ingest, finish_refresh and update_and_refresh: stage a copy of the
-  /// current snapshot, apply `batch` if any, rebuild the pending views if
-  /// `rebuild` is set, publish once, journal. Returns the new epoch.
+  /// ingest, refresh and update_and_refresh: stage a copy of the current
+  /// snapshot, apply `batch` if any, rebuild the STALE views if `rebuild`
+  /// is set, publish once, journal. Returns the new epoch.
   std::uint64_t write(const Batch* batch, std::optional<RefreshMode> rebuild);
   /// Rebuild every pending view of `registry` inside `db` (incremental
   /// from `deltas` when possible, recomputed through deploy_view

@@ -10,7 +10,6 @@ std::string to_string(ViewStatus status) {
   switch (status) {
     case ViewStatus::kValid: return "VALID";
     case ViewStatus::kStale: return "STALE";
-    case ViewStatus::kBuilding: return "BUILDING";
   }
   MVD_ASSERT(false);
   return {};

@@ -4,13 +4,15 @@
 // Each deployed view carries its matching summary (ViewDef, extracted
 // from the MVPP node's annotated base-relation plan) plus a serving
 // status in the ArcadeDB style:
-//   kValid    — stored content matches the current base tables; the
-//               matcher may answer from it.
-//   kStale    — a routed update batch touched a base relation beneath it;
-//               the matcher skips it until a refresh clears the flag.
-//   kBuilding — a refresh is computing its next version; the matcher
-//               skips it (queries fall back to base tables, which are
-//               already consistent in the same snapshot).
+//   kValid — stored content matches the current base tables; the matcher
+//            may answer from it.
+//   kStale — a routed update batch touched a base relation beneath it;
+//            the matcher skips it (queries fall back to base tables,
+//            which are already consistent in the same snapshot) until a
+//            refresh publishes it VALID again.
+// ArcadeDB also has BUILDING, for a view refreshed in place; a refresh
+// here rebuilds on a staging copy that no reader sees, so a view under
+// refresh is simply still STALE.
 // The registry is a value type: MvServer snapshots copy it alongside the
 // Database, so status transitions publish atomically with the data they
 // describe.
@@ -25,7 +27,7 @@
 
 namespace mvd {
 
-enum class ViewStatus { kValid, kStale, kBuilding };
+enum class ViewStatus { kValid, kStale };
 
 std::string to_string(ViewStatus status);
 
@@ -56,8 +58,8 @@ class DeployedViewRegistry {
   /// flagged (already-stale views are included and stay stale).
   std::vector<std::string> mark_stale(const std::string& relation);
 
-  /// Names of views whose status is not kValid (the refresh worklist),
-  /// in dependency (NodeId) order.
+  /// Names of kStale views (the refresh worklist), in dependency
+  /// (NodeId) order.
   std::vector<std::string> pending() const;
 
   /// The matcher's candidate set: defs of kValid views only.

@@ -166,8 +166,7 @@ RefreshReport WarehouseDesigner::refresh(const DesignResult& design,
                                          Database& db,
                                          const DeltaSet& base_deltas,
                                          RefreshMode mode,
-                                         ExecStats* stats,
-                                         WorkloadObservatory* obs) const {
+                                         ExecStats* stats) const {
   const MvppGraph& g = design.graph();
   RefreshReport report;
   if (mode == RefreshMode::kIncremental) {
@@ -186,16 +185,6 @@ RefreshReport WarehouseDesigner::refresh(const DesignResult& design,
       report.views.push_back(std::move(entry));
     }
     publish_refresh_report(report);
-  }
-  if (obs != nullptr) {
-    JournalEvent e;
-    e.kind = EventKind::kRefresh;
-    e.mode = to_string(mode);
-    for (const ViewRefresh& v : report.views) {
-      if (v.path != RefreshPath::kSkipped) e.refreshed.push_back(v.view);
-    }
-    obs->record(std::move(e));
-    obs->publish_gauges();
   }
   return report;
 }

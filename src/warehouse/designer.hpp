@@ -20,7 +20,6 @@
 #include "src/maintenance/refresh.hpp"
 #include "src/mvpp/builder.hpp"
 #include "src/mvpp/rewrite.hpp"
-#include "src/obs/workload.hpp"
 
 namespace mvd {
 
@@ -91,13 +90,10 @@ class WarehouseDesigner {
   /// view's refresh plan and applies them in place
   /// (src/maintenance/refresh.hpp); kRecompute re-runs every refresh plan
   /// as deploy does. Both return a per-view report of the path taken.
-  /// When `obs` is given, the round is recorded there as one kRefresh
-  /// journal event listing the views actually touched.
   RefreshReport refresh(const DesignResult& design, Database& db,
                         const DeltaSet& base_deltas,
-                        RefreshMode mode = default_refresh_mode(),
-                        ExecStats* stats = nullptr,
-                        WorkloadObservatory* obs = nullptr) const;
+                        RefreshMode mode = RefreshMode::kRecompute,
+                        ExecStats* stats = nullptr) const;
 
   /// Answer a registered query from the deployed warehouse. (On a
   /// partitioned warehouse, ShardedExecutor runs the same answer_plan

@@ -233,6 +233,47 @@ TEST_F(AggregateExecTest, GlobalAggregateOverEmptyInput) {
   EXPECT_DOUBLE_EQ(r.row(0)[1].as_double(), 0.0);
 }
 
+// The empty-input row of a global MIN/MAX holds a zero of each column's
+// type, the same value on both engines (an untyped int64 zero made the
+// row engine throw on double and bool columns and disagree on dates).
+TEST(AggregateEmptyInputTest, GlobalMinMaxPlaceholderIsTypedOnEveryEngine) {
+  Table t(Schema({{"k", ValueType::kInt64, "T"},
+                  {"d", ValueType::kDouble, "T"},
+                  {"t", ValueType::kDate, "T"},
+                  {"b", ValueType::kBool, "T"},
+                  {"s", ValueType::kString, "T"}}),
+          10.0);
+  t.append({Value::int64(1), Value::real(2.5), Value::date(100),
+            Value::boolean(true), Value::string("x")});
+  Database db;
+  db.add_table("T", std::move(t));
+  Catalog catalog(10.0);
+  catalog.add_relation("T", db.table("T").schema(),
+                       db.table("T").compute_stats());
+  std::vector<AggSpec> specs;
+  for (const char* c : {"k", "d", "t", "b", "s"}) {
+    specs.push_back({AggFn::kMin, c, ""});
+    specs.push_back({AggFn::kMax, c, ""});
+  }
+  const PlanPtr plan = make_aggregate(
+      make_select(make_scan(catalog, "T"), eq(col("k"), lit_i64(999))), {},
+      specs);
+  const Tuple zeros = {Value::int64(0),      Value::int64(0),
+                       Value::real(0),       Value::real(0),
+                       Value::date(0),       Value::date(0),
+                       Value::boolean(false), Value::boolean(false),
+                       Value::string(""),    Value::string("")};
+  for (const ExecMode mode : {ExecMode::kRow, ExecMode::kVectorized}) {
+    const Table r = Executor(db, mode, 1).run(plan);
+    ASSERT_EQ(r.row_count(), 1u) << exec_mode_name(mode);
+    for (std::size_t i = 0; i < zeros.size(); ++i) {
+      EXPECT_TRUE(r.row(0)[i].identical(zeros[i]))
+          << exec_mode_name(mode) << " column " << i << ": "
+          << r.row(0)[i].to_string();
+    }
+  }
+}
+
 TEST_F(AggregateExecTest, GroupedOverEmptyInputIsEmpty) {
   const Executor exec(db_);
   const Table r = exec.run(make_aggregate(

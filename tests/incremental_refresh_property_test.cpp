@@ -3,13 +3,16 @@
 // bag-identical to a recompute-refreshed twin — every stored view and
 // every query answer — across engines and thread counts. The twin's base
 // tables are advanced by applying the captured deltas, so the test also
-// proves the captured delta is exactly (new − old).
+// proves the captured delta is exactly (new − old). The aggregate
+// warehouse must also take every grouped-apply branch (AggregatePaths).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "src/check/maintainability.hpp"
+#include "src/exec/delta.hpp"
 #include "src/maintenance/refresh.hpp"
 #include "src/maintenance/update_stream.hpp"
 #include "src/mvpp/rewrite.hpp"
@@ -18,12 +21,132 @@
 namespace mvd {
 namespace {
 
+/// Branches of the grouped +/- apply (maintain_aggregate_view) and of
+/// incremental_refresh's recompute fallback that a round provably took,
+/// judged from outside: the view's aggregate facts (agg_statics), its
+/// report entry and its stored state before and after the round.
+struct AggregatePaths {
+  std::size_t minmax_applied = 0;  // MIN/MAX view group-applied a delta
+  std::size_t avg_applied = 0;     // AVG view group-applied a delta
+  std::size_t minmax_deletes = 0;  // deletes folded into a MIN/MAX view
+  std::size_t new_groups = 0;
+  std::size_t drained_groups = 0;
+  std::size_t emptied_global = 0;  // global COUNT view group-applied to 0
+  std::size_t sum_int_updates = 0;
+  std::size_t avg_updates = 0;
+  std::size_t min_updates = 0;
+  std::size_t max_updates = 0;
+  std::size_t placeholder_fallbacks = 0;  // global MIN/MAX from COUNT 0
+  std::size_t extremum_fallbacks = 0;     // a delete reached an extremum
+  std::size_t uncounted_minmax_fallbacks = 0;  // deletes without a COUNT
+  std::size_t avg_without_sum_fallbacks = 0;
+  std::size_t recompute_diffs = 0;  // recomputed view with a stored ancestor
+};
+
 struct PathCounts {
   std::size_t skipped = 0;
   std::size_t applied = 0;
   std::size_t group_applied = 0;
   std::size_t recomputed = 0;
+  AggregatePaths aggregates;
 };
+
+/// A stored aggregate view's rows by group key (group columns lead).
+std::map<std::string, const Tuple*> rows_by_group(const Table& t,
+                                                  std::size_t n_groups) {
+  std::map<std::string, const Tuple*> out;
+  for (const Tuple& row : t.rows()) {
+    std::string key;
+    for (std::size_t i = 0; i < n_groups; ++i) key += row[i].to_string() + '|';
+    out.emplace(std::move(key), &row);
+  }
+  return out;
+}
+
+void observe_aggregate_paths(const MvppGraph& g, const MaterializedSet& m,
+                             const Database& before, const Database& after,
+                             const RefreshReport& report,
+                             AggregatePaths& out) {
+  for (const ViewRefresh& e : report.views) {
+    MaterializedSet deps = m;
+    deps.erase(e.id);
+    const PlanPtr plan = refresh_plan(g, e.id, deps);
+    if (e.path == RefreshPath::kRecomputed) {
+      for (const NodeId a : g.ancestors(e.id)) {
+        if (m.contains(a)) {
+          ++out.recompute_diffs;
+          break;
+        }
+      }
+    }
+    if (plan->kind() != OpKind::kAggregate) continue;
+    const auto& agg = static_cast<const AggregateOp&>(*plan);
+    const AggStatics s = agg_statics(agg);
+    const std::size_t n = s.n_groups;
+    const auto old_rows = rows_by_group(before.table(e.view), n);
+    const auto new_rows = rows_by_group(after.table(e.view), n);
+    const auto count_of = [&](const Tuple& row) {
+      return row[n + *s.count_spec].as_int64();
+    };
+
+    if (e.path == RefreshPath::kRecomputed) {
+      const MaintVerdict verdict = certify_refresh_plan(plan).verdict;
+      if (!s.avg_ok) ++out.avg_without_sum_fallbacks;
+      if (verdict == MaintVerdict::kInsertOnly && s.has_minmax) {
+        ++out.uncounted_minmax_fallbacks;
+      }
+      // With a COUNT, a same-column SUM per AVG and a propagatable child,
+      // only the two extremum checks refuse a batch.
+      if (verdict == MaintVerdict::kExtremumHazard) {
+        if (n == 0 && count_of(*old_rows.begin()->second) == 0) {
+          ++out.placeholder_fallbacks;
+        } else {
+          ++out.extremum_fallbacks;
+          ++out.minmax_deletes;
+        }
+      }
+      continue;
+    }
+    if (e.path != RefreshPath::kGroupApplied || e.delta_rows == 0) continue;
+
+    const std::vector<AggSpec>& specs = agg.aggregates();
+    if (s.has_minmax) ++out.minmax_applied;
+    bool has_avg = false;
+    for (const AggSpec& a : specs) has_avg |= a.fn == AggFn::kAvg;
+    if (has_avg) ++out.avg_applied;
+    bool created = false;
+    bool drained = false;
+    for (const auto& [key, row] : new_rows) created |= !old_rows.contains(key);
+    for (const auto& [key, row] : old_rows) drained |= !new_rows.contains(key);
+    if (n > 0 && created) ++out.new_groups;
+    if (n > 0 && drained) ++out.drained_groups;
+    if (n == 0 && s.count_spec.has_value() &&
+        count_of(*old_rows.begin()->second) > 0 &&
+        count_of(*new_rows.begin()->second) == 0) {
+      ++out.emptied_global;
+    }
+
+    // Aggregates rewritten in a group that survives the round.
+    std::map<AggFn, bool> changed;
+    bool shrank = false;
+    for (const auto& [key, row] : new_rows) {
+      const auto it = old_rows.find(key);
+      if (it == old_rows.end()) continue;
+      const Tuple& old_row = *it->second;
+      for (std::size_t j = 0; j < specs.size(); ++j) {
+        if (!old_row[n + j].identical((*row)[n + j])) changed[specs[j].fn] = true;
+      }
+      if (s.count_spec.has_value() && count_of(*row) < count_of(old_row)) {
+        shrank = true;
+      }
+    }
+    if (changed[AggFn::kSumInt]) ++out.sum_int_updates;
+    if (changed[AggFn::kAvg]) ++out.avg_updates;
+    if (changed[AggFn::kMin]) ++out.min_updates;
+    if (changed[AggFn::kMax]) ++out.max_updates;
+    if (s.has_minmax && shrank) ++out.minmax_deletes;
+  }
+}
 
 /// mvcheck's static refresh-path predictions must agree with the paths
 /// incremental_refresh actually took. The per-view frontier is replayed
@@ -116,6 +239,8 @@ PathCounts run_differential(RefreshWorkload w, ExecMode mode,
     const RefreshReport report =
         incremental_refresh(g, m, w.db, batch, &stats, mode, threads);
     expect_predictions_agree(g, m, before_refresh, w.db, batch, report);
+    observe_aggregate_paths(g, m, before_refresh, w.db, report,
+                            paths.aggregates);
     paths.skipped += report.count(RefreshPath::kSkipped);
     paths.applied += report.count(RefreshPath::kApplied);
     paths.group_applied += report.count(RefreshPath::kGroupApplied);
@@ -194,6 +319,76 @@ TEST(IncrementalRefreshPropertyTest, StarDeleteHeavyBatches) {
   run_differential(make_star_workload(), ExecMode::kRow, 1, 6, opts, 109);
 }
 
+/// The aggregate workload must reach every branch AggregatePaths names.
+void expect_every_aggregate_path(const PathCounts& paths) {
+  const AggregatePaths& a = paths.aggregates;
+  EXPECT_GT(paths.group_applied, 0u);
+  EXPECT_GT(a.minmax_applied, 0u);
+  EXPECT_GT(a.avg_applied, 0u);
+  EXPECT_GT(a.minmax_deletes, 0u);
+  EXPECT_GT(a.new_groups, 0u);
+  EXPECT_GT(a.drained_groups, 0u);
+  EXPECT_GT(a.emptied_global, 0u);
+  EXPECT_GT(a.sum_int_updates, 0u);
+  EXPECT_GT(a.avg_updates, 0u);
+  EXPECT_GT(a.min_updates, 0u);
+  EXPECT_GT(a.max_updates, 0u);
+  EXPECT_GT(a.placeholder_fallbacks, 0u);
+  EXPECT_GT(a.extremum_fallbacks, 0u);
+  EXPECT_GT(a.uncounted_minmax_fallbacks, 0u);
+  EXPECT_GT(a.avg_without_sum_fallbacks, 0u);
+  EXPECT_GT(a.recompute_diffs, 0u);
+}
+
+TEST(IncrementalRefreshPropertyTest, AggregateRowEngine) {
+  expect_every_aggregate_path(run_differential(make_aggregate_workload(),
+                                               ExecMode::kRow, 1, 40,
+                                               aggregate_updates(), 113));
+}
+
+TEST(IncrementalRefreshPropertyTest, AggregateVectorizedEngine) {
+  expect_every_aggregate_path(run_differential(make_aggregate_workload(),
+                                               ExecMode::kVectorized, 1, 40,
+                                               aggregate_updates(), 113));
+}
+
+// The binder and the MVPP builder only join on column equalities (other
+// cross-relation conjuncts become selections above the join), so no
+// refresh plan holds an equi key next to a residual conjunct; a hand-built
+// join does. Its propagated delta must turn the old join result into the
+// new one.
+TEST(DeltaJoinTest, EquiKeyWithResidualConjunct) {
+  RefreshWorkload w = make_aggregate_workload();
+  const Catalog& catalog = w.designer.catalog();
+  const PlanPtr join = make_join(
+      make_scan(catalog, "Fact"), make_scan(catalog, "Dim0"),
+      conj({eq(col("Fact.d0"), col("Dim0.id")),
+            lt(col("Fact.measure"), col("Dim0.weight"))}));
+  for (const auto& [mode, threads] :
+       {std::pair{ExecMode::kRow, std::size_t{1}},
+        std::pair{ExecMode::kVectorized, std::size_t{1}},
+        std::pair{ExecMode::kVectorized, std::size_t{4}}}) {
+    Database db = w.db;
+    db.put_table("J", Executor(db, mode, threads).run(join));
+    Rng rng(119);
+    DeltaSet batch;
+    for (const char* rel : {"Fact", "Dim0"}) {
+      apply_update_batch(db, rel, aggregate_updates(), rng, &batch);
+    }
+    DeltaSet frontier;
+    for (const auto& [rel, delta] : batch) {
+      frontier.emplace(rel, delta.compacted());
+    }
+    const std::optional<DeltaTable> delta =
+        DeltaPropagator(db, frontier, mode, threads).propagate(join);
+    ASSERT_TRUE(delta.has_value());
+    EXPECT_GT(delta->row_count(), 0u);
+    db.apply_delta("J", std::move(*delta).compacted());
+    EXPECT_TRUE(
+        same_bag(db.table("J"), Executor(db, mode, threads).run(join)));
+  }
+}
+
 // Separate fixture name so the TSan CI job can include exactly these
 // (mirroring ExecEngineTsanTest): morsel-parallel vectorized full-side
 // production inside delta propagation must be race-free.
@@ -205,6 +400,12 @@ TEST(IncrementalRefreshTsanTest, StarVectorizedFourThreads) {
 TEST(IncrementalRefreshTsanTest, ChainVectorizedFourThreads) {
   run_differential(make_chain_workload(), ExecMode::kVectorized, 4, 8,
                    mixed_updates(), 213);
+}
+
+TEST(IncrementalRefreshTsanTest, AggregateVectorizedFourThreads) {
+  expect_every_aggregate_path(run_differential(make_aggregate_workload(),
+                                               ExecMode::kVectorized, 4, 40,
+                                               aggregate_updates(), 113));
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-// Refresh golden: incremental_refresh rounds on the star, chain and paper
-// warehouses, on the row engine and the vectorized engine at 1 and 4
-// threads. Each round's ExecStats (blocks_read, rows_scanned, batches,
+// Refresh golden: incremental_refresh rounds on the star, chain, paper and
+// aggregate warehouses, on the row engine and the vectorized engine at 1
+// and 4 threads. Each round's ExecStats (blocks_read, rows_scanned, batches,
 // rows_out, delta_rows), its RefreshReport (path, delta_rows, blocks_read
 // and stored_rows per view) and every stored table, row by row with exact
 // value types and bits, render to a canonical text whose 64-bit digest is
 // pinned below. The digests were recorded from a refresh that executed
 // every full side and paired deltas by string keys, so reading stored
 // sides in place, keeping row hashes and key-free pairing must leave every
-// view, report field and counter exactly as they were.
+// view, report field and counter exactly as they were. The aggregate
+// warehouse's digests were recorded before the grouped apply read its
+// static facts from the maintainability analysis, whose ten rounds take
+// every grouped-apply branch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -96,10 +99,13 @@ std::string render_round(const ExecStats& stats, const RefreshReport& report,
   return s;
 }
 
-/// Deploy on `mode` and run kRounds incremental rounds, two relations per
-/// round (as in the differential property tests); one rendering per round.
+/// Deploy on `mode` and run `rounds` incremental rounds, two relations
+/// per round (as in the differential property tests); one rendering per
+/// round.
 std::vector<std::string> round_texts(RefreshWorkload w, ExecMode mode,
-                                     std::size_t threads, std::uint64_t seed) {
+                                     std::size_t threads, std::uint64_t seed,
+                                     const UpdateStreamOptions& updates,
+                                     std::size_t rounds) {
   const MvppGraph& g = w.design.graph();
   MaterializedSet& m = w.design.selection.materialized;
   for (NodeId q : g.query_ids()) m.insert(g.node(q).children[0]);
@@ -107,12 +113,12 @@ std::vector<std::string> round_texts(RefreshWorkload w, ExecMode mode,
 
   std::vector<std::string> texts;
   Rng rng(seed);
-  for (std::size_t round = 0; round < kRounds; ++round) {
+  for (std::size_t round = 0; round < rounds; ++round) {
     DeltaSet batch;
     for (std::size_t k = 0; k < 2; ++k) {
       const std::string& rel =
           w.update_relations[(round + k) % w.update_relations.size()];
-      apply_update_batch(w.db, rel, mixed_updates(), rng, &batch);
+      apply_update_batch(w.db, rel, updates, rng, &batch);
     }
     ExecStats stats;
     const RefreshReport report =
@@ -143,12 +149,14 @@ constexpr Engine kEngines[] = {{"row", ExecMode::kRow, 1},
                                {"vec@4", ExecMode::kVectorized, 4}};
 
 void expect_golden(RefreshWorkload (*make)(), std::uint64_t seed,
-                   const std::vector<std::vector<std::uint64_t>>& golden) {
+                   const std::vector<std::vector<std::uint64_t>>& golden,
+                   const UpdateStreamOptions& updates = mixed_updates(),
+                   std::size_t rounds = kRounds) {
   ASSERT_EQ(golden.size(), std::size(kEngines));
   for (std::size_t e = 0; e < std::size(kEngines); ++e) {
     const Engine& engine = kEngines[e];
-    const std::vector<std::string> texts =
-        round_texts(make(), engine.mode, engine.threads, seed);
+    const std::vector<std::string> texts = round_texts(
+        make(), engine.mode, engine.threads, seed, updates, rounds);
     std::vector<std::uint64_t> got;
     for (const std::string& t : texts) got.push_back(fnv1a(t));
     if (got == golden[e]) continue;
@@ -193,6 +201,24 @@ TEST(RefreshGoldenTest, Paper) {
         0xfb2902fe95a87b1cull, 0x4148a5a2a4e32aa4ull, 0xef6b467fa182cb94ull},
        {0x1b944a6616898d14ull, 0xb2e3b4174d734872ull, 0xbe212b96a121ddb4ull,
         0xfb2902fe95a87b1cull, 0x4148a5a2a4e32aa4ull, 0xef6b467fa182cb94ull}});
+}
+
+TEST(RefreshGoldenTest, Aggregate) {
+  expect_golden(
+      make_aggregate_workload, 113,
+      {{0xc73ff5f6351026c0ull, 0x99f83141ccc4e543ull, 0x382011f7f2d9b56bull,
+        0xe0eafaf2db1d24aeull, 0x9254cc0cad3517d8ull, 0x332ed700aa7b9ebdull,
+        0xf7d842e3b0c15f15ull, 0x8851764b8e637c9aull, 0xac8d3a3fdd06e4f5ull,
+        0x2bc98fd406e5c385ull},
+       {0xe010cb5f55dfa4e4ull, 0x030e20599fd29bdcull, 0x94a0492e51efa6e9ull,
+        0x9d2fc431a88ee5aaull, 0x2d8500d11143553bull, 0x2b5362b872acdb7full,
+        0xcc520edd0aef2b1full, 0xcd4830471344e43eull, 0x8e6a955833e951cdull,
+        0x4fa6b9f6b3fba813ull},
+       {0xe010cb5f55dfa4e4ull, 0x030e20599fd29bdcull, 0x94a0492e51efa6e9ull,
+        0x9d2fc431a88ee5aaull, 0x2d8500d11143553bull, 0x2b5362b872acdb7full,
+        0xcc520edd0aef2b1full, 0xcd4830471344e43eull, 0x8e6a955833e951cdull,
+        0x4fa6b9f6b3fba813ull}},
+      aggregate_updates(), 10);
 }
 
 }  // namespace

@@ -128,7 +128,6 @@ ServeOptions engine_options(ExecMode mode, std::size_t threads = 2) {
   ServeOptions options;
   options.mode = mode;
   options.threads = threads;
-  options.rewrite = true;  // fuzz independently of MVD_SERVE_REWRITE
   return options;
 }
 

@@ -1,6 +1,6 @@
 // mvserve tests: view-subsumption matching and compensation synthesis
 // (src/optimizer/view_rewrite), the deployed-view registry lifecycle
-// (VALID / STALE / BUILDING gating the matcher), MvServer's serve /
+// (VALID / STALE gating the matcher), MvServer's serve /
 // ingest / refresh protocol, and the snapshot-swap concurrency contract
 // (MvserveTsanTest, also run under TSan in CI).
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "src/common/random.hpp"
 #include "src/check/implication.hpp"
 #include "src/lint/registry.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/serve/server.hpp"
 #include "src/sql/lexer.hpp"
@@ -617,21 +619,56 @@ TEST_F(ServeTest, IngestMarksDependentViewsStaleAndMatcherSkipsThem) {
   EXPECT_TRUE(server_->serve(designer_.queries()[0]).rewritten);
 }
 
-TEST_F(ServeTest, BuildingViewsNeverServe) {
+// A view stays STALE, and is skipped, until the one publish of the
+// refresh that rebuilds it: that epoch serves it VALID again.
+TEST_F(ServeTest, StaleViewsServeAgainFromTheRefreshPublish) {
   Rng rng(99);
-  server_->ingest("Order", {}, rng);
-  server_->begin_refresh();
-  EXPECT_EQ(server_->status(view_of("Q4")), ViewStatus::kBuilding);
+  const std::uint64_t ingested = server_->ingest("Order", {}, rng);
+  EXPECT_EQ(server_->status(view_of("Q4")), ViewStatus::kStale);
   const ServeResult r = server_->serve(designer_.queries()[3]);
   EXPECT_FALSE(r.rewritten);
+  EXPECT_EQ(r.epoch, ingested);
 
-  server_->finish_refresh(RefreshMode::kRecompute);
+  EXPECT_EQ(server_->refresh(RefreshMode::kRecompute), ingested + 1);
   EXPECT_EQ(server_->status(view_of("Q4")), ViewStatus::kValid);
   const ServeResult again = server_->serve(designer_.queries()[3]);
   EXPECT_TRUE(again.rewritten);
+  EXPECT_EQ(again.epoch, ingested + 1);
   EXPECT_TRUE(same_bag(
       again.table,
       server_->serve(designer_.queries()[3], ServePath::kBaseOnly).table));
+}
+
+// With counters on, the metrics registry keeps no copy of served traffic:
+// new query fingerprints grow the observatory, and a later write adds no
+// metric to the registry.
+TEST_F(ServeTest, CountersOnWritesDoNotGrowTheRegistryWithTraffic) {
+  set_trace_level(TraceLevel::kCounters);
+  int day = 0;  // each request its own date literal, so its own fingerprint
+  const auto serve_distinct = [&] {
+    for (int i = 0; i < 40; ++i, ++day) {
+      char date[32];
+      std::snprintf(date, sizeof(date), "1996-%02d-%02d", 1 + day / 28,
+                    1 + day % 28);
+      const ServeResult r = server_->serve(
+          std::string("SELECT Customer.city, date FROM Order, Customer "
+                      "WHERE quantity > 100 AND date > DATE '") +
+          date + "' AND Order.Cid = Customer.Cid");
+      EXPECT_TRUE(r.rewritten) << r.refusal;
+    }
+  };
+  Rng rng(11);
+  serve_distinct();
+  server_->ingest("Division", {}, rng);
+  const std::size_t first = MetricsRegistry::global().snapshot().metrics.size();
+  serve_distinct();
+  server_->ingest("Division", {}, rng);
+  const std::size_t second =
+      MetricsRegistry::global().snapshot().metrics.size();
+  set_trace_level(std::nullopt);
+
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(server_->observatory()->stats().queries.size(), 80u);
 }
 
 TEST_F(ServeTest, IncrementalRefreshRestoresServingWithCorrectContent) {

@@ -255,10 +255,6 @@ void render_json(const WorkloadStats& stats, const MvServer* live = nullptr) {
 
 int run_live(double scale, bool json, std::size_t top_n) {
   MvServer server = make_server(scale);
-  if (server.observatory() == nullptr) {
-    std::cerr << "mvstat: observatory disabled (MVD_SERVE_OBSERVE=off)\n";
-    return 1;
-  }
   drive_demo(server);
   const WorkloadStats stats = server.observatory()->stats();
   if (json) {
@@ -306,10 +302,6 @@ int selftest() {
   // 1. Live traffic replays bit-for-bit from the journal.
   const DesignResult design = make_design();
   MvServer server(make_paper_catalog(), design, populate_paper_database(0.02));
-  if (server.observatory() == nullptr) {
-    std::cout << "observatory disabled; cannot self-test\n";
-    return 1;
-  }
   drive_demo(server);
   const WorkloadObservatory& live = *server.observatory();
   const std::vector<JournalEvent> events = live.journal()->events();
