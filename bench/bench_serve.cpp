@@ -493,7 +493,7 @@ int main(int argc, char** argv) {
     miss_proto.latency_ms = miss_r.latency_ms;
     miss_proto.refusals = miss_r.refusals;
 
-    WorkloadObservatory scratch(default_obs_window());
+    WorkloadObservatory scratch;
     scratch.attach_journal(std::make_shared<EventJournal>(
         EventJournal::kDefaultCapacity, std::string()));
     const int iters = smoke ? 100'000 : 400'000;

@@ -1,7 +1,8 @@
 // Retail star-schema walkthrough: generate a synthetic retail warehouse
 // (fact table + dimensions), design views, deploy them over real data,
 // answer the workload from the deployed warehouse and verify against
-// from-scratch evaluation, then apply update batches and refresh.
+// from-scratch evaluation, then apply update batches and refresh. Exits 1
+// when an answer or the post-refresh check disagrees with the scratch run.
 #include <iostream>
 
 #include "src/common/random.hpp"
@@ -44,18 +45,20 @@ int main() {
   // 5. Deploy the chosen views and answer the workload from them.
   designer.deploy(design, db);
   const Executor scratch_exec(db);
+  bool ok = true;
   for (const QuerySpec& q : designer.queries()) {
     ExecStats with_views;
     const Table answer = designer.answer(design, q.name(), db, &with_views);
     ExecStats from_scratch;
     const Table expected =
         scratch_exec.run(canonical_plan(designer.catalog(), q), &from_scratch);
+    const bool match = same_bag(answer, expected);
+    ok = ok && match;
     std::cout << q.name() << ": " << answer.row_count() << " rows, "
               << format_blocks(with_views.blocks_read)
               << " blocks via views vs "
               << format_blocks(from_scratch.blocks_read) << " from scratch ("
-              << (same_bag(answer, expected) ? "answers match"
-                                             : "ANSWERS DIFFER!")
+              << (match ? "answers match" : "ANSWERS DIFFER!")
               << ")\n";
   }
 
@@ -71,7 +74,7 @@ int main() {
   const Table after = designer.answer(design, "Q1", db);
   const Table expected = Executor(db).run(
       canonical_plan(designer.catalog(), designer.queries().front()));
-  std::cout << (same_bag(after, expected) ? "consistent" : "INCONSISTENT")
-            << '\n';
-  return 0;
+  const bool consistent = same_bag(after, expected);
+  std::cout << (consistent ? "consistent" : "INCONSISTENT") << '\n';
+  return ok && consistent ? 0 : 1;
 }

@@ -1,6 +1,5 @@
 #include "src/exec/delta.hpp"
 
-#include <unordered_map>
 #include <utility>
 
 #include "src/algebra/eval.hpp"
@@ -10,85 +9,6 @@
 #include "src/obs/metrics.hpp"
 
 namespace mvd {
-
-namespace {
-
-/// Signed sink over an output delta: +1 rows land in the insert bag,
-/// -1 rows in the delete bag, after the residual predicate (if any).
-struct DeltaSink {
-  DeltaTable* out;
-  const CompiledExpr* residual;  // over the concatenated join schema
-
-  void emit(int sign, const Tuple& left, const Tuple& right) {
-    Tuple joined = left;
-    joined.insert(joined.end(), right.begin(), right.end());
-    if (residual != nullptr && !residual->matches(joined)) return;
-    if (sign > 0) {
-      out->add_insert(std::move(joined));
-    } else {
-      out->add_delete(std::move(joined));
-    }
-  }
-};
-
-/// One hash-join term: build on the (small) signed delta, probe with the
-/// full side. `delta_on_left` says which side of the output the delta's
-/// tuples occupy; `term_sign` multiplies the delta's own signs.
-void join_delta_with_full(const DeltaTable& delta, const Table& full,
-                          const std::vector<std::size_t>& delta_idx,
-                          const std::vector<std::size_t>& full_idx,
-                          bool delta_on_left, int term_sign, DeltaSink& sink) {
-  // Build: (hash, sign, row index into the signed bag pair).
-  std::unordered_multimap<std::size_t, std::pair<int, const Tuple*>> table;
-  table.reserve(delta.row_count());
-  for (const Tuple& t : delta.inserts().rows()) {
-    table.emplace(tuple_hash_key(t, delta_idx), std::make_pair(1, &t));
-  }
-  for (const Tuple& t : delta.deletes().rows()) {
-    table.emplace(tuple_hash_key(t, delta_idx), std::make_pair(-1, &t));
-  }
-  for (const Tuple& p : full.rows()) {
-    auto [lo, hi] = table.equal_range(tuple_hash_key(p, full_idx));
-    for (auto it = lo; it != hi; ++it) {
-      const Tuple& d = *it->second.second;
-      if (!tuple_keys_equal(d, delta_idx, p, full_idx)) continue;
-      const int sign = term_sign * it->second.first;
-      if (delta_on_left) {
-        sink.emit(sign, d, p);
-      } else {
-        sink.emit(sign, p, d);
-      }
-    }
-  }
-}
-
-/// The ΔL ⋈ ΔR correction term: signed product with `term_sign` (the
-/// algebra subtracts it, so callers pass -1).
-void join_delta_with_delta(const DeltaTable& l, const DeltaTable& r,
-                           const std::vector<std::size_t>& l_idx,
-                           const std::vector<std::size_t>& r_idx,
-                           int term_sign, DeltaSink& sink) {
-  std::unordered_multimap<std::size_t, std::pair<int, const Tuple*>> table;
-  table.reserve(l.row_count());
-  for (const Tuple& t : l.inserts().rows()) {
-    table.emplace(tuple_hash_key(t, l_idx), std::make_pair(1, &t));
-  }
-  for (const Tuple& t : l.deletes().rows()) {
-    table.emplace(tuple_hash_key(t, l_idx), std::make_pair(-1, &t));
-  }
-  auto probe = [&](const Tuple& p, int p_sign) {
-    auto [lo, hi] = table.equal_range(tuple_hash_key(p, r_idx));
-    for (auto it = lo; it != hi; ++it) {
-      const Tuple& d = *it->second.second;
-      if (!tuple_keys_equal(d, l_idx, p, r_idx)) continue;
-      sink.emit(term_sign * it->second.first * p_sign, d, p);
-    }
-  };
-  for (const Tuple& t : r.inserts().rows()) probe(t, 1);
-  for (const Tuple& t : r.deletes().rows()) probe(t, -1);
-}
-
-}  // namespace
 
 DeltaPropagator::DeltaPropagator(const Database& db, const DeltaSet& deltas,
                                  ExecMode mode, std::size_t threads)
@@ -259,13 +179,24 @@ std::optional<DeltaTable> DeltaPropagator::delta_join(
     l_idx.push_back(li);
     r_idx.push_back(ri);
   }
-  std::unique_ptr<CompiledExpr> residual;
-  if (!split.residual.empty()) {
-    std::vector<ExprPtr> preds = split.residual;
-    residual = std::make_unique<CompiledExpr>(conj(std::move(preds)),
-                                              Schema::concat(ls, rs));
-  }
-  DeltaSink sink{&out, residual.get()};
+  const RowJoiner joiner(split, ls, rs);
+  auto emit = [&](int sign, const Tuple& left, const Tuple& right) {
+    if (auto row = joiner.join(left, right)) {
+      if (sign > 0) {
+        out.add_insert(std::move(*row));
+      } else {
+        out.add_delete(std::move(*row));
+      }
+    }
+  };
+  // Each term builds on a (small) signed delta, inserts before deletes,
+  // with the sign as payload.
+  auto build = [](const DeltaTable& d, const std::vector<std::size_t>& idx) {
+    RowHashIndex index(idx, d.row_count());
+    for (const Tuple& t : d.inserts().rows()) index.insert(t, 1);
+    for (const Tuple& t : d.deletes().rows()) index.insert(t, -1);
+    return index;
+  };
 
   // Δ(L ⋈ R) = ΔL ⋈ R' + L' ⋈ ΔR − ΔL ⋈ ΔR, primed = post-update.
   if (!l->empty()) {
@@ -276,8 +207,11 @@ std::optional<DeltaTable> DeltaPropagator::delta_join(
           static_cast<double>(l->row_count() + rfull.row_count());
       stats->batches += 2;
     }
-    join_delta_with_full(*l, rfull, l_idx, r_idx, /*delta_on_left=*/true,
-                         /*term_sign=*/1, sink);
+    const RowHashIndex index = build(*l, l_idx);
+    for (const Tuple& p : rfull.rows()) {
+      index.probe(p, r_idx,
+                  [&](const Tuple& d, int sign) { emit(sign, d, p); });
+    }
   }
   if (!r->empty()) {
     const Table& lfull = full(lp, stats);
@@ -287,15 +221,26 @@ std::optional<DeltaTable> DeltaPropagator::delta_join(
           static_cast<double>(r->row_count() + lfull.row_count());
       stats->batches += 2;
     }
-    join_delta_with_full(*r, lfull, r_idx, l_idx, /*delta_on_left=*/false,
-                         /*term_sign=*/1, sink);
+    const RowHashIndex index = build(*r, r_idx);
+    for (const Tuple& p : lfull.rows()) {
+      index.probe(p, l_idx,
+                  [&](const Tuple& d, int sign) { emit(sign, p, d); });
+    }
   }
   if (!l->empty() && !r->empty()) {
     if (stats != nullptr) {
       stats->blocks_read += l->blocks() + r->blocks();
       stats->batches += 2;
     }
-    join_delta_with_delta(*l, *r, l_idx, r_idx, /*term_sign=*/-1, sink);
+    // The correction term, subtracted: each pair's sign is negated.
+    const RowHashIndex index = build(*l, l_idx);
+    auto probe = [&](const Tuple& p, int p_sign) {
+      index.probe(p, r_idx, [&](const Tuple& d, int sign) {
+        emit(-sign * p_sign, d, p);
+      });
+    };
+    for (const Tuple& t : r->inserts().rows()) probe(t, 1);
+    for (const Tuple& t : r->deletes().rows()) probe(t, -1);
   }
   return out;
 }

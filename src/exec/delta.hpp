@@ -9,7 +9,7 @@
 //   Δ(R ⋈ S)  = ΔR ⋈ S' + R' ⋈ ΔS − ΔR ⋈ ΔS  — primed sides are the
 //               post-update states
 //
-// Join terms reuse the hash-join internals of exec_internal.hpp, always
+// Join terms run the row engine's hash join (exec_internal.hpp), always
 // building on the (small) delta side and probing with the full side. A
 // full side that is a bare scan of a stored table (a base relation or a
 // frontier view) is probed in place, charged exactly as the configured

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
-#include <unordered_map>
 
 #include "src/algebra/eval.hpp"
 #include "src/check/check.hpp"
@@ -254,25 +253,13 @@ Executor::Rows Executor::exec_project(const ProjectOp& op,
 
 Executor::Rows Executor::exec_join(const JoinOp& op, const Rows& left,
                                    const Rows& right, ExecStats* stats) const {
-  const Schema& ls = left.schema();
-  const Schema& rs = right.schema();
-  const JoinSplit split = split_join_predicate(op, ls, rs);
-
+  const JoinSplit split = split_join_predicate(op, left.schema(),
+                                               right.schema());
+  const RowJoiner joiner(split, left.schema(), right.schema());
   auto out = std::make_shared<Table>(op.output_schema(),
                                      left.table->blocking_factor());
-  const Schema joint = Schema::concat(ls, rs);
-  std::unique_ptr<CompiledExpr> residual;
-  if (!split.residual.empty()) {
-    std::vector<ExprPtr> preds = split.residual;
-    residual = std::make_unique<CompiledExpr>(conj(std::move(preds)), joint);
-  }
-
   auto emit = [&](const Tuple& l, const Tuple& r) {
-    Tuple joined = l;
-    joined.insert(joined.end(), r.begin(), r.end());
-    if (residual == nullptr || residual->matches(joined)) {
-      out->append(std::move(joined));
-    }
+    if (auto row = joiner.join(l, r)) out->append(std::move(*row));
   };
 
   if (stats != nullptr) {
@@ -282,29 +269,22 @@ Executor::Rows Executor::exec_join(const JoinOp& op, const Rows& left,
   if (!split.equi.empty()) {
     // Build on the smaller side, probe with the larger.
     const bool build_right = right.size() <= left.size();
-    const std::span<const Tuple> build = (build_right ? right : left).rows();
-    const std::span<const Tuple> probe = (build_right ? left : right).rows();
     std::vector<std::size_t> build_idx, probe_idx;
     for (const auto& [li, ri] : split.equi) {
       build_idx.push_back(build_right ? ri : li);
       probe_idx.push_back(build_right ? li : ri);
     }
-    std::unordered_multimap<std::size_t, std::size_t> table;
-    table.reserve(build.size());
-    for (std::size_t i = 0; i < build.size(); ++i) {
-      table.emplace(tuple_hash_key(build[i], build_idx), i);
-    }
-    for (const Tuple& p : probe) {
-      auto [lo, hi] = table.equal_range(tuple_hash_key(p, probe_idx));
-      for (auto it = lo; it != hi; ++it) {
-        const Tuple& b = build[it->second];
-        if (!tuple_keys_equal(p, probe_idx, b, build_idx)) continue;
+    const std::span<const Tuple> build = (build_right ? right : left).rows();
+    RowHashIndex index(std::move(build_idx), build.size());
+    for (const Tuple& b : build) index.insert(b);
+    for (const Tuple& p : (build_right ? left : right).rows()) {
+      index.probe(p, probe_idx, [&](const Tuple& b, int) {
         if (build_right) {
           emit(p, b);
         } else {
           emit(b, p);
         }
-      }
+      });
     }
     if (stats != nullptr) stats->blocks_read += left.blocks() + right.blocks();
   } else {
@@ -330,57 +310,11 @@ Executor::Rows Executor::exec_aggregate(const AggregateOp& op, const Rows& in,
     stats->rows_scanned += static_cast<double>(in.size());
     stats->batches += 1;
   }
-  const Schema& is = in.schema();
-  std::vector<std::size_t> group_idx;
-  for (const std::string& g : op.group_by()) {
-    group_idx.push_back(is.index_of(g));
-  }
-  std::vector<std::size_t> agg_idx;  // SIZE_MAX for COUNT(*)
-  for (const AggSpec& a : op.aggregates()) {
-    agg_idx.push_back(a.column.empty() ? SIZE_MAX : is.index_of(a.column));
-  }
-
-  // Hash aggregation over packed group keys (see exec_internal.hpp);
-  // first-seen order vector keeps the output deterministic.
-  struct Group {
-    Tuple key_values;
-    std::vector<Accumulator> accs;
-  };
-  std::unordered_map<std::string, std::size_t> index;
-  std::vector<Group> groups;
-  std::string key;
-  for (const Tuple& t : in.rows()) {
-    key.clear();
-    for (std::size_t gi : group_idx) append_packed_key(key, t[gi]);
-    auto [it, inserted] = index.try_emplace(key, groups.size());
-    if (inserted) {
-      Group g;
-      g.key_values.reserve(group_idx.size());
-      for (std::size_t gi : group_idx) g.key_values.push_back(t[gi]);
-      g.accs.resize(op.aggregates().size());
-      groups.push_back(std::move(g));
-    }
-    std::vector<Accumulator>& accs = groups[it->second].accs;
-    for (std::size_t a = 0; a < agg_idx.size(); ++a) {
-      accs[a].feed(agg_idx[a] == SIZE_MAX ? Value::int64(1) : t[agg_idx[a]]);
-    }
-  }
-  // SQL semantics: a global aggregate over an empty input yields one row.
-  if (groups.empty() && op.group_by().empty()) {
-    groups.push_back({Tuple{}, std::vector<Accumulator>(op.aggregates().size())});
-  }
-
+  GroupTable groups(op, in.schema());
+  for (const Tuple& t : in.rows()) groups.feed(t);
   auto out = std::make_shared<Table>(op.output_schema(),
                                      in.table->blocking_factor());
-  const Schema& os = op.output_schema();
-  for (const Group& g : groups) {
-    Tuple row = g.key_values;
-    for (std::size_t a = 0; a < g.accs.size(); ++a) {
-      row.push_back(g.accs[a].result(op.aggregates()[a].fn,
-                                     os.at(group_idx.size() + a).type));
-    }
-    out->append(std::move(row));
-  }
+  groups.emit(*out);
   return Rows::all(std::move(out));
 }
 

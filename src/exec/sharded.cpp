@@ -2,7 +2,6 @@
 
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "src/algebra/expr.hpp"
@@ -291,103 +290,41 @@ Table ShardedExecutor::run_spine_aggregate(const PlanPtr& plan,
   const PlanPtr& child = agg.children()[0];
   const Schema& is = child->output_schema();
 
-  std::vector<std::size_t> group_idx;
-  for (const std::string& g : agg.group_by()) {
-    group_idx.push_back(is.index_of(g));
-  }
-  std::vector<std::size_t> agg_idx;  // SIZE_MAX for COUNT(*)
-  for (const AggSpec& spec : agg.aggregates()) {
-    agg_idx.push_back(spec.column.empty() ? SIZE_MAX
-                                          : is.index_of(spec.column));
-  }
-
-  // Per-bucket partial: packed-key hash aggregation in first-seen order —
-  // exactly the engines' aggregation, restricted to this bucket's rows.
-  struct Partial {
-    std::vector<Tuple> keys;
-    std::vector<std::vector<Accumulator>> accs;
-    double bf = 10.0;
-  };
-  std::vector<std::optional<Partial>> partials(Database::kBuckets);
+  // Per-bucket partial: the row engine's hash aggregation, restricted to
+  // this bucket's rows.
+  std::vector<std::optional<GroupTable>> partials(Database::kBuckets);
+  std::vector<double> partial_bf(Database::kBuckets);
   std::vector<ExecStats> shard_stats(db_->shards());
   const std::string partial_label = "partial(" + agg.label() + ")";
   run_buckets(
       child, a, shard_stats, [&](std::size_t s, std::size_t b, Table in) {
         shard_stats[s].rows_scanned += static_cast<double>(in.row_count());
         shard_stats[s].batches += 1;
-        Partial p;
-        p.bf = in.blocking_factor();
-        std::unordered_map<std::string, std::size_t> index;
-        std::string key;
-        for (const Tuple& t : in.rows()) {
-          key.clear();
-          for (std::size_t gi : group_idx) append_packed_key(key, t[gi]);
-          auto [it, inserted] = index.try_emplace(key, p.keys.size());
-          if (inserted) {
-            Tuple kv;
-            kv.reserve(group_idx.size());
-            for (std::size_t gi : group_idx) kv.push_back(t[gi]);
-            p.keys.push_back(std::move(kv));
-            p.accs.emplace_back(agg.aggregates().size());
-          }
-          std::vector<Accumulator>& accs = p.accs[it->second];
-          for (std::size_t j = 0; j < agg_idx.size(); ++j) {
-            accs[j].feed(agg_idx[j] == SIZE_MAX ? Value::int64(1)
-                                                : t[agg_idx[j]]);
-          }
-        }
+        GroupTable& p = partials[b].emplace(agg, is);
+        for (const Tuple& t : in.rows()) p.feed(t);
+        partial_bf[b] = in.blocking_factor();
         shard_stats[s].rows_out[partial_label] +=
-            static_cast<double>(p.keys.size());
-        partials[b].emplace(std::move(p));
+            static_cast<double>(p.size());
       });
 
   // Final merge on the calling thread, buckets in ascending order: group
   // order is first-seen across the bucket-order concatenation, partials
   // fold via Accumulator::merge — deterministic at any (shards, threads).
   MVD_TRACE_SPAN("exec.exchange", "gather");
-  std::vector<Tuple> keys;
-  std::vector<std::vector<Accumulator>> accs;
-  std::unordered_map<std::string, std::size_t> index;
+  GroupTable groups(agg, is);
   double partial_rows = 0;
   double partial_blocks = 0;
   std::optional<double> bf;
-  std::string key;
-  for (std::optional<Partial>& slot : partials) {
-    if (!slot.has_value()) continue;
-    Partial& p = *slot;
-    if (!bf.has_value()) bf = p.bf;
-    partial_rows += static_cast<double>(p.keys.size());
-    partial_blocks += Table::blocks_of(p.keys.size(), p.bf);
-    for (std::size_t g = 0; g < p.keys.size(); ++g) {
-      key.clear();
-      for (const Value& v : p.keys[g]) append_packed_key(key, v);
-      auto [it, inserted] = index.try_emplace(key, keys.size());
-      if (inserted) {
-        keys.push_back(std::move(p.keys[g]));
-        accs.emplace_back(agg.aggregates().size());
-      }
-      std::vector<Accumulator>& into = accs[it->second];
-      for (std::size_t j = 0; j < into.size(); ++j) {
-        into[j].merge(p.accs[g][j]);
-      }
-    }
+  for (std::size_t b = 0; b < Database::kBuckets; ++b) {
+    if (!partials[b].has_value()) continue;
+    if (!bf.has_value()) bf = partial_bf[b];
+    const std::size_t n = partials[b]->size();
+    partial_rows += static_cast<double>(n);
+    partial_blocks += Table::blocks_of(n, partial_bf[b]);
+    groups.merge(std::move(*partials[b]));
   }
-  // SQL semantics: a global aggregate over an empty input yields one row.
-  if (keys.empty() && agg.group_by().empty()) {
-    keys.emplace_back();
-    accs.emplace_back(agg.aggregates().size());
-  }
-
-  const Schema& os = agg.output_schema();
-  Table merged(os, bf.value_or(10.0));
-  for (std::size_t g = 0; g < keys.size(); ++g) {
-    Tuple row = std::move(keys[g]);
-    for (std::size_t j = 0; j < accs[g].size(); ++j) {
-      row.push_back(accs[g][j].result(agg.aggregates()[j].fn,
-                                      os.at(group_idx.size() + j).type));
-    }
-    merged.append(std::move(row));
-  }
+  Table merged(agg.output_schema(), bf.value_or(10.0));
+  groups.emit(merged);
 
   record_gather(db_->exchange_log(), partial_rows, partial_blocks);
   if (stats != nullptr) {

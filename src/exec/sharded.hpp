@@ -18,9 +18,9 @@
 //   non-aggregate spine      the full plan per bucket, per-bucket results
 //                            concatenated in bucket order (gather)
 //   aggregate on the spine   the lowest spine aggregate's child per
-//                            bucket, each bucket's rows folded into
-//                            packed-key Accumulator partials (exactly the
-//                            row engine's hash aggregation), partials
+//                            bucket, each bucket's rows folded into a
+//                            partial GroupTable (the row engine's hash
+//                            aggregation), partials
 //                            merged in bucket order (partial -> final
 //                            aggregation), then the plan's remainder —
 //                            the ancestors above the aggregate — run with

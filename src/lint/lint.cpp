@@ -64,11 +64,7 @@ LintHookLevel lint_hook_level() {
   // Re-read the environment on every call so tests can flip the level at
   // runtime; one getenv is the entire cost of disabled hooks.
   if (const char* env = std::getenv("MVD_LINT_LEVEL")) return parse_level(env);
-#ifdef MVD_LINT_LEVEL_DEFAULT
-  return parse_level(MVD_LINT_LEVEL_DEFAULT);
-#else
   return LintHookLevel::kOff;
-#endif
 }
 
 void set_lint_hook_level(std::optional<LintHookLevel> level) {

@@ -6,8 +6,7 @@
 // selection (`selection`). Hooks are off unless a level is configured:
 //
 //   MVD_LINT_LEVEL=error|warn|info   (environment, checked per call)
-//   -DMVD_LINT_LEVEL_DEFAULT=...     (CMake, used when the env is unset)
-//   set_lint_hook_level(...)         (programmatic, wins over both)
+//   set_lint_hook_level(...)         (programmatic, wins over it)
 //
 // At level `error` a hook runs the registry and throws AssertionError
 // when any error-severity diagnostic fires; `warn` and `info`

@@ -62,13 +62,6 @@ double RefreshReport::total_blocks_read() const {
 
 namespace {
 
-std::string packed_row_key(const Tuple& t,
-                           const std::vector<std::size_t>& indices) {
-  std::string key;
-  for (std::size_t i : indices) append_packed_key(key, t[i]);
-  return key;
-}
-
 /// Accumulated effect of one child delta on one group of an aggregate
 /// view. `ins` mirrors the engine's accumulators over the insert rows
 /// alone (exactly what a fresh group's row is built from); deleted-value
@@ -89,15 +82,9 @@ struct GroupDelta {
 std::optional<GroupApplyResult> maintain_aggregate_view(
     const AggregateOp& op, const Table& stored,
     const DeltaTable& child_delta) {
-  const Schema& is = child_delta.schema();
   const std::vector<AggSpec>& specs = op.aggregates();
 
-  std::vector<std::size_t> group_idx;
-  for (const std::string& g : op.group_by()) group_idx.push_back(is.index_of(g));
-  std::vector<std::size_t> agg_idx;  // SIZE_MAX for COUNT(*)
-  for (const AggSpec& a : specs) {
-    agg_idx.push_back(a.column.empty() ? SIZE_MAX : is.index_of(a.column));
-  }
+  const AggInputs in(op, child_delta.schema());
 
   // The batch-independent facts (src/check/maintainability): an AVG needs
   // a COUNT and a same-column SUM to be rebuilt exactly.
@@ -116,13 +103,13 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
     return std::nullopt;
   }
 
-  // Fold the child delta into per-group effects.
-  std::unordered_map<std::string, std::size_t> affected_index;
+  // Fold the child delta into per-group effects, groups in first-seen
+  // order.
+  GroupIndex affected_index;
   std::vector<GroupDelta> affected;
-  std::vector<std::string> affected_keys;  // first-seen order
   auto group_of = [&](const Tuple& t) -> GroupDelta& {
-    std::string key = packed_row_key(t, group_idx);
-    auto [it, inserted] = affected_index.try_emplace(key, affected.size());
+    const auto [a, inserted] =
+        affected_index.try_emplace(t, in.group, affected.size());
     if (inserted) {
       GroupDelta g;
       g.dsum.resize(specs.size(), 0);
@@ -130,18 +117,16 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
       g.del_lo.resize(specs.size());
       g.del_hi.resize(specs.size());
       g.group_values.reserve(n_groups);
-      for (std::size_t gi : group_idx) g.group_values.push_back(t[gi]);
+      for (std::size_t gi : in.group) g.group_values.push_back(t[gi]);
       affected.push_back(std::move(g));
-      affected_keys.push_back(std::move(key));
     }
-    return affected[it->second];
+    return affected[a];
   };
   for (const Tuple& t : child_delta.inserts().rows()) {
     GroupDelta& g = group_of(t);
     g.dn += 1;
     for (std::size_t j = 0; j < specs.size(); ++j) {
-      const Value v =
-          agg_idx[j] == SIZE_MAX ? Value::int64(1) : t[agg_idx[j]];
+      const Value v = in.value(t, j);
       if (specs[j].fn == AggFn::kSum || specs[j].fn == AggFn::kSumInt) {
         g.dsum[j] += v.as_double();
       }
@@ -153,8 +138,7 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
     g.dn -= 1;
     g.saw_delete = true;
     for (std::size_t j = 0; j < specs.size(); ++j) {
-      const Value v =
-          agg_idx[j] == SIZE_MAX ? Value::int64(1) : t[agg_idx[j]];
+      const Value v = in.value(t, j);
       if (specs[j].fn == AggFn::kSum || specs[j].fn == AggFn::kSumInt) {
         g.dsum[j] -= v.as_double();
       }
@@ -172,39 +156,52 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
   // Index stored rows by group key (group columns lead the view schema).
   std::vector<std::size_t> stored_group_idx;
   for (std::size_t i = 0; i < n_groups; ++i) stored_group_idx.push_back(i);
-  std::unordered_map<std::string, std::size_t> stored_index;
+  GroupIndex stored_index;
   stored_index.reserve(stored.row_count());
   for (std::size_t i = 0; i < stored.row_count(); ++i) {
-    stored_index.emplace(packed_row_key(stored.row(i), stored_group_idx), i);
+    stored_index.try_emplace(stored.row(i), stored_group_idx, i);
   }
 
   // Dynamic checks + new-row computation, before any mutation.
   const Schema& os = stored.schema();
   std::unordered_map<std::size_t, std::optional<Tuple>> replacements;
   std::vector<Tuple> fresh_rows;
-  for (std::size_t a = 0; a < affected.size(); ++a) {
-    const GroupDelta& g = affected[a];
-    const auto sit = stored_index.find(affected_keys[a]);
-    if (sit == stored_index.end()) {
+  for (const GroupDelta& g : affected) {
+    const std::optional<std::size_t> at =
+        stored_index.find(g.group_values, stored_group_idx);
+    if (!at.has_value()) {
       if (g.saw_delete) {
         throw ExecError(
             "aggregate delta deletes from a group absent in the stored view "
             "(stale or clobbered view?)");
       }
-      Tuple row = g.group_values;
-      for (std::size_t j = 0; j < specs.size(); ++j) {
-        row.push_back(g.ins[j].result(specs[j].fn, os.at(n_groups + j).type));
-      }
-      fresh_rows.push_back(std::move(row));
+      fresh_rows.push_back(aggregate_row(specs, os, g.group_values, g.ins));
       continue;
     }
-    const Tuple& old = stored.row(sit->second);
+    const Tuple& old = stored.row(*at);
     std::int64_t old_count = 0;
     if (count_spec.has_value()) {
       old_count = old[n_groups + *count_spec].as_int64();
     }
     if (n_groups == 0 && has_minmax && old_count == 0) {
       return std::nullopt;  // placeholder extrema are not maintainable
+    }
+    const std::int64_t new_count = old_count + g.dn;
+    if (count_spec.has_value() && new_count < 0) {
+      throw ExecError(
+          "aggregate delta drives a group count negative (stale or "
+          "clobbered view?)");
+    }
+    // A drained group needs no extremum: it goes, or a global aggregate
+    // over a now-empty input stores the engine's placeholder row.
+    if (count_spec.has_value() && new_count == 0) {
+      std::optional<Tuple> placeholder;
+      if (n_groups == 0) {
+        placeholder = aggregate_row(specs, os, {},
+                                    std::vector<Accumulator>(specs.size()));
+      }
+      replacements.emplace(*at, std::move(placeholder));
+      continue;
     }
     for (std::size_t j = 0; j < specs.size(); ++j) {
       const std::size_t c = n_groups + j;
@@ -216,25 +213,6 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
           g.del_hi[j]->compare(old[c]) >= 0) {
         return std::nullopt;
       }
-    }
-    const std::int64_t new_count = old_count + g.dn;
-    if (count_spec.has_value() && new_count < 0) {
-      throw ExecError(
-          "aggregate delta drives a group count negative (stale or "
-          "clobbered view?)");
-    }
-    if (count_spec.has_value() && new_count == 0) {
-      if (n_groups > 0) {
-        replacements.emplace(sit->second, std::nullopt);  // group emptied
-        continue;
-      }
-      // Global aggregate over a now-empty input: the engine's placeholder.
-      Tuple row;
-      for (std::size_t j = 0; j < specs.size(); ++j) {
-        row.push_back(Accumulator{}.result(specs[j].fn, os.at(j).type));
-      }
-      replacements.emplace(sit->second, std::move(row));
-      continue;
     }
     Tuple row = old;
     for (std::size_t j = 0; j < specs.size(); ++j) {
@@ -271,7 +249,7 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
           break;
       }
     }
-    replacements.emplace(sit->second, std::move(row));
+    replacements.emplace(*at, std::move(row));
   }
 
   // Rebuild the stored view, collecting its own delta for ancestors.

@@ -86,8 +86,8 @@ struct GroupApplyResult {
 /// the stored aggregate view by grouped +/- maintenance. Returns nullopt
 /// when this batch is not self-maintainable — AVG without a COUNT and a
 /// same-column SUM to recover exact state from, deletes without a COUNT
-/// to detect emptied groups, or a delete reaching a stored MIN/MAX —
-/// in which case the caller recomputes. Throws ExecError when the delta
+/// to detect emptied groups, or a delete reaching the stored MIN/MAX of
+/// a group it does not drain — in which case the caller recomputes. Throws ExecError when the delta
 /// disagrees with the stored view (negative counts, deletes into absent
 /// groups).
 std::optional<GroupApplyResult> maintain_aggregate_view(

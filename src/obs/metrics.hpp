@@ -13,8 +13,7 @@
 // atomic, so the hot-path guards counters_enabled()/spans_enabled() cost
 // one relaxed load and a compare — instrumented code left in release
 // builds is effectively free when tracing is off (bench Ext-K pins the
-// overhead under 1%). Defining MVD_OBS_DISABLED at compile time removes
-// the span macros entirely (src/obs/trace.hpp).
+// overhead under 1%).
 //
 // Metric handles returned by counter()/gauge()/histogram() are stable for
 // the registry's lifetime and individually thread-safe (atomics), so hot

@@ -25,9 +25,7 @@
 //   Tracer::global().counter("exec/vec/morsels", count);  // counter track
 //
 // Everything is a no-op unless spans_enabled() (MVD_TRACE=spans); the
-// RAII constructor costs one relaxed load + branch when off. Compiling
-// with -DMVD_OBS_DISABLED removes the MVD_TRACE_SPAN macro bodies
-// entirely for zero-instruction builds.
+// RAII constructor costs one relaxed load + branch when off.
 #pragma once
 
 #include <cstdint>
@@ -142,12 +140,8 @@ class TraceSpan {
 #define MVD_OBS_CONCAT_INNER(a, b) a##b
 #define MVD_OBS_CONCAT(a, b) MVD_OBS_CONCAT_INNER(a, b)
 
-#ifdef MVD_OBS_DISABLED
-#define MVD_TRACE_SPAN(category, name) ((void)0)
-#else
 /// Anonymous RAII span covering the rest of the enclosing scope.
 #define MVD_TRACE_SPAN(category, name) \
   ::mvd::TraceSpan MVD_OBS_CONCAT(mvd_trace_span_, __COUNTER__)(category, name)
-#endif
 
 }  // namespace mvd

@@ -28,15 +28,6 @@ std::string fingerprint_id(const std::string& fingerprint) {
   return id;
 }
 
-std::size_t default_obs_window() {
-  const char* env = std::getenv("MVD_OBS_WINDOW");
-  if (env == nullptr) return 512;
-  char* end = nullptr;
-  const unsigned long n = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0' || n == 0) return 512;
-  return static_cast<std::size_t>(n);
-}
-
 const std::vector<double>& serve_latency_bounds() {
   static const std::vector<double> bounds = {0.05, 0.1, 0.25, 0.5, 1,  2.5,
                                              5,    10,  25,   50,  100, 500};
@@ -306,7 +297,7 @@ DriftReport compute_drift(const WorkloadStats& stats) {
 // ---- WorkloadObservatory ----------------------------------------------
 
 WorkloadObservatory::WorkloadObservatory(std::size_t window)
-    : window_(window == 0 ? default_obs_window() : window) {
+    : window_(window == 0 ? kDefaultObsWindow : window) {
   state_.window = window_;
   state_.latency_counts.assign(serve_latency_bounds().size() + 1, 0);
 }
@@ -450,7 +441,7 @@ std::unique_ptr<WorkloadObservatory> replay_journal(
     }
   }
   auto obs = std::make_unique<WorkloadObservatory>(
-      window == 0 ? default_obs_window() : window);
+      window == 0 ? kDefaultObsWindow : window);
   for (const JournalEvent& e : events) obs->record(e);
   return obs;
 }

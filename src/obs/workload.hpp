@@ -56,9 +56,8 @@ std::string query_fingerprint(const QuerySpec& query);
 /// the key observed-frequency gauges are published under.
 std::string fingerprint_id(const std::string& fingerprint);
 
-/// Decay window from MVD_OBS_WINDOW (events); 512 when unset or
-/// unparsable.
-std::size_t default_obs_window();
+/// Decay window (events) of an observatory constructed without one.
+inline constexpr std::size_t kDefaultObsWindow = 512;
 
 struct QueryObservation {
   std::string query;  // display name at first sighting
@@ -180,7 +179,7 @@ double windowed_now(double windowed, std::uint64_t windowed_at,
 
 class WorkloadObservatory {
  public:
-  explicit WorkloadObservatory(std::size_t window = default_obs_window());
+  explicit WorkloadObservatory(std::size_t window = kDefaultObsWindow);
 
   /// Attach the journal every subsequent event is appended to, and
   /// record a kOpen event carrying the window so a journal replays
@@ -225,7 +224,7 @@ class WorkloadObservatory {
 };
 
 /// Reconstruct an observatory by re-recording `events` in order.
-/// `window` 0 takes the first kOpen event's window (default_obs_window()
+/// `window` 0 takes the first kOpen event's window (kDefaultObsWindow
 /// when the journal has none). The result's stats() match the producing
 /// observatory's bit-for-bit when the journal is complete.
 std::unique_ptr<WorkloadObservatory> replay_journal(

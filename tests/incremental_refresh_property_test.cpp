@@ -389,6 +389,78 @@ TEST(DeltaJoinTest, EquiKeyWithResidualConjunct) {
   }
 }
 
+// A delete that drains a group needs no extremum: the group goes (or, for
+// a global aggregate, becomes the empty input's placeholder row) whatever
+// its stored MIN/MAX was. Deleting the only row of group g = 1 must be
+// group-applied to a COUNT + MIN view and to a global COUNT + MIN/MAX view
+// over g = 1, and leave both equal to a recompute, on every engine.
+TEST(GroupedApplyTest, DrainedGroupsOfMinMaxViewsAreGroupApplied) {
+  Table t(Schema({{"g", ValueType::kInt64, "T"}, {"x", ValueType::kDouble, "T"}}),
+          10.0);
+  t.append({Value::int64(1), Value::real(5.0)});
+  t.append({Value::int64(2), Value::real(3.0)});
+  t.append({Value::int64(2), Value::real(7.0)});
+  Database base;
+  base.add_table("T", std::move(t));
+  WarehouseDesigner designer(catalog_from_database(base, 10.0));
+  designer.add_query("Grouped", 1,
+                     "SELECT T.g, COUNT(*), MIN(T.x) FROM T GROUP BY T.g");
+  designer.add_query("Global", 1,
+                     "SELECT COUNT(*), MIN(T.x), MAX(T.x) FROM T "
+                     "WHERE T.g = 1");
+  const DesignResult design = designer.design();
+  const MvppGraph& g = design.graph();
+  MaterializedSet m;
+  for (NodeId q : g.query_ids()) m.insert(g.node(q).children[0]);
+  ASSERT_EQ(m.size(), 2u);
+
+  DeltaTable drain(base.table("T").schema());
+  drain.add_delete({Value::int64(1), Value::real(5.0)});
+  for (const auto& [mode, threads] :
+       {std::pair{ExecMode::kRow, std::size_t{1}},
+        std::pair{ExecMode::kVectorized, std::size_t{1}},
+        std::pair{ExecMode::kVectorized, std::size_t{4}}}) {
+    Database db = base;
+    for (NodeId v : m) deploy_view(g, v, m, db, mode, threads);
+    db.apply_delta("T", drain);
+    const DeltaSet frontier{{"T", drain}};
+
+    // The grouped apply takes the batch directly.
+    for (NodeId v : m) {
+      MaterializedSet deps = m;
+      deps.erase(v);
+      const PlanPtr plan = refresh_plan(g, v, deps);
+      ASSERT_EQ(plan->kind(), OpKind::kAggregate);
+      const std::optional<DeltaTable> child =
+          DeltaPropagator(db, frontier, mode, threads)
+              .propagate(plan->children()[0]);
+      ASSERT_TRUE(child.has_value());
+      const std::optional<GroupApplyResult> applied = maintain_aggregate_view(
+          static_cast<const AggregateOp&>(*plan), db.table(g.node(v).name),
+          *child);
+      EXPECT_TRUE(applied.has_value()) << g.node(v).name;
+      if (!applied.has_value()) continue;
+      EXPECT_TRUE(same_bag(applied->next,
+                           Executor(db, mode, threads).run(plan)))
+          << g.node(v).name;
+    }
+
+    // And incremental_refresh reports it so.
+    const RefreshReport report =
+        incremental_refresh(g, m, db, frontier, nullptr, mode, threads);
+    ASSERT_EQ(report.views.size(), 2u);
+    for (const ViewRefresh& e : report.views) {
+      EXPECT_EQ(e.path, RefreshPath::kGroupApplied) << e.view;
+      MaterializedSet deps = m;
+      deps.erase(e.id);
+      EXPECT_TRUE(same_bag(
+          db.table(e.view),
+          Executor(db, mode, threads).run(refresh_plan(g, e.id, deps))))
+          << e.view;
+    }
+  }
+}
+
 // Separate fixture name so the TSan CI job can include exactly these
 // (mirroring ExecEngineTsanTest): morsel-parallel vectorized full-side
 // production inside delta propagation must be race-free.

@@ -266,9 +266,7 @@ TEST(MvppBuilderTest, OneSearchPerQueryOneEstimatePerNode) {
 
   const std::size_t k = example.queries.size();
   EXPECT_EQ(searches, static_cast<double>(k));
-#ifndef MVD_OBS_DISABLED  // the MVD_TRACE_SPAN macro spans
   EXPECT_EQ(search_spans, static_cast<int>(k));
-#endif
   EXPECT_EQ(estimates,
             static_cast<double>(graph.size() - graph.query_ids().size()));
 }

@@ -128,7 +128,7 @@ TEST(ObsTraceTest, SpanNestingAndChromeJsonRoundTrip) {
     outer.arg("n", 3.0);
     outer.arg("label", std::string("abc"));
     { TraceSpan inner("test", "inner"); }
-    { MVD_TRACE_SPAN("test", "macro-span"); }  // gone under MVD_OBS_DISABLED
+    { MVD_TRACE_SPAN("test", "macro-span"); }
     tracer.counter("test/gauge", 5.0);
   }
   EXPECT_GE(tracer.event_count(), 3u);
@@ -170,11 +170,7 @@ TEST(ObsTraceTest, SpanNestingAndChromeJsonRoundTrip) {
   EXPECT_TRUE(saw_meta);
   EXPECT_TRUE(saw_outer);
   EXPECT_TRUE(saw_inner);
-#ifndef MVD_OBS_DISABLED
   EXPECT_TRUE(saw_macro);
-#else
-  EXPECT_FALSE(saw_macro);
-#endif
   EXPECT_TRUE(saw_counter);
   // RAII scoping means the inner span nests strictly inside the outer.
   EXPECT_GE(inner_ts, outer_ts);

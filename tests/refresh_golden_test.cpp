@@ -14,66 +14,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/maintenance/refresh.hpp"
+#include "tests/golden_digest.hpp"
 #include "tests/refresh_workloads.hpp"
 
 namespace mvd {
 namespace {
 
 constexpr std::size_t kRounds = 6;
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string num(double x) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%a", x);
-  return buf;
-}
-
-/// Order-, type- and bit-exact rendering of a table's rows, digested.
-std::uint64_t table_digest(const Table& t) {
-  std::string s;
-  for (const Tuple& row : t.rows()) {
-    for (const Value& v : row) {
-      s += std::to_string(static_cast<int>(v.type()));
-      s += ':';
-      switch (v.type()) {
-        case ValueType::kInt64:
-        case ValueType::kDate:
-          s += std::to_string(v.as_int64());
-          break;
-        case ValueType::kDouble: {
-          std::uint64_t bits;
-          const double d = v.as_double();
-          std::memcpy(&bits, &d, sizeof(bits));
-          s += std::to_string(bits);
-          break;
-        }
-        case ValueType::kString:
-          s += std::to_string(v.as_string().size()) + '"' + v.as_string();
-          break;
-        case ValueType::kBool:
-          s += v.as_bool() ? 't' : 'f';
-          break;
-      }
-      s += ',';
-    }
-    s += '\n';
-  }
-  return fnv1a(s);
-}
 
 std::string render_round(const ExecStats& stats, const RefreshReport& report,
                          const Database& db) {
@@ -126,17 +77,6 @@ std::vector<std::string> round_texts(RefreshWorkload w, ExecMode mode,
     texts.push_back(render_round(stats, report, w.db));
   }
   return texts;
-}
-
-std::string hex_list(const std::vector<std::uint64_t>& digests) {
-  std::string s;
-  for (const std::uint64_t d : digests) {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%016llxull, ",
-                  static_cast<unsigned long long>(d));
-    s += buf;
-  }
-  return s;
 }
 
 struct Engine {

@@ -1336,11 +1336,9 @@ TEST_F(ShapeCacheTest, HitSpansAndCounters) {
   EXPECT_EQ(miss["shape"], 0);
   EXPECT_EQ(hit["parse"], 1);
   EXPECT_EQ(hit["shape"], 1);
-#ifndef MVD_OBS_DISABLED  // the MVD_TRACE_SPAN macro spans
   EXPECT_EQ(miss["bind"], 1);
   EXPECT_EQ(hit["bind"], 1);
   EXPECT_EQ(hit["exec"], 2);
-#endif
   EXPECT_EQ(metrics.metrics.at("serve/shape_cache/hits").value, 1);
   EXPECT_EQ(metrics.metrics.at("serve/shape_cache/misses").value, 1);
   EXPECT_EQ(metrics.metrics.at("serve/shape_cache/entries").value, 1);
