@@ -9,13 +9,17 @@
 // reporting the crossover fraction where recomputation catches up. The
 // incremental refresh is timed on the row engine and on the vectorized
 // engine at one thread (the one MvServer and mvbench refresh on); the
-// bench exits nonzero if their block counts differ. Everything is written
-// to BENCH_maintenance.json.
+// bench exits nonzero if their block counts differ. The vec@1 refresh is
+// timed once more as MvServer pays for it: on a staging copy while the
+// pre-update copy is held (so each view it writes is cloned first), and
+// through the release of that copy. Everything is written to
+// BENCH_maintenance.json.
 //
 // `--smoke` shrinks the dataset and repetitions for CI.
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,7 +44,8 @@ struct Timed {
 
 // A Database copy shares its tables, so a refresh timed on a plain copy
 // would also time cloning each view on its first write. A trial starts
-// from tables of its own instead, copied before the clock.
+// from tables of its own instead, copied before the clock (the "held"
+// trial below times the clones on purpose).
 Database private_copy(const Database& db) {
   Database out = db;
   for (const std::string& name : db.table_names()) {
@@ -109,9 +114,11 @@ int main(int argc, char** argv) {
 
   const std::vector<double> fractions = {0.001, 0.005, 0.01, 0.05, 0.1, 0.5};
   TextTable table({"update fraction", "incremental row", "incremental vec@1",
-                   "recompute", "speedup", "inc blocks", "rec blocks"},
+                   "vec@1 held", "recompute", "speedup", "inc blocks",
+                   "rec blocks"},
                   {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
-                   Align::kRight, Align::kRight, Align::kRight});
+                   Align::kRight, Align::kRight, Align::kRight,
+                   Align::kRight});
   Json sweep = Json::array();
   bool all_agree = true;
   bool engines_agree = true;
@@ -147,7 +154,25 @@ int main(int argc, char** argv) {
     };
     const Timed inc = incremental(ExecMode::kRow);
     const Timed inc_vec = incremental(ExecMode::kVectorized);
-    engines_agree = engines_agree && inc.blocks == inc_vec.blocks;
+    // As served: MvServer refreshes a staging copy of the snapshot it has
+    // published and holds until the new one is out, then drops the old.
+    const Timed inc_held = best_run(reps, [&] {
+      std::optional<Database> held = private_copy(updated);
+      Database run_db = *held;
+      Timed t;
+      ExecStats stats;
+      const auto t0 = std::chrono::steady_clock::now();
+      t.report = incremental_refresh(g, m, run_db, batch, &stats,
+                                     ExecMode::kVectorized, 1);
+      held.reset();
+      t.secs = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+      t.blocks = stats.blocks_read;
+      return t;
+    });
+    engines_agree = engines_agree && inc.blocks == inc_vec.blocks &&
+                    inc_vec.blocks == inc_held.blocks;
     const Timed rec = best_run(reps, [&] {
       Database run_db = private_copy(updated);
       Timed t;
@@ -182,6 +207,7 @@ int main(int argc, char** argv) {
     Json inc_secs = Json::object();
     inc_secs.set("row", Json::number(inc.secs));
     inc_secs.set("vec@1", Json::number(inc_vec.secs));
+    inc_secs.set("vec@1_held", Json::number(inc_held.secs));
     j.set("incremental_secs", std::move(inc_secs));
     j.set("recompute_secs", Json::number(rec.secs));
     j.set("speedup", Json::number(speedup));
@@ -199,6 +225,7 @@ int main(int argc, char** argv) {
     table.add_row({format_fixed(fraction, 3),
                    format_fixed(inc.secs * 1e3, 1) + " ms",
                    format_fixed(inc_vec.secs * 1e3, 1) + " ms",
+                   format_fixed(inc_held.secs * 1e3, 1) + " ms",
                    format_fixed(rec.secs * 1e3, 1) + " ms",
                    format_fixed(speedup, 2) + "x",
                    format_fixed(inc.blocks, 0), format_fixed(rec.blocks, 0)});
@@ -211,7 +238,7 @@ int main(int argc, char** argv) {
 
   std::cout << table.render() << '\n'
             << "results agree: " << (all_agree ? "yes" : "NO") << '\n'
-            << "row and vec@1 incremental blocks agree: "
+            << "row, vec@1 and held vec@1 incremental blocks agree: "
             << (engines_agree ? "yes" : "NO") << '\n';
   if (crossover >= 0) {
     std::cout << "crossover: incremental loses from update fraction "

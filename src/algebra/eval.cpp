@@ -1,6 +1,7 @@
 #include "src/algebra/eval.hpp"
 
 #include <cmath>
+#include <compare>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -61,6 +62,30 @@ std::shared_ptr<const CompiledExpr::Node> CompiledExpr::compile(
   return node;
 }
 
+namespace {
+
+/// `l OP r`. Two numerics compare as doubles under IEEE rules, as the
+/// vectorized filters do: a NaN is unordered, so <> holds and every other
+/// comparison fails. Any other pair compares by Value::compare.
+bool holds(CompareOp op, const Value& l, const Value& r) {
+  const std::partial_ordering ord =
+      is_numeric(l.type()) && is_numeric(r.type())
+          ? l.as_double() <=> r.as_double()
+          : std::partial_ordering(l.compare(r));
+  switch (op) {
+    case CompareOp::kEq: return ord == 0;
+    case CompareOp::kNe: return ord != 0;
+    case CompareOp::kLt: return ord < 0;
+    case CompareOp::kLe: return ord <= 0;
+    case CompareOp::kGt: return ord > 0;
+    case CompareOp::kGe: return ord >= 0;
+  }
+  MVD_ASSERT(false);
+  return false;
+}
+
+}  // namespace
+
 void CompiledExpr::add_columns(ColumnSet& out) const {
   const auto walk = [&out](const auto& self, const Node& n) -> void {
     if (n.kind == ExprKind::kColumn) out.add(n.column_index);
@@ -79,17 +104,7 @@ Value CompiledExpr::eval_node(const Node& node, const Tuple& tuple) {
     case ExprKind::kComparison: {
       const Value l = eval_node(*node.children[0], tuple);
       const Value r = eval_node(*node.children[1], tuple);
-      const std::strong_ordering ord = l.compare(r);
-      switch (node.op) {
-        case CompareOp::kEq: return Value::boolean(ord == 0);
-        case CompareOp::kNe: return Value::boolean(ord != 0);
-        case CompareOp::kLt: return Value::boolean(ord < 0);
-        case CompareOp::kLe: return Value::boolean(ord <= 0);
-        case CompareOp::kGt: return Value::boolean(ord > 0);
-        case CompareOp::kGe: return Value::boolean(ord >= 0);
-      }
-      MVD_ASSERT(false);
-      return Value::boolean(false);
+      return Value::boolean(holds(node.op, l, r));
     }
     case ExprKind::kAnd: {
       for (const auto& c : node.children) {
@@ -126,17 +141,7 @@ Value CompiledExpr::eval_node_at(const Node& node, const ColumnTable& data,
     case ExprKind::kComparison: {
       const Value l = eval_node_at(*node.children[0], data, col_map, row);
       const Value r = eval_node_at(*node.children[1], data, col_map, row);
-      const std::strong_ordering ord = l.compare(r);
-      switch (node.op) {
-        case CompareOp::kEq: return Value::boolean(ord == 0);
-        case CompareOp::kNe: return Value::boolean(ord != 0);
-        case CompareOp::kLt: return Value::boolean(ord < 0);
-        case CompareOp::kLe: return Value::boolean(ord <= 0);
-        case CompareOp::kGt: return Value::boolean(ord > 0);
-        case CompareOp::kGe: return Value::boolean(ord >= 0);
-      }
-      MVD_ASSERT(false);
-      return Value::boolean(false);
+      return Value::boolean(holds(node.op, l, r));
     }
     case ExprKind::kAnd: {
       for (const auto& c : node.children) {

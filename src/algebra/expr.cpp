@@ -53,8 +53,14 @@ ComparisonExpr::ComparisonExpr(CompareOp op, ExprPtr lhs, ExprPtr rhs)
 }
 
 std::string ComparisonExpr::to_string() const {
-  return "(" + lhs_->to_string() + " " + mvd::to_string(op_) + " " +
-         rhs_->to_string() + ")";
+  std::string out = "(";
+  out += lhs_->to_string();
+  out += ' ';
+  out += mvd::to_string(op_);
+  out += ' ';
+  out += rhs_->to_string();
+  out += ')';
+  return out;
 }
 
 BoolExpr::BoolExpr(ExprKind kind, std::vector<ExprPtr> operands)

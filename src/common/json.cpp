@@ -147,18 +147,19 @@ std::string number_text(double v) {
 }  // namespace
 
 void Json::write(std::string& out, int indent, int depth) const {
-  const std::string pad =
-      indent > 0 ? "\n" + std::string(static_cast<std::size_t>(indent) *
-                                          (static_cast<std::size_t>(depth) + 1),
-                                      ' ')
-                 : "";
-  const std::string close_pad =
-      indent > 0
-          ? "\n" + std::string(
-                       static_cast<std::size_t>(indent) *
-                           static_cast<std::size_t>(depth),
-                       ' ')
-          : "";
+  // A newline plus `levels` indents, or nothing when not indenting.
+  const auto newline_pad = [indent](int levels) {
+    std::string pad;
+    if (indent > 0) {
+      pad += '\n';
+      pad.append(static_cast<std::size_t>(indent) *
+                     static_cast<std::size_t>(levels),
+                 ' ');
+    }
+    return pad;
+  };
+  const std::string pad = newline_pad(depth + 1);
+  const std::string close_pad = newline_pad(depth);
   switch (kind_) {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += bool_ ? "true" : "false"; break;

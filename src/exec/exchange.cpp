@@ -19,7 +19,7 @@ double approx_tuple_bytes(const Tuple& tuple) {
   return bytes;
 }
 
-double approx_rows_bytes(const std::vector<Tuple>& rows) {
+double approx_rows_bytes(RowRange rows) {
   double bytes = 0;
   for (const Tuple& t : rows) bytes += approx_tuple_bytes(t);
   return bytes;

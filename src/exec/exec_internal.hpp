@@ -92,7 +92,9 @@ inline JoinSplit split_join_predicate(const JoinOp& op, const Schema& left,
 /// with an int payload (a delta row's sign). Rows are referenced, not
 /// copied, and must outlive the index. Matches come back in the
 /// multimap's order, which follows from the reserve and the insert order
-/// alone, so a caller that keeps both keeps its output order.
+/// alone, so a caller that keeps both keeps its output order. A row whose
+/// key holds a NaN joins nothing, on either side (IEEE equality, as in
+/// the vectorized join).
 class RowHashIndex {
  public:
   RowHashIndex(std::vector<std::size_t> cols, std::size_t rows)
@@ -101,6 +103,7 @@ class RowHashIndex {
   }
 
   void insert(const Tuple& t, int payload = 0) {
+    if (has_nan(t, cols_)) return;
     table_.emplace(hash_key(t, cols_), Entry{&t, payload});
   }
 
@@ -109,6 +112,7 @@ class RowHashIndex {
   template <typename Fn>
   void probe(const Tuple& p, const std::vector<std::size_t>& p_cols,
              Fn&& fn) const {
+    if (has_nan(p, p_cols)) return;
     auto [lo, hi] = table_.equal_range(hash_key(p, p_cols));
     for (auto it = lo; it != hi; ++it) {
       const Tuple& b = *it->second.row;
@@ -125,6 +129,15 @@ class RowHashIndex {
     const Tuple* row;
     int payload;
   };
+
+  static bool has_nan(const Tuple& t, const std::vector<std::size_t>& cols) {
+    for (std::size_t i : cols) {
+      if (t[i].type() == ValueType::kDouble && std::isnan(t[i].as_double())) {
+        return true;
+      }
+    }
+    return false;
+  }
 
   static std::size_t hash_key(const Tuple& t,
                               const std::vector<std::size_t>& cols) {

@@ -227,8 +227,9 @@ Executor::Rows Executor::exec_select(const SelectOp& op, const Rows& in,
   const CompiledExpr pred(op.predicate(), in.schema());
   auto out =
       std::make_shared<Table>(in.schema(), in.table->blocking_factor());
-  for (const Tuple& t : in.rows()) {
-    if (pred.matches(t)) out->append(t);
+  const RowRange rows = in.rows();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (pred.matches(rows[i])) out->append_shared(*in.table, in.begin + i);
   }
   return Rows::all(std::move(out));
 }
@@ -274,7 +275,7 @@ Executor::Rows Executor::exec_join(const JoinOp& op, const Rows& left,
       build_idx.push_back(build_right ? ri : li);
       probe_idx.push_back(build_right ? li : ri);
     }
-    const std::span<const Tuple> build = (build_right ? right : left).rows();
+    const RowRange build = (build_right ? right : left).rows();
     RowHashIndex index(std::move(build_idx), build.size());
     for (const Tuple& b : build) index.insert(b);
     for (const Tuple& p : (build_right ? left : right).rows()) {

@@ -15,7 +15,6 @@
 
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -121,9 +120,7 @@ class Executor {
       const std::size_t n = t->row_count();
       return {std::move(t), 0, n};
     }
-    std::span<const Tuple> rows() const {
-      return {table->rows().data() + begin, end - begin};
-    }
+    RowRange rows() const { return table->rows(begin, end); }
     std::size_t size() const { return end - begin; }
     double blocks() const {
       return Table::blocks_of(size(), table->blocking_factor());

@@ -271,7 +271,7 @@ Table ShardedExecutor::run(const PlanPtr& plan, ExecStats* stats) const {
     if (!r.has_value()) continue;
     if (!out.has_value()) out.emplace(r->schema(), r->blocking_factor());
     gather_blocks += r->blocks();
-    for (const Tuple& row : r->rows()) out->append(row);
+    for (std::size_t i = 0; i < r->row_count(); ++i) out->append_shared(*r, i);
   }
   const auto rows = static_cast<double>(out->row_count());
   record_gather(db_->exchange_log(), rows, gather_blocks);

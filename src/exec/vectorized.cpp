@@ -1109,18 +1109,12 @@ class VectorizedEngine {
 
   /// The only tuple materialization in the engine: the final sink.
   Table sink(const VecRel& r) {
-    Table out(*r.schema, r.blocking_factor);
-    const std::size_t n = r.active_rows();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t pr = r.physical(i);
-      Tuple t;
-      t.reserve(r.cols.size());
-      for (const std::size_t c : r.cols) {
-        t.push_back(r.data->value_at(pr, c));
-      }
-      out.append(std::move(t));
+    std::vector<std::uint32_t> ids;
+    if (r.identity) {
+      ids.resize(r.active_rows());
+      std::iota(ids.begin(), ids.end(), static_cast<std::uint32_t>(r.lo));
     }
-    return out;
+    return r.data->to_table(*r.schema, r.cols, r.identity ? ids : r.sel);
   }
 
   const Database* db_;

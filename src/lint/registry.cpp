@@ -2,6 +2,7 @@
 
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
+#include "src/common/strings.hpp"
 
 namespace mvd {
 
@@ -13,7 +14,7 @@ void RuleEmitter::emit(const MvppGraph& graph, NodeId node, std::string message,
   d.node = node;
   if (node >= 0 && static_cast<std::size_t>(node) < graph.size()) {
     d.subject = graph.node(node).name;
-    if (d.subject.empty()) d.subject = "#" + std::to_string(node);
+    if (d.subject.empty()) d.subject = str_cat("#", node);
   }
   d.message = std::move(message);
   d.hint = std::move(hint);

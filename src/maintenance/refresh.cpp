@@ -252,25 +252,26 @@ std::optional<GroupApplyResult> maintain_aggregate_view(
     replacements.emplace(*at, std::move(row));
   }
 
-  // Rebuild the stored view, collecting its own delta for ancestors.
+  // Rebuild the stored view, sharing its unchanged groups' rows, and
+  // collect its own delta for ancestors.
   GroupApplyResult result{Table(os, stored.blocking_factor()),
                           DeltaTable(os, stored.blocking_factor())};
+  Table& next = result.next;
+  next.reserve(stored.row_count() + fresh_rows.size());
+  const auto append_new = [&](Tuple row) {
+    next.append(std::move(row));
+    result.view_delta.share_insert(next, next.row_count() - 1);
+  };
   for (std::size_t i = 0; i < stored.row_count(); ++i) {
     const auto rit = replacements.find(i);
     if (rit == replacements.end()) {
-      result.next.append(stored.row(i));
+      next.append_shared(stored, i);
       continue;
     }
-    result.view_delta.add_delete(stored.row(i));
-    if (rit->second.has_value()) {
-      result.next.append(*rit->second);
-      result.view_delta.add_insert(*rit->second);
-    }
+    result.view_delta.share_delete(stored, i);
+    if (rit->second.has_value()) append_new(std::move(*rit->second));
   }
-  for (Tuple& row : fresh_rows) {
-    result.view_delta.add_insert(row);
-    result.next.append(std::move(row));
-  }
+  for (Tuple& row : fresh_rows) append_new(std::move(row));
   result.view_delta = std::move(result.view_delta).compacted();
   return result;
 }

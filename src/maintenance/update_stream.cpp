@@ -32,12 +32,14 @@ std::size_t apply_update_batch(Database& db, const std::string& relation,
   std::vector<bool> dead(n, false);
   for (std::size_t i = 0; i < deletes; ++i) dead[rng.index(n)] = true;
 
+  // The next version shares every surviving row with the old one.
   Table next(old.schema(), old.blocking_factor());
+  next.reserve(n + inserts);
   for (std::size_t i = 0; i < n; ++i) {
     if (!dead[i]) {
-      next.append(old.row(i));
+      next.append_shared(old, i);
     } else if (delta != nullptr) {
-      delta->add_delete(old.row(i));
+      delta->share_delete(old, i);
     }
   }
 
@@ -67,7 +69,7 @@ std::size_t apply_update_batch(Database& db, const std::string& relation,
     }
     for (const auto& [r, original] : originals) {
       delta->add_delete(original);
-      delta->add_insert(next.row(r));
+      delta->share_insert(next, r);
     }
   }
 
@@ -77,8 +79,8 @@ std::size_t apply_update_batch(Database& db, const std::string& relation,
     if (numeric_col < old.schema().size()) {
       t[numeric_col] = Value::int64(t[numeric_col].as_int64() + 1);
     }
-    if (delta != nullptr) delta->add_insert(t);
     next.append(std::move(t));
+    if (delta != nullptr) delta->share_insert(next, next.row_count() - 1);
     ++touched;
   }
 

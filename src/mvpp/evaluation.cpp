@@ -199,7 +199,10 @@ std::string to_string(const MvppGraph& graph, const MaterializedSet& m) {
   std::vector<std::string> names;
   for (NodeId v : m) names.push_back(graph.node(v).name);
   std::sort(names.begin(), names.end());
-  return "{" + join(names, ", ") + "}";
+  std::string out = "{";
+  out += join(names, ", ");
+  out += '}';
+  return out;
 }
 
 }  // namespace mvd

@@ -53,8 +53,14 @@ std::string expr_to_sql(const ExprPtr& expr) {
       return value_to_sql(static_cast<const LiteralExpr&>(*expr).value());
     case ExprKind::kComparison: {
       const auto& cmp = static_cast<const ComparisonExpr&>(*expr);
-      return "(" + expr_to_sql(cmp.lhs()) + " " + to_string(cmp.op()) + " " +
-             expr_to_sql(cmp.rhs()) + ")";
+      std::string out = "(";
+      out += expr_to_sql(cmp.lhs());
+      out += ' ';
+      out += to_string(cmp.op());
+      out += ' ';
+      out += expr_to_sql(cmp.rhs());
+      out += ')';
+      return out;
     }
     case ExprKind::kAnd:
     case ExprKind::kOr: {

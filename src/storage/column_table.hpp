@@ -17,6 +17,7 @@
 
 #include <bitset>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/storage/table.hpp"
@@ -80,16 +81,21 @@ class ColumnTable {
   static ColumnTable from_table(const Table& table);
 
   /// A form of `table` with its row count and no column filled yet;
-  /// fill() converts columns one at a time.
+  /// fill() converts columns as they are needed.
   static ColumnTable unfilled(const Table& table);
 
-  /// Convert column `col` of `table`, the table this form was made from
-  /// (unchanged since). The column must be unfilled.
-  void fill(std::size_t col, const Table& table);
+  /// Convert the columns `cols` of `table`, the table this form was made
+  /// from (unchanged since), resolving its rows once. Each must be
+  /// unfilled.
+  void fill(const std::vector<std::size_t>& cols, const Table& table);
 
-  /// Row-oriented copy (the sink conversion); every column must be
-  /// filled.
+  /// Row-oriented copy; every column must be filled.
   Table to_table() const;
+  /// The sink conversion: physical rows `rows`, in order, as a row table
+  /// under `schema`, whose column i reads column cols[i] (filled, of the
+  /// kind schema's column i declares). Cells are not re-checked.
+  Table to_table(Schema schema, const std::vector<std::size_t>& cols,
+                 std::span<const std::uint32_t> rows) const;
 
   const Schema& schema() const { return schema_; }
   double blocking_factor() const { return blocking_factor_; }
@@ -142,6 +148,9 @@ class ColumnTable {
     std::vector<std::uint8_t> b8;
     std::size_t size() const;
   };
+
+  /// value_at without its checks.
+  Value cell(std::size_t row, std::size_t col) const;
 
   Schema schema_;
   double blocking_factor_;

@@ -50,10 +50,12 @@ DeltaTable pair_off(const Table& plus, const Table& minus, Schema schema,
   for (std::size_t i = 0; i < plus.row_count(); ++i) {
     std::int64_t& b = balance[plus_class[i]];
     if (b > 0) {
-      out.add_insert(plus.row(i));
+      out.share_insert(plus, i);
       --b;
     }
   }
+  // Deletes are copied through the checks: a diff's `before` may hold
+  // other numeric kinds than `after`.
   for (std::size_t i = 0; i < minus.row_count(); ++i) {
     std::int64_t& b = balance[minus_class[i]];
     if (b < 0) {
@@ -101,9 +103,17 @@ void apply_delta(Table& stored, const DeltaTable& delta) {
   if (stored.schema().size() != delta.schema().size()) {
     throw ExecError("delta arity does not match the stored table");
   }
+  // The inserts join the table shared, so their columns must fit it; a
+  // delete only has to match a stored row (numeric kinds may differ).
+  const Table& inserts = delta.inserts();
+  if (inserts.row_count() > 0) {
+    Table::check_rebind(stored.schema(), inserts.schema());
+  }
   if (delta.deletes().row_count() == 0) {
     // Insert-only batches append in place without re-reading the table.
-    for (const Tuple& t : delta.inserts().rows()) stored.append(t);
+    for (std::size_t i = 0; i < inserts.row_count(); ++i) {
+      stored.append_shared(inserts, i);
+    }
     return;
   }
   // Pending deletes bucketed by hash (exemplar tuple + multiplicity). The
@@ -169,7 +179,9 @@ void apply_delta(Table& stored, const DeltaTable& delta) {
   for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
     stored.remove_row(*it);
   }
-  for (const Tuple& t : delta.inserts().rows()) stored.append(t);
+  for (std::size_t i = 0; i < inserts.row_count(); ++i) {
+    stored.append_shared(inserts, i);
+  }
 }
 
 }  // namespace mvd

@@ -29,6 +29,14 @@ class DeltaTable {
   /// Append with the usual Table arity/type checks.
   void add_insert(Tuple tuple) { inserts_.append(std::move(tuple)); }
   void add_delete(Tuple tuple) { deletes_.append(std::move(tuple)); }
+  /// Append row `i` of `src` shared, as Table::append_shared does (so
+  /// `src`'s columns must fit this delta's).
+  void share_insert(const Table& src, std::size_t i) {
+    inserts_.append_shared(src, i);
+  }
+  void share_delete(const Table& src, std::size_t i) {
+    deletes_.append_shared(src, i);
+  }
 
   std::size_t row_count() const {
     return inserts_.row_count() + deletes_.row_count();
@@ -40,20 +48,21 @@ class DeltaTable {
 
   /// Copy with matched insert/delete pairs cancelled (bag semantics,
   /// rows paired under tuples_equivalent; surviving rows keep their
-  /// order). An update stream that rewrites a row to itself produces such
-  /// pairs; cancelling them before propagation avoids amplifying no-op
-  /// work. A delta with an empty bag has nothing to pair and comes back
-  /// unchanged (moved, from an rvalue).
+  /// order, and inserts are shared). An update stream that rewrites a
+  /// row to itself produces such pairs; cancelling them before
+  /// propagation avoids amplifying no-op work. A delta with an empty bag
+  /// has nothing to pair and comes back unchanged (moved, from an
+  /// rvalue).
   DeltaTable compacted() const&;
   DeltaTable compacted() &&;
 
   /// The bag difference `after − before` (schemas must have equal arity;
   /// rows pair under tuples_equivalent, so an int64 1 matches a double
-  /// 1.0).
+  /// 1.0). Its inserts are shared with `after`.
   static DeltaTable diff(const Table& before, const Table& after);
 
-  /// Both sides copied under a new (e.g. qualified) schema via
-  /// Table::rebind. Throws ExecError on incompatibility.
+  /// Both sides, their rows shared, under a new (e.g. qualified) schema
+  /// via Table::rebind. Throws ExecError on incompatibility.
   static DeltaTable rebind(Schema schema, const DeltaTable& src);
 
  private:
@@ -69,8 +78,10 @@ using DeltaSet = std::map<std::string, DeltaTable>;
 
 /// Apply `delta` to `stored` in place: bag-subtract the deletes (each
 /// takes the first stored rows equivalent to it under tuples_equivalent),
-/// append the inserts. A delete-bearing delta makes `stored` keep its row
-/// hashes (Table::keep_hashes). Throws ExecError when a delete has no
+/// append the inserts, shared with the delta. A delete-bearing delta
+/// makes `stored` keep its row hashes (Table::keep_hashes). Throws
+/// ExecError, before any change, when the delta has inserts whose columns
+/// do not fit `stored` (Table::check_rebind), and when a delete has no
 /// matching stored row (the stored view disagrees with the state the
 /// delta was derived from).
 void apply_delta(Table& stored, const DeltaTable& delta);

@@ -95,9 +95,25 @@ void Table::append(Tuple tuple) {
                       ", got " + to_string(tuple[i].type()));
     }
   }
+  push(std::move(tuple));
+}
+
+void Table::push(Tuple tuple) {
   drop_columnar();
-  if (keeps_hashes_) hashes_.push_back(tuple_hash(tuple));
-  rows_.push_back(std::move(tuple));
+  RowHandle row = std::make_shared<const Tuple>(std::move(tuple));
+  if (keeps_hashes_) hashes_.push_back(tuple_hash(*row));
+  rows_.push_back(std::move(row));
+}
+
+void Table::append_shared(const Table& src, std::size_t i) {
+  MVD_ASSERT_MSG(i < src.rows_.size(), "row " << i << " out of range");
+  const RowHandle& row = src.rows_[i];
+  MVD_ASSERT(row->size() == schema_.size());
+  drop_columnar();
+  if (keeps_hashes_) {
+    hashes_.push_back(src.keeps_hashes_ ? src.hashes_[i] : tuple_hash(*row));
+  }
+  rows_.push_back(row);
 }
 
 void Table::check_rebind(const Schema& schema, const Schema& stored) {
@@ -131,7 +147,12 @@ Table Table::rebind(Schema schema, const Table& src, std::size_t begin,
 
 const Tuple& Table::row(std::size_t i) const {
   MVD_ASSERT_MSG(i < rows_.size(), "row " << i << " out of range");
-  return rows_[i];
+  return *rows_[i];
+}
+
+RowRange Table::rows(std::size_t begin, std::size_t end) const {
+  MVD_ASSERT(begin <= end && end <= rows_.size());
+  return {rows_.data() + begin, rows_.data() + end};
 }
 
 void Table::update_row(std::size_t i, Tuple tuple) {
@@ -154,7 +175,7 @@ void Table::remove_row(std::size_t i) {
 void Table::permute(const std::vector<std::size_t>& order) {
   MVD_ASSERT(order.size() == rows_.size());
   drop_columnar();
-  std::vector<Tuple> next;
+  std::vector<RowHandle> next;
   next.reserve(order.size());
   for (const std::size_t i : order) next.push_back(std::move(rows_[i]));
   rows_ = std::move(next);
@@ -169,7 +190,7 @@ void Table::permute(const std::vector<std::size_t>& order) {
 void Table::keep_hashes() {
   if (keeps_hashes_) return;
   hashes_.reserve(rows_.size());
-  for (const Tuple& t : rows_) hashes_.push_back(tuple_hash(t));
+  for (const RowHandle& t : rows_) hashes_.push_back(tuple_hash(*t));
   keeps_hashes_ = true;
 }
 
@@ -183,14 +204,14 @@ std::shared_ptr<const ColumnTable> Table::columnar(
     if (form == nullptr) {
       form = std::make_shared<ColumnTable>(ColumnTable::unfilled(*this));
     }
+    std::vector<std::size_t> missing;
     for (std::size_t c = 0; c < schema_.size(); ++c) {
-      if (need.contains(c) && !form->filled(c)) ++converted;
+      if (need.contains(c) && !form->filled(c)) missing.push_back(c);
     }
+    converted = missing.size();
     if (converted > 0) {
       TraceSpan span("storage", "columnar");
-      for (std::size_t c = 0; c < schema_.size(); ++c) {
-        if (need.contains(c) && !form->filled(c)) form->fill(c, *this);
-      }
+      form->fill(missing, *this);
       if (span.active()) {
         span.arg("columns", static_cast<double>(converted));
         span.arg("cells", static_cast<double>(converted * rows_.size()));
@@ -228,7 +249,7 @@ RelationStats Table::compute_stats() const {
     std::unordered_set<Value> distinct;
     bool any_numeric = false;
     double lo = 0, hi = 0;
-    for (const Tuple& t : rows_) {
+    for (const Tuple& t : rows()) {
       distinct.insert(t[c]);
       if (is_numeric(t[c].type())) {
         const double x = t[c].as_double();
@@ -258,8 +279,8 @@ std::string Table::preview(std::size_t limit) const {
   TextTable t(std::move(headers));
   for (std::size_t i = 0; i < rows_.size() && i < limit; ++i) {
     std::vector<std::string> cells;
-    cells.reserve(rows_[i].size());
-    for (const Value& v : rows_[i]) cells.push_back(v.to_string());
+    cells.reserve(rows_[i]->size());
+    for (const Value& v : *rows_[i]) cells.push_back(v.to_string());
     t.add_row(std::move(cells));
   }
   std::string out = t.render();

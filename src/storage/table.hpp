@@ -4,6 +4,12 @@
 // Table reports its size in blocks using the same blocking factor the
 // catalog uses, making estimated-vs-actual comparisons meaningful.
 //
+// Rows are immutable and shared: a Table holds one reference-counted
+// handle per row, so a copy of a table (a copy-on-write clone, a rebind,
+// the surviving rows of an update) copies handles, not tuples, and every
+// version that keeps a row shares it. A write replaces handles; a row is
+// freed with the last version holding it.
+//
 // A Table also keeps the columnar form the vectorized engine scans
 // (columnar()), filled one column at a time: the first scan that reads a
 // column converts it, and every later scan of the same table reuses it —
@@ -12,7 +18,10 @@
 // column converts at most once per table version.
 #pragma once
 
+#include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,6 +34,66 @@
 namespace mvd {
 
 using Tuple = std::vector<Value>;
+
+/// A stored row: immutable, shared by every table that holds it.
+using RowHandle = std::shared_ptr<const Tuple>;
+
+/// Rows [first, last) of a table's handles, read as const Tuple& — a
+/// random-access range, valid until the table changes.
+class RowRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = Tuple;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Tuple*;
+    using reference = const Tuple&;
+
+    iterator() = default;
+    explicit iterator(const RowHandle* at) : at_(at) {}
+
+    reference operator*() const { return **at_; }
+    pointer operator->() const { return at_->get(); }
+    reference operator[](difference_type n) const { return *at_[n]; }
+    iterator& operator++() { ++at_; return *this; }
+    iterator operator++(int) { return iterator(at_++); }
+    iterator& operator--() { --at_; return *this; }
+    iterator operator--(int) { return iterator(at_--); }
+    iterator& operator+=(difference_type n) { at_ += n; return *this; }
+    iterator& operator-=(difference_type n) { at_ -= n; return *this; }
+    friend iterator operator+(iterator it, difference_type n) {
+      return it += n;
+    }
+    friend iterator operator+(difference_type n, iterator it) {
+      return it += n;
+    }
+    friend iterator operator-(iterator it, difference_type n) {
+      return it -= n;
+    }
+    friend difference_type operator-(iterator a, iterator b) {
+      return a.at_ - b.at_;
+    }
+    friend bool operator==(const iterator&, const iterator&) = default;
+    friend auto operator<=>(const iterator&, const iterator&) = default;
+
+   private:
+    const RowHandle* at_ = nullptr;
+  };
+
+  RowRange(const RowHandle* first, const RowHandle* last)
+      : first_(first), last_(last) {}
+
+  iterator begin() const { return iterator(first_); }
+  iterator end() const { return iterator(last_); }
+  std::size_t size() const { return static_cast<std::size_t>(last_ - first_); }
+  bool empty() const { return first_ == last_; }
+  const Tuple& operator[](std::size_t i) const { return *first_[i]; }
+
+ private:
+  const RowHandle* first_;
+  const RowHandle* last_;
+};
 
 /// Allocation-free 64-bit tuple hash under delta matching's equivalence
 /// (tuples_equivalent): numerics by their double bit pattern with -0.0
@@ -50,7 +119,15 @@ class Table {
   /// kDate is declared and vice versa — both are day counts).
   void append(Tuple tuple);
 
-  /// Copy of `src`'s rows [begin, end) (all of them by default) under a
+  /// Append row `i` of `src` without copying it: the two tables share the
+  /// row. No cell is re-checked, so `src`'s columns must fit this table's
+  /// (check_rebind(schema(), src.schema()) passes; a table always fits
+  /// itself and any table it was derived from).
+  void append_shared(const Table& src, std::size_t i);
+
+  void reserve(std::size_t rows) { rows_.reserve(rows); }
+
+  /// `src`'s rows [begin, end) (all of them by default), shared, under a
   /// new (e.g. qualified) schema, validating column types once per column
   /// instead of once per cell. Throws ExecError on arity or declared-type
   /// incompatibility.
@@ -62,7 +139,9 @@ class Table {
 
   std::size_t row_count() const { return rows_.size(); }
   const Tuple& row(std::size_t i) const;
-  const std::vector<Tuple>& rows() const { return rows_; }
+  /// Every row, or rows [begin, end).
+  RowRange rows() const { return rows(0, rows_.size()); }
+  RowRange rows(std::size_t begin, std::size_t end) const;
 
   /// Replace row `i`; same arity/type checks as append().
   void update_row(std::size_t i, Tuple tuple);
@@ -75,10 +154,10 @@ class Table {
   void permute(const std::vector<std::size_t>& order);
 
   /// Start keeping one tuple_hash per row (hashing the current rows once;
-  /// a no-op when already kept). From then on append, update_row,
-  /// remove_row and permute keep the hashes in step, and copies carry
-  /// them. apply_delta calls it on the first delete-bearing delta, so a
-  /// table that never takes deletes never hashes.
+  /// a no-op when already kept). From then on every mutator keeps the
+  /// hashes in step (append_shared takes the source's kept hash), and
+  /// copies carry them. apply_delta calls it on the first delete-bearing
+  /// delta, so a table that never takes deletes never hashes.
   void keep_hashes();
   bool keeps_hashes() const { return keeps_hashes_; }
   /// row_hashes()[i] == tuple_hash(row(i)) while keeps_hashes(); empty
@@ -128,12 +207,18 @@ class Table {
     std::shared_ptr<ColumnTable> form;
   };
 
+  /// ColumnTable's sink appends rows its typed columns built (push).
+  friend class ColumnTable;
+
   /// Every mutator calls it first: the rows are about to change.
   void drop_columnar() { columnar_.form.reset(); }
 
+  /// Append a tuple unchecked: its cells already fit the schema.
+  void push(Tuple tuple);
+
   Schema schema_;
   double blocking_factor_;
-  std::vector<Tuple> rows_;
+  std::vector<RowHandle> rows_;
   bool keeps_hashes_ = false;
   std::vector<std::uint64_t> hashes_;
   mutable Columnar columnar_;

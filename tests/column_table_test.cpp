@@ -7,6 +7,7 @@
 #include "src/algebra/eval.hpp"
 #include "src/common/assert.hpp"
 #include "src/common/error.hpp"
+#include "src/common/strings.hpp"
 #include "src/storage/column_table.hpp"
 
 namespace mvd {
@@ -23,7 +24,7 @@ Schema mixed_schema() {
 Table mixed_table() {
   Table t(mixed_schema(), 4.0);
   for (int i = 0; i < 10; ++i) {
-    t.append({Value::int64(i), Value::string("n" + std::to_string(i)),
+    t.append({Value::int64(i), Value::string(str_cat("n", i)),
               Value::real(i * 0.5), Value::boolean(i % 2 == 0),
               Value::date(9000 + i)});
   }
@@ -95,14 +96,14 @@ TEST(ColumnTableTest, UnfilledFormFillsOneColumnAtATime) {
   ColumnTable form = ColumnTable::unfilled(t);
   EXPECT_EQ(form.row_count(), t.row_count());
   for (std::size_t c = 0; c < 5; ++c) EXPECT_FALSE(form.filled(c)) << c;
-  form.fill(2, t);
+  form.fill({2}, t);
   EXPECT_TRUE(form.filled(2));
   EXPECT_FALSE(form.filled(0));
   EXPECT_DOUBLE_EQ(form.f64(2)[5], 2.5);
   EXPECT_EQ(form.kind(0), ColumnKind::kInt64Col);
   EXPECT_THROW((void)form.i64(0), AssertionError);
   EXPECT_THROW((void)form.value_at(0, 1), AssertionError);
-  EXPECT_THROW(form.fill(2, t), AssertionError);
+  EXPECT_THROW(form.fill({2}, t), AssertionError);
 }
 
 TEST(ColumnTableTest, GatherBuildsOnlyTheFilledColumns) {

@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <random>
 #include <thread>
 
 #include "src/algebra/query_spec.hpp"
 #include "src/check/check.hpp"
+#include "src/common/strings.hpp"
 #include "src/exec/executor.hpp"
 #include "src/exec/sharded.hpp"
 #include "src/obs/metrics.hpp"
@@ -323,6 +325,42 @@ TEST_F(ExecEquivalenceEdgeTest, MinMaxOnStringsAndDoubles) {
   expect_engines_agree(db_, plan);
 }
 
+// A NaN compares under IEEE rules on every engine: it equals nothing, so
+// a NaN join key joins nothing, `k = NaN` keeps no row and `k <> NaN`
+// keeps every row, the NaN's own included.
+TEST(ExecEquivalenceTest, NaNComparesAsIeeeOnEveryEngine) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Database db;
+  Catalog catalog(10.0);
+  for (const char* name : {"L", "R"}) {
+    Table t(Schema({{"k", ValueType::kDouble, ""}}), 10.0);
+    t.append({Value::real(nan)});
+    t.append({Value::real(1.0)});
+    db.add_table(name, std::move(t));
+    catalog.add_relation(name, db.table(name).schema(),
+                         db.table(name).compute_stats());
+  }
+  const PlanPtr join = make_join(make_scan(catalog, "L"),
+                                 make_scan(catalog, "R"),
+                                 eq(col("L.k"), col("R.k")));
+  const PlanPtr is_nan = make_select(make_scan(catalog, "L"),
+                                     eq(col("L.k"), lit(Value::real(nan))));
+  const PlanPtr not_nan = make_select(
+      make_scan(catalog, "L"),
+      cmp(CompareOp::kNe, col("L.k"), lit(Value::real(nan))));
+  for (const auto& [plan, rows] :
+       {std::pair{join, 1u}, std::pair{is_nan, 0u}, std::pair{not_nan, 2u}}) {
+    expect_engines_agree(db, plan);
+    for (const auto& [mode, threads] :
+         {std::pair{ExecMode::kRow, 1}, std::pair{ExecMode::kVectorized, 1},
+          std::pair{ExecMode::kVectorized, 4}}) {
+      EXPECT_EQ(Executor(db, mode, threads).run(plan).row_count(), rows)
+          << exec_mode_name(mode) << "@" << threads << ": "
+          << plan_tree_string(plan);
+    }
+  }
+}
+
 // Plans whose readers use a subset of their input's columns: scans fill
 // and joins gather only those, so each must agree with the row engine and
 // be bit-identical with its forms cold and warm.
@@ -369,6 +407,40 @@ TEST(ExecEquivalenceTest, ColumnSubsetsAgreeColdAndWarm) {
       dag,
   };
   for (const PlanPtr& plan : plans) expect_agree_cold_and_warm(db, plan);
+}
+
+// A table wider than ColumnSet's inline bits: a plan reading a column past
+// them asks for every column, so its scan must convert only the columns an
+// earlier scan of the same table version left unfilled.
+TEST(ExecEquivalenceTest, WideTableScansColumnsPastTheInlineSet) {
+  constexpr std::size_t kWidth = 301;
+  std::vector<Attribute> attrs;
+  for (std::size_t c = 0; c < kWidth; ++c) {
+    attrs.push_back({str_cat("c", c), ValueType::kInt64, ""});
+  }
+  Table wide{Schema(std::move(attrs)), 10.0};
+  for (std::int64_t r = 0; r < 20; ++r) {
+    Tuple t;
+    for (std::size_t c = 0; c < kWidth; ++c) {
+      t.push_back(Value::int64(r * 1000 + static_cast<std::int64_t>(c)));
+    }
+    wide.append(std::move(t));
+  }
+  Database db;
+  db.add_table("W", std::move(wide));
+  Catalog catalog(10.0);
+  catalog.add_relation("W", db.table("W").schema(),
+                       db.table("W").compute_stats());
+  const PlanPtr first = make_project(make_scan(catalog, "W"), {"W.c0"});
+  const PlanPtr last = make_project(make_scan(catalog, "W"), {"W.c300"});
+  for (const PlanPtr& plan : {first, last, first}) {
+    const Table got = Executor(db, ExecMode::kVectorized, 1).run(plan);
+    ASSERT_EQ(got.row_count(), 20u);
+    EXPECT_TRUE(same_bag(got, Executor(db, ExecMode::kRow).run(plan)))
+        << plan_tree_string(plan);
+  }
+  EXPECT_EQ(Executor(db, ExecMode::kVectorized, 1).run(last).row(7)[0],
+            Value::int64(7300));
 }
 
 // The same over a Fact-partitioned layout: a projection above a join run

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -458,6 +459,54 @@ TEST(GroupedApplyTest, DrainedGroupsOfMinMaxViewsAreGroupApplied) {
           Executor(db, mode, threads).run(refresh_plan(g, e.id, deps))))
           << e.view;
     }
+  }
+}
+
+// The grouped apply shares every unchanged group's row with the stored
+// view: only the groups its delta touches get new rows (or lose theirs).
+TEST(GroupedApplyTest, UnchangedGroupsKeepTheirRowObjects) {
+  Table t(Schema({{"g", ValueType::kInt64, "T"},
+                  {"x", ValueType::kDouble, "T"}}),
+          10.0);
+  for (std::int64_t g = 0; g < 20; ++g) {
+    t.append({Value::int64(g), Value::real(static_cast<double>(g))});
+  }
+  Database db;
+  db.add_table("T", std::move(t));
+  WarehouseDesigner designer(catalog_from_database(db, 10.0));
+  designer.add_query("Grouped", 1,
+                     "SELECT T.g, COUNT(*), SUM(T.x) FROM T GROUP BY T.g");
+  const DesignResult design = designer.design();
+  const MvppGraph& g = design.graph();
+  MaterializedSet m;
+  for (NodeId q : g.query_ids()) m.insert(g.node(q).children[0]);
+  ASSERT_EQ(m.size(), 1u);
+  const NodeId v = *m.begin();
+  deploy_view(g, v, m, db, ExecMode::kRow, 1);
+
+  DeltaTable delta(db.table("T").schema());
+  delta.add_insert({Value::int64(3), Value::real(1.0)});  // group 3 changes
+  delta.add_delete({Value::int64(7), Value::real(7.0)});  // group 7 drains
+  db.apply_delta("T", delta);
+  const DeltaSet frontier{{"T", delta}};
+  const PlanPtr plan = refresh_plan(g, v, {});
+  ASSERT_EQ(plan->kind(), OpKind::kAggregate);
+  const std::optional<DeltaTable> child =
+      DeltaPropagator(db, frontier, ExecMode::kRow, 1)
+          .propagate(plan->children()[0]);
+  ASSERT_TRUE(child.has_value());
+  const Table& stored = db.table(g.node(v).name);
+  const std::optional<GroupApplyResult> applied = maintain_aggregate_view(
+      static_cast<const AggregateOp&>(*plan), stored, *child);
+  ASSERT_TRUE(applied.has_value());
+
+  std::set<const Tuple*> stored_rows;
+  for (const Tuple& row : stored.rows()) stored_rows.insert(&row);
+  ASSERT_EQ(applied->next.row_count(), 19u);
+  for (const Tuple& row : applied->next.rows()) {
+    EXPECT_NE(row[0].as_int64(), 7);
+    EXPECT_EQ(stored_rows.contains(&row), row[0].as_int64() != 3)
+        << "group " << row[0].as_int64();
   }
 }
 

@@ -2,6 +2,9 @@
 // synthetic update stream.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "src/exec/executor.hpp"
 #include "src/maintenance/incremental.hpp"
 #include "src/maintenance/update_stream.hpp"
@@ -181,6 +184,38 @@ TEST_F(UpdateStreamTest, DeltaCaptureIsDeterministicInRng) {
   Rng rc(9);
   apply_update_batch(c, "Order", {0.05, 0.05, 0.02}, rc);  // no capture
   EXPECT_TRUE(same_bag(a.table("Order"), c.table("Order")));
+}
+
+// An ingest derives the next version of the relation from the old one by
+// sharing handles: every row it keeps is the old version's own row object,
+// every other row is one of the captured delta's inserts (shared with it),
+// and the old version, still held by a copy, is unchanged.
+TEST_F(UpdateStreamTest, IngestSharesEveryRowItKeeps) {
+  const Database old = db_;
+  const Table& before = old.table("Order");
+  const std::vector<Tuple> rows(before.rows().begin(), before.rows().end());
+  std::set<const Tuple*> kept;
+  for (const Tuple& t : before.rows()) kept.insert(&t);
+  Rng rng(23);
+  DeltaSet batch;
+  apply_update_batch(db_, "Order", {0.02, 0.02, 0.02}, rng, &batch);
+
+  const Table& after = db_.table("Order");
+  const DeltaTable& captured = batch.at("Order");
+  std::set<const Tuple*> added;
+  for (const Tuple& t : captured.inserts().rows()) added.insert(&t);
+  std::size_t shared = 0;
+  for (const Tuple& t : after.rows()) {
+    if (kept.contains(&t)) {
+      ++shared;
+    } else {
+      EXPECT_TRUE(added.contains(&t));
+    }
+  }
+  EXPECT_GT(captured.deletes().row_count(), 0u);
+  EXPECT_EQ(shared + captured.inserts().row_count(), after.row_count());
+  EXPECT_EQ(std::vector<Tuple>(before.rows().begin(), before.rows().end()),
+            rows);
 }
 
 TEST_F(UpdateStreamTest, CapturedDeltaEqualsNewMinusOld) {

@@ -1490,6 +1490,76 @@ TEST(MvserveTsanTest, ReadersNeverObserveTornSnapshots) {
   }
 }
 
+// Readers outlive the snapshots they serve from: each reader holds its
+// snapshot until the writer has published two newer ones (so the writer
+// no longer holds it either) and serves from it once more, so the last
+// reference to each old snapshot drops on a reader thread. That frees
+// the rows the newer versions did not keep (and, on vec, the old tables'
+// columnar forms) while the writer shares the kept ones.
+TEST(MvserveTsanTest, ReadersReleaseOldSnapshotsWhileTheWriterRefreshes) {
+  WarehouseDesigner designer = paper_designer();
+  const DesignResult design = forced_design(designer);
+  const std::vector<QuerySpec> queries = designer.queries();
+
+  for (const ExecMode mode : {ExecMode::kRow, ExecMode::kVectorized}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    ServeOptions options;
+    options.mode = mode;
+    MvServer server(designer.catalog(), design,
+                    populate_paper_database(0.005, 53), options);
+
+    std::atomic<bool> done{false};
+    std::atomic<int> holders{0};  // readers holding a snapshot
+    std::atomic<int> mixes{0};
+    std::atomic<int> outlived{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+      readers.emplace_back([&, t] {
+        std::size_t i = static_cast<std::size_t>(t);
+        while (!done.load(std::memory_order_acquire)) {
+          const QuerySpec& q = queries[i++ % queries.size()];
+          std::shared_ptr<const ServeSnapshot> snap = server.snapshot();
+          holders.fetch_add(1);
+          if (!same_bag(server.serve_on(snap, q).table,
+                        server.serve_on(snap, q, ServePath::kBaseOnly).table)) {
+            mixes.fetch_add(1);
+          }
+          while (server.epoch() < snap->epoch + 2 &&
+                 !done.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+          const bool past = server.epoch() >= snap->epoch + 2;
+          if (past &&
+              !same_bag(server.serve_on(snap, q).table,
+                        server.serve_on(snap, q, ServePath::kBaseOnly).table)) {
+            mixes.fetch_add(1);
+          }
+          snap.reset();  // once past, the writer no longer holds it either
+          holders.fetch_sub(1);
+          if (past) outlived.fetch_add(1);
+        }
+      });
+    }
+
+    // Writer: incremental refreshes (the delta path shares kept rows)
+    // with a recompute mixed in, each while a reader holds a snapshot.
+    Rng rng(91);
+    for (int round = 0; round < 8; ++round) {
+      while (holders.load() == 0) std::this_thread::yield();
+      const char* relation = (round % 2 == 0) ? "Order" : "Customer";
+      const RefreshMode refresh = round == 5 ? RefreshMode::kRecompute
+                                             : RefreshMode::kIncremental;
+      server.update_and_refresh(relation, {0.02, 0.02, 0.02}, rng, refresh);
+    }
+    done.store(true, std::memory_order_release);
+    for (std::thread& t : readers) t.join();
+
+    EXPECT_EQ(mixes.load(), 0);
+    EXPECT_GT(outlived.load(), 0);
+    EXPECT_EQ(server.epoch(), 8u);
+  }
+}
+
 TEST(MvserveTsanTest, ConcurrentServesShareOneSnapshotSafely) {
   WarehouseDesigner designer = paper_designer();
   const DesignResult design = forced_design(designer);

@@ -18,6 +18,7 @@
 #include "src/algebra/logical_plan.hpp"
 #include "src/common/error.hpp"
 #include "src/common/random.hpp"
+#include "src/common/strings.hpp"
 #include "src/exec/sharded.hpp"
 #include "src/lint/lint.hpp"
 #include "src/maintenance/update_stream.hpp"
@@ -69,7 +70,7 @@ TEST(ShardedTableTest, PartitionCoversAndPreservesRows) {
                   {"v", ValueType::kString, "T"}}),
           10.0);
   for (int i = 0; i < 500; ++i) {
-    t.append({Value::int64(i % 37), Value::string("r" + std::to_string(i))});
+    t.append({Value::int64(i % 37), Value::string(str_cat("r", i))});
   }
   Database db;
   db.add_table("T", t);

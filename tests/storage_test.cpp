@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "src/storage/database.hpp"
 #include "src/storage/table.hpp"
 #include "src/storage/value.hpp"
+#include "tests/golden_digest.hpp"
 
 namespace mvd {
 namespace {
@@ -172,6 +174,10 @@ Database three_tables() {
   return db;
 }
 
+std::vector<Tuple> rows_of(const Table& t) {
+  return {t.rows().begin(), t.rows().end()};
+}
+
 std::map<std::string, const Table*> addresses(const Database& db) {
   std::map<std::string, const Table*> out;
   for (const std::string& n : db.table_names()) out[n] = &db.table(n);
@@ -225,13 +231,13 @@ TEST(DatabaseTest, EachWriteClonesOnlyItsOwnEntry) {
       Database a = three_tables();
       Database b = a;
       const auto before = addresses(a);
-      const std::vector<Tuple> t_rows = a.table("T").rows();
+      const std::vector<Tuple> t_rows = rows_of(a.table("T"));
       Database& written = on_copy ? b : a;
       const Database& other = on_copy ? a : b;
       w.apply(written);
 
       EXPECT_EQ(addresses(other), before);
-      EXPECT_EQ(other.table("T").rows(), t_rows);
+      EXPECT_EQ(rows_of(other.table("T")), t_rows);
       EXPECT_FALSE(other.is_partitioned("T"));
       const auto after = addresses(written);
       EXPECT_NE(after, before);
@@ -270,6 +276,58 @@ TEST(DatabaseTest, SoleOwnerWritesInPlace) {
   EXPECT_EQ(a.table("T").row_count(), 3u);
 }
 
+/// Every row object `t` holds.
+std::set<const Tuple*> row_objects(const Table& t) {
+  std::set<const Tuple*> out;
+  for (const Tuple& row : t.rows()) out.insert(&row);
+  return out;
+}
+
+// Rows are shared between table versions: a write to a table a copy
+// still holds clones its row handles, so every row the written version
+// keeps is the source's own row object and every insert is the delta's,
+// while the source keeps its rows, order and bits. Once the copy is gone
+// the next write lands in place.
+TEST(DatabaseTest, AWriteToASharedTableSharesEveryRowItKeeps) {
+  Database a;
+  a.add_table("T", numbered(0, 1000));
+  DeltaTable delta = inserts(1000, 10);  // 1% inserts
+  for (std::int64_t i = 0; i < 1000; i += 100) {  // 1% deletes
+    delta.add_delete({Value::int64(i), Value::string(str_cat("r", i))});
+  }
+  const Table* clone = nullptr;
+  {
+    const Database source = a;
+    const Table& before = source.table("T");
+    const std::uint64_t digest = table_digest(before);
+    const std::vector<Tuple> rows = rows_of(before);
+    const std::set<const Tuple*> kept = row_objects(before);
+    const std::set<const Tuple*> added = row_objects(delta.inserts());
+    a.apply_delta("T", delta);
+
+    const Table& after = a.table("T");
+    ASSERT_NE(&after, &before);
+    ASSERT_EQ(after.row_count(), 1000u);
+    std::size_t shared = 0;
+    for (std::size_t i = 0; i < after.row_count(); ++i) {
+      const bool inserted = after.row(i)[0].as_int64() >= 1000;
+      EXPECT_TRUE((inserted ? added : kept).contains(&after.row(i))) << i;
+      shared += inserted ? 0 : 1;
+    }
+    EXPECT_EQ(shared, 990u);
+    EXPECT_EQ(table_digest(before), digest);
+    EXPECT_EQ(rows_of(before), rows);
+    EXPECT_EQ(row_objects(before), kept);
+    clone = &after;
+  }
+  const std::set<const Tuple*> kept = row_objects(a.table("T"));
+  a.apply_delta("T", inserts(2000, 5));
+  EXPECT_EQ(&a.table("T"), clone);
+  std::size_t shared = 0;
+  for (const Tuple& row : a.table("T").rows()) shared += kept.count(&row);
+  EXPECT_EQ(shared, 1000u);
+}
+
 TEST(DatabaseTest, PartitionedEntryWrittenOnACopyRebucketsOnlyTheCopy) {
   Database a;
   a.add_table("T", numbered(0, 20));
@@ -278,7 +336,7 @@ TEST(DatabaseTest, PartitionedEntryWrittenOnACopyRebucketsOnlyTheCopy) {
   for (std::size_t b = 0; b < Database::kBuckets; ++b) {
     ranges.push_back(a.bucket_rows("T", b));
   }
-  const std::vector<Tuple> rows = a.table("T").rows();
+  const std::vector<Tuple> rows = rows_of(a.table("T"));
 
   Database copy = a;
   copy.apply_delta("T", inserts(20, 30));
@@ -289,7 +347,7 @@ TEST(DatabaseTest, PartitionedEntryWrittenOnACopyRebucketsOnlyTheCopy) {
       EXPECT_EQ(Database::bucket_of(copy.table("T").row(r)[0]), b) << r;
     }
   }
-  EXPECT_EQ(a.table("T").rows(), rows);
+  EXPECT_EQ(rows_of(a.table("T")), rows);
   EXPECT_EQ(copy.bucket_rows("T", Database::kBuckets - 1).second, 50u);
 }
 
@@ -440,7 +498,7 @@ TEST(DatabaseTest, CloneWrittenAfterAScanKeepsTheOriginalsForm) {
       [&] { again = Executor(a, ExecMode::kVectorized, 4).run(scan); });
   EXPECT_EQ(counts.at("columns_converted"), 0);
   EXPECT_EQ(counts.at("warm_scans"), 1);
-  EXPECT_EQ(again.rows(), before.rows());
+  EXPECT_EQ(rows_of(again), rows_of(before));
   EXPECT_EQ(fill_all(b.table("T")), 2);
   EXPECT_EQ(Executor(b, ExecMode::kVectorized, 1).run(scan).row_count(), 25u);
 }
